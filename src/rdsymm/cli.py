@@ -25,12 +25,13 @@ import json
 import sys
 
 from .expr import ZERO, substitute, sym
-from .fields import Generator
+from .fields import Generator, commutator
 from .nmatrix import NMatrix, as_nmatrix, canonical_form
 from .parser import ParseError, parse, to_text
 from .systems import RDSystem, drift, is_symmetry, triangular
 from .transforms import (InapplicableTransform, LinearEquiv, VShift,
                          VShiftFull, aet, apply_equiv)
+from .verify import run_suite
 
 
 class UsageError(Exception):
@@ -161,7 +162,6 @@ def cmd_commutator(args) -> int:
     gy = load_generator(args.y, m=_peek_m(args.y))
     if gx.m != gy.m:
         raise UsageError("generators have different dimensions")
-    from .fields import commutator
     print(json.dumps(dump_generator(commutator(gx, gy)),
                      indent=2, sort_keys=True))
     return 0
@@ -173,7 +173,6 @@ def _peek_m(path) -> int:
 
 
 def cmd_corpus_run(args) -> int:
-    from .verify import run_suite
     modes = ("symbolic", "witness") if args.mode == "both" else (args.mode,)
     rep = run_suite(tables=args.table or None, items=args.item or None,
                     m_values=args.m or None, seed=args.seed, modes=modes)

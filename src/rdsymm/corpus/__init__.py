@@ -22,17 +22,16 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
-from ..expr import (EMPTY_RULES, Expr, KernelRule, KernelWitness, MINUS_ONE,
-                    ONE, RuleSet, T, ZERO, add, exp_, jet, ker, mul, powe,
-                    rat, sym)
+from ..expr import (Expr, KernelWitness, ONE, Rat, RuleSet, T, ZERO, add, exp_,
+                    jet, ker, mul, powe, rat, substitute, sym)
 from ..fields import Generator, generator, named_operator, zero_generator
 from ..parser import parse
-from ..systems import (RDSystem, drift, heat_kernel_rule, laplace_kernel_rule,
-                       triangular, w_kernel_rules, cauchy_riemann_rules)
+from ..systems import (cauchy_riemann_rules, heat_kernel_rule,
+                       laplace_kernel_rule, w_kernel_rules)
 
 TABLES = (2, 3, 4, 5, 6, 7, 8, 9, 10)
 
@@ -101,9 +100,6 @@ def load_rows(tables: Sequence[int] = TABLES) -> List[CorpusRow]:
 
 # ---------------------------------------------------------------------------
 # template expansion
-
-
-_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
 
 
 def expand_template(s: str, m: int, direction: Optional[int] = None,
@@ -204,19 +200,16 @@ def parse_in_row(s: str, m: int, infos: List[KernelInfo],
 def build_rules(row: CorpusRow, m: int, a_expr: Expr, f1: Expr, f2: Expr,
                 binding: Dict) -> RuleSet:
     """Defining rewrite rules for the row's kernels at dimension m."""
-    from ..expr import substitute
     rules = []
     for ki in kernel_infos(row, m):
         ktype = ki.decl.get("type", "opaque")
         if ktype == "heat":
             rate = substitute(parse(ki.decl["rate"]), binding)
             rules.append(heat_kernel_rule(ki.name, m, a_expr, rate))
-        elif ktype == "laplace":
+        elif ktype in ("laplace", "laplace_shift"):
             eig = substitute(parse(str(ki.decl["eigen"])), binding)
-            rules.append(laplace_kernel_rule(ki.name, m, eig))
-        elif ktype == "laplace_shift":
-            eig = substitute(parse(str(ki.decl["eigen"])), binding)
-            rules.append(_laplace_shift_rule(ki.name, m, eig))
+            rules.append(laplace_kernel_rule(ki.name, _laplace_params(ktype, m),
+                                             eig))
         elif ktype == "cr":
             if m == 2:
                 rules.extend(cauchy_riemann_rules(ki.name, ki.decl["partner"]))
@@ -231,23 +224,17 @@ def build_rules(row: CorpusRow, m: int, a_expr: Expr, f1: Expr, f2: Expr,
     return RuleSet(rules)
 
 
-def _laplace_shift_rule(name: str, m: int, mu: Expr) -> KernelRule:
-    """m-dimensional Laplace eigenrelation for Psi(x1..x_{m-1}, s)."""
-    params = [sym(f"x{i}") for i in range(1, m)] + [sym("_s")]
-    n = len(params)
-    from ..expr import Ker
-    rest = add(*[Ker(name, tuple(params),
-                     tuple(2 if j == i else 0 for j in range(n)))
-                 for i in range(n - 1)])
-    template = add(mul(mu, Ker(name, tuple(params), (0,) * n)),
-                   mul(MINUS_ONE, rest))
-    return KernelRule(name, n - 1, 2, params, template)
+def _laplace_params(ktype: str, m: int) -> List[Expr]:
+    """Parameters of a Laplace eigenfunction kernel: x1..xm, or
+    x1..x_{m-1}, _s for the shifted one (its last slot receives xm + t)."""
+    if ktype == "laplace":
+        return [sym(f"x{i}") for i in range(1, m + 1)]
+    return [sym(f"x{i}") for i in range(1, m)] + [sym("_s")]
 
 
 def witness_menu(ki: KernelInfo, m: int, a_expr: Expr,
                  binding: Dict, rng) -> Optional[KernelWitness]:
     """A concrete replacement for the kernel, or None to stay symbolic."""
-    from ..expr import substitute
     ktype = ki.decl.get("type", "opaque")
     t, u = T, jet("u")
     xs = [sym(f"x{i}") for i in range(1, m + 1)]
@@ -284,24 +271,21 @@ def witness_menu(ki: KernelInfo, m: int, a_expr: Expr,
         return KernelWitness(params, body)
     if ktype == "laplace":
         eig = substitute(parse(str(ki.decl["eigen"])), binding)
-        params = list(xs)
-        from ..expr import Rat
-        from ..expr import normalize
-        e = normalize(eig)
-        if isinstance(e, Rat) and e.value == 0:
+        params = _laplace_params(ktype, m)
+        if isinstance(eig, Rat) and eig.value == 0:
             opts = [ONE, xs[0]]
             if m >= 2:
                 opts += [mul(xs[0], xs[1]),
                          add(mul(xs[0], xs[0]), mul(rat(-1), xs[1], xs[1]))]
             return KernelWitness(params, rng.choice(opts))
         # eigen = k^2 with k prearranged by the instantiator
-        kq = _exact_sqrt(e)
+        kq = _exact_sqrt(eig)
         if kq is None:
             return None  # stay symbolic under the eigenrelation rule
         return KernelWitness(params, exp_(mul(kq, xs[0])))
     if ktype == "laplace_shift":
         eig = substitute(parse(str(ki.decl["eigen"])), binding)
-        params = [sym(f"x{i}") for i in range(1, m)] + [sym("_s")]
+        params = _laplace_params(ktype, m)
         kq = _exact_sqrt(eig)
         if kq is None:
             return None
@@ -331,10 +315,8 @@ def cr_witnesses(h1: str, h2: str, rng) -> Dict[str, KernelWitness]:
 
 
 def _exact_sqrt(e: Expr) -> Optional[Expr]:
-    from ..expr import Rat, normalize
-    n = normalize(e)
-    if isinstance(n, Rat) and n.value >= 0:
-        r = powe(n, rat(1, 2))
+    if isinstance(e, Rat) and e.value >= 0:
+        r = powe(e, rat(1, 2))
         if isinstance(r, Rat):
             return r
     return None
@@ -374,7 +356,6 @@ def _xi_from_spec(spec, m: int, infos, direction) -> List[Expr]:
 def build_generator(spec, m: int, infos, binding, a_expr: Expr,
                     direction: Optional[int] = None) -> Generator:
     """Interpret a generator spec at dimension m with parameters bound."""
-    from ..expr import substitute
 
     def sub(e: Expr) -> Expr:
         return substitute(e, binding)

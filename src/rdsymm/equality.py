@@ -23,8 +23,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .expr import Expr, ExprError, DomainError, add, expand, is_zero, mul, rat, free_symbols
-from .numeric import UnboundSymbol, eval_at, magnitude
+from .expr import (Add, DomainError, Expr, ExprError, Jet, Mul, Pow, add,
+                   children, expand, free_symbols, is_int, is_zero, mul, rat)
+from .numeric import UnboundSymbol, _num_add, eval_at, magnitude
 
 EQUAL = "equal"
 DIFFERENT = "different"
@@ -92,7 +93,7 @@ def decide_equivalence(e1: Expr, e2: Expr, samples: int = 32,
     for a in free_symbols(target):
         # u, v and anything exponentiated symbolically live on the
         # positive verification domain
-        if getattr(a, "dep", None) is not None and a.order == 0:
+        if isinstance(a, Jet) and a.order == 0:
             pos_keys.add(a.key())
     pos_keys |= {b.key() for b in _symbolic_power_bases(target)}
 
@@ -138,12 +139,10 @@ def decide_equivalence(e1: Expr, e2: Expr, samples: int = 32,
 
 def _eval_with_scale(target: Expr, point, sampler):
     """Evaluate; for sums also report the largest term magnitude."""
-    from .expr import Add
     if isinstance(target, Add):
         vals = [eval_at(t, point, kernel_values=sampler)
                 for t in target.terms]
         total = vals[0]
-        from .numeric import _num_add
         for v in vals[1:]:
             total = _num_add(total, v, 60)
         scale = max(magnitude(v) for v in vals)
@@ -153,28 +152,16 @@ def _eval_with_scale(target: Expr, point, sampler):
 
 
 def _symbolic_power_bases(e: Expr):
-    from .expr import Add, Jet, Ker, Mul, Pow, Rat, Sym
     out = set()
     stack = [e]
     while stack:
         s = stack.pop()
-        if isinstance(s, Pow):
-            if not isinstance(s.exp, Rat) or s.exp.value.denominator != 1:
-                for a in free_symbols(s.base):
-                    out.add(a)
-            stack.append(s.base)
-            stack.append(s.exp)
-        elif isinstance(s, Mul):
-            for b, x in s.pairs:
-                if not isinstance(x, Rat) or x.value.denominator != 1:
-                    for a in free_symbols(b):
-                        out.add(a)
-                stack.append(b)
-                stack.append(x)
-        elif isinstance(s, Add):
-            stack.extend(s.terms)
-        elif isinstance(s, Ker):
-            stack.extend(s.args)
+        kids = children(s)
+        if isinstance(s, (Pow, Mul)):
+            for b, x in zip(kids[0::2], kids[1::2]):
+                if not is_int(x):
+                    out |= free_symbols(b)
+        stack.extend(kids)
     return out
 
 

@@ -13,6 +13,11 @@ way composite nodes get built and they normalize on construction, so every
 
 Products of sums are *not* distributed here; see :func:`expand`.
 
+Structural walks reach subexpressions only through :func:`children` and put
+nodes back together only through :func:`rebuild`, which always goes through
+the normalizing constructors, so a walk can never leave a node out of normal
+form.
+
 Symbols are assumed positive on the verification domain, which licenses
 ``ln(b^e) = e*ln(b)`` and friends; rational constants are never treated as
 positive unless they are.
@@ -33,14 +38,6 @@ class DomainError(ExprError):
 
 
 Number = Union[int, Fraction]
-
-
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise ExprError(f"not an exact number: {x!r}")
 
 
 class Expr:
@@ -102,6 +99,8 @@ class Expr:
         return mul(rat(-1), self)
 
     def __repr__(self):
+        # lazy: parser imports this module, so a module-level import here
+        # would be circular
         from .parser import to_text
 
         return f"<{type(self).__name__} {to_text(self)}>"
@@ -239,7 +238,6 @@ def rat(num, den=None) -> Rat:
 ZERO = rat(0)
 ONE = rat(1)
 MINUS_ONE = rat(-1)
-HALF = rat(1, 2)
 
 
 def sym(name: str) -> Sym:
@@ -253,10 +251,6 @@ def jet(dep: str, nt: int = 0, xs: Sequence[int] = ()) -> Jet:
 U = jet("u")
 V = jet("v")
 T = sym("t")
-
-
-def xvar(i: int) -> Sym:
-    return sym(f"x{i}")
 
 
 def is_zero(e: Expr) -> bool:
@@ -601,65 +595,57 @@ def cos_(a) -> Expr:
     return ker("cos", a)
 
 
+# ---------------------------------------------------------------------------
+# traversal: children / rebuild
+
+
+def children(e: Expr) -> Sequence[Expr]:
+    """Direct subexpressions in a fixed order: the terms of a sum, ``b, x``
+    for each pair of a product (its coefficient stays on the node), base and
+    exponent of a power, the arguments of a kernel; atoms have none."""
+    if isinstance(e, (Rat, Sym, Jet)):
+        return ()
+    if isinstance(e, Add):
+        return e.terms
+    if isinstance(e, Mul):
+        return [c for pair in e.pairs for c in pair]
+    if isinstance(e, Pow):
+        return (e.base, e.exp)
+    return e.args
+
+
+def rebuild(e: Expr, kids: Sequence[Expr]) -> Expr:
+    """The node e put back together around ``kids`` (as ordered by
+    :func:`children`), always through the normalizing constructors; a node
+    without children comes back as it is."""
+    if not kids:
+        return e
+    if isinstance(e, Add):
+        return add(*kids)
+    if isinstance(e, Mul):
+        pairs = iter(kids)
+        return mul(rat(e.coeff), *[powe(b, x) for b, x in zip(pairs, pairs)])
+    if isinstance(e, Pow):
+        return powe(*kids)
+    if e.name in BUILTIN_KERNELS:
+        return ker(e.name, *kids)
+    return Ker(e.name, tuple(kids), e.dvec)
+
+
 def normalize(e: Expr) -> Expr:
     """Rebuild bottom-up through the normalizing constructors (idempotent)."""
-    if isinstance(e, (Rat, Sym, Jet)):
-        return e
-    if isinstance(e, Ker):
-        return Ker(e.name, tuple(normalize(a) for a in e.args), e.dvec) \
-            if e.name not in BUILTIN_KERNELS else ker(e.name, *[normalize(a) for a in e.args])
-    if isinstance(e, Pow):
-        return powe(normalize(e.base), normalize(e.exp))
-    if isinstance(e, Mul):
-        return mul(rat(e.coeff), *[powe(normalize(b), normalize(x)) for b, x in e.pairs])
-    if isinstance(e, Add):
-        return add(*[normalize(t) for t in e.terms])
-    raise ExprError(f"unknown node {e!r}")
-
-
-# ---------------------------------------------------------------------------
-# traversal helpers
+    return rebuild(e, [normalize(c) for c in children(e)])
 
 
 def atoms(e: Expr, kinds=(Sym, Jet)) -> set:
+    """Every node of one of ``kinds`` occurring anywhere in e."""
     out = set()
     stack = [e]
     while stack:
         s = stack.pop()
         if isinstance(s, kinds):
             out.add(s)
-        if isinstance(s, Ker):
-            stack.extend(s.args)
-        elif isinstance(s, Pow):
-            stack.append(s.base)
-            stack.append(s.exp)
-        elif isinstance(s, Mul):
-            for b, x in s.pairs:
-                stack.append(b)
-                stack.append(x)
-        elif isinstance(s, Add):
-            stack.extend(s.terms)
-    return out
-
-
-def kernel_atoms(e: Expr) -> set:
-    """All Ker nodes occurring in e (including inside other kernels' args)."""
-    out = set()
-    stack = [e]
-    while stack:
-        s = stack.pop()
-        if isinstance(s, Ker):
-            out.add(s)
-            stack.extend(s.args)
-        elif isinstance(s, Pow):
-            stack.append(s.base)
-            stack.append(s.exp)
-        elif isinstance(s, Mul):
-            for b, x in s.pairs:
-                stack.append(b)
-                stack.append(x)
-        elif isinstance(s, Add):
-            stack.extend(s.terms)
+        stack.extend(children(s))
     return out
 
 
@@ -669,27 +655,6 @@ def free_symbols(e: Expr) -> set:
 
 def jets_in(e: Expr) -> set:
     return atoms(e, (Jet,))
-
-
-def contains(e: Expr, target: Expr) -> bool:
-    stack = [e]
-    tk = target.key()
-    while stack:
-        s = stack.pop()
-        if s.key() == tk:
-            return True
-        if isinstance(s, Ker):
-            stack.extend(s.args)
-        elif isinstance(s, Pow):
-            stack.append(s.base)
-            stack.append(s.exp)
-        elif isinstance(s, Mul):
-            for b, x in s.pairs:
-                stack.append(b)
-                stack.append(x)
-        elif isinstance(s, Add):
-            stack.extend(s.terms)
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -745,24 +710,10 @@ def apply_rules(e: Expr, rules: RuleSet) -> Expr:
     """Rewrite every derived kernel in e through the defining rules."""
     if not rules:
         return e
-    if isinstance(e, (Rat, Sym, Jet)):
-        return e
-    if isinstance(e, Ker):
-        args = tuple(apply_rules(a, rules) for a in e.args)
-        if any(e.dvec):
-            return reduce_kernel(e.name, args, e.dvec, rules)
-        if e.name in BUILTIN_KERNELS:
-            return ker(e.name, *args)
-        return Ker(e.name, args, e.dvec)
-    if isinstance(e, Pow):
-        return powe(apply_rules(e.base, rules), apply_rules(e.exp, rules))
-    if isinstance(e, Mul):
-        return mul(rat(e.coeff), *[powe(apply_rules(b, rules),
-                                        apply_rules(x, rules))
-                                   for b, x in e.pairs])
-    if isinstance(e, Add):
-        return add(*[apply_rules(t, rules) for t in e.terms])
-    raise ExprError(f"unknown node {e!r}")
+    kids = [apply_rules(c, rules) for c in children(e)]
+    if isinstance(e, Ker) and any(e.dvec):
+        return reduce_kernel(e.name, tuple(kids), e.dvec, rules)
+    return rebuild(e, kids)
 
 
 def reduce_kernel(name: str, args, dvec, rules: RuleSet) -> Expr:
@@ -884,28 +835,15 @@ def substitute(e: Expr, binding: Mapping, rules: RuleSet = EMPTY_RULES) -> Expr:
     def walk(n: Expr) -> Expr:
         if isinstance(n, (Sym, Jet)):
             return atom_map.get(n.key(), n)
-        if isinstance(n, Rat):
-            return n
-        if isinstance(n, Ker):
-            new_args = [walk(a) for a in n.args]
-            w = witness_map.get(n.name)
-            if w is not None:
-                body = w.body
-                for i, cnt in enumerate(n.dvec):
-                    for _ in range(cnt):
-                        body = differentiate(body, w.params[i], rules)
-                return substitute(body, dict(zip(w.params, new_args)), rules)
-            if n.name in BUILTIN_KERNELS:
-                return ker(n.name, *new_args)
-            return Ker(n.name, tuple(new_args), n.dvec)
-        if isinstance(n, Pow):
-            return powe(walk(n.base), walk(n.exp))
-        if isinstance(n, Mul):
-            return mul(rat(n.coeff),
-                       *[powe(walk(b), walk(x)) for b, x in n.pairs])
-        if isinstance(n, Add):
-            return add(*[walk(t) for t in n.terms])
-        raise ExprError(f"unknown node {n!r}")
+        kids = [walk(c) for c in children(n)]
+        w = witness_map.get(n.name) if isinstance(n, Ker) else None
+        if w is not None:
+            body = w.body
+            for i, cnt in enumerate(n.dvec):
+                for _ in range(cnt):
+                    body = differentiate(body, w.params[i], rules)
+            return substitute(body, dict(zip(w.params, kids)), rules)
+        return rebuild(n, kids)
 
     return walk(e)
 
@@ -932,12 +870,6 @@ def _terms_of(e: Expr):
 
 
 def _expand_node(e: Expr) -> Expr:
-    if isinstance(e, (Rat, Sym, Jet)):
-        return e
-    if isinstance(e, Ker):
-        if e.name in BUILTIN_KERNELS:
-            return ker(e.name, _expand_node(e.args[0]))
-        return Ker(e.name, tuple(_expand_node(a) for a in e.args), e.dvec)
     if isinstance(e, Pow):
         b = _expand_node(e.base)
         x = _expand_node(e.exp)
@@ -958,9 +890,7 @@ def _expand_node(e: Expr) -> Expr:
         for terms in factor_term_lists[1:]:
             acc = _expand_mul_terms(acc, terms)
         return add(*acc)
-    if isinstance(e, Add):
-        return add(*[_expand_node(t) for t in e.terms])
-    raise ExprError(f"unknown node {e!r}")
+    return rebuild(e, [_expand_node(c) for c in children(e)])
 
 
 def _cos_reduce_once(e: Expr):

@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
+from .equality import decide_equivalence
 from .expr import (EMPTY_RULES, Expr, Jet, MINUS_ONE, ONE, RuleSet, T, ZERO,
                    add, differentiate, exp_, is_zero, jet, jets_in, mul, powe,
                    rat, sym)
@@ -290,7 +291,6 @@ def h_field(m: int, H: Optional[Sequence[Expr]] = None,
     if len(H) != m:
         raise ValueError("H must have one component per spatial direction")
     if m == 2:
-        from .equality import decide_equivalence
         cr1 = add(differentiate(H[0], xs[0], rules),
                   mul(MINUS_ONE, differentiate(H[1], xs[1], rules)))
         cr2 = add(differentiate(H[0], xs[1], rules),

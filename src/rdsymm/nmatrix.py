@@ -30,9 +30,11 @@ from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
 from .equality import EQUAL, decide_equivalence
-from .expr import (Expr, MINUS_ONE, ONE, ZERO, add, exp_, is_zero, jet, ker,
-                   mul, powe, rat, sym)
-from .fields import Generator, generator, named_operator
+from .expr import (Expr, MINUS_ONE, ONE, Rat, T, ZERO, add, differentiate,
+                   exp_, free_symbols, is_zero, jet, ker, mul, powe, rat,
+                   substitute, sym)
+from .fields import (Generator, commutator, generator, named_operator,
+                     zero_generator)
 
 Matrix = Tuple[Tuple[Expr, ...], ...]
 
@@ -182,7 +184,6 @@ def _vanishes(e: Expr) -> bool:
     if d.verdict == EQUAL:
         return True
     if d.verdict == "different":
-        from .expr import free_symbols
         if d.path != "numeric" or not free_symbols(e):
             return False
         # nonzero only generically: a free parameter could still vanish
@@ -219,7 +220,6 @@ def canonical_form(g: NMatrix) -> CanonicalForm:
         return CanonicalForm("g5", g5(), w, scale)
     if not _vanishes(nu1):
         k1 = powe(nu1, MINUS_ONE)
-        k2 = mul(MINUS_ONE, k1, nu2, k1)
         w = umatrix(K1=k1, K2=mul(MINUS_ONE, nu2, powe(nu1, rat(-2))))
         return CanonicalForm("g3", g3(), w, ONE)
     if not _vanishes(nu2):
@@ -414,9 +414,8 @@ def drift_one_dim(name: str, m: int = 1, mu=0, nu=0) -> Generator:
     """The one-dimensional main-symmetry operators of the first-derivative
     systems (the dilation swapped for its drift version; the exponential
     shift operators are taken at zero rates, where the pairs close)."""
-    from .expr import T, jet as _jet
     mu, nu = _e(mu), _e(nu)
-    u, v = _jet("u"), _jet("v")
+    u, v = jet("u"), jet("v")
     dt = named_operator("Dtilde", m)
     if name == "X1^(1)":
         return dt.scale(mu) + generator(m, phi_u=mul(rat(-1), u),
@@ -444,9 +443,8 @@ def drift_algebra(name: str, m: int = 1, mu=0, nu=0):
     outside the span); it is returned with the extension element that
     closes it recorded in the bracket table against index 3.
     """
-    from .expr import T, jet as _jet
     mu, nu = _e(mu), _e(nu)
-    u, v = _jet("u"), _jet("v")
+    u, v = jet("u"), jet("v")
     dt = named_operator("Dtilde", m)
     if name == "A~1":
         return [dt, drift_one_dim("X2^(nu)", m, nu=rat(0))], {}
@@ -480,7 +478,6 @@ def drift_algebra(name: str, m: int = 1, mu=0, nu=0):
 
 def field_closure_check(basis, brackets) -> bool:
     """Field-level analogue of closure_check over a generator basis."""
-    from .fields import commutator, zero_generator
     n = len(basis)
     m = basis[0].m
     for i in range(n):
@@ -585,23 +582,19 @@ class SignSplitNeeded(Exception):
 
 
 def _disc_sign(disc: Expr) -> int:
-    from .expr import Rat
-    from .expr import normalize
-    d = normalize(disc)
-    if isinstance(d, Rat):
-        if d.value > 0:
+    if isinstance(disc, Rat):
+        if disc.value > 0:
             return 1
-        if d.value < 0:
+        if disc.value < 0:
             return -1
         return 0
-    if decide_equivalence(d, ZERO):
+    if decide_equivalence(disc, ZERO):
         return 0
     raise SignSplitNeeded(disc)
 
 
 def pair_residuals(fp: FundamentalPair, lam, alp, sig, gam):
     """Back-substitution residuals of both returned solutions."""
-    from .expr import differentiate, T
     lam, alp, sig, gam = _e(lam), _e(alp), _e(sig), _e(gam)
     out = []
     for F, G in fp.pairs():
@@ -614,6 +607,5 @@ def pair_residuals(fp: FundamentalPair, lam, alp, sig, gam):
 
 def wronskian_at_zero(fp: FundamentalPair) -> Expr:
     """F1 G2 - F2 G1 evaluated at t = 0 (symbolically)."""
-    from .expr import substitute, T
     w = add(mul(fp.F1, fp.G2), mul(MINUS_ONE, mul(fp.F2, fp.G1)))
     return substitute(w, {T: ZERO})

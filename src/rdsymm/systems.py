@@ -20,12 +20,13 @@ down against direct prolongation: the second equation carries the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .equality import EQUAL, DIFFERENT, EqDecision, decide_equivalence
-from .expr import (EMPTY_RULES, Expr, Jet, Ker, KernelRule, MINUS_ONE, ONE,
-                   RuleSet, T, ZERO, add, differentiate, is_zero, jet,
-                   jets_in, ker, mul, powe, rat, sym, free_symbols, Sym, Rat)
+from .expr import (EMPTY_RULES, Expr, ExprError, Jet, Ker, KernelRule,
+                   MINUS_ONE, ONE, RuleSet, T, ZERO, add, differentiate,
+                   expand, is_zero, jet, jets_in, ker, mul, powe, rat,
+                   substitute, sym, free_symbols, Sym, Rat)
 from .fields import Generator, prolong
 from .jets import JetContext, JetOrderError, laplacian, total_derivative
 
@@ -47,12 +48,7 @@ class RDSystem:
     def ctx(self) -> JetContext:
         return JetContext(self.m, self.max_order)
 
-    def with_rules(self, rules: RuleSet) -> "RDSystem":
-        return RDSystem(self.m, self.family, self.f1, self.f2, self.a,
-                        self.p, rules, self.max_order)
-
     def rhs(self) -> Tuple[Expr, Expr]:
-        ctx = self.ctx()
         lap_u = add(*[jet("u", 0, (i, i)) for i in range(1, self.m + 1)])
         lap_v = add(*[jet("v", 0, (i, i)) for i in range(1, self.m + 1)])
         if self.family == "triangular":
@@ -121,40 +117,52 @@ def drift_normalize(p_vec: Sequence) -> DriftNormalization:
 _MAX_REDUCE_PASSES = 8
 
 
+def tjet_replacements(system: RDSystem, tjets: Iterable[Jet],
+                      rhs: Tuple[Expr, Expr]) -> Dict[Jet, Expr]:
+    """Each t-jet written through the system on the solution manifold: the
+    right-hand side of its equation (``rhs`` as built by ``system.rhs()``),
+    then D_x for each spatial index, then D_t (nt - 1) times.  Replacements
+    of jets with nt >= 2 still carry t-jets of lower order."""
+    ctx = system.ctx()
+    out = {}
+    for j in tjets:
+        repl = rhs[0] if j.dep == "u" else rhs[1]
+        for i in j.xs:
+            repl = total_derivative(repl, i, ctx, system.rules)
+        for _ in range(j.nt - 1):
+            repl = total_derivative(repl, "t", ctx, system.rules)
+        out[j] = repl
+    return out
+
+
+def prolonged_equations(system: RDSystem, x: Generator
+                        ) -> Tuple[Tuple[Expr, Expr], Tuple[Expr, Expr]]:
+    """pr X applied to (u_t - rhs_u, v_t - rhs_v), not yet reduced on the
+    solution manifold; returned together with the system's rhs."""
+    if x.m != system.m:
+        raise ValueError("generator dimension != system dimension")
+    rhs_u, rhs_v = rhs = system.rhs()
+    pr = prolong(x, 2, system.ctx(), system.rules)
+    return ((pr.apply_to(add(jet("u", 1), mul(MINUS_ONE, rhs_u))),
+             pr.apply_to(add(jet("v", 1), mul(MINUS_ONE, rhs_v)))), rhs)
+
+
 def evolution_reduce(e: Expr, system: RDSystem) -> Expr:
     """Eliminate every jet carrying t-derivatives using the system."""
-    ctx = system.ctx()
-    rhs_u, rhs_v = system.rhs()
-    rhs = {"u": rhs_u, "v": rhs_v}
-    from .expr import substitute
+    rhs = None
     for _ in range(_MAX_REDUCE_PASSES):
         tjets = [j for j in jets_in(e) if j.nt >= 1]
         if not tjets:
             return e
-        binding = {}
-        for j in tjets:
-            repl = rhs[j.dep]
-            for i in j.xs:
-                repl = total_derivative(repl, i, ctx, system.rules)
-            for _ in range(j.nt - 1):
-                repl = total_derivative(repl, "t", ctx, system.rules)
-            binding[j] = repl
-        e = substitute(e, binding, system.rules)
+        rhs = rhs or system.rhs()
+        e = substitute(e, tjet_replacements(system, tjets, rhs), system.rules)
     raise JetOrderError("evolution substitution did not terminate")
 
 
 def symmetry_residual(system: RDSystem, x: Generator) -> Tuple[Expr, Expr]:
     """pr X applied to both equations, reduced on the solution manifold."""
-    if x.m != system.m:
-        raise ValueError("generator dimension != system dimension")
-    ctx = system.ctx()
-    rhs_u, rhs_v = system.rhs()
-    delta1 = add(jet("u", 1), mul(MINUS_ONE, rhs_u))
-    delta2 = add(jet("v", 1), mul(MINUS_ONE, rhs_v))
-    pr = prolong(x, 2, ctx, system.rules)
-    r1 = evolution_reduce(pr.apply_to(delta1), system)
-    r2 = evolution_reduce(pr.apply_to(delta2), system)
-    return r1, r2
+    (raw1, raw2), _ = prolonged_equations(system, x)
+    return evolution_reduce(raw1, system), evolution_reduce(raw2, system)
 
 
 @dataclass
@@ -407,7 +415,6 @@ def exp_galilei_gamma(system: RDSystem) -> Optional[Expr]:
     a = system.a
     g1, g2 = galilei_residuals(system)
     try:
-        from .expr import expand, ExprError
         g1 = expand(g1)
     except ExprError:
         pass
@@ -476,15 +483,17 @@ def heat_kernel_rule(name: str, m: int, a: Expr, nu: Expr) -> KernelRule:
     return KernelRule(name, 0, 1, params, template)
 
 
-def laplace_kernel_rule(name: str, m: int, mu: Expr) -> KernelRule:
-    """Lap(Psi) = mu*Psi for Psi(x1..xm): rewrites the x_m-second-derivative."""
-    params = [sym(f"x{i}") for i in range(1, m + 1)]
+def laplace_kernel_rule(name: str, params: Sequence[Expr],
+                        mu: Expr) -> KernelRule:
+    """Lap(Psi) = mu*Psi for Psi(params), the Laplacian taken over the
+    parameter slots: rewrites the second derivative in the last slot."""
+    n = len(params)
     rest = add(*[Ker(name, tuple(params),
-                     tuple(2 if j == i else 0 for j in range(m)))
-                 for i in range(m - 1)])
-    template = add(mul(mu, Ker(name, tuple(params), (0,) * m)),
+                     tuple(2 if j == i else 0 for j in range(n)))
+                 for i in range(n - 1)])
+    template = add(mul(mu, Ker(name, tuple(params), (0,) * n)),
                    mul(MINUS_ONE, rest))
-    return KernelRule(name, m - 1, 2, params, template)
+    return KernelRule(name, n - 1, 2, params, template)
 
 
 def w_kernel_rules(name: str, m: int, f1: Expr, f2: Expr,

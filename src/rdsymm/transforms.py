@@ -18,9 +18,9 @@ from dataclasses import dataclass
 from typing import Dict, Tuple
 
 from .equality import decide_equivalence
-from .expr import (Expr, MINUS_ONE, ONE, T, ZERO, add,
-                   differentiate, exp_, is_zero, jet, jets_in, mul, powe, rat,
-                   substitute, sym, free_symbols, Sym)
+from .expr import (Expr, MINUS_ONE, ONE, T, ZERO, add, differentiate, exp_,
+                   expand, is_zero, jet, jets_in, mul, powe, rat, substitute,
+                   sym, free_symbols, Sym)
 from .fields import Generator
 from .jets import laplacian, total_derivative
 from .systems import RDSystem, evolution_reduce, triangular, drift
@@ -103,7 +103,6 @@ def aet(index: int, **params) -> PointMap:
     is VShiftFull and is built separately."""
     p = {k: (v if isinstance(v, Expr) else rat(v)) for k, v in params.items()}
     t = T
-    x2 = None
 
     def need(*names):
         missing = [n for n in names if n not in p]
@@ -182,7 +181,6 @@ def _transformed_f(system: RDSystem, pm: PointMap) -> Tuple[Expr, Expr]:
                        total_derivative(vn, xm, ctx, system.rules)))
         raw2 = add(total_derivative(vn, "t", ctx, system.rules),
                    mul(MINUS_ONE, laplacian(un, ctx, system.rules)))
-    from .expr import expand
     raw1 = expand(evolution_reduce(raw1, system))
     raw2 = expand(evolution_reduce(raw2, system))
     # express in the new dependent variables

@@ -15,7 +15,8 @@ exit nonzero.
 
 from __future__ import annotations
 
-import json
+import copy
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -24,13 +25,15 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .corpus import (CorpusRow, build_generator, build_rules,
                      cr_witnesses, kernel_infos, load_rows, parse_in_row,
                      witness_menu)
-from .expr import (Expr, Sym, ZERO, add, expand, is_zero,
-                   jet, jets_in, mul, normalize, rat, substitute, sym,
-                   free_symbols, MINUS_ONE)
-from .fields import Generator, prolong
+from .equality import _KernelSampler
+from .expr import (Add, DomainError, Expr, Jet, KernelWitness, Sym, ZERO, add,
+                   apply_rules, expand, is_zero, jet, jets_in, mul, rat,
+                   substitute, sym, free_symbols)
+from .fields import Generator
 from .numeric import eval_at, magnitude
 from .parser import parse, to_text
-from .systems import RDSystem, drift, is_symmetry, triangular
+from .systems import (RDSystem, drift, is_symmetry, prolonged_equations,
+                      tjet_replacements, triangular)
 
 _SAMPLE_POOL = [Fraction(n, d) for n in (1, 2, 3, 5, -1, -2, -3, 4)
                 for d in (1, 2, 3)]
@@ -78,10 +81,10 @@ def _sample_params(row: CorpusRow, rng: random.Random, a_mode: str):
                 pool = _SAMPLE_POOL + ([Fraction(0)] if not flags.get("nonzero") else [])
                 binding[sym(name)] = rat(rng.choice(pool))
         for dname, dexpr in row.derive.items():
-            binding[sym(dname)] = normalize(substitute(parse(dexpr), binding))
+            binding[sym(dname)] = substitute(parse(dexpr), binding)
         ok = True
         for c in row.zero:
-            val = normalize(substitute(parse(c), binding))
+            val = substitute(parse(c), binding)
             if not is_zero(val):
                 # force one participating parameter to zero and retry the check
                 syms = [s for s in sorted(free_symbols(parse(c)), key=Expr.key)
@@ -92,14 +95,14 @@ def _sample_params(row: CorpusRow, rng: random.Random, a_mode: str):
                     break
                 binding[rng.choice(syms)] = ZERO
                 for dname, dexpr in row.derive.items():
-                    binding[sym(dname)] = normalize(substitute(parse(dexpr), binding))
-                if not is_zero(normalize(substitute(parse(c), binding))):
+                    binding[sym(dname)] = substitute(parse(dexpr), binding)
+                if not is_zero(substitute(parse(c), binding)):
                     ok = False
                     break
         if not ok:
             continue
         for c in row.nonzero:
-            if is_zero(normalize(substitute(parse(c), binding))):
+            if is_zero(substitute(parse(c), binding)):
                 ok = False
                 break
         if not ok:
@@ -125,7 +128,7 @@ def symbolic_branches(row: CorpusRow) -> List[Dict]:
             for f in factors:
                 nb = dict(b)
                 nb[sym(f)] = ZERO
-                if is_zero(normalize(substitute(expr, nb))):
+                if is_zero(substitute(expr, nb)):
                     new.append(nb)
         branches = new or branches
     seen = []
@@ -143,7 +146,6 @@ def apply_correction(row: CorpusRow) -> CorpusRow:
     (used to confirm that the suspected transcription fix verifies)."""
     if not row.annotation or "corrected" not in row.annotation:
         return row
-    import copy
     fixed = copy.deepcopy(row)
     for field_name, value in row.annotation["corrected"].items():
         setattr(fixed, field_name, copy.deepcopy(value))
@@ -198,7 +200,6 @@ def instantiate_row(row: CorpusRow, seed: int, m: int,
         a_val = bind.get(sym("a"), a_expr)
         f1 = substitute(parse_in_row(row.f1, m, infos), bind)
         f2 = substitute(parse_in_row(row.f2, m, infos), bind)
-        from .expr import KernelWitness
         overrides = {}
         if kernel_sets:
             for kname, body_text in kernel_sets.items():
@@ -254,7 +255,6 @@ def instantiate_row(row: CorpusRow, seed: int, m: int,
         for d in dirs:
             gen = build_generator(claim["gen"], m, infos, cb,
                                   cb.get(sym("a"), a_expr), direction=d)
-            from .expr import apply_rules
             crules = csystem.rules
             gen = Generator(apply_rules(gen.eta, crules),
                             tuple(apply_rules(c, crules) for c in gen.xi),
@@ -301,7 +301,6 @@ def minimal_failing_monomial(residual: Expr) -> str:
         e = expand(residual)
     except Exception:
         e = residual
-    from .expr import Add
     term = e.terms[0] if isinstance(e, Add) else e
     return to_text(term)
 
@@ -427,37 +426,19 @@ def numeric_residual_check(system: RDSystem, x: Generator, points: int = 20,
                            seed: int = 0, tol: float = 1e-20) -> Tuple[bool, float]:
     """Evaluate the pre-reduction residuals at random points, substituting
     the t-jets numerically through the system; returns (ok, worst)."""
-    from .jets import total_derivative
-    ctx = system.ctx()
-    rhs_u, rhs_v = system.rhs()
-    rhs = {"u": rhs_u, "v": rhs_v}
-    deltas = [add(jet("u", 1), mul(MINUS_ONE, rhs_u)),
-              add(jet("v", 1), mul(MINUS_ONE, rhs_v))]
-    pr = prolong(x, 2, ctx, system.rules)
-    raws = [pr.apply_to(d) for d in deltas]
-    # substitution expressions for every t-jet present
-    tjet_exprs = {}
-    for raw in raws:
-        for j in jets_in(raw):
-            if j.nt >= 1 and (j.dep, j.nt, j.xs) not in tjet_exprs:
-                repl = rhs[j.dep]
-                for i in j.xs:
-                    repl = total_derivative(repl, i, ctx, system.rules)
-                for _ in range(j.nt - 1):
-                    repl = total_derivative(repl, "t", ctx, system.rules)
-                tjet_exprs[(j.dep, j.nt, j.xs)] = (j, repl)
-    # one more pass: replacements may themselves contain t-jets (nt >= 2 only)
+    raws, rhs = prolonged_equations(system, x)
+    # t-jets of lower order first: the replacements of jets with nt >= 2
+    # mention them, so they must be valued before those are evaluated
+    tjets = sorted({j for raw in raws for j in jets_in(raw) if j.nt >= 1},
+                   key=lambda j: (j.nt, len(j.xs), (j.dep, j.nt, j.xs)))
+    tjet_exprs = tjet_replacements(system, tjets, rhs)
     rng = random.Random(seed)
     worst = 0.0
     free = set()
-    for raw in raws:
-        free |= {s for s in free_symbols(raw) if not (hasattr(s, "nt") and s.nt >= 1)}
-    for _, repl in tjet_exprs.values():
-        free |= {s for s in free_symbols(repl) if not (hasattr(s, "nt") and s.nt >= 1)}
+    for e in (*raws, *tjet_exprs.values()):
+        free |= {s for s in free_symbols(e)
+                 if not (isinstance(s, Jet) and s.nt >= 1)}
     free = sorted(free, key=Expr.key)
-    from .equality import _KernelSampler
-    from .expr import DomainError
-    import math
 
     # coordinates near 1 keep nested exponentials well inside working
     # precision (the witnesses may compose exp with power arguments); points
@@ -477,13 +458,12 @@ def numeric_residual_check(system: RDSystem, x: Generator, points: int = 20,
             spread = 2 if _try < 8 else 5
             point = {}
             for s in free:
-                point[s] = tame(hasattr(s, "dep") and s.order == 0, spread)
+                point[s] = tame(isinstance(s, Jet) and s.order == 0, spread)
             sampler = _KernelSampler(rng)
             try:
                 full = dict(point)
                 ok_scale = True
-                for key in sorted(tjet_exprs, key=lambda k: (k[1], len(k[2]), k)):
-                    j, repl = tjet_exprs[key]
+                for j, repl in tjet_exprs.items():
                     val = eval_at(repl, full, kernel_values=sampler)
                     if magnitude(val) > SCALE_CAP:
                         ok_scale = False

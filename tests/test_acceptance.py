@@ -21,7 +21,7 @@ from rdsymm.systems import drift, extension_check, is_symmetry, triangular
 from rdsymm.transforms import (LinearEquiv, VShiftFull, apply_equiv,
                                check_eqv3_admissible, pushforward)
 from rdsymm.verify import (apply_correction, instantiate_row,
-                           numeric_residual_check, run_suite, verify_row)
+                           numeric_residual_check, verify_row)
 from rdsymm.corpus import load_rows, load_table
 
 u, v, t = jet("u"), jet("v"), sym("t")
@@ -209,12 +209,12 @@ def test_criterion_4_worked_example_chain():
     _report(4, ok, "; ".join(details))
 
 
-def test_criterion_5_corpus_gate():
+def test_criterion_5_corpus_gate(suite_report):
     """Corpus gate: all unannotated rows pass with exact zero residual over
     >= 3 instantiations; every non-passing row carries a typo annotation
     with its minimal failing monomial; Table 6 reports blocked; annotated
     corrections verify."""
-    rep = run_suite(seed=0)
+    rep = suite_report
     ok = rep.exit_code == 0 and not rep.unannotated_failures
     ok &= rep.gate_pass_fraction >= 0.90
     ok &= rep.counts["blocked"] == 5

@@ -123,8 +123,8 @@ def test_annotated_rows_fail_and_their_corrections_pass():
         assert verify_row(fixed, seeds=(0,), m_values=row.m_list[:1]).status == "pass"
 
 
-def test_suite_gate():
-    rep = run_suite(seed=0)
+def test_suite_gate(suite_report):
+    rep = suite_report
     assert rep.exit_code == 0
     assert not rep.unannotated_failures
     assert rep.counts["blocked"] == 5

@@ -3,9 +3,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rdsymm.expr import (DomainError, add, cos_, differentiate, exp_, expand,
-                         is_zero, jet, ker, ln_, mul, normalize, powe, rat,
-                         sin_, substitute, sym)
+from rdsymm.expr import (DomainError, Ker, add, atoms, children, cos_,
+                         differentiate, exp_, expand, is_zero, jet, ker, ln_,
+                         mul, normalize, powe, rat, rebuild, sin_, substitute,
+                         sym)
 
 u, v, t = jet("u"), jet("v"), sym("t")
 x1 = sym("x1")
@@ -40,6 +41,21 @@ def _exprs(depth=3):
 def test_normalize_idempotent(e):
     once = normalize(e)
     assert normalize(once) == once
+
+
+def _all_nodes(e):
+    out = [e]
+    for c in children(e):
+        out += _all_nodes(c)
+    return out
+
+
+@settings(max_examples=500, deadline=None)
+@given(_exprs())
+def test_children_rebuild_roundtrip(e):
+    assert rebuild(e, children(e)) == e
+    kers = {n for n in _all_nodes(e) if isinstance(n, Ker)}
+    assert atoms(e, (Ker,)) == kers
 
 
 @settings(max_examples=150, deadline=None)
@@ -161,5 +177,4 @@ def test_kernel_rewrite_rule_terminates():
     assert is_zero(expand(wt - expected))
     # second derivative also closes (no t-derivatives of W remain)
     wtt = differentiate(wt, t, rules)
-    from rdsymm.expr import kernel_atoms
-    assert all(k.dvec[0] == 0 for k in kernel_atoms(wtt) if k.name == "W")
+    assert all(k.dvec[0] == 0 for k in atoms(wtt, (Ker,)) if k.name == "W")

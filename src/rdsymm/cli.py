@@ -11,7 +11,7 @@ Exit codes: 0 all pass, 1 verification failures, 2 usage or parse errors.
 
 System files: {"m": 2, "family": {"kind": "triangular", "a": "1"} |
 {"kind": "drift", "p": "1"}, "f1": "...", "f2": "...",
-"params": {"name": "value" | "free"}, "constraints": ["expr", ...]}.
+"params": {"name": "value" | "free"}}, m >= 1.
 Generator files: {"eta": "...", "xi": ["...", ...], "pi": ["...", "..."]}.
 Matrix files: 3x3 array of expression strings in the N pattern.
 Transform files: {"kind": "linear" | "aet" | "vshift" | "vshift_full",
@@ -24,7 +24,7 @@ import argparse
 import json
 import sys
 
-from .expr import ZERO, substitute, sym
+from .expr import ZERO, ExprError, substitute, sym
 from .fields import Generator, commutator
 from .nmatrix import NMatrix, as_nmatrix, canonical_form
 from .parser import ParseError, parse, to_text
@@ -38,25 +38,33 @@ class UsageError(Exception):
     pass
 
 
-def _load_json(path):
+def _load_json(path, shape=dict):
     try:
         with open(path) as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot read {path}: {exc}")
+    if not isinstance(data, shape):
+        raise UsageError(f"{path} must hold a JSON "
+                         + ("object" if shape is dict else "array"))
+    return data
 
 
 def _parse_expr(text, what):
     try:
         return parse(str(text))
-    except ParseError as exc:
+    except (ParseError, ExprError) as exc:
         raise UsageError(f"bad expression for {what}: {exc}")
 
 
 def load_system(path) -> RDSystem:
     data = _load_json(path)
+    if "constraints" in data:
+        raise UsageError("system field 'constraints' is not supported")
     try:
         m = int(data["m"])
+        if m < 1:
+            raise UsageError(f"system dimension m={m}, must be at least 1")
         fam = data["family"]
         kind = fam["kind"]
         binding = {}
@@ -73,6 +81,8 @@ def load_system(path) -> RDSystem:
             return drift(m, p, f1, f2)
     except KeyError as exc:
         raise UsageError(f"system file missing field {exc}")
+    except (AttributeError, TypeError, ValueError, ExprError) as exc:
+        raise UsageError(f"system file malformed: {exc}")
     raise UsageError(f"unknown system kind {kind!r}")
 
 
@@ -84,7 +94,7 @@ def load_generator(path, m: int) -> Generator:
         pi = data.get("pi", ["0", "0"])
         pi1 = _parse_expr(pi[0], "pi1")
         pi2 = _parse_expr(pi[1], "pi2")
-    except (KeyError, IndexError) as exc:
+    except (KeyError, IndexError, TypeError) as exc:
         raise UsageError(f"generator file malformed: {exc}")
     if len(xi) != m:
         raise UsageError(f"generator has {len(xi)} xi components, system m={m}")
@@ -97,8 +107,8 @@ def dump_generator(g: Generator) -> dict:
 
 
 def load_matrix(path) -> NMatrix:
-    data = _load_json(path)
-    if not (isinstance(data, list) and len(data) == 3):
+    data = _load_json(path, list)
+    if len(data) != 3:
         raise UsageError("matrix file must be a 3x3 array of strings")
     rows = [[_parse_expr(e, "matrix entry") for e in row] for row in data]
     try:
@@ -110,23 +120,27 @@ def load_matrix(path) -> NMatrix:
 def load_transform(path):
     data = _load_json(path)
     kind = data.get("kind")
-    params = {k: _parse_expr(v, k) for k, v in data.get("params", {}).items()}
-    if kind == "linear":
-        return LinearEquiv(**{k: params.get(k, d) for k, d in
-                              [("K1", parse("1")), ("K2", ZERO),
-                               ("b1", ZERO), ("b2", ZERO),
-                               ("lam", parse("1"))]})
-    if kind == "aet":
-        index = int(data["index"])
-        raw = dict(data.get("params", {}))
-        kw = {k: parse(str(v)) for k, v in raw.items() if k != "m"}
-        if "m" in raw:
-            kw["m"] = int(raw["m"])
-        return aet(index, **kw)
-    if kind == "vshift":
-        return VShift(_parse_expr(data["phi"], "phi"))
-    if kind == "vshift_full":
-        return VShiftFull(_parse_expr(data["phihat"], "phihat"))
+    try:
+        params = {k: _parse_expr(v, k)
+                  for k, v in data.get("params", {}).items()}
+        if kind == "linear":
+            return LinearEquiv(**{k: params.get(k, d) for k, d in
+                                  [("K1", parse("1")), ("K2", ZERO),
+                                   ("b1", ZERO), ("b2", ZERO),
+                                   ("lam", parse("1"))]})
+        if kind == "aet":
+            kw = {k: v for k, v in params.items() if k != "m"}
+            if "m" in params:
+                kw["m"] = int(data["params"]["m"])
+            return aet(int(data["index"]), **kw)
+        if kind == "vshift":
+            return VShift(_parse_expr(data["phi"], "phi"))
+        if kind == "vshift_full":
+            return VShiftFull(_parse_expr(data["phihat"], "phihat"))
+    except KeyError as exc:
+        raise UsageError(f"transform file missing field {exc}")
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise UsageError(f"transform file malformed: {exc}")
     raise UsageError(f"unknown transform kind {kind!r}")
 
 

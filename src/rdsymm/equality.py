@@ -41,6 +41,9 @@ class EqDecision:
     samples: int = 0
     counterexample: Optional[dict] = None
     note: str = ""
+    # what the numeric layer sampled: the expanded difference, or the raw
+    # difference when expansion raised ExprError
+    sampled: Optional[Expr] = None
 
     def __bool__(self):
         return self.verdict == EQUAL
@@ -114,7 +117,7 @@ def decide_equivalence(e1: Expr, e2: Expr, samples: int = 32,
                 continue
             except UnboundSymbol:
                 return EqDecision(UNDECIDED, "numeric",
-                                  note="unevaluable atom")
+                                  note="unevaluable atom", sampled=target)
             ok = True
             if isinstance(val, Fraction):
                 mismatch = val != 0
@@ -126,15 +129,17 @@ def decide_equivalence(e1: Expr, e2: Expr, samples: int = 32,
             if mismatch:
                 return EqDecision(
                     DIFFERENT, "numeric", samples=done + 1,
-                    counterexample={str(k): v for k, v in point.items()})
+                    counterexample={str(k): v for k, v in point.items()},
+                    sampled=target)
             break
         if ok:
             done += 1
     if done == 0:
         return EqDecision(UNDECIDED, "numeric",
-                          note=f"all {samples} points hit domain errors")
+                          note=f"all {samples} points hit domain errors",
+                          sampled=target)
     return EqDecision(EQUAL, "numeric", samples=done,
-                      note=f"agreed at {done} random points")
+                      note=f"agreed at {done} random points", sampled=target)
 
 
 def _eval_with_scale(target: Expr, point, sampler):

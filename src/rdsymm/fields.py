@@ -54,24 +54,31 @@ class Generator:
         parts.append(mul(MINUS_ONE, self.pi2, differentiate(e, jet("v"), rules)))
         return add(*parts)
 
+    def coeffs(self) -> Tuple[Expr, ...]:
+        """(eta, xi_1, ..., xi_m, pi1, pi2)."""
+        return (self.eta, *self.xi, self.pi1, self.pi2)
+
+    def map(self, fn, *others: "Generator") -> "Generator":
+        """The generator whose coefficients are fn of the matching
+        coefficients of self and others, taken in ``coeffs`` order."""
+        cs = [fn(*c) for c in zip(self.coeffs(),
+                                  *(o.coeffs() for o in others))]
+        return Generator(cs[0], tuple(cs[1:-2]), cs[-2], cs[-1])
+
     def is_zero(self) -> bool:
-        return (is_zero(self.eta) and all(is_zero(c) for c in self.xi)
-                and is_zero(self.pi1) and is_zero(self.pi2))
+        return all(is_zero(c) for c in self.coeffs())
 
     def __add__(self, other: "Generator") -> "Generator":
         if self.m != other.m:
             raise ValueError("generators over different dimensions")
-        return Generator(add(self.eta, other.eta),
-                         tuple(add(a, b) for a, b in zip(self.xi, other.xi)),
-                         add(self.pi1, other.pi1), add(self.pi2, other.pi2))
+        return self.map(add, other)
 
     def __sub__(self, other: "Generator") -> "Generator":
         return self + other.scale(rat(-1))
 
     def scale(self, c) -> "Generator":
         c = c if isinstance(c, Expr) else rat(c)
-        return Generator(mul(c, self.eta), tuple(mul(c, x) for x in self.xi),
-                         mul(c, self.pi1), mul(c, self.pi2))
+        return self.map(lambda e: mul(c, e))
 
     def __neg__(self) -> "Generator":
         return self.scale(rat(-1))
@@ -161,12 +168,8 @@ def commutator(x: Generator, y: Generator,
     """[X, Y]; coefficients X(Y-coeff) - Y(X-coeff)."""
     if x.m != y.m:
         raise ValueError("generators over different dimensions")
-    eta = add(x.apply_to(y.eta, rules), mul(MINUS_ONE, y.apply_to(x.eta, rules)))
-    xi = tuple(add(x.apply_to(cy, rules), mul(MINUS_ONE, y.apply_to(cx, rules)))
-               for cx, cy in zip(x.xi, y.xi))
-    pi1 = add(x.apply_to(y.pi1, rules), mul(MINUS_ONE, y.apply_to(x.pi1, rules)))
-    pi2 = add(x.apply_to(y.pi2, rules), mul(MINUS_ONE, y.apply_to(x.pi2, rules)))
-    return Generator(eta, xi, pi1, pi2)
+    return x.map(lambda cx, cy: add(x.apply_to(cy, rules),
+                                    mul(MINUS_ONE, y.apply_to(cx, rules))), y)
 
 
 # ---------------------------------------------------------------------------

@@ -33,8 +33,7 @@ from .equality import EQUAL, decide_equivalence
 from .expr import (Expr, MINUS_ONE, ONE, Rat, T, ZERO, add, differentiate,
                    exp_, free_symbols, is_zero, jet, ker, mul, powe, rat,
                    substitute, sym)
-from .fields import (Generator, commutator, generator, named_operator,
-                     zero_generator)
+from .fields import Generator, commutator, generator, named_operator
 
 Matrix = Tuple[Tuple[Expr, ...], ...]
 
@@ -314,29 +313,38 @@ def algebra_catalog(name: str) -> AlgebraPresentation:
                                note)
 
 
-def closure_check(basis: Sequence[NMatrix], brackets: dict) -> bool:
-    """Every pairwise commutator equals its stated rational combination and
-    unlisted pairs commute."""
+def closure_check(basis: Sequence, brackets: dict) -> bool:
+    """Every pairwise bracket of an NMatrix basis (matrix commutator) or a
+    Generator basis (field commutator) equals its stated rational
+    combination, unlisted pairs commute, and every entry is decided equal
+    exactly, at normalize or expand."""
+    if isinstance(basis[0], NMatrix):
+        def entries(mat):
+            return [e for row in mat for e in row]
+
+        coeffs = [entries(g.matrix()) for g in basis]
+
+        def bracket(x, y):
+            return entries(mat_commutator(x.matrix(), y.matrix()))
+    else:
+        coeffs = [g.coeffs() for g in basis]
+
+        def bracket(x, y):
+            return commutator(x, y).coeffs()
     n = len(basis)
     for i in range(n):
         for j in range(i + 1, n):
-            got = mat_commutator(basis[i].matrix(), basis[j].matrix())
             want = brackets.get((i + 1, j + 1))
             if want is None:
                 rev = brackets.get((j + 1, i + 1))
-                want = ({k: -c for k, c in rev.items()} if rev else {})
-            expect = nmatrix()
-            for k, c in want.items():
-                expect_k = basis[k - 1].scale(rat(c))
-                expect = NMatrix(add(expect.nu1, expect_k.nu1),
-                                 add(expect.nu2, expect_k.nu2),
-                                 add(expect.mu1, expect_k.mu1),
-                                 add(expect.mu2, expect_k.mu2))
-            em = expect.matrix()
-            for r in range(3):
-                for c2 in range(3):
-                    if not decide_equivalence(got[r][c2], em[r][c2]):
-                        return False
+                want = {k: -c for k, c in rev.items()} if rev else {}
+            expect = [add(*[mul(rat(c), coeffs[k - 1][r])
+                             for k, c in want.items()])
+                      for r in range(len(coeffs[0]))]
+            for got, exp in zip(bracket(basis[i], basis[j]), expect):
+                d = decide_equivalence(got, exp)
+                if d.verdict != EQUAL or d.path not in ("normalize", "expand"):
+                    return False
     return True
 
 
@@ -474,27 +482,6 @@ def drift_algebra(name: str, m: int = 1, mu=0, nu=0):
                             phi_v=mul(rat(3), v))
         return [x1, drift_one_dim("X3^(1)", m)], {(1, 2): {2: Fraction(-3)}}
     raise KeyError(f"unknown drift algebra {name!r}")
-
-
-def field_closure_check(basis, brackets) -> bool:
-    """Field-level analogue of closure_check over a generator basis."""
-    n = len(basis)
-    m = basis[0].m
-    for i in range(n):
-        for j in range(i + 1, n):
-            got = commutator(basis[i], basis[j])
-            want = brackets.get((i + 1, j + 1))
-            if want is None:
-                rev = brackets.get((j + 1, i + 1))
-                want = {k: -c for k, c in rev.items()} if rev else {}
-            expect = zero_generator(m)
-            for k, c in want.items():
-                expect = expect + basis[k - 1].scale(rat(c))
-            pairs = [(got.eta, expect.eta), (got.pi1, expect.pi1),
-                     (got.pi2, expect.pi2)] + list(zip(got.xi, expect.xi))
-            if not all(bool(decide_equivalence(x, y)) for x, y in pairs):
-                return False
-    return True
 
 
 # fundamental pairs for F_t = lam F + alp G, G_t = sig F + gam G -------------

@@ -138,7 +138,9 @@ def tjet_replacements(system: RDSystem, tjets: Iterable[Jet],
 def prolonged_equations(system: RDSystem, x: Generator
                         ) -> Tuple[Tuple[Expr, Expr], Tuple[Expr, Expr]]:
     """pr X applied to (u_t - rhs_u, v_t - rhs_v), not yet reduced on the
-    solution manifold; returned together with the system's rhs."""
+    solution manifold; returned together with the rhs built here, which
+    callers pass on to ``evolution_reduce`` and ``tjet_replacements``
+    instead of building it again."""
     if x.m != system.m:
         raise ValueError("generator dimension != system dimension")
     rhs_u, rhs_v = rhs = system.rhs()
@@ -147,22 +149,23 @@ def prolonged_equations(system: RDSystem, x: Generator
              pr.apply_to(add(jet("v", 1), mul(MINUS_ONE, rhs_v)))), rhs)
 
 
-def evolution_reduce(e: Expr, system: RDSystem) -> Expr:
-    """Eliminate every jet carrying t-derivatives using the system."""
-    rhs = None
+def evolution_reduce(e: Expr, system: RDSystem,
+                     rhs: Tuple[Expr, Expr]) -> Expr:
+    """Eliminate every jet carrying t-derivatives using the system; ``rhs``
+    is ``system.rhs()``, built once by the caller."""
     for _ in range(_MAX_REDUCE_PASSES):
         tjets = [j for j in jets_in(e) if j.nt >= 1]
         if not tjets:
             return e
-        rhs = rhs or system.rhs()
         e = substitute(e, tjet_replacements(system, tjets, rhs), system.rules)
     raise JetOrderError("evolution substitution did not terminate")
 
 
 def symmetry_residual(system: RDSystem, x: Generator) -> Tuple[Expr, Expr]:
     """pr X applied to both equations, reduced on the solution manifold."""
-    (raw1, raw2), _ = prolonged_equations(system, x)
-    return evolution_reduce(raw1, system), evolution_reduce(raw2, system)
+    (raw1, raw2), rhs = prolonged_equations(system, x)
+    return (evolution_reduce(raw1, system, rhs),
+            evolution_reduce(raw2, system, rhs))
 
 
 @dataclass
@@ -170,7 +173,6 @@ class SymmetryReport:
     residuals: Tuple[Expr, Expr]
     decisions: Tuple[EqDecision, EqDecision]
     verdict: str                  # holds / fails / undecided
-    counterexample: Optional[dict] = None
 
     @property
     def holds(self) -> bool:
@@ -180,36 +182,42 @@ class SymmetryReport:
     def decision_path(self) -> str:
         return "+".join(d.path for d in self.decisions)
 
+    @property
+    def failing(self) -> Optional[Tuple[Expr, EqDecision]]:
+        """(residual, decision) of the first side decided different."""
+        for r, d in zip(self.residuals, self.decisions):
+            if d.verdict == DIFFERENT:
+                return r, d
+        return None
+
+    @property
+    def counterexample(self) -> Optional[dict]:
+        failing = self.failing
+        return failing[1].counterexample if failing else None
+
 
 def is_symmetry(system: RDSystem, x: Generator, seed: int = 0) -> SymmetryReport:
     r1, r2 = symmetry_residual(system, x)
     d1 = decide_equivalence(r1, ZERO, seed=seed)
     d2 = decide_equivalence(r2, ZERO, seed=seed + 1)
-    if d1.verdict == EQUAL and d2.verdict == EQUAL:
+    verdicts = {d1.verdict, d2.verdict}
+    if verdicts == {EQUAL}:
         verdict = "holds"
-        ce = None
-    elif DIFFERENT in (d1.verdict, d2.verdict):
+    elif DIFFERENT in verdicts:
         verdict = "fails"
-        ce = d1.counterexample if d1.verdict == DIFFERENT else d2.counterexample
     else:
         verdict = "undecided"
-        ce = None
-    return SymmetryReport((r1, r2), (d1, d2), verdict, ce)
+    return SymmetryReport((r1, r2), (d1, d2), verdict)
 
 
 # ---------------------------------------------------------------------------
 # classifying-equation residuals (triangular, a != 0): main symmetries
 
 
-def _op_apply(f: Expr, C1: Expr, C2: Expr, B1: Expr, B2: Expr,
-              extra_scale: Expr = ZERO, rules: RuleSet = EMPTY_RULES) -> Expr:
-    """[B1 du + B2 dv + C1(u du + v dv) + C2 u dv + extra_scale(u du + v dv)] f."""
-    fu = differentiate(f, U, rules)
-    fv = differentiate(f, V, rules)
-    scale = add(C1, extra_scale)
-    return add(mul(B1, fu), mul(B2, fv),
-               mul(scale, add(mul(U, fu), mul(V, fv))),
-               mul(C2, U, fv))
+def _vertical(f: Expr, phi_u: Expr, phi_v: Expr, rules: RuleSet) -> Expr:
+    """(phi_u d_u + phi_v d_v) f."""
+    return add(mul(phi_u, differentiate(f, U, rules)),
+               mul(phi_v, differentiate(f, V, rules)))
 
 
 def classifying_residual_main(system: RDSystem, C1: Expr, C2: Expr,
@@ -223,15 +231,17 @@ def classifying_residual_main(system: RDSystem, C1: Expr, C2: Expr,
     f1, f2 = system.f1, system.f2
     C1t = differentiate(C1, T, rules)
     C2t = differentiate(C2, T, rules)
+    phi_u = add(B1, mul(C1, U))
+    phi_v = add(B2, mul(C1, V), mul(C2, U))
     lhs1 = add(mul(add(mu, C1), f1), mul(C1t, U),
                differentiate(B1, T, rules),
                mul(MINUS_ONE, a, laplacian(B1, ctx, rules)))
-    rhs1 = _op_apply(f1, C1, C2, B1, B2, rules=rules)
+    rhs1 = _vertical(f1, phi_u, phi_v, rules)
     lhs2 = add(mul(add(mu, C1), f2), mul(C2, f1), mul(C2t, U), mul(C1t, V),
                differentiate(B2, T, rules),
                mul(MINUS_ONE, a, laplacian(B2, ctx, rules)),
                mul(MINUS_ONE, laplacian(B1, ctx, rules)))
-    rhs2 = _op_apply(f2, C1, C2, B1, B2, rules=rules)
+    rhs2 = _vertical(f2, phi_u, phi_v, rules)
     return (add(lhs1, mul(MINUS_ONE, rhs1)), add(lhs2, mul(MINUS_ONE, rhs2)))
 
 
@@ -275,16 +285,11 @@ def classifying_residual_full(system: RDSystem,
     C1t = differentiate(data.C1, T, rules)
     C2t = differentiate(data.C2, T, rules)
     lam_t = mul(data.lam, rat(m + 4), T)
-
-    def op(f):
-        fu = differentiate(f, U, rules)
-        fv = differentiate(f, V, rules)
-        euler = add(mul(U, fu), mul(V, fv))
-        return add(mul(data.B1, fu), mul(data.B2, fv),
-                   mul(data.C1, euler), mul(data.C2, U, fv),
-                   mul(data.lam, rat(m), T, euler),
-                   mul(S, add(mul(inv_a, euler),
-                              mul(MINUS_ONE, inv_a2, U, fv))))
+    # weight on the Euler operator u du + v dv
+    euler_w = add(data.C1, mul(data.lam, rat(m), T), mul(S, inv_a))
+    phi_u = add(data.B1, mul(euler_w, U))
+    phi_v = add(data.B2, mul(euler_w, V), mul(data.C2, U),
+                mul(MINUS_ONE, S, inv_a2, U))
 
     # the omega sector also carries the time derivative of its weight,
     # gamma*S_omega times the boost weight bracket, on the left-hand sides
@@ -301,8 +306,8 @@ def classifying_residual_full(system: RDSystem,
                differentiate(data.B2, T, rules),
                mul(MINUS_ONE, a, laplacian(data.B2, ctx, rules)),
                mul(MINUS_ONE, laplacian(data.B1, ctx, rules)))
-    return (add(lhs1, mul(MINUS_ONE, op(f1))),
-            add(lhs2, mul(MINUS_ONE, op(f2))))
+    return (add(lhs1, mul(MINUS_ONE, _vertical(f1, phi_u, phi_v, rules))),
+            add(lhs2, mul(MINUS_ONE, _vertical(f2, phi_u, phi_v, rules))))
 
 
 def classifying_residual_drift(system: RDSystem, F: Expr, B1: Expr, B2: Expr,
@@ -317,12 +322,8 @@ def classifying_residual_drift(system: RDSystem, F: Expr, B1: Expr, B2: Expr,
     f1, f2 = system.f1, system.f2
     Ft = differentiate(F, T, rules)
     xm = sym(f"x{system.m}")
-
-    def op(f):
-        fu = differentiate(f, U, rules)
-        fv = differentiate(f, V, rules)
-        return add(mul(B1, fu), mul(B2, fv), mul(F, U, fu),
-                   mul(add(F, mu), V, fv))
+    phi_u = add(B1, mul(F, U))
+    phi_v = add(B2, mul(add(F, mu), V))
 
     lhs1 = add(mul(add(mul(rat(3), mu), F), f1), mul(Ft, U),
                differentiate(B1, T, rules),
@@ -330,8 +331,8 @@ def classifying_residual_drift(system: RDSystem, F: Expr, B1: Expr, B2: Expr,
     lhs2 = add(mul(add(mul(rat(4), mu), F), f2), mul(Ft, V),
                differentiate(B2, T, rules),
                mul(MINUS_ONE, laplacian(B1, ctx, rules)))
-    return (add(lhs1, mul(MINUS_ONE, op(f1))),
-            add(lhs2, mul(MINUS_ONE, op(f2))))
+    return (add(lhs1, mul(MINUS_ONE, _vertical(f1, phi_u, phi_v, rules))),
+            add(lhs2, mul(MINUS_ONE, _vertical(f2, phi_u, phi_v, rules))))
 
 
 def classifying_residual_a0(system: RDSystem, alpha: Expr, N: Expr, M: Expr,
@@ -356,12 +357,8 @@ def classifying_residual_a0(system: RDSystem, alpha: Expr, N: Expr, M: Expr,
     wv = add(M, mul(rat(m + 2), div))      # weight on v d_v
     Nt = differentiate(N, T, rules)
     Mt = differentiate(M, T, rules)
-
-    def op(f):
-        fu = differentiate(f, U, rules)
-        fv = differentiate(f, V, rules)
-        return add(mul(B1, fu), mul(B2, fv), mul(B3, U, fv),
-                   mul(wu, U, fu), mul(wv, V, fv))
+    phi_u = add(B1, mul(wu, U))
+    phi_v = add(B2, mul(B3, U), mul(wv, V))
 
     lhs1 = add(mul(add(alpha, mul(rat(2), N), mul(MINUS_ONE, M),
                        mul(rat(m - 2), div)), f1),
@@ -372,8 +369,8 @@ def classifying_residual_a0(system: RDSystem, alpha: Expr, N: Expr, M: Expr,
                differentiate(B2, T, rules),
                mul(MINUS_ONE, laplacian(B1, ctx, rules)),
                mul(rat(2 - m), laplacian(div, ctx, rules), U))
-    return (add(lhs1, mul(MINUS_ONE, op(f1))),
-            add(lhs2, mul(MINUS_ONE, op(f2))))
+    return (add(lhs1, mul(MINUS_ONE, _vertical(f1, phi_u, phi_v, rules))),
+            add(lhs2, mul(MINUS_ONE, _vertical(f2, phi_u, phi_v, rules))))
 
 
 # ---------------------------------------------------------------------------
@@ -383,13 +380,10 @@ def classifying_residual_a0(system: RDSystem, alpha: Expr, N: Expr, M: Expr,
 def galilei_residuals(system: RDSystem) -> Tuple[Expr, Expr]:
     """a f1 = (a(u du + v dv) - u dv) f1 ; a f2 - f1 = (...) f2."""
     a = system.a
-    rules = system.rules
+    phi_u, phi_v = mul(a, U), add(mul(a, V), mul(MINUS_ONE, U))
     out = []
     for k, f in enumerate((system.f1, system.f2)):
-        fu = differentiate(f, U, rules)
-        fv = differentiate(f, V, rules)
-        applied = add(mul(a, add(mul(U, fu), mul(V, fv))),
-                      mul(MINUS_ONE, U, fv))
+        applied = _vertical(f, phi_u, phi_v, system.rules)
         lhs = mul(a, f) if k == 0 else add(mul(a, system.f2),
                                            mul(MINUS_ONE, system.f1))
         out.append(add(lhs, mul(MINUS_ONE, applied)))
@@ -399,14 +393,9 @@ def galilei_residuals(system: RDSystem) -> Tuple[Expr, Expr]:
 def conformal_residuals(system: RDSystem) -> Tuple[Expr, Expr]:
     """(m+4) f^a = m (u du + v dv) f^a."""
     m = system.m
-    rules = system.rules
-    out = []
-    for f in (system.f1, system.f2):
-        fu = differentiate(f, U, rules)
-        fv = differentiate(f, V, rules)
-        out.append(add(mul(rat(m + 4), f),
-                       mul(rat(-m), add(mul(U, fu), mul(V, fv)))))
-    return tuple(out)
+    return tuple(add(mul(rat(m + 4), f),
+                     mul(rat(-m), _vertical(f, U, V, system.rules)))
+                 for f in (system.f1, system.f2))
 
 
 def exp_galilei_gamma(system: RDSystem) -> Optional[Expr]:

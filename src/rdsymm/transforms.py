@@ -181,8 +181,9 @@ def _transformed_f(system: RDSystem, pm: PointMap) -> Tuple[Expr, Expr]:
                        total_derivative(vn, xm, ctx, system.rules)))
         raw2 = add(total_derivative(vn, "t", ctx, system.rules),
                    mul(MINUS_ONE, laplacian(un, ctx, system.rules)))
-    raw1 = expand(evolution_reduce(raw1, system))
-    raw2 = expand(evolution_reduce(raw2, system))
+    rhs = system.rhs()
+    raw1 = expand(evolution_reduce(raw1, system, rhs))
+    raw2 = expand(evolution_reduce(raw2, system, rhs))
     # express in the new dependent variables
     u_tmp, v_tmp = sym("_unew"), sym("_vnew")
     inv = pm.inverse_binding(u_tmp, v_tmp)

@@ -27,8 +27,8 @@ from .corpus import (CorpusRow, build_generator, build_rules,
                      witness_menu)
 from .equality import _KernelSampler
 from .expr import (Add, DomainError, Expr, Jet, KernelWitness, Sym, ZERO, add,
-                   apply_rules, expand, is_zero, jet, jets_in, mul, rat,
-                   substitute, sym, free_symbols)
+                   apply_rules, is_zero, jet, jets_in, mul, rat, substitute,
+                   sym, free_symbols)
 from .fields import Generator
 from .numeric import eval_at, magnitude
 from .parser import parse, to_text
@@ -255,16 +255,9 @@ def instantiate_row(row: CorpusRow, seed: int, m: int,
         for d in dirs:
             gen = build_generator(claim["gen"], m, infos, cb,
                                   cb.get(sym("a"), a_expr), direction=d)
-            crules = csystem.rules
-            gen = Generator(apply_rules(gen.eta, crules),
-                            tuple(apply_rules(c, crules) for c in gen.xi),
-                            apply_rules(gen.pi1, crules),
-                            apply_rules(gen.pi2, crules))
+            gen = gen.map(lambda c: apply_rules(c, csystem.rules))
             if cwits:
-                gen = Generator(substitute(gen.eta, cwits),
-                                tuple(substitute(c, cwits) for c in gen.xi),
-                                substitute(gen.pi1, cwits),
-                                substitute(gen.pi2, cwits))
+                gen = gen.map(lambda c: substitute(c, cwits))
             claims.append(ClaimInstance(
                 label if d is None else f"{label}[x{d}]",
                 gen, csystem, claim.get("kind", "main"), d))
@@ -295,13 +288,10 @@ class VerificationRun:
                 "annotated": self.annotated, "results": self.results}
 
 
-def minimal_failing_monomial(residual: Expr) -> str:
-    """The canonical-first monomial of the expanded residual."""
-    try:
-        e = expand(residual)
-    except Exception:
-        e = residual
-    term = e.terms[0] if isinstance(e, Add) else e
+def minimal_failing_monomial(sampled: Expr) -> str:
+    """The canonical-first monomial of a failing decision's sampled
+    expression, which is the residual as the decision expanded it."""
+    term = sampled.terms[0] if isinstance(sampled, Add) else sampled
     return to_text(term)
 
 
@@ -335,12 +325,13 @@ def verify_row(row: CorpusRow, seeds: Sequence[int] = (0, 1, 2),
                 entry = {"m": m, "mode": mode, "seed": seed,
                          "claim": ci.label, "verdict": rep.verdict,
                          "path": rep.decision_path}
-                if rep.verdict == "fails":
+                failing = rep.failing
+                if failing:
                     any_fail = True
-                    bad = rep.residuals[0] if rep.decisions[0].verdict == "different" \
-                        else rep.residuals[1]
+                    bad, decision = failing
                     entry["residual"] = to_text(bad)[:400]
-                    entry["failing_monomial"] = minimal_failing_monomial(bad)
+                    entry["failing_monomial"] = minimal_failing_monomial(
+                        decision.sampled)
                 elif rep.verdict == "undecided":
                     any_undecided = True
                 results.append(entry)

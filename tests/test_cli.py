@@ -90,3 +90,30 @@ def test_equiv_apply_inapplicable(tmp_path, sysfile, capsys):
     code = main(["equiv", "apply", sysfile, tr])
     assert code == 1
     assert "error" in json.loads(capsys.readouterr().out)
+
+
+_TRIANGULAR = {"m": 1, "family": {"kind": "triangular", "a": "1"},
+               "f1": "u^2", "f2": "u*v"}
+_GEN = {"eta": "1", "xi": ["0"], "pi": ["0", "0"]}
+
+
+@pytest.mark.parametrize("command, system, other", [
+    ("verify", {**_TRIANGULAR, "m": 0}, {**_GEN, "xi": []}),
+    ("verify", {**_TRIANGULAR, "f1": "x1/0"}, _GEN),
+    ("equiv", _TRIANGULAR, {"kind": "aet", "params": {}}),
+    ("equiv", _TRIANGULAR, {"kind": "aet", "index": 42, "params": {}}),
+    ("verify", [1, 2], _GEN),
+    ("commutator", [1, 2], [1, 2]),
+    ("verify", {**_TRIANGULAR, "constraints": ["a"]}, _GEN),
+], ids=["m0", "division_by_zero", "aet_without_index", "aet_index_42",
+        "array_system", "array_generator", "constraints"])
+def test_input_faults_exit_2_with_one_line(tmp_path, capsys, command, system,
+                                           other):
+    first = _write(tmp_path, "first.json", system)
+    second = _write(tmp_path, "second.json", other)
+    argv = ([command, first, second] if command != "equiv"
+            else ["equiv", "apply", first, second])
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1

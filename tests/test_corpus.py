@@ -4,9 +4,10 @@ import pytest
 
 from rdsymm.corpus import TABLES, load_rows, load_table
 from rdsymm.equality import decide_equivalence
-from rdsymm.expr import ZERO, is_zero, jet, rat, sym
+from rdsymm.expr import ZERO, exp_, is_zero, jet, ker, powe, rat, sym
+from rdsymm.fields import generator
 from rdsymm.parser import to_text
-from rdsymm.systems import is_symmetry
+from rdsymm.systems import classifying_residual_main, is_symmetry, triangular
 from rdsymm.verify import (apply_correction, instantiate_row,
                            negative_control, run_suite, verify_row)
 
@@ -84,22 +85,19 @@ def test_negative_controls():
 def test_two_path_agreement_on_main_symmetries():
     """Rows whose main symmetry has the dilation shape: the classifying
     residual path and the prolongation path agree."""
-    from rdsymm.systems import classifying_residual_main
-    from rdsymm.expr import powe, exp_, ker, mul
     lam, mu, nu, sig, a = (sym("lam"), sym("mu"), sym("nu"), sym("sig"),
                            sym("a"))
     t, x1 = sym("t"), sym("x1")
-    from rdsymm.fields import generator
     cases = []
     # T3.3: mu D - u du - v dv  -> C1 = 1
     F1, F2 = ker("F1", v / u), ker("F2", v / u)
-    S = __import__("rdsymm").systems.triangular(
+    S = triangular(
         1, a, powe(u, mu + 1) * F1, powe(u, mu + 1) * F2)
     X = generator(1, eta=mu * t, xi=[mu * x1 / 2], phi_u=-u, phi_v=-v)
     cases.append((S, X, (rat(1), ZERO, ZERO, ZERO, mu)))
     # T2.8*: nu D - dv -> B2 = 1
     F1b, F2b = ker("F1", u), ker("F2", u)
-    S2 = __import__("rdsymm").systems.triangular(
+    S2 = triangular(
         1, a, exp_(nu * v) * F1b, exp_(nu * v) * F2b)
     X2 = generator(1, eta=nu * t, xi=[nu * x1 / 2], phi_v=rat(-1))
     cases.append((S2, X2, (ZERO, ZERO, ZERO, rat(1), nu)))

@@ -3,10 +3,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rdsymm.expr import (DomainError, Ker, add, atoms, children, cos_,
-                         differentiate, exp_, expand, is_zero, jet, ker, ln_,
-                         mul, normalize, powe, rat, rebuild, sin_, substitute,
-                         sym)
+from rdsymm.expr import (DomainError, Ker, RuleSet, add, atoms, children,
+                         cos_, differentiate, exp_, expand, is_zero, jet, ker,
+                         ln_, mul, normalize, powe, rat, rebuild, sin_,
+                         substitute, sym)
+from rdsymm.systems import w_kernel_rules
 
 u, v, t = jet("u"), jet("v"), sym("t")
 x1 = sym("x1")
@@ -164,8 +165,6 @@ def test_opaque_kernel_chain_rule():
 
 
 def test_kernel_rewrite_rule_terminates():
-    from rdsymm.systems import w_kernel_rules, triangular
-    from rdsymm.expr import RuleSet, T
     F1 = ker("F1", u)
     F2 = ker("F2", u)
     rule = w_kernel_rules("W", 1, F1, v * F2)

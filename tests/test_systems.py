@@ -5,17 +5,21 @@ from fractions import Fraction
 import pytest
 
 from rdsymm.equality import decide_equivalence
-from rdsymm.expr import (ZERO, add, exp_, expand, is_zero, jet, ker, mul,
-                         powe, rat, sym, Add, Jet, _term_parts, _from_parts)
+from rdsymm.expr import (ZERO, add, exp_, expand, is_zero, jet, jets_in, ker,
+                         mul, powe, rat, sym, Add, Jet, _term_parts,
+                         _from_parts)
 from rdsymm.fields import Generator, generator, named_operator
 from rdsymm.jets import JetContext
 from rdsymm.parser import parse, to_text
-from rdsymm.systems import (FullSymmetryData, classifying_residual_a0,
+from rdsymm.systems import (FullSymmetryData, RDSystem,
+                            classifying_residual_a0,
                             classifying_residual_drift,
                             classifying_residual_full,
                             classifying_residual_main, drift, drift_normalize,
-                            extension_check, is_symmetry, symmetry_residual,
+                            extension_check, is_symmetry,
+                            prolonged_equations, symmetry_residual,
                             triangular)
+from rdsymm.verify import minimal_failing_monomial
 
 u, v, t = jet("u"), jet("v"), sym("t")
 x1 = sym("x1")
@@ -48,6 +52,40 @@ def test_du_fails_with_linearization_oracle():
     # independent linearized-condition oracle with Q = (1, 0):
     # r1 = D_t(1) - a*Lap(1) - f1_u*1 = -2u
     assert bool(decide_equivalence(rep.residuals[0], -2 * u))
+
+
+def test_failing_side_and_its_sampled_expansion():
+    S = triangular(1, rat(1), parse("u^2"), parse("u*v"))
+    rep = is_symmetry(S, generator(1, phi_v=v * v))
+    assert [d.verdict for d in rep.decisions] == ["equal", "different"]
+    bad, decision = rep.failing
+    assert bad is rep.residuals[1] and decision is rep.decisions[1]
+    assert rep.counterexample and rep.counterexample == decision.counterexample
+    # the failure report reads the decision's expansion instead of
+    # expanding the residual again
+    expanded = expand(bad)
+    assert decision.sampled == expanded and decision.sampled != bad
+    first = expanded.terms[0] if isinstance(expanded, Add) else expanded
+    assert minimal_failing_monomial(decision.sampled) == to_text(first)
+
+
+def test_failing_is_none_when_the_claim_holds():
+    S = triangular(2, a, parse("u^2"), parse("u*v"))
+    rep = is_symmetry(S, named_operator("P0", 2))
+    assert rep.holds and rep.failing is None and rep.counterexample is None
+
+
+def test_one_rhs_build_per_claim_check(monkeypatch):
+    S = triangular(1, a, parse("u^2"), parse("u*v"))
+    D = named_operator("D", 1)
+    raws, _ = prolonged_equations(S, D)
+    assert all(any(j.nt for j in jets_in(r)) for r in raws)
+    builds = []
+    rhs = RDSystem.rhs
+    monkeypatch.setattr(RDSystem, "rhs",
+                        lambda self: builds.append(self) or rhs(self))
+    assert is_symmetry(S, D).verdict == "fails"
+    assert builds == [S]
 
 
 def test_rotations_hold_for_any_point_nonlinearity():

@@ -23,8 +23,8 @@ from .nmatrix import (AlgebraPresentation, CanonicalForm, FundamentalPair,
                       NMatrix, UMatrix, algebra_catalog, as_nmatrix,
                       canonical_form, closure_check, conjugate,
                       fundamental_pair, g1, g2, g2_tilde, g3, g4, g5, g6,
-                      mat_commutator, mat_mul, nmatrix, pair_residuals,
-                      realize, realized_basis, umatrix, wronskian_at_zero)
+                      mat_commutator, mat_mul, pair_residuals, realize,
+                      realized_basis, umatrix, wronskian_at_zero)
 from .transforms import (InapplicableTransform, LinearEquiv, PointMap, VShift,
                          VShiftFull, aet, apply_equiv, check_eqv3_admissible,
                          preserves_class, pushforward)

@@ -11,7 +11,11 @@ way composite nodes get built and they normalize on construction, so every
 * integer powers of rationals are folded, ``(b^p)^q`` collapses, and a power
   of a product distributes over its factors.
 
-Products of sums are *not* distributed here; see :func:`expand`.
+Products of sums are *not* distributed here; :func:`expand` does that in
+one pass over the tree, reduces cos powers per monomial through
+cos^2 = 1 - sin^2, and merges the terms once.  ``sin``/``cos`` pull the
+sign out of their argument, choosing between a and -a by a fixed rule, so
+sin(-a) = -sin(a) and cos(-a) = cos(a) share one argument.
 
 Structural walks reach subexpressions only through :func:`children` and put
 nodes back together only through :func:`rebuild`, which always goes through
@@ -494,7 +498,11 @@ def powe(base: Expr, exp: Expr) -> Expr:
 
 
 def _sign_flip(e: Expr):
-    """Return (True, -e) when e's canonical leading sign is negative."""
+    """Return (True, -e) when e's canonical leading sign is negative.
+
+    A sum whose negation also leads with a negative coefficient keeps the
+    one of the two with the smaller key, so that the choice is a fixed
+    point: sin(-a) = -sin(a) and cos(-a) = cos(a) with the same a."""
     if isinstance(e, Rat):
         if e.value < 0:
             return True, rat(-e.value)
@@ -504,10 +512,10 @@ def _sign_flip(e: Expr):
             return True, _make_mul(-e.coeff, e.pairs)
         return False, e
     if isinstance(e, Add):
-        first = e.terms[0]
-        c, _ = _term_parts(first)
-        if c < 0:
-            return True, mul(MINUS_ONE, e)
+        if _term_parts(e.terms[0])[0] < 0:
+            neg = mul(MINUS_ONE, e)
+            if _term_parts(neg.terms[0])[0] >= 0 or neg.key() < e.key():
+                return True, neg
         return False, e
     return False, e
 
@@ -855,72 +863,79 @@ def substitute(e: Expr, binding: Mapping, rules: RuleSet = EMPTY_RULES) -> Expr:
 _EXPAND_TERM_CAP = 200_000
 
 
-def _expand_mul_terms(aterms, bterms):
-    out = []
-    if len(aterms) * len(bterms) > _EXPAND_TERM_CAP:
-        raise ExprError("expansion too large")
-    for x in aterms:
-        for y in bterms:
-            out.append(mul(x, y))
-    return out
-
-
-def _terms_of(e: Expr):
+def _addends(e: Expr) -> list:
     return list(e.terms) if isinstance(e, Add) else [e]
 
 
-def _expand_node(e: Expr) -> Expr:
-    if isinstance(e, Pow):
-        b = _expand_node(e.base)
-        x = _expand_node(e.exp)
-        if isinstance(b, Add) and is_int(x) and x.value > 1:
-            n = int(x.value)
-            terms = _terms_of(b)
-            acc = terms
-            for _ in range(n - 1):
-                acc = _expand_mul_terms(acc, terms)
-            return add(*acc)
-        return powe(b, x)
+def _distribute(aterms, bterms) -> list:
+    if len(aterms) * len(bterms) > _EXPAND_TERM_CAP:
+        raise ExprError("expansion too large")
+    return [mul(x, y) for x in aterms for y in bterms]
+
+
+def _merged(terms: list) -> Expr:
+    return terms[0] if len(terms) == 1 else add(*terms)
+
+
+def _expanded(e: Expr) -> Expr:
+    return _merged(_expand_terms(e))
+
+
+def _power_terms(b: Expr, x: Expr) -> list:
+    """The terms of b^x, distributed when b expands to a sum and x to an
+    integer > 1; otherwise b^x goes through ``powe``, whose result is
+    expanded again only when it rewrote the node."""
+    b, x = _expanded(b), _expanded(x)
+    if isinstance(b, Add) and is_int(x) and x.value > 1:
+        acc = b.terms
+        for _ in range(int(x.value) - 1):
+            acc = _distribute(acc, b.terms)
+        return acc
+    p = powe(b, x)
+    if p is b or (isinstance(p, Pow) and p.base is b and p.exp is x):
+        return _addends(p)
+    return _expand_terms(p)
+
+
+def _expand_terms(e: Expr) -> list:
+    """The terms of e with every product distributed over sums, in one pass
+    over the tree; the terms are not merged with each other."""
+    if isinstance(e, Add):
+        return [t for c in e.terms for t in _expand_terms(c)]
     if isinstance(e, Mul):
-        factor_term_lists = [[rat(e.coeff)]]
+        acc = [rat(e.coeff)]
         for b, x in e.pairs:
-            f = _expand_node(powe(_expand_node(b), _expand_node(x)))
-            factor_term_lists.append(_terms_of(f))
-        acc = factor_term_lists[0]
-        for terms in factor_term_lists[1:]:
-            acc = _expand_mul_terms(acc, terms)
-        return add(*acc)
-    return rebuild(e, [_expand_node(c) for c in children(e)])
+            acc = _distribute(acc, _addends(_merged(_power_terms(b, x))))
+        return acc
+    if isinstance(e, Pow):
+        return _power_terms(e.base, e.exp)
+    r = rebuild(e, [_expanded(c) for c in children(e)])
+    # a kernel constructor may rewrite (exp pulls out ln parts, ln splits
+    # products, sin pulls out a sign): expand what it made
+    return [r] if r is e or isinstance(r, Ker) else _expand_terms(r)
 
 
-def _cos_reduce_once(e: Expr):
-    """Rewrite one cos(x)^n (n>=2) occurrence via cos^2 = 1 - sin^2."""
-    terms = _terms_of(e)
-    for idx, t in enumerate(terms):
-        coeff, pairs = _term_parts(t)
-        if pairs is None:
-            continue
-        for j, (b, x) in enumerate(pairs):
-            if isinstance(b, Ker) and b.name == "cos" and is_int(x) and x.value >= 2:
-                arg = b.args[0]
-                rest = list(pairs[:j]) + list(pairs[j + 1:])
-                k = int(x.value)
-                repl = mul(
-                    powe(add(ONE, mul(MINUS_ONE, powe(ker("sin", arg), rat(2)))),
-                         rat(k // 2)),
-                    powe(b, rat(k % 2)))
-                new_term = mul(rat(coeff), repl,
-                               *[Pow(bb, xx) if not is_one(xx) else bb
-                                 for bb, xx in rest])
-                new_terms = terms[:idx] + [_expand_node(new_term)] + terms[idx + 1:]
-                return add(*new_terms), True
-    return e, False
+def _cos_reduced(t: Expr) -> list:
+    """The expanded terms of the monomial t with each cos(a)^k (k >= 2)
+    rewritten as (1 - sin(a)^2)^(k//2) * cos(a)^(k%2)."""
+    coeff, pairs = _term_parts(t)
+    for j, (b, x) in enumerate(pairs or ()):
+        if isinstance(b, Ker) and b.name == "cos" and is_int(x) and x.value >= 2:
+            k = int(x.value)
+            cos2 = add(ONE, mul(MINUS_ONE, powe(ker("sin", b.args[0]), rat(2))))
+            rest = [Pow(bb, xx) if not is_one(xx) else bb
+                    for bb, xx in pairs[:j] + pairs[j + 1:]]
+            new = mul(rat(coeff), powe(cos2, rat(k // 2)), powe(b, rat(k % 2)),
+                      *rest)
+            return [r for s in _expand_terms(new) for r in _cos_reduced(s)]
+    return [t]
 
 
 def expand(e: Expr) -> Expr:
-    """Fully distribute products over sums and reduce cos powers to <= 1."""
-    out = _expand_node(e)
-    changed = True
-    while changed:
-        out, changed = _cos_reduce_once(out)
-    return out
+    """Fully distribute products over sums and reduce cos powers to <= 1.
+
+    One pass collects the distributed terms of e unmerged, each term has
+    its cos powers reduced through cos^2 = 1 - sin^2, and a single ``add``
+    merges the lot.  Raises ExprError when a product would exceed
+    ``_EXPAND_TERM_CAP`` terms."""
+    return add(*[r for t in _expand_terms(e) for r in _cos_reduced(t)])

@@ -79,11 +79,17 @@ def _ident_to_expr(name: str) -> Expr:
     return sym(name)
 
 
+# nesting levels (parentheses, kernel arguments, unary signs, ^ chains)
+# the recursive descent accepts, well inside Python's recursion limit
+_MAX_DEPTH = 100
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.toks = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.toks[self.i]
@@ -102,6 +108,9 @@ class _Parser:
 
     # precedence: + - (10), * / (20), unary - (25), ^ (30, right)
     def expression(self, rbp: int = 0) -> Expr:
+        self.depth += 1
+        if self.depth > _MAX_DEPTH:
+            raise ParseError("nested too deeply", self.peek()[2])
         left = self.nud()
         while True:
             kind, val, off = self.peek()
@@ -125,6 +134,7 @@ class _Parser:
                         left = mul(left, powe(right, rat(-1)))
             else:
                 break
+        self.depth -= 1
         return left
 
     def nud(self) -> Expr:

@@ -220,31 +220,6 @@ def _vertical(f: Expr, phi_u: Expr, phi_v: Expr, rules: RuleSet) -> Expr:
                mul(phi_v, differentiate(f, V, rules)))
 
 
-def classifying_residual_main(system: RDSystem, C1: Expr, C2: Expr,
-                              B1: Expr, B2: Expr, mu: Expr) -> Tuple[Expr, Expr]:
-    """Residuals of the main-symmetry classifying equations (lhs - rhs)."""
-    if system.family != "triangular" or is_zero(system.a):
-        raise ValueError("main classifying equations require triangular a != 0")
-    ctx = system.ctx()
-    rules = system.rules
-    a = system.a
-    f1, f2 = system.f1, system.f2
-    C1t = differentiate(C1, T, rules)
-    C2t = differentiate(C2, T, rules)
-    phi_u = add(B1, mul(C1, U))
-    phi_v = add(B2, mul(C1, V), mul(C2, U))
-    lhs1 = add(mul(add(mu, C1), f1), mul(C1t, U),
-               differentiate(B1, T, rules),
-               mul(MINUS_ONE, a, laplacian(B1, ctx, rules)))
-    rhs1 = _vertical(f1, phi_u, phi_v, rules)
-    lhs2 = add(mul(add(mu, C1), f2), mul(C2, f1), mul(C2t, U), mul(C1t, V),
-               differentiate(B2, T, rules),
-               mul(MINUS_ONE, a, laplacian(B2, ctx, rules)),
-               mul(MINUS_ONE, laplacian(B1, ctx, rules)))
-    rhs2 = _vertical(f2, phi_u, phi_v, rules)
-    return (add(lhs1, mul(MINUS_ONE, rhs1)), add(lhs2, mul(MINUS_ONE, rhs2)))
-
-
 @dataclass
 class FullSymmetryData:
     """Coefficient data of the general symmetry for a != 0:
@@ -308,6 +283,14 @@ def classifying_residual_full(system: RDSystem,
                mul(MINUS_ONE, laplacian(data.B1, ctx, rules)))
     return (add(lhs1, mul(MINUS_ONE, _vertical(f1, phi_u, phi_v, rules))),
             add(lhs2, mul(MINUS_ONE, _vertical(f2, phi_u, phi_v, rules))))
+
+
+def classifying_residual_main(system: RDSystem, C1: Expr, C2: Expr,
+                              B1: Expr, B2: Expr, mu: Expr) -> Tuple[Expr, Expr]:
+    """Residuals of the main-symmetry classifying equations (lhs - rhs): the
+    full equations with lam = sigma = omega = gamma = 0."""
+    return classifying_residual_full(
+        system, FullSymmetryData(mu=mu, C1=C1, C2=C2, B1=B1, B2=B2))
 
 
 def classifying_residual_drift(system: RDSystem, F: Expr, B1: Expr, B2: Expr,

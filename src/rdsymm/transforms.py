@@ -14,7 +14,7 @@ up point-form again (no leftover jets, no explicit t or x)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, Tuple
 
 from .equality import decide_equivalence
@@ -22,8 +22,8 @@ from .expr import (Expr, MINUS_ONE, ONE, T, ZERO, add, differentiate, exp_,
                    expand, is_zero, jet, jets_in, mul, powe, rat, substitute,
                    sym, free_symbols, Sym)
 from .fields import Generator
-from .jets import laplacian, total_derivative
-from .systems import RDSystem, evolution_reduce, triangular, drift
+from .jets import JetContext, laplacian, total_derivative, x_squared
+from .systems import RDSystem, evolution_reduce
 
 U = jet("u")
 V = jet("v")
@@ -110,26 +110,21 @@ def aet(index: int, **params) -> PointMap:
             raise ValueError(f"AET {index} needs parameters {missing}")
         return [p[n] for n in names]
 
+    def x2():
+        if "m" not in p:
+            raise ValueError(f"AET {index} needs m for the x^2 shift")
+        return x_squared(JetContext(int(p["m"].value)))
+
     if index == 1:
         (om,) = need("omega")
         e = exp_(mul(om, t))
         return PointMap(cu=e, cv=e)
     if index == 2:
         om, mu = need("omega", "mu")
-        m = int(p.get("m", rat(1)).value) if "m" in p else None
-        if m is None:
-            raise ValueError("AET 2 needs m for the x^2 shift")
-        xs = [sym(f"x{i}") for i in range(1, m + 1)]
-        x2 = add(*[mul(x, x) for x in xs])
-        return PointMap(ru=add(mul(om, t), mul(mu, x2)))
+        return PointMap(ru=add(mul(om, t), mul(mu, x2())))
     if index == 3:
         rho, mu = need("rho", "mu")
-        m = int(p.get("m", rat(1)).value) if "m" in p else None
-        if m is None:
-            raise ValueError("AET 3 needs m for the x^2 shift")
-        xs = [sym(f"x{i}") for i in range(1, m + 1)]
-        x2 = add(*[mul(x, x) for x in xs])
-        return PointMap(w=add(mul(rho, t), mul(mu, x2)))
+        return PointMap(w=add(mul(rho, t), mul(mu, x2())))
     if index == 4:
         (rho,) = need("rho")
         return PointMap(ru=mul(rho, t), cv=exp_(mul(rho, t)))
@@ -215,18 +210,8 @@ def apply_equiv(system: RDSystem, transform) -> RDSystem:
     if isinstance(transform, LinearEquiv):
         if is_zero(transform.K1) or is_zero(transform.lam):
             raise InapplicableTransform("linear transform needs K1, lam != 0")
-        f1n, f2n = _transformed_f(system, transform.point_map())
-        lam2 = mul(transform.lam, transform.lam)
-        f1n = mul(lam2, f1n)
-        f2n = mul(lam2, f2n)
-        _point_form_check(f1n, "f1")
-        _point_form_check(f2n, "f2")
-        if system.family == "triangular":
-            return triangular(system.m, system.a, f1n, f2n, system.rules,
-                              system.max_order)
-        return drift(system.m, system.p, f1n, f2n, system.rules,
-                     system.max_order)
-    if isinstance(transform, (VShift, VShiftFull)):
+        pm, scale = transform.point_map(), mul(transform.lam, transform.lam)
+    elif isinstance(transform, (VShift, VShiftFull)):
         if not (system.family == "triangular" and is_zero(system.a)):
             raise InapplicableTransform("v-shifts require the a = 0 family")
         if isinstance(transform, VShiftFull):
@@ -235,18 +220,15 @@ def apply_equiv(system: RDSystem, transform) -> RDSystem:
                 raise InapplicableTransform(
                     "shift violates the admissibility system; residuals: "
                     + "; ".join(str(r) for r in residuals))
-        pm = transform.point_map()
+        pm, scale = transform.point_map(), ONE
     elif isinstance(transform, PointMap):
-        pm = transform
+        pm, scale = transform, ONE
     else:
         raise InapplicableTransform(f"unknown transform {transform!r}")
-    f1n, f2n = _transformed_f(system, pm)
+    f1n, f2n = (mul(scale, f) for f in _transformed_f(system, pm))
     _point_form_check(f1n, "f1")
     _point_form_check(f2n, "f2")
-    if system.family == "triangular":
-        return triangular(system.m, system.a, f1n, f2n, system.rules,
-                          system.max_order)
-    return drift(system.m, system.p, f1n, f2n, system.rules, system.max_order)
+    return replace(system, f1=f1n, f2=f2n)
 
 
 def preserves_class(system: RDSystem, transform) -> bool:

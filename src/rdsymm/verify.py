@@ -18,7 +18,7 @@ from __future__ import annotations
 import copy
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -404,10 +404,7 @@ def negative_control(row: CorpusRow, m: int, seed: int = 0) -> bool:
     for ci in inst.claims:
         if is_symmetry(ci.system, ci.generator, seed=seed).verdict != "holds":
             continue
-        mutated = RDSystem(ci.system.m, ci.system.family, ci.system.f1,
-                           add(ci.system.f2, mul(q, u, u, u)),
-                           ci.system.a, ci.system.p, ci.system.rules,
-                           ci.system.max_order)
+        mutated = replace(ci.system, f2=add(ci.system.f2, mul(q, u, u, u)))
         if is_symmetry(mutated, ci.generator, seed=seed).verdict == "fails":
             return True
     return False

@@ -55,6 +55,21 @@ def test_commutator(tmp_path, capsys):
     assert code == 0 and out["eta"] == "-1"
 
 
+def test_verify_fails_on_sign_ambiguous_trig_argument(tmp_path, capsys):
+    # sin's argument v*(nu - 4) and its negation both lead with a negative
+    # coefficient; expanding the residual must still terminate
+    system = _write(tmp_path, "system.json", {
+        "m": 1, "family": {"kind": "triangular", "a": "1"},
+        "f1": "cos(x1)*sin(v*(nu-4))", "f2": "u*v",
+        "params": {"nu": "free"},
+    })
+    gen = _write(tmp_path, "gen.json", {"xi": ["1"]})
+    code = main(["verify", system, gen])
+    captured = capsys.readouterr()
+    assert code == 1 and json.loads(captured.out)["verdict"] == "fails"
+    assert captured.err == ""
+
+
 def test_usage_error_exit_2(tmp_path):
     bad = _write(tmp_path, "bad.json", {"m": 1})
     assert main(["verify", bad, bad]) == 2
@@ -105,8 +120,9 @@ _GEN = {"eta": "1", "xi": ["0"], "pi": ["0", "0"]}
     ("verify", [1, 2], _GEN),
     ("commutator", [1, 2], [1, 2]),
     ("verify", {**_TRIANGULAR, "constraints": ["a"]}, _GEN),
+    ("verify", {**_TRIANGULAR, "f1": "(" * 3000 + "u" + ")" * 3000}, _GEN),
 ], ids=["m0", "division_by_zero", "aet_without_index", "aet_index_42",
-        "array_system", "array_generator", "constraints"])
+        "array_system", "array_generator", "constraints", "nested_3000"])
 def test_input_faults_exit_2_with_one_line(tmp_path, capsys, command, system,
                                            other):
     first = _write(tmp_path, "first.json", system)

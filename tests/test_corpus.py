@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -127,3 +128,11 @@ def test_suite_gate(suite_report):
     assert not rep.unannotated_failures
     assert rep.counts["blocked"] == 5
     assert rep.gate_pass_fraction >= 0.9
+
+
+def test_suite_report_is_byte_identical(suite_report):
+    """The seed-0 corpus report is pinned: counts, decision paths, residual
+    texts and failing monomials all feed this digest."""
+    text = json.dumps(suite_report.to_json(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "89a60c5eb4302fa73d3b993cd3fc9161976e6ed2b23f6b1827891a27c8c85204")

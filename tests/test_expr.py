@@ -1,12 +1,13 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from rdsymm.expr import (DomainError, Ker, RuleSet, add, atoms, children,
+from rdsymm.expr import (Add, DomainError, Ker, RuleSet, add, atoms, children,
                          cos_, differentiate, exp_, expand, is_zero, jet, ker,
                          ln_, mul, normalize, powe, rat, rebuild, sin_,
                          substitute, sym)
+from rdsymm.numeric import _num_add, _num_mul, eval_at, magnitude
 from rdsymm.systems import w_kernel_rules
 
 u, v, t = jet("u"), jet("v"), sym("t")
@@ -111,6 +112,47 @@ def test_expand_distributes():
 def test_expand_reduces_cos_powers():
     e = cos_(t) ** rat(2) + sin_(t) ** rat(2) - 1
     assert is_zero(expand(e))
+
+
+def test_trig_sign_is_a_fixed_point():
+    # a and -a both lead with a negative coefficient
+    a = -4 * v + nu * v
+    assert atoms(sin_(a), (Ker,)) == atoms(sin_(-a), (Ker,))
+    assert sin_(-a) == -sin_(a)
+    assert cos_(-a) == cos_(a)
+    e = cos_(x1) * sin_(v * (nu - 4))
+    assert expand(e) == cos_(x1) * sin_(nu * v - 4 * v)
+
+
+def test_expand_expands_what_a_kernel_constructor_rewrites():
+    # the exponent expands to 2*ln(u + v), which exp turns into (u + v)^2
+    e = exp_(2 * (1 + x1) * ln_(u + v) - 2 * x1 * ln_(u + v))
+    assert expand(e) == u * u + 2 * u * v + v * v
+
+
+_POSITIVE_POINT = {u: Fraction(3, 2), v: Fraction(2, 3), t: Fraction(5, 4),
+                   x1: Fraction(7, 3), nu: Fraction(3, 5), mu: Fraction(5, 2)}
+
+
+@settings(max_examples=500, deadline=None)
+@given(_exprs())
+@example(cos_(x1) * sin_(v * (nu - 4)))
+def test_expand_keeps_value_and_is_idempotent(e):
+    try:
+        want = eval_at(e, _POSITIVE_POINT)
+        out = expand(e)
+        terms = [eval_at(s, _POSITIVE_POINT)
+                 for s in (out.terms if isinstance(out, Add) else (out,))]
+        scale = max(1.0, *(magnitude(s) for s in terms))
+    except (DomainError, OverflowError):
+        assume(False)
+    got = Fraction(0)
+    for s in terms:
+        got = _num_add(got, s, 60)
+    # the terms of a true identity cancel down to rounding noise
+    assert magnitude(_num_add(want, _num_mul(Fraction(-1), got, 60), 60)) \
+        <= 1e-40 * scale
+    assert expand(out) == out
 
 
 def test_differentiate_product_rule():

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import rdsymm.nmatrix as nm
 from rdsymm.equality import decide_equivalence
 from rdsymm.expr import ZERO, exp_, is_zero, jet, rat, sym
 from rdsymm.fields import commutator, named_operator
@@ -248,3 +249,8 @@ def test_drift_algebras_close():
     got = commutator(basis[0], basis[1])
     assert bool(decide_equivalence(got.pi2, rat(-1)))
     assert is_zero(got.pi1)
+
+
+def test_nmatrix_names_the_submodule():
+    assert nm.canonical_form is canonical_form
+    assert nm.nmatrix is nmatrix

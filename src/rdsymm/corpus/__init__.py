@@ -1,21 +1,31 @@
 """Machine-readable classification tables and their loader.
 
-Each table ships as a JSON file; a row records the nonlinearity templates,
-parameter constraints, declared kernels (arbitrary functions with their
-argument signatures and, where they have one, their defining relations),
-the claimed symmetries as generator specs, claimed additional equivalence
-transformations, and transcription flags.
+Each table ships as a JSON file; a row records the nonlinearity templates
+``f1``/``f2``, its parameters (flags ``pm1``, ``square``, ``nonzero``) with
+``zero``/``nonzero`` constraints and ``derive``d parameters, the declared
+kernels (arbitrary functions), the claimed symmetries as generator specs,
+claimed additional equivalence transformations, and transcription flags.
+
+Kernel types, one ``KERNEL_TYPES`` entry each: ``opaque`` F(``args``: a list
+of templates, or ``"space"``/``"space_u"``); ``heat`` psi(t, x) with
+``rate``; ``laplace`` Psi(x) with ``eigen``; ``laplace_shift`` Psi(x1..x_{m-1},
+xm + t) with ``eigen``; ``space_tilde`` phi(x1..x_{m-1}); ``wkernel``
+W(t, x, u); ``cr`` H1(x1, x2) with its Cauchy-Riemann ``partner`` H2.
 
 Generator specs are either raw coefficient dictionaries
 
-    {"eta": "...", "xi": ["..."] | {"radial": "..."} | {"dir": 1, "expr": "..."},
+    {"eta": "...", "xi": ["..."] | {"radial": "..."} | {"dir": null, "expr": "..."},
      "phiu": "...", "phiv": "..."}
 
-or named-operator macros ({"macro": "D", "coeff": "nu"}, ...), or sums and
-scalings of those.  Strings may use the placeholders {x2} (sum of squares),
-{xd} (the direction variable of a per-direction claim), and {xm} (the last
-spatial variable); declared kernel names appearing bare are rewritten to
-full applications of their argument signature.
+or named-operator macros ({"macro": "D", "coeff": "nu"}, "gamma" for Ghat),
+or sums ({"sum": [...]}) and scalings ({"scale": "...", "of": ...}) of
+those.  A claim may be ``per_direction`` (one instance per x_d, which also
+carries the ``{"dir": null}`` component) and carry ``when`` conditions:
+``m``, ``zero``, ``set`` (parameters) and ``set_kernel`` (kernel bodies).
+Strings may use the placeholders {x2} (sum of squares), {xd} (x_d of a
+per-direction claim), {xm} (the last spatial variable), {m} and
+{div(H1,H2)}; declared kernel names appearing bare are rewritten to full
+applications of their argument signature.
 """
 
 from __future__ import annotations
@@ -24,10 +34,10 @@ import json
 import re
 from dataclasses import dataclass
 from importlib import resources
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from ..expr import (Expr, KernelWitness, ONE, Rat, RuleSet, T, ZERO, add, exp_,
-                    jet, ker, mul, powe, rat, substitute, sym)
+                    ker, mul, powe, rat, substitute, sym)
 from ..fields import Generator, generator, named_operator, zero_generator
 from ..parser import parse
 from ..systems import (cauchy_riemann_rules, heat_kernel_rule,
@@ -128,62 +138,198 @@ def expand_template(s: str, m: int, direction: Optional[int] = None,
     return out
 
 
-def _coord_args(kind: str, m: int) -> str:
-    if kind == "coords":            # (t, x1..xm)
-        return ",".join(["t"] + [f"x{i}" for i in range(1, m + 1)])
-    if kind == "space":             # (x1..xm)
-        return ",".join(f"x{i}" for i in range(1, m + 1))
-    if kind == "space_tilde":       # (x1..x_{m-1})
-        return ",".join(f"x{i}" for i in range(1, m))
-    if kind == "coords_u":          # (t, x1..xm, u)
-        return ",".join(["t"] + [f"x{i}" for i in range(1, m + 1)] + ["u"])
-    if kind == "space_u":           # (u, x1..xm)
-        return ",".join(["u"] + [f"x{i}" for i in range(1, m + 1)])
-    if kind == "space_tilde_shift":  # (x1..x_{m-1}, xm + t)
-        parts = [f"x{i}" for i in range(1, m)] + [f"x{m}+t"]
-        return ",".join(parts)
-    raise ValueError(f"unknown coordinate signature {kind!r}")
+def _space(m: int) -> List[str]:
+    return [f"x{i}" for i in range(1, m + 1)]
+
+
+def _parsed(args: List[str]) -> List[Expr]:
+    return [parse(a) for a in args]
+
+
+@dataclass(frozen=True)
+class KernelType:
+    """One kind of declared kernel: its call signature at dimension m (None:
+    the declaration's ``args``), its formal parameters (from the argument
+    texts), the builders of its defining rules and of its witnesses, and the
+    declaration key holding its rate or eigenvalue."""
+    signature: Optional[Callable[[int], List[str]]]
+    params: Callable[[List[str]], List[Expr]] = _parsed
+    rules: Optional[Callable] = None     # (ki, m, a, f1, f2, binding) -> rules
+    witnesses: Optional[Callable] = None  # (ki, m, a, binding, rng) -> {name: w}
+    spec_key: Optional[str] = None
 
 
 @dataclass
 class KernelInfo:
     name: str
     decl: dict
+    kind: KernelType
     call_args: str          # argument list text inserted at mentions
+    params: List[Expr]      # formal parameters of its rules and witnesses
+    spec: Optional[Expr]    # its rate or eigenvalue, parameters unbound
+
+
+def _heat_rules(ki, m, a_expr, f1, f2, binding):
+    return [heat_kernel_rule(ki.name, ki.params, a_expr,
+                             substitute(ki.spec, binding))]
+
+
+def _laplace_rules(ki, m, a_expr, f1, f2, binding):
+    return [laplace_kernel_rule(ki.name, ki.params,
+                                substitute(ki.spec, binding))]
+
+
+def _w_rules(ki, m, a_expr, f1, f2, binding):
+    try:
+        return [w_kernel_rules(ki.name, ki.params, f1, f2)]
+    except ValueError:
+        # the defining relation only exists where f1 and f2_v are v-free;
+        # claims that use W impose that through their side conditions and
+        # get the rule on their own system
+        return []
+
+
+def _cr_rules(ki, m, a_expr, f1, f2, binding):
+    return (cauchy_riemann_rules(ki.name, ki.decl["partner"], ki.params)
+            if m == 2 else [])
+
+
+def _opaque_witness(ki, m, a_expr, binding, rng):
+    params = ki.params
+    s1 = params[0]
+    choices = [mul(s1, s1),
+               add(rat(rng.randint(1, 3)), mul(rat(rng.randint(1, 3)), s1)),
+               exp_(s1)]
+    body = rng.choice(choices)
+    for extra in params[1:]:
+        body = mul(body, add(ONE, extra))
+    return {ki.name: KernelWitness(params, body)}
+
+
+def _heat_witness(ki, m, a_expr, binding, rng):
+    rate = substitute(ki.spec, binding)
+    k = rat(rng.choice([0, 1, 1, 2]))
+    if k.value == 0:
+        body = exp_(mul(rate, T))
+    else:
+        body = exp_(add(mul(add(rate, mul(a_expr, k, k)), T),
+                        mul(k, ki.params[1])))
+    return {ki.name: KernelWitness(ki.params, body)}
+
+
+def _laplace_witness(ki, m, a_expr, binding, rng):
+    eig = substitute(ki.spec, binding)
+    xs = ki.params
+    if isinstance(eig, Rat) and eig.value == 0:
+        opts = [ONE, xs[0]]
+        if m >= 2:
+            opts += [mul(xs[0], xs[1]),
+                     add(mul(xs[0], xs[0]), mul(rat(-1), xs[1], xs[1]))]
+        return {ki.name: KernelWitness(xs, rng.choice(opts))}
+    # eigen = k^2 with k prearranged by the instantiator; otherwise the
+    # kernel stays symbolic under its eigenrelation rule
+    kq = _exact_sqrt(eig)
+    return {} if kq is None else {
+        ki.name: KernelWitness(xs, exp_(mul(kq, xs[0])))}
+
+
+def _laplace_shift_witness(ki, m, a_expr, binding, rng):
+    kq = _exact_sqrt(substitute(ki.spec, binding))
+    return {} if kq is None else {
+        ki.name: KernelWitness(ki.params, exp_(mul(kq, ki.params[-1])))}
+
+
+def _space_tilde_witness(ki, m, a_expr, binding, rng):
+    params = ki.params
+    if not params:
+        return {ki.name: KernelWitness([], rat(rng.randint(1, 4)))}
+    p = params[0]
+    return {ki.name: KernelWitness(params, rng.choice([ONE, p, mul(p, p)]))}
+
+
+def _cr_witnesses(ki, m, a_expr, binding, rng):
+    """One harmonic pair for the kernel and its partner, drawn together."""
+    if m != 2:
+        return {}
+    x1, x2 = params = ki.params
+    pairs = [
+        (x1, x2),
+        (add(mul(x1, x1), mul(rat(-1), x2, x2)), mul(rat(2), x1, x2)),
+        (mul(exp_(x1), ker("cos", x2)), mul(exp_(x1), ker("sin", x2))),
+    ]
+    p1, p2 = rng.choice(pairs)
+    return {ki.name: KernelWitness(params, p1),
+            ki.decl["partner"]: KernelWitness(params, p2)}
+
+
+def _exact_sqrt(e: Expr) -> Optional[Expr]:
+    if isinstance(e, Rat) and e.value >= 0:
+        r = powe(e, rat(1, 2))
+        if isinstance(r, Rat):
+            return r
+    return None
+
+
+# call signatures an opaque kernel may name instead of listing its arguments
+_OPAQUE_SIGNATURES = {"space": _space,
+                      "space_u": lambda m: ["u"] + _space(m)}
+
+KERNEL_TYPES: Dict[str, KernelType] = {
+    # F(args as declared): no relation; witnesses in fresh parameters _s<i>
+    "opaque": KernelType(
+        signature=None, witnesses=_opaque_witness,
+        params=lambda args: [sym(f"_s{i+1}") for i in range(len(args))]),
+    # psi(t, x1..xm): psi_t = a*Lap(psi) + rate*psi
+    "heat": KernelType(lambda m: ["t"] + _space(m), rules=_heat_rules,
+                       witnesses=_heat_witness, spec_key="rate"),
+    # Psi(x1..xm): Lap(Psi) = eigen*Psi
+    "laplace": KernelType(_space, rules=_laplace_rules,
+                          witnesses=_laplace_witness, spec_key="eigen"),
+    # Psi(x1..x_{m-1}, xm + t), written in x1..x_{m-1}, _s
+    "laplace_shift": KernelType(
+        lambda m: _space(m - 1) + [f"x{m}+t"],
+        params=lambda args: _parsed(args[:-1]) + [sym("_s")],
+        rules=_laplace_rules, witnesses=_laplace_shift_witness,
+        spec_key="eigen"),
+    # phi(x1..x_{m-1}): no relation
+    "space_tilde": KernelType(lambda m: _space(m - 1),
+                              witnesses=_space_tilde_witness),
+    # W(t, x1..xm, u): W_t = f2_v - W_u*f1, never replaced by a witness
+    "wkernel": KernelType(lambda m: ["t"] + _space(m) + ["u"],
+                          rules=_w_rules),
+    # H1(x1, x2) with its Cauchy-Riemann partner H2 (m = 2; symbolic else)
+    "cr": KernelType(lambda m: ["x1", "x2"], rules=_cr_rules,
+                     witnesses=_cr_witnesses),
+    # H2, whose rules and witnesses come with H1's
+    "cr_partner": KernelType(lambda m: ["x1", "x2"]),
+}
+
+
+def _kernel_info(decl: dict, m: int) -> KernelInfo:
+    ktype = decl.get("type", "opaque")
+    kind = KERNEL_TYPES.get(ktype)
+    if kind is None:
+        raise ValueError(f"unknown kernel type {ktype!r}")
+    if kind.signature is not None:
+        args = kind.signature(m)
+    elif isinstance(decl["args"], str):
+        args = _OPAQUE_SIGNATURES[decl["args"]](m)
+    else:
+        args = [expand_template(a, m) for a in decl["args"]]
+    spec = parse(str(decl[kind.spec_key])) if kind.spec_key else None
+    return KernelInfo(decl["name"], decl, kind, ",".join(args),
+                      kind.params(args), spec)
 
 
 def kernel_infos(row: CorpusRow, m: int) -> List[KernelInfo]:
+    """The row's kernels at dimension m, a Cauchy-Riemann partner right
+    after the kernel that declares it."""
     out = []
     for decl in row.kernels:
-        name = decl["name"]
-        ktype = decl.get("type", "opaque")
-        if ktype == "opaque":
-            args = decl["args"]
-            if isinstance(args, str):
-                call = _coord_args(args, m)
-            else:
-                call = ",".join(expand_template(a, m) for a in args)
-        elif ktype == "heat":
-            call = _coord_args("coords", m)
-        elif ktype in ("laplace", "harmonic"):
-            call = _coord_args("space", m)
-        elif ktype == "space_tilde":
-            call = _coord_args("space_tilde", m)
-        elif ktype == "laplace_shift":
-            call = _coord_args("space_tilde_shift", m)
-        elif ktype == "wkernel":
-            call = _coord_args("coords_u", m)
-        elif ktype == "cr":
-            call = "x1,x2"
-        elif ktype == "cr_partner":
-            call = "x1,x2"
-        else:
-            raise ValueError(f"unknown kernel type {ktype!r}")
-        out.append(KernelInfo(name, decl, call))
-        if ktype == "cr":
-            out.append(KernelInfo(decl["partner"],
-                                  {"name": decl["partner"],
-                                   "type": "cr_partner"}, "x1,x2"))
+        out.append(_kernel_info(decl, m))
+        if "partner" in decl:
+            out.append(_kernel_info({"name": decl["partner"],
+                                     "type": "cr_partner"}, m))
     return out
 
 
@@ -197,129 +343,22 @@ def parse_in_row(s: str, m: int, infos: List[KernelInfo],
 # kernel rules and witness menus
 
 
-def build_rules(row: CorpusRow, m: int, a_expr: Expr, f1: Expr, f2: Expr,
-                binding: Dict) -> RuleSet:
+def build_rules(infos: List[KernelInfo], m: int, a_expr: Expr, f1: Expr,
+                f2: Expr, binding: Dict) -> RuleSet:
     """Defining rewrite rules for the row's kernels at dimension m."""
-    rules = []
-    for ki in kernel_infos(row, m):
-        ktype = ki.decl.get("type", "opaque")
-        if ktype == "heat":
-            rate = substitute(parse(ki.decl["rate"]), binding)
-            rules.append(heat_kernel_rule(ki.name, m, a_expr, rate))
-        elif ktype in ("laplace", "laplace_shift"):
-            eig = substitute(parse(str(ki.decl["eigen"])), binding)
-            rules.append(laplace_kernel_rule(ki.name, _laplace_params(ktype, m),
-                                             eig))
-        elif ktype == "cr":
-            if m == 2:
-                rules.extend(cauchy_riemann_rules(ki.name, ki.decl["partner"]))
-        elif ktype == "wkernel":
-            try:
-                rules.append(w_kernel_rules(ki.name, m, f1, f2))
-            except ValueError:
-                # the defining relation only exists where f1 and f2_v are
-                # v-free; claims that use W impose that through their side
-                # conditions and get the rule on their own system
-                pass
-    return RuleSet(rules)
+    return RuleSet([r for ki in infos if ki.kind.rules
+                    for r in ki.kind.rules(ki, m, a_expr, f1, f2, binding)])
 
 
-def _laplace_params(ktype: str, m: int) -> List[Expr]:
-    """Parameters of a Laplace eigenfunction kernel: x1..xm, or
-    x1..x_{m-1}, _s for the shifted one (its last slot receives xm + t)."""
-    if ktype == "laplace":
-        return [sym(f"x{i}") for i in range(1, m + 1)]
-    return [sym(f"x{i}") for i in range(1, m)] + [sym("_s")]
-
-
-def witness_menu(ki: KernelInfo, m: int, a_expr: Expr,
-                 binding: Dict, rng) -> Optional[KernelWitness]:
-    """A concrete replacement for the kernel, or None to stay symbolic."""
-    ktype = ki.decl.get("type", "opaque")
-    t, u = T, jet("u")
-    xs = [sym(f"x{i}") for i in range(1, m + 1)]
-    if ktype == "opaque":
-        if "witnesses" in ki.decl:
-            body_text = rng.choice(ki.decl["witnesses"])
-            args = [parse(p) for p in
-                    expand_template(ki.call_args, m).split(",")] if ki.call_args else []
-            params = [sym(f"_s{i+1}") for i in range(len(args))]
-            body = substitute(parse(expand_template(body_text, m)),
-                              {sym(f"s{i+1}"): params[i] for i in range(len(params))})
-            return KernelWitness(params, body)
-        nargs = len(ki.call_args.split(",")) if ki.call_args else 0
-        params = [sym(f"_s{i+1}") for i in range(nargs)]
-        if nargs == 0:
-            return KernelWitness([], rat(rng.randint(1, 4)))
-        choices = []
-        s1 = params[0]
-        choices.append(mul(s1, s1))
-        choices.append(add(rat(rng.randint(1, 3)), mul(rat(rng.randint(1, 3)), s1)))
-        choices.append(exp_(s1))
-        body = rng.choice(choices)
-        for extra in params[1:]:
-            body = mul(body, add(ONE, extra))
-        return KernelWitness(params, body)
-    if ktype == "heat":
-        rate = substitute(parse(ki.decl["rate"]), binding)
-        params = [T] + xs
-        k = rat(rng.choice([0, 1, 1, 2]))
-        if k.value == 0:
-            body = exp_(mul(rate, T))
-        else:
-            body = exp_(add(mul(add(rate, mul(a_expr, k, k)), T), mul(k, xs[0])))
-        return KernelWitness(params, body)
-    if ktype == "laplace":
-        eig = substitute(parse(str(ki.decl["eigen"])), binding)
-        params = _laplace_params(ktype, m)
-        if isinstance(eig, Rat) and eig.value == 0:
-            opts = [ONE, xs[0]]
-            if m >= 2:
-                opts += [mul(xs[0], xs[1]),
-                         add(mul(xs[0], xs[0]), mul(rat(-1), xs[1], xs[1]))]
-            return KernelWitness(params, rng.choice(opts))
-        # eigen = k^2 with k prearranged by the instantiator
-        kq = _exact_sqrt(eig)
-        if kq is None:
-            return None  # stay symbolic under the eigenrelation rule
-        return KernelWitness(params, exp_(mul(kq, xs[0])))
-    if ktype == "laplace_shift":
-        eig = substitute(parse(str(ki.decl["eigen"])), binding)
-        params = _laplace_params(ktype, m)
-        kq = _exact_sqrt(eig)
-        if kq is None:
-            return None
-        return KernelWitness(params, exp_(mul(kq, params[-1])))
-    if ktype == "space_tilde":
-        params = [sym(f"x{i}") for i in range(1, m)]
-        if not params:
-            return KernelWitness([], rat(rng.randint(1, 4)))
-        opts = [ONE, params[0], mul(params[0], params[0])]
-        return KernelWitness(params, rng.choice(opts))
-    if ktype == "wkernel":
-        return None  # only defined through its rewrite rule
-    if ktype in ("cr", "cr_partner"):
-        return None  # handled pairwise by cr_witnesses
-    raise ValueError(f"unknown kernel type {ktype!r}")
-
-
-def cr_witnesses(h1: str, h2: str, rng) -> Dict[str, KernelWitness]:
-    x1, x2 = sym("_s1"), sym("_s2")
-    pairs = [
-        (x1, x2),
-        (add(mul(x1, x1), mul(rat(-1), x2, x2)), mul(rat(2), x1, x2)),
-        (mul(exp_(x1), ker("cos", x2)), mul(exp_(x1), ker("sin", x2))),
-    ]
-    p1, p2 = rng.choice(pairs)
-    return {h1: KernelWitness([x1, x2], p1), h2: KernelWitness([x1, x2], p2)}
-
-
-def _exact_sqrt(e: Expr) -> Optional[Expr]:
-    if isinstance(e, Rat) and e.value >= 0:
-        r = powe(e, rat(1, 2))
-        if isinstance(r, Rat):
-            return r
-    return None
+def witness_menu(infos: List[KernelInfo], m: int, a_expr: Expr,
+                 binding: Dict, rng, skip=()) -> Dict[str, KernelWitness]:
+    """Concrete replacements for the kernels not named in ``skip``, drawn
+    in declaration order; a kernel that stays symbolic gets none."""
+    wits = {}
+    for ki in infos:
+        if ki.kind.witnesses and ki.name not in skip:
+            wits.update(ki.kind.witnesses(ki, m, a_expr, binding, rng))
+    return wits
 
 
 # ---------------------------------------------------------------------------
@@ -337,19 +376,11 @@ def _xi_from_spec(spec, m: int, infos, direction) -> List[Expr]:
         if "radial" in spec:
             c = parse_in_row(spec["radial"], m, infos, direction)
             return [mul(c, sym(f"x{i}")) for i in range(1, m + 1)]
-        if "each" in spec:
-            # same coefficient on every direction
-            c = parse_in_row(spec["each"], m, infos, direction)
-            return [c for _ in range(m)]
         if "dir" in spec:
+            # the one component along a per-direction claim's direction
             out = [ZERO] * m
-            d = spec["dir"] if isinstance(spec["dir"], int) else direction
-            out[d - 1] = parse_in_row(spec["expr"], m, infos, direction)
+            out[direction - 1] = parse_in_row(spec["expr"], m, infos, direction)
             return out
-        if "pattern" in spec:
-            return [parse_in_row(spec["pattern"].replace("{i}", str(i)),
-                                 m, infos, direction)
-                    for i in range(1, m + 1)]
     raise ValueError(f"bad xi spec {spec!r}")
 
 
@@ -372,24 +403,10 @@ def build_generator(spec, m: int, infos, binding, a_expr: Expr,
     if "macro" in spec:
         name = spec["macro"]
         kw = {}
-        if name in ("K", "G", "Ghat", "Ktilde"):
+        if name in ("K", "G", "Ghat"):
             kw["a"] = a_expr
         if "gamma" in spec:
             kw["gamma"] = sub(parse_in_row(spec["gamma"], m, infos, direction))
-        if "lam" in spec:
-            kw["lam"] = sub(parse_in_row(spec["lam"], m, infos, direction))
-        if "dir" in spec:
-            kw["index"] = spec["dir"] if isinstance(spec["dir"], int) else direction
-        if "j" in spec:
-            kw["index2"] = spec["j"]
-        if "i" in spec:
-            kw["index"] = spec["i"]
-        if "H" in spec:
-            kw["H"] = [sub(parse_in_row(h, m, infos, direction))
-                       for h in spec["H"]]
-        if "lam_vec" in spec:
-            kw["lam_vec"] = [sub(parse_in_row(c, m, infos, direction))
-                             for c in spec["lam_vec"]]
         g = named_operator(name, m, **kw)
         if "coeff" in spec:
             g = g.scale(sub(parse_in_row(spec["coeff"], m, infos, direction)))

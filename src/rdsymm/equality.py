@@ -12,12 +12,14 @@ Layered decision, cheapest first:
 
 Opaque kernels are sampled as unconstrained smooth functions: every
 distinct (kernel, derivative, argument-values) triple gets an independent
-random value, consistently within one sample point.  Domain errors trigger
-resampling; if every attempt at a point fails the verdict is "undecided".
+random value, consistently within one sample point.  Domain errors and terms
+beyond float range trigger resampling; if every attempt at every point fails
+the verdict is "undecided".
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,6 +34,8 @@ DIFFERENT = "different"
 UNDECIDED = "undecided"
 
 MISMATCH_TOL = 1e-20
+SAMPLES = 32          # sample points of the numeric layer
+MAX_RESAMPLE = 8      # draws per point before it is given up
 
 
 @dataclass
@@ -76,11 +80,8 @@ class _KernelSampler:
         return self.cache[key]
 
 
-def decide_equivalence(e1: Expr, e2: Expr, samples: int = 32,
-                       max_resample: int = 8, seed: int = 0,
-                       positive=()) -> EqDecision:
-    """Decide e1 == e2; ``positive`` lists atoms sampled strictly positive
-    (on top of u, v and any base of a symbolic power, which always are)."""
+def decide_equivalence(e1: Expr, e2: Expr, seed: int = 0) -> EqDecision:
+    """Decide e1 == e2."""
     diff = add(e1, mul(rat(-1), e2))
     if is_zero(diff):
         return EqDecision(EQUAL, "normalize")
@@ -92,20 +93,17 @@ def decide_equivalence(e1: Expr, e2: Expr, samples: int = 32,
         return EqDecision(EQUAL, "expand")
     target = expanded if expanded is not None else diff
 
-    pos_keys = {a.key() for a in positive}
-    for a in free_symbols(target):
-        # u, v and anything exponentiated symbolically live on the
-        # positive verification domain
-        if isinstance(a, Jet) and a.order == 0:
-            pos_keys.add(a.key())
+    # u, v and anything exponentiated symbolically live on the positive
+    # verification domain
+    pos_keys = {a.key() for a in free_symbols(target)
+                if isinstance(a, Jet) and a.order == 0}
     pos_keys |= {b.key() for b in _symbolic_power_bases(target)}
 
     fs = sorted(free_symbols(target), key=Expr.key)
     rng = random.Random(seed)
     done = 0
-    for i in range(samples):
-        ok = False
-        for _ in range(max_resample):
+    for i in range(SAMPLES):
+        for _ in range(MAX_RESAMPLE):
             point = {}
             for a in fs:
                 point[a] = (_positive_fraction(rng) if a.key() in pos_keys
@@ -118,7 +116,6 @@ def decide_equivalence(e1: Expr, e2: Expr, samples: int = 32,
             except UnboundSymbol:
                 return EqDecision(UNDECIDED, "numeric",
                                   note="unevaluable atom", sampled=target)
-            ok = True
             if isinstance(val, Fraction):
                 mismatch = val != 0
             else:
@@ -131,12 +128,15 @@ def decide_equivalence(e1: Expr, e2: Expr, samples: int = 32,
                     DIFFERENT, "numeric", samples=done + 1,
                     counterexample={str(k): v for k, v in point.items()},
                     sampled=target)
-            break
-        if ok:
+            if math.isinf(scale):
+                # a term beyond float range: agreement there shows nothing
+                continue
             done += 1
+            break
     if done == 0:
         return EqDecision(UNDECIDED, "numeric",
-                          note=f"all {samples} points hit domain errors",
+                          note=f"all {SAMPLES} points hit domain errors "
+                               "or overflow",
                           sampled=target)
     return EqDecision(EQUAL, "numeric", samples=done,
                       note=f"agreed at {done} random points", sampled=target)

@@ -698,14 +698,9 @@ class RuleSet:
     def __bool__(self):
         return bool(self._by_name)
 
-    def extend(self, rules: Iterable[KernelRule]) -> "RuleSet":
-        out = RuleSet()
+    def __iter__(self):
         for rs in self._by_name.values():
-            for r in rs:
-                out._by_name.setdefault(r.name, []).append(r)
-        for r in rules:
-            out._by_name.setdefault(r.name, []).append(r)
-        return out
+            yield from rs
 
     def for_name(self, name: str):
         return self._by_name.get(name, ())

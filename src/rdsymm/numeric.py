@@ -9,6 +9,7 @@ error-bound contract).
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import mpmath
@@ -148,7 +149,9 @@ def to_float(x) -> float:
 
 
 def magnitude(x) -> float:
-    """|x| as a float, safe for both Fractions and mpfs."""
-    if isinstance(x, Fraction):
+    """|x| as a float, safe for both Fractions and mpfs; inf beyond the
+    float range."""
+    try:
         return abs(to_float(x))
-    return float(abs(x))
+    except OverflowError:
+        return math.inf

@@ -43,10 +43,9 @@ class RDSystem:
     a: Expr = ZERO           # triangular diffusion constant
     p: Expr = ONE            # drift magnitude (normalized to the last axis)
     rules: RuleSet = field(default_factory=lambda: EMPTY_RULES)
-    max_order: int = 4
 
     def ctx(self) -> JetContext:
-        return JetContext(self.m, self.max_order)
+        return JetContext(self.m)
 
     def rhs(self) -> Tuple[Expr, Expr]:
         lap_u = add(*[jet("u", 0, (i, i)) for i in range(1, self.m + 1)])
@@ -60,18 +59,16 @@ class RDSystem:
         raise ValueError(f"unknown family {self.family!r}")
 
 
-def triangular(m: int, a, f1: Expr, f2: Expr, rules: RuleSet = EMPTY_RULES,
-               max_order: int = 4) -> RDSystem:
+def triangular(m: int, a, f1: Expr, f2: Expr,
+               rules: RuleSet = EMPTY_RULES) -> RDSystem:
     a = a if isinstance(a, Expr) else rat(a)
-    return RDSystem(m, "triangular", f1, f2, a=a, rules=rules,
-                    max_order=max_order)
+    return RDSystem(m, "triangular", f1, f2, a=a, rules=rules)
 
 
-def drift(m: int, p, f1: Expr, f2: Expr, rules: RuleSet = EMPTY_RULES,
-          max_order: int = 4) -> RDSystem:
+def drift(m: int, p, f1: Expr, f2: Expr,
+          rules: RuleSet = EMPTY_RULES) -> RDSystem:
     p = p if isinstance(p, Expr) else rat(p)
-    return RDSystem(m, "drift", f1, f2, p=p, rules=rules,
-                    max_order=max_order)
+    return RDSystem(m, "drift", f1, f2, p=p, rules=rules)
 
 
 # ---------------------------------------------------------------------------
@@ -444,14 +441,15 @@ def extension_check(system: RDSystem) -> ExtensionReport:
 # kernel-rule builders
 
 
-def heat_kernel_rule(name: str, m: int, a: Expr, nu: Expr) -> KernelRule:
-    """psi_t = a*Lap(psi) + nu*psi for psi(t, x1..xm)."""
-    params = [T] + [sym(f"x{i}") for i in range(1, m + 1)]
+def heat_kernel_rule(name: str, params: Sequence[Expr], a: Expr,
+                     nu: Expr) -> KernelRule:
+    """psi_t = a*Lap(psi) + nu*psi for psi(params), params = (t, x1..xm):
+    rewrites the first derivative in the time slot."""
+    n = len(params)
     lap = add(*[Ker(name, tuple(params),
-                    tuple(2 if j == i else 0 for j in range(m + 1)))
-                for i in range(1, m + 1)])
-    template = add(mul(a, lap), mul(nu, Ker(name, tuple(params),
-                                            (0,) * (m + 1))))
+                    tuple(2 if j == i else 0 for j in range(n)))
+                for i in range(1, n)])
+    template = add(mul(a, lap), mul(nu, Ker(name, tuple(params), (0,) * n)))
     return KernelRule(name, 0, 1, params, template)
 
 
@@ -468,27 +466,28 @@ def laplace_kernel_rule(name: str, params: Sequence[Expr],
     return KernelRule(name, n - 1, 2, params, template)
 
 
-def w_kernel_rules(name: str, m: int, f1: Expr, f2: Expr,
+def w_kernel_rules(name: str, params: Sequence[Expr], f1: Expr, f2: Expr,
                    rules: RuleSet = EMPTY_RULES) -> KernelRule:
-    """W_t = f2_v - W_u * f1 for W(t, x1..xm, u); needs f1, f2_v free of v."""
-    params = [T] + [sym(f"x{i}") for i in range(1, m + 1)] + [U]
+    """W_t = f2_v - W_u * f1 for W(params), params = (t, x1..xm, u);
+    needs f1, f2_v free of v."""
+    n = len(params)
     f2v = differentiate(f2, V, rules)
     for e in (f1, f2v):
         if V in free_symbols(e):
             raise ValueError("W kernel requires f1 and f2_v independent of v")
-    wu = Ker(name, tuple(params),
-             tuple(0 if i < m + 1 else 1 for i in range(m + 2)))
+    wu = Ker(name, tuple(params), (0,) * (n - 1) + (1,))
     template = add(f2v, mul(MINUS_ONE, wu, f1))
     return KernelRule(name, 0, 1, params, template)
 
 
-def cauchy_riemann_rules(h1: str, h2: str) -> List[KernelRule]:
-    """CR pair on (x1, x2): H2 derivatives rewrite through H1; H1 harmonic."""
-    x1, x2 = sym("x1"), sym("x2")
-    params = [x1, x2]
-    h1_x1 = Ker(h1, (x1, x2), (1, 0))
-    h1_x2 = Ker(h1, (x1, x2), (0, 1))
-    h1_x1x1 = Ker(h1, (x1, x2), (2, 0))
+def cauchy_riemann_rules(h1: str, h2: str,
+                         params: Sequence[Expr]) -> List[KernelRule]:
+    """CR pair on params = (x1, x2): H2 derivatives rewrite through H1; H1
+    harmonic."""
+    args = tuple(params)
+    h1_x1 = Ker(h1, args, (1, 0))
+    h1_x2 = Ker(h1, args, (0, 1))
+    h1_x1x1 = Ker(h1, args, (2, 0))
     return [
         KernelRule(h2, 1, 1, params, h1_x1),                       # H2_x2 = H1_x1
         KernelRule(h2, 0, 1, params, mul(MINUS_ONE, h1_x2)),       # H2_x1 = -H1_x2

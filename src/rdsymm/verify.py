@@ -22,9 +22,8 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .corpus import (CorpusRow, build_generator, build_rules,
-                     cr_witnesses, kernel_infos, load_rows, parse_in_row,
-                     witness_menu)
+from .corpus import (CorpusRow, build_generator, build_rules, kernel_infos,
+                     load_rows, parse_in_row, witness_menu)
 from .equality import _KernelSampler
 from .expr import (Add, DomainError, Expr, Jet, KernelWitness, Sym, ZERO, add,
                    apply_rules, is_zero, jet, jets_in, mul, rat, substitute,
@@ -44,8 +43,6 @@ class ClaimInstance:
     label: str
     generator: Generator
     system: RDSystem
-    kind: str = "main"
-    per_direction: Optional[int] = None
 
 
 @dataclass
@@ -63,9 +60,18 @@ class UnsatisfiableConstraints(Exception):
     pass
 
 
-def _sample_params(row: CorpusRow, rng: random.Random, a_mode: str):
+def _bind_derived(row: CorpusRow, binding: Dict) -> Dict:
+    """Bind the row's derived parameters, in order, from ``binding``."""
+    for dname, dexpr in row.derive.items():
+        binding[sym(dname)] = substitute(parse(dexpr), binding)
+    return binding
+
+
+def _sample_params(row: CorpusRow, rng: random.Random):
     """Draw parameter values satisfying the row constraints."""
     names = sorted(row.params)
+    zero = [parse(c) for c in row.zero]
+    nonzero = [parse(c) for c in row.nonzero]
     for _ in range(200):
         binding = {}
         for name in names:
@@ -75,39 +81,27 @@ def _sample_params(row: CorpusRow, rng: random.Random, a_mode: str):
             elif flags.get("square"):
                 k = rng.choice([1, 2, 3, Fraction(1, 2)])
                 binding[sym(name)] = rat(Fraction(k) ** 2)
-            elif flags.get("positive"):
-                binding[sym(name)] = rat(abs(rng.choice(_SAMPLE_POOL)))
             else:
                 pool = _SAMPLE_POOL + ([Fraction(0)] if not flags.get("nonzero") else [])
                 binding[sym(name)] = rat(rng.choice(pool))
-        for dname, dexpr in row.derive.items():
-            binding[sym(dname)] = substitute(parse(dexpr), binding)
+        _bind_derived(row, binding)
         ok = True
-        for c in row.zero:
-            val = substitute(parse(c), binding)
-            if not is_zero(val):
+        for c in zero:
+            if not is_zero(substitute(c, binding)):
                 # force one participating parameter to zero and retry the check
-                syms = [s for s in sorted(free_symbols(parse(c)), key=Expr.key)
+                syms = [s for s in sorted(free_symbols(c), key=Expr.key)
                         if isinstance(s, Sym) and s.name in row.params
                         and not row.params[s.name].get("nonzero")]
                 if not syms:
                     ok = False
                     break
                 binding[rng.choice(syms)] = ZERO
-                for dname, dexpr in row.derive.items():
-                    binding[sym(dname)] = substitute(parse(dexpr), binding)
-                if not is_zero(substitute(parse(c), binding)):
+                _bind_derived(row, binding)
+                if not is_zero(substitute(c, binding)):
                     ok = False
                     break
-        if not ok:
-            continue
-        for c in row.nonzero:
-            if is_zero(substitute(parse(c), binding)):
-                ok = False
-                break
-        if not ok:
-            continue
-        return binding
+        if ok and not any(is_zero(substitute(c, binding)) for c in nonzero):
+            return binding
     raise UnsatisfiableConstraints(f"{row.key}: no sample found")
 
 
@@ -186,50 +180,33 @@ def instantiate_row(row: CorpusRow, seed: int, m: int,
     rng = random.Random((seed * 1009 + row.table * 101
                          + sum(map(ord, row.item))) % (2 ** 31))
     infos = kernel_infos(row, m)
+    params_of = {ki.name: ki.params for ki in infos}
+    f1_row = parse_in_row(row.f1, m, infos)
+    f2_row = parse_in_row(row.f2, m, infos)
     if mode == "symbolic":
-        binding = dict(branch or {})
-        for dname, dexpr in row.derive.items():
-            binding[sym(dname)] = substitute(parse(dexpr), binding)
+        binding = _bind_derived(row, dict(branch or {}))
     else:
-        binding = _sample_params(row, rng, row.family)
+        binding = _sample_params(row, rng)
     a_expr = _a_value(row, rng, mode)
-    binding = dict(binding)
     binding[sym("a")] = a_expr
 
     def make_system(bind, kernel_sets=None):
         a_val = bind.get(sym("a"), a_expr)
-        f1 = substitute(parse_in_row(row.f1, m, infos), bind)
-        f2 = substitute(parse_in_row(row.f2, m, infos), bind)
-        overrides = {}
-        if kernel_sets:
-            for kname, body_text in kernel_sets.items():
-                body = substitute(parse_in_row(body_text, m, infos), bind)
-                nargs = next(len(ki.call_args.split(",")) if ki.call_args else 0
-                             for ki in infos if ki.name == kname)
-                params = [sym(f"_s{i+1}") for i in range(nargs)]
-                overrides[kname] = KernelWitness(params, body)
-        if overrides:
-            f1 = substitute(f1, overrides)
-            f2 = substitute(f2, overrides)
+        f1 = substitute(f1_row, bind)
+        f2 = substitute(f2_row, bind)
+        overrides = {
+            kname: KernelWitness(params_of[kname], substitute(
+                parse_in_row(body_text, m, infos), bind))
+            for kname, body_text in (kernel_sets or {}).items()}
+        wits = {}
         if mode == "witness":
-            wits = {}
-            for ki in infos:
-                if kernel_sets and ki.name in kernel_sets:
-                    continue
-                if ki.decl.get("type") == "cr":
-                    if m == 2:
-                        wits.update(cr_witnesses(ki.name, ki.decl["partner"], rng))
-                    continue
-                w = witness_menu(ki, m, a_val, bind, rng)
-                if w is not None:
-                    wits[ki.name] = w
-            if wits:
-                f1 = substitute(f1, wits)
-                f2 = substitute(f2, wits)
-        else:
-            wits = {}
+            wits = witness_menu(infos, m, a_val, bind, rng, skip=overrides)
+        for repl in (overrides, wits):
+            if repl:
+                f1 = substitute(f1, repl)
+                f2 = substitute(f2, repl)
         wits.update(overrides)
-        rules = build_rules(row, m, a_val, f1, f2, bind)
+        rules = build_rules(infos, m, a_val, f1, f2, bind)
         if row.family == "drift":
             system = drift(m, 1, f1, f2, rules)
         else:
@@ -241,8 +218,6 @@ def instantiate_row(row: CorpusRow, seed: int, m: int,
     for idx, claim in enumerate(row.claims):
         when = claim.get("when", {})
         if "m" in when and m not in when["m"]:
-            continue
-        if mode == "symbolic" and when.get("skip_symbolic"):
             continue
         cb = _claim_condition_binding(claim, infos, m, binding)
         kernel_sets = when.get("set_kernel")
@@ -259,8 +234,7 @@ def instantiate_row(row: CorpusRow, seed: int, m: int,
             if cwits:
                 gen = gen.map(lambda c: substitute(c, cwits))
             claims.append(ClaimInstance(
-                label if d is None else f"{label}[x{d}]",
-                gen, csystem, claim.get("kind", "main"), d))
+                label if d is None else f"{label}[x{d}]", gen, csystem))
     return RowInstance(row, m, mode, seed, binding, system, claims)
 
 

@@ -6,8 +6,6 @@ cross-check."""
 import random
 from fractions import Fraction
 
-import pytest
-
 from rdsymm.expr import (ZERO, add, exp_, expand, is_zero, jet, ker, mul,
                          powe, rat, sym)
 from rdsymm.equality import decide_equivalence
@@ -17,12 +15,12 @@ from rdsymm.nmatrix import (algebra_catalog, as_nmatrix, canonical_form,
                             mat_commutator, nmatrix, pair_residuals,
                             realized_basis, umatrix, wronskian_at_zero)
 from rdsymm.systems import drift, extension_check, is_symmetry, triangular
-from rdsymm.transforms import (LinearEquiv, VShift, VShiftFull, aet,
-                               apply_equiv, check_eqv3_admissible,
-                               preserves_class, pushforward)
+from rdsymm.transforms import (LinearEquiv, VShift, aet, apply_equiv,
+                               check_eqv3_admissible, preserves_class,
+                               pushforward)
 from rdsymm.verify import (apply_correction, instantiate_row,
                            numeric_residual_check, verify_row)
-from rdsymm.corpus import load_rows, load_table
+from rdsymm.corpus import load_rows
 
 u, v, t = jet("u"), jet("v"), sym("t")
 a, lam, mu, nu, sig = sym("a"), sym("lam"), sym("mu"), sym("nu"), sym("sig")

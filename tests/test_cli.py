@@ -70,6 +70,20 @@ def test_verify_fails_on_sign_ambiguous_trig_argument(tmp_path, capsys):
     assert captured.err == ""
 
 
+@pytest.mark.parametrize("gen", [{"eta": "1"}, {"eta": "1", "pi": ["u", "v"]}],
+                         ids=["time_shift", "time_shift_and_scaling"])
+def test_verify_gets_a_verdict_beyond_float_range(tmp_path, capsys, gen):
+    # (t+1)^4999 leaves the float range at the sampled points
+    system = _write(tmp_path, "system.json", {
+        "m": 1, "family": {"kind": "triangular", "a": "1"},
+        "f1": "u", "f2": "(t+1)^5000*v",
+    })
+    code = main(["verify", system, _write(tmp_path, "gen.json", gen)])
+    captured = capsys.readouterr()
+    assert code == 1 and json.loads(captured.out)["verdict"] == "fails"
+    assert captured.err == ""
+
+
 def test_usage_error_exit_2(tmp_path):
     bad = _write(tmp_path, "bad.json", {"m": 1})
     assert main(["verify", bad, bad]) == 2

@@ -1,16 +1,15 @@
 import hashlib
 import json
 
-import pytest
-
 from rdsymm.corpus import TABLES, load_rows, load_table
 from rdsymm.equality import decide_equivalence
-from rdsymm.expr import ZERO, exp_, is_zero, jet, ker, powe, rat, sym
+from rdsymm.expr import ZERO, exp_, jet, ker, powe, rat, sym
 from rdsymm.fields import generator
 from rdsymm.parser import to_text
 from rdsymm.systems import classifying_residual_main, is_symmetry, triangular
 from rdsymm.verify import (apply_correction, instantiate_row,
-                           negative_control, run_suite, verify_row)
+                           negative_control, run_suite, symbolic_branches,
+                           verify_row)
 
 u, v = jet("u"), jet("v")
 
@@ -136,3 +135,42 @@ def test_suite_report_is_byte_identical(suite_report):
     text = json.dumps(suite_report.to_json(), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "89a60c5eb4302fa73d3b993cd3fc9161976e6ed2b23f6b1827891a27c8c85204")
+
+
+def _instantiation_digest() -> str:
+    """sha256 over every instantiated row: each non-blocked row at each
+    applicable m, symbolic mode on every branch (seed 0) and witness mode at
+    seeds 0-2; the systems (f1, f2, a, kernel rules) and the claims (label,
+    generator coefficients, the claim's own system)."""
+    h = hashlib.sha256()
+
+    def put(*parts):
+        h.update(("|".join(parts) + "\n").encode())
+
+    def put_system(s):
+        put(s.family, to_text(s.f1), to_text(s.f2), to_text(s.a))
+        for r in s.rules:
+            put(r.name, str(r.slot), str(r.order),
+                *map(to_text, r.params), to_text(r.template))
+
+    for row in load_rows():
+        if row.status == "blocked":
+            continue
+        for m in row.m_list:
+            plans = [("symbolic", 0, br) for br in symbolic_branches(row)]
+            plans += [("witness", s, None) for s in (0, 1, 2)]
+            for mode, seed, br in plans:
+                inst = instantiate_row(row, seed, m, mode, branch=br)
+                put(row.key, str(m), mode, str(seed))
+                put_system(inst.system)
+                for ci in inst.claims:
+                    put(ci.label, *map(to_text, ci.generator.coeffs()))
+                    put_system(ci.system)
+    return h.hexdigest()
+
+
+def test_instantiation_digest():
+    """Row instantiation is pinned: the report digest only sees the
+    residuals of failing claims, this one sees every system and generator."""
+    assert _instantiation_digest() == (
+        "ee20adbecedbf17a7b174b60bd100bf8577bdd96889347f4ce8140769002b723")

@@ -209,7 +209,7 @@ def test_opaque_kernel_chain_rule():
 def test_kernel_rewrite_rule_terminates():
     F1 = ker("F1", u)
     F2 = ker("F2", u)
-    rule = w_kernel_rules("W", 1, F1, v * F2)
+    rule = w_kernel_rules("W", [t, x1, u], F1, v * F2)
     rules = RuleSet([rule])
     W = ker("W", t, x1, u)
     wt = differentiate(W, t, rules)

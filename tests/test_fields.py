@@ -1,11 +1,9 @@
 import random
-from fractions import Fraction
 
 import pytest
 
 from rdsymm.equality import decide_equivalence
-from rdsymm.expr import (ZERO, exp_, expand, is_zero, jet, ker, mul, powe,
-                         rat, sym)
+from rdsymm.expr import exp_, is_zero, jet, mul, rat, sym
 from rdsymm.fields import (CauchyRiemannError, Generator, commutator,
                            generator, h_field, named_operator, prolong,
                            zero_generator)

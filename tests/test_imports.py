@@ -1,0 +1,52 @@
+"""Every imported name is used: an AST scan of the package and the tests.
+
+The package's ``__init__`` is exempt, since its imports are re-exports."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted(p for p in [*(ROOT / "src" / "rdsymm").rglob("*.py"),
+                             *(ROOT / "tests").glob("*.py")]
+                 if p != ROOT / "src" / "rdsymm" / "__init__.py")
+
+
+def _imported(tree: ast.Module):
+    """(bound name, line) for each import outside ``__future__``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+def _referenced(tree: ast.Module):
+    """Names read anywhere, including inside quoted annotations."""
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            notes = [a.annotation for a in ast.walk(node.args)
+                     if isinstance(a, ast.arg)] + [node.returns]
+        elif isinstance(node, ast.AnnAssign):
+            notes = [node.annotation]
+        else:
+            continue
+        for note in notes:
+            if isinstance(note, ast.Constant) and isinstance(note.value, str):
+                names |= {n.id for n in ast.walk(ast.parse(note.value))
+                          if isinstance(n, ast.Name)}
+    return names
+
+
+@pytest.mark.parametrize("path", SOURCES,
+                         ids=[str(p.relative_to(ROOT)) for p in SOURCES])
+def test_no_unused_imports(path):
+    tree = ast.parse(path.read_text())
+    used = _referenced(tree)
+    unused = [f"{name} (line {line})" for name, line in _imported(tree)
+              if name not in used]
+    assert not unused, f"{path.name} imports unused names: {unused}"

@@ -1,9 +1,8 @@
-import random
 from fractions import Fraction
 
 import pytest
 
-from rdsymm.expr import exp_, jet, mul, rat, sin_, sym
+from rdsymm.expr import jet, sin_, sym
 from rdsymm.jets import JetContext, JetOrderError, laplacian, total_derivative
 from rdsymm.numeric import eval_at, to_float
 

@@ -5,7 +5,7 @@ import mpmath
 import pytest
 
 from rdsymm.expr import (DomainError, cos_, differentiate, exp_, jet, ln_,
-                         mul, powe, rat, sin_, sym)
+                         powe, rat, sin_, sym)
 from rdsymm.numeric import UnboundSymbol, eval_at, magnitude, to_float
 
 u, v = jet("u"), jet("v")
@@ -59,3 +59,9 @@ def test_finite_difference_consistency():
             exact = to_float(eval_at(de, pt))
             scale = max(1.0, abs(exact))
             assert abs(fd - exact) / scale < 1e-6
+
+
+def test_magnitude_beyond_float_range_is_inf():
+    assert magnitude(Fraction(10) ** 400) == float("inf")
+    assert magnitude(-Fraction(10) ** 400) == float("inf")
+    assert magnitude(mpmath.mpf(10) ** 400) == float("inf")

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rdsymm.expr import differentiate, exp_, jet, ker, mul, powe, rat, sym
+from rdsymm.expr import differentiate, exp_, jet, ker, powe, rat, sym
 from rdsymm.parser import ParseError, parse, to_text
 
 u, v = jet("u"), jet("v")

@@ -1,6 +1,4 @@
-import random
 from collections import defaultdict
-from fractions import Fraction
 
 import pytest
 
@@ -9,7 +7,6 @@ from rdsymm.expr import (ZERO, add, exp_, expand, is_zero, jet, jets_in, ker,
                          mul, powe, rat, sym, Add, Jet, _term_parts,
                          _from_parts)
 from rdsymm.fields import Generator, generator, named_operator
-from rdsymm.jets import JetContext
 from rdsymm.parser import parse, to_text
 from rdsymm.systems import (FullSymmetryData, RDSystem,
                             classifying_residual_a0,

@@ -1,10 +1,10 @@
 import pytest
 
 from rdsymm.equality import decide_equivalence
-from rdsymm.expr import ZERO, exp_, is_zero, jet, ker, mul, powe, rat, sym
+from rdsymm.expr import exp_, jet, ker, powe, rat, sym
 from rdsymm.fields import generator
 from rdsymm.parser import parse
-from rdsymm.systems import drift, is_symmetry, triangular
+from rdsymm.systems import is_symmetry, triangular
 from rdsymm.transforms import (InapplicableTransform, LinearEquiv, VShift,
                                VShiftFull, aet, apply_equiv,
                                check_eqv3_admissible, preserves_class,

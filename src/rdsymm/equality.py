@@ -12,14 +12,14 @@ Layered decision, cheapest first:
 
 Opaque kernels are sampled as unconstrained smooth functions: every
 distinct (kernel, derivative, argument-values) triple gets an independent
-random value, consistently within one sample point.  Domain errors and terms
-beyond float range trigger resampling; if every attempt at every point fails
-the verdict is "undecided".
+random value, consistently within one sample point.  Domain errors trigger
+resampling; if every attempt at every point fails the verdict is
+"undecided".  The cancellation guard compares in mpmath, so terms beyond
+float range are decided like any others.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,7 +27,7 @@ from typing import Optional
 
 from .expr import (Add, DomainError, Expr, ExprError, Jet, Mul, Pow, add,
                    children, expand, free_symbols, is_int, is_zero, mul, rat)
-from .numeric import UnboundSymbol, _num_add, eval_at, magnitude
+from .numeric import UnboundSymbol, _as_mpf, _num_add, eval_at
 
 EQUAL = "equal"
 DIFFERENT = "different"
@@ -95,9 +95,9 @@ def decide_equivalence(e1: Expr, e2: Expr, seed: int = 0) -> EqDecision:
 
     # u, v and anything exponentiated symbolically live on the positive
     # verification domain
-    pos_keys = {a.key() for a in free_symbols(target)
+    positive = {a for a in free_symbols(target)
                 if isinstance(a, Jet) and a.order == 0}
-    pos_keys |= {b.key() for b in _symbolic_power_bases(target)}
+    positive |= _symbolic_power_bases(target)
 
     fs = sorted(free_symbols(target), key=Expr.key)
     rng = random.Random(seed)
@@ -106,7 +106,7 @@ def decide_equivalence(e1: Expr, e2: Expr, seed: int = 0) -> EqDecision:
         for _ in range(MAX_RESAMPLE):
             point = {}
             for a in fs:
-                point[a] = (_positive_fraction(rng) if a.key() in pos_keys
+                point[a] = (_positive_fraction(rng) if a in positive
                             else _random_fraction(rng))
             sampler = _KernelSampler(rng)
             try:
@@ -122,38 +122,32 @@ def decide_equivalence(e1: Expr, e2: Expr, seed: int = 0) -> EqDecision:
                 # guard against catastrophic cancellation between terms:
                 # a true zero leaves only rounding noise relative to the
                 # largest term magnitude
-                mismatch = magnitude(val) > MISMATCH_TOL * max(1.0, scale)
+                mismatch = abs(val) > MISMATCH_TOL * max(1, scale)
             if mismatch:
                 return EqDecision(
                     DIFFERENT, "numeric", samples=done + 1,
                     counterexample={str(k): v for k, v in point.items()},
                     sampled=target)
-            if math.isinf(scale):
-                # a term beyond float range: agreement there shows nothing
-                continue
             done += 1
             break
     if done == 0:
         return EqDecision(UNDECIDED, "numeric",
-                          note=f"all {SAMPLES} points hit domain errors "
-                               "or overflow",
+                          note=f"all {SAMPLES} points hit domain errors",
                           sampled=target)
     return EqDecision(EQUAL, "numeric", samples=done,
                       note=f"agreed at {done} random points", sampled=target)
 
 
 def _eval_with_scale(target: Expr, point, sampler):
-    """Evaluate; for sums also report the largest term magnitude."""
-    if isinstance(target, Add):
-        vals = [eval_at(t, point, kernel_values=sampler)
-                for t in target.terms]
-        total = vals[0]
-        for v in vals[1:]:
-            total = _num_add(total, v, 60)
-        scale = max(magnitude(v) for v in vals)
-        return total, scale
-    val = eval_at(target, point, kernel_values=sampler)
-    return val, magnitude(val)
+    """Evaluate; also report the largest term magnitude, as an mpf: its
+    exponent range is unbounded, so terms beyond float range still
+    compare."""
+    terms = target.terms if isinstance(target, Add) else (target,)
+    vals = [eval_at(t, point, kernel_values=sampler) for t in terms]
+    total = vals[0]
+    for v in vals[1:]:
+        total = _num_add(total, v, 60)
+    return total, max(abs(_as_mpf(v, 60)) for v in vals)
 
 
 def _symbolic_power_bases(e: Expr):

@@ -1,15 +1,29 @@
 """Exact symbolic expressions.
 
-Nodes are immutable, with structural hashing and equality; the module-level
-constructors (``rat``, ``add``, ``mul``, ``powe``, ``ker``, ...) are the only
-way composite nodes get built and they normalize on construction, so every
-``Expr`` you can hold is already in normal form:
+Nodes are immutable and hash-consed: every node is built through one weak
+unique table keyed by its kind, its payload and its child nodes, so equal
+structure means the same object.  ``==``, hashing and dict lookups are
+identity, ``is_zero(e)`` is ``e is ZERO``, and dicts are keyed by the nodes
+themselves.  ``Expr.key()`` is a nested tuple computed once per live node;
+it gives the structural order only (sorting terms and factors, the sign
+rule of sin/cos, ``<``), so term order never depends on object ids.  A node
+leaves the table when nothing else holds it.
+
+The module-level constructors (``rat``, ``add``, ``mul``, ``powe``,
+``ker``, ...) are the only way composite nodes get built and they normalize
+on construction, so every ``Expr`` you can hold is already in normal form:
 
 * sums are flat, like terms merged, at most one rational term;
 * products are flat with a rational coefficient and base^exponent pairs,
   exponents of equal bases added, ``exp`` factors merged into one;
 * integer powers of rationals are folded, ``(b^p)^q`` collapses, and a power
   of a product distributes over its factors.
+
+``add``, ``mul`` and ``powe`` share one computed table from (operation,
+operand nodes) to the result, since the same operands recur many times in a
+prolongation.  The table is cleared whenever it holds ``_COMPUTED_CAP``
+entries: it keeps its results alive, and unbounded it would hold every
+intermediate of a whole run and carry one run's work into the next.
 
 Products of sums are *not* distributed here; :func:`expand` does that in
 one pass over the tree, reduces cos powers per monomial through
@@ -29,6 +43,8 @@ positive unless they are.
 
 from __future__ import annotations
 
+import functools
+import weakref
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
@@ -43,33 +59,47 @@ class DomainError(ExprError):
 
 Number = Union[int, Fraction]
 
+# the unique table: (kind, payload, child nodes) -> weak reference to the node
+_NODES = {}
+
+
+def _forget(ref, nodes=_NODES):
+    # a node with the same identity may have been built again in between
+    if nodes.get(ref.key) is ref:
+        del nodes[ref.key]
+
+
+def _intern(cls, ident, *fields):
+    """The node of class ``cls`` identified by ``ident``, built with
+    ``fields`` (in ``cls.__slots__`` order) unless it is alive already."""
+    ref = _NODES.get(ident)
+    if ref is not None:
+        node = ref()
+        if node is not None:
+            return node
+    node = object.__new__(cls)
+    for name, value in zip(cls.__slots__, fields):
+        setattr(node, name, value)
+    _NODES[ident] = weakref.KeyedRef(node, _forget, ident)
+    return node
+
 
 class Expr:
-    __slots__ = ("_hash", "_key")
+    __slots__ = ("_key", "__weakref__")
 
     def key(self):
-        k = getattr(self, "_key", None)
-        if k is None:
-            k = self._make_key()
-            self._key = k
-        return k
-
-    def __hash__(self):
-        h = getattr(self, "_hash", None)
-        if h is None:
-            h = hash(self.key())
-            self._hash = h
-        return h
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, Expr):
-            return NotImplemented
-        return self.key() == other.key()
+        try:
+            return self._key
+        except AttributeError:
+            self._key = k = self._make_key()
+            return k
 
     def __lt__(self, other):
         return self.key() < other.key()
+
+    def __reduce__(self):
+        # copies and unpickled nodes go through the unique table as well
+        return type(self), tuple(getattr(self, n) for n in type(self).__slots__)
 
     # arithmetic sugar (used heavily by the rest of the package and tests)
     def __add__(self, other):
@@ -79,10 +109,10 @@ class Expr:
         return add(_coerce(other), self)
 
     def __sub__(self, other):
-        return add(self, mul(rat(-1), _coerce(other)))
+        return add(self, mul(MINUS_ONE, _coerce(other)))
 
     def __rsub__(self, other):
-        return add(_coerce(other), mul(rat(-1), self))
+        return add(_coerce(other), mul(MINUS_ONE, self))
 
     def __mul__(self, other):
         return mul(self, _coerce(other))
@@ -91,16 +121,16 @@ class Expr:
         return mul(_coerce(other), self)
 
     def __truediv__(self, other):
-        return mul(self, powe(_coerce(other), rat(-1)))
+        return mul(self, powe(_coerce(other), MINUS_ONE))
 
     def __rtruediv__(self, other):
-        return mul(_coerce(other), powe(self, rat(-1)))
+        return mul(_coerce(other), powe(self, MINUS_ONE))
 
     def __pow__(self, other):
         return powe(self, _coerce(other))
 
     def __neg__(self):
-        return mul(rat(-1), self)
+        return mul(MINUS_ONE, self)
 
     def __repr__(self):
         # lazy: parser imports this module, so a module-level import here
@@ -126,8 +156,8 @@ def _coerce(x) -> Expr:
 class Rat(Expr):
     __slots__ = ("value",)
 
-    def __init__(self, value: Fraction):
-        self.value = value
+    def __new__(cls, value: Fraction):
+        return _intern(cls, (0, value.numerator, value.denominator), value)
 
     def _make_key(self):
         return (0, self.value.numerator, self.value.denominator)
@@ -136,8 +166,8 @@ class Rat(Expr):
 class Sym(Expr):
     __slots__ = ("name",)
 
-    def __init__(self, name: str):
-        self.name = name
+    def __new__(cls, name: str):
+        return _intern(cls, (1, name), name)
 
     def _make_key(self):
         return (1, self.name)
@@ -148,12 +178,11 @@ class Jet(Expr):
 
     __slots__ = ("dep", "nt", "xs")
 
-    def __init__(self, dep: str, nt: int = 0, xs: Sequence[int] = ()):
+    def __new__(cls, dep: str, nt: int = 0, xs: Sequence[int] = ()):
         if dep not in ("u", "v"):
             raise ExprError(f"unknown dependent {dep!r}")
-        self.dep = dep
-        self.nt = nt
-        self.xs = tuple(sorted(xs))
+        xs = tuple(sorted(xs))
+        return _intern(cls, (2, dep, nt, xs), dep, nt, xs)
 
     @property
     def order(self) -> int:
@@ -177,12 +206,12 @@ class Ker(Expr):
 
     __slots__ = ("name", "args", "dvec")
 
-    def __init__(self, name: str, args: Sequence[Expr], dvec: Sequence[int] = None):
-        self.name = name
-        self.args = tuple(args)
-        self.dvec = tuple(dvec) if dvec is not None else (0,) * len(self.args)
-        if len(self.dvec) != len(self.args):
+    def __new__(cls, name: str, args: Sequence[Expr], dvec: Sequence[int] = None):
+        args = tuple(args)
+        dvec = tuple(dvec) if dvec is not None else (0,) * len(args)
+        if len(dvec) != len(args):
             raise ExprError("dvec length mismatch")
+        return _intern(cls, (3, name, args, dvec), name, args, dvec)
 
     def _make_key(self):
         return (3, self.name, self.dvec, tuple(a.key() for a in self.args))
@@ -191,9 +220,8 @@ class Ker(Expr):
 class Pow(Expr):
     __slots__ = ("base", "exp")
 
-    def __init__(self, base: Expr, exp: Expr):
-        self.base = base
-        self.exp = exp
+    def __new__(cls, base: Expr, exp: Expr):
+        return _intern(cls, (4, base, exp), base, exp)
 
     def _make_key(self):
         return (4, self.base.key(), self.exp.key())
@@ -204,9 +232,10 @@ class Mul(Expr):
 
     __slots__ = ("coeff", "pairs")
 
-    def __init__(self, coeff: Fraction, pairs):
-        self.coeff = coeff
-        self.pairs = tuple(pairs)
+    def __new__(cls, coeff: Fraction, pairs):
+        pairs = tuple(pairs)
+        return _intern(cls, (5, coeff.numerator, coeff.denominator, pairs),
+                       coeff, pairs)
 
     def _make_key(self):
         return (5, self.coeff.numerator, self.coeff.denominator,
@@ -216,8 +245,9 @@ class Mul(Expr):
 class Add(Expr):
     __slots__ = ("terms",)
 
-    def __init__(self, terms):
-        self.terms = tuple(terms)
+    def __new__(cls, terms):
+        terms = tuple(terms)
+        return _intern(cls, (6, terms), terms)
 
     def _make_key(self):
         return (6, tuple(t.key() for t in self.terms))
@@ -225,18 +255,10 @@ class Add(Expr):
 
 BUILTIN_KERNELS = ("exp", "ln", "sin", "cos")
 
-_RAT_CACHE = {}
-
 
 def rat(num, den=None) -> Rat:
-    value = Fraction(num, den) if den is not None else (
-        num if isinstance(num, Fraction) else Fraction(num))
-    node = _RAT_CACHE.get(value)
-    if node is None:
-        node = Rat(value)
-        if -64 <= value <= 64:
-            _RAT_CACHE[value] = node
-    return node
+    return Rat(Fraction(num, den) if den is not None else (
+        num if isinstance(num, Fraction) else Fraction(num)))
 
 
 ZERO = rat(0)
@@ -258,11 +280,11 @@ T = sym("t")
 
 
 def is_zero(e: Expr) -> bool:
-    return isinstance(e, Rat) and e.value == 0
+    return e is ZERO
 
 
 def is_one(e: Expr) -> bool:
-    return isinstance(e, Rat) and e.value == 1
+    return e is ONE
 
 
 def is_int(e: Expr) -> bool:
@@ -290,9 +312,29 @@ def _from_parts(coeff: Fraction, pairs) -> Expr:
     return _make_mul(coeff, pairs)
 
 
+_COMPUTED_CAP = 4096
+_COMPUTED = {}  # (operation, operand nodes) -> result
+
+
+def _computed(op):
+    """``op`` answered from the computed table; exceptions are not kept."""
+    @functools.wraps(op)
+    def cached(*args):
+        ident = (op, args)
+        out = _COMPUTED.get(ident)
+        if out is None:
+            out = op(*args)
+            if len(_COMPUTED) >= _COMPUTED_CAP:
+                _COMPUTED.clear()
+            _COMPUTED[ident] = out
+        return out
+
+    return cached
+
+
+@_computed
 def add(*terms) -> Expr:
-    acc = {}
-    order = []
+    acc = {}  # monomial pairs (None for the rational term) -> coefficient
     for t in terms:
         stack = [t]
         while stack:
@@ -300,21 +342,15 @@ def add(*terms) -> Expr:
             if isinstance(s, Add):
                 stack.extend(reversed(s.terms))
                 continue
-            if isinstance(s, Rat) and s.value == 0:
+            if s is ZERO:
                 continue
             coeff, pairs = _term_parts(s)
-            k = None if pairs is None else tuple((b.key(), e.key()) for b, e in pairs)
-            if k in acc:
-                acc[k] = (acc[k][0] + coeff, pairs)
+            if pairs in acc:
+                acc[pairs] += coeff
             else:
-                acc[k] = (coeff, pairs)
-                order.append(k)
-    out = []
-    for k in order:
-        coeff, pairs = acc[k]
-        if coeff == 0:
-            continue
-        out.append(_from_parts(coeff, pairs))
+                acc[pairs] = coeff
+    out = [_from_parts(coeff, pairs) for pairs, coeff in acc.items()
+           if coeff != 0]
     if not out:
         return ZERO
     if len(out) == 1:
@@ -347,19 +383,11 @@ def _scale_term(coeff: Fraction, t: Expr) -> Expr:
     return _from_parts(coeff * c, pairs)
 
 
+@_computed
 def mul(*factors) -> Expr:
     coeff = Fraction(1)
-    bases = {}  # base key -> [base, list of exponents]
-    base_order = []
+    bases = {}  # base -> list of exponents
     exp_args = []  # accumulated exponential-kernel arguments (already scaled)
-
-    def put(base, expo):
-        k = base.key()
-        if k in bases:
-            bases[k][1].append(expo)
-        else:
-            bases[k] = [base, [expo]]
-            base_order.append(k)
 
     def classify(f, merge_exp=True):
         nonlocal coeff
@@ -388,7 +416,7 @@ def mul(*factors) -> Expr:
                 raise DomainError("division by zero: 0 to a non-positive power")
             coeff *= base.value ** n
             return
-        put(base, expo)
+        bases.setdefault(base, []).append(expo)
 
     for f in factors:
         classify(f)
@@ -404,8 +432,7 @@ def mul(*factors) -> Expr:
 
     out_pairs = []
     pending = []  # collapse fallout that must be reclassified
-    for k in base_order:
-        base, exps = bases[k]
+    for base, exps in bases.items():
         e = add(*exps)
         if is_zero(e):
             continue
@@ -418,9 +445,9 @@ def mul(*factors) -> Expr:
                 return ZERO
             continue
         collapsed = powe(base, e)
-        if isinstance(collapsed, Pow) and collapsed.base.key() == k:
-            out_pairs.append((collapsed.base, collapsed.exp))
-        elif collapsed.key() == k and is_one(e):
+        if isinstance(collapsed, Pow) and collapsed.base is base:
+            out_pairs.append((base, collapsed.exp))
+        elif collapsed is base and is_one(e):
             out_pairs.append((base, ONE))
         else:
             pending.append(collapsed)
@@ -455,6 +482,7 @@ def _rat_root(value: Fraction, q: int) -> Optional[Fraction]:
     return Fraction(rn, rd)
 
 
+@_computed
 def powe(base: Expr, exp: Expr) -> Expr:
     if is_zero(exp):
         return ONE
@@ -761,8 +789,7 @@ def differentiate(e: Expr, s: Expr, rules: RuleSet = EMPTY_RULES,
         raise ExprError(f"can only differentiate by a symbol, got {s!r}")
     if _memo is None:
         _memo = {}
-    k = e.key()
-    hit = _memo.get(k)
+    hit = _memo.get(e)
     if hit is not None:
         return hit
 
@@ -801,7 +828,7 @@ def differentiate(e: Expr, s: Expr, rules: RuleSet = EMPTY_RULES,
         out = add(*[differentiate(t, s, rules, _memo) for t in e.terms])
     else:
         raise ExprError(f"unknown node {e!r}")
-    _memo[k] = out
+    _memo[e] = out
     return out
 
 
@@ -833,11 +860,11 @@ def substitute(e: Expr, binding: Mapping, rules: RuleSet = EMPTY_RULES) -> Expr:
         if isinstance(k, str):
             witness_map[k] = v
         else:
-            atom_map[k.key()] = _coerce(v)
+            atom_map[k] = _coerce(v)
 
     def walk(n: Expr) -> Expr:
         if isinstance(n, (Sym, Jet)):
-            return atom_map.get(n.key(), n)
+            return atom_map.get(n, n)
         kids = [walk(c) for c in children(n)]
         w = witness_map.get(n.name) if isinstance(n, Ker) else None
         if w is not None:

@@ -35,7 +35,9 @@ from .expr import (Expr, MINUS_ONE, ONE, Rat, T, ZERO, add, differentiate,
                    substitute, sym)
 from .fields import Generator, commutator, generator, named_operator
 
-Matrix = Tuple[Tuple[Expr, ...], ...]
+# a string, so that typing's subscription cache holds no reference to Expr
+# (which would keep this copy of the package alive after it is dropped)
+Matrix = "Tuple[Tuple[Expr, ...], ...]"
 
 
 def _e(x) -> Expr:

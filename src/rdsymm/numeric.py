@@ -56,13 +56,13 @@ def eval_at(e: Expr, point, dps: int = 60, kernel_values=None):
     for k, v in point.items():
         if isinstance(v, (int,)):
             v = Fraction(v)
-        binding[k.key()] = v
+        binding[k] = v
 
     def ev(n: Expr):
         if isinstance(n, Rat):
             return n.value
         if isinstance(n, (Sym, Jet)):
-            val = binding.get(n.key())
+            val = binding.get(n)
             if val is None:
                 raise UnboundSymbol(n)
             return val

@@ -389,8 +389,7 @@ def exp_galilei_gamma(system: RDSystem) -> Optional[Expr]:
         pass
     # first equation demands  a*gamma*u = -g1, so gamma = -g1/(a u)
     cand = mul(MINUS_ONE, g1, powe(mul(a, U), MINUS_ONE))
-    bad = {U.key(), V.key(), T.key()}
-    if any(s.key() in bad or isinstance(s, Jet) or
+    if any(s in (U, V, T) or isinstance(s, Jet) or
            (isinstance(s, Sym) and s.name.startswith("x"))
            for s in free_symbols(cand)):
         return None

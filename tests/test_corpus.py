@@ -1,5 +1,11 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import rdsymm
 
 from rdsymm.corpus import TABLES, load_rows, load_table
 from rdsymm.equality import decide_equivalence
@@ -174,3 +180,33 @@ def test_instantiation_digest():
     residuals of failing claims, this one sees every system and generator."""
     assert _instantiation_digest() == (
         "ee20adbecedbf17a7b174b60bd100bf8577bdd96889347f4ce8140769002b723")
+
+
+# rows whose residuals hand the equality layer the most terms to order
+RESIDUAL_ROWS = ("T3.1*", "T4.3", "T10.10", "T10.12")
+
+_RESIDUAL_REPORT = """if True:
+    import json, sys
+    from rdsymm.corpus import load_rows
+    from rdsymm.verify import verify_row
+    rows = {r.key: r for r in load_rows()}
+    print(json.dumps([verify_row(rows[k], m_values=(1,)).to_json()
+                      for k in sys.argv[1:]], sort_keys=True))
+"""
+
+
+def test_term_order_does_not_depend_on_ids_or_hash_seed():
+    """Residual texts and failing monomials come out the same in this
+    process, where the nodes have other ids, and in fresh processes under
+    two hash seeds: term order is structural."""
+    rows = {r.key: r for r in load_rows()}
+    want = json.dumps([verify_row(rows[k], m_values=(1,)).to_json()
+                       for k in RESIDUAL_ROWS], sort_keys=True)
+    src = Path(rdsymm.__file__).resolve().parent.parent
+    for hash_seed in ("0", "1"):
+        env = {**os.environ, "PYTHONPATH": str(src),
+               "PYTHONHASHSEED": hash_seed}
+        out = subprocess.run(
+            [sys.executable, "-c", _RESIDUAL_REPORT, *RESIDUAL_ROWS],
+            env=env, check=True, capture_output=True, text=True).stdout
+        assert out.strip() == want

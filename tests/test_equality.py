@@ -1,6 +1,6 @@
 from fractions import Fraction
 
-from rdsymm.equality import (EQUAL, DIFFERENT, UNDECIDED, decide_equivalence,
+from rdsymm.equality import (EQUAL, DIFFERENT, SAMPLES, decide_equivalence,
                              equivalent)
 from rdsymm.expr import ZERO, cos_, exp_, jet, ker, ln_, powe, rat, sin_, sym
 
@@ -83,11 +83,16 @@ def test_determinism():
 
 
 def test_terms_beyond_float_range_are_never_agreement():
-    # every point puts the single term beyond float range, where the
-    # cancellation guard cannot tell a value from rounding noise
+    # every point puts the single term beyond float range; the cancellation
+    # guard compares in mpmath, so the term is still told from noise
     x1 = sym("x1")
     big = powe(t * t + 2, rat(5000))
     d = decide_equivalence(big * exp_(x1), ZERO)
-    assert d.verdict == UNDECIDED and d.samples == 0
+    assert d.verdict == DIFFERENT and d.samples == 1
+    assert set(d.counterexample) == {"t", "x1"}
+    # huge terms that cancel leave only rounding noise: every point agrees
+    huge = powe(u, rat(5000))
+    d = decide_equivalence(sin_(2 * x1) * huge, 2 * sin_(x1) * cos_(x1) * huge)
+    assert (d.verdict, d.path, d.samples) == (EQUAL, "numeric", SAMPLES)
     # an exact rational value is still compared exactly
     assert decide_equivalence(big * v, ZERO).verdict == DIFFERENT

@@ -1,13 +1,22 @@
+import copy
+import os
+import pickle
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+import rdsymm
+from rdsymm import expr
 from rdsymm.expr import (Add, DomainError, Ker, RuleSet, add, atoms, children,
                          cos_, differentiate, exp_, expand, is_zero, jet, ker,
                          ln_, mul, normalize, powe, rat, rebuild, sin_,
                          substitute, sym)
 from rdsymm.numeric import _num_add, _num_mul, eval_at, magnitude
+from rdsymm.parser import parse, to_text
 from rdsymm.systems import w_kernel_rules
 
 u, v, t = jet("u"), jet("v"), sym("t")
@@ -71,6 +80,63 @@ def test_addition_commutes(e1, e2):
 @given(_exprs(2))
 def test_additive_inverse(e):
     assert is_zero(add(e, mul(rat(-1), e)))
+
+
+@settings(max_examples=500, deadline=None)
+@given(_exprs(), _exprs())
+def test_equal_structure_is_the_same_node(a, b):
+    assert rebuild(a, children(a)) is a
+    assert parse(to_text(a)) is a
+    assert (a is b) == (a.key() == b.key())
+    assert copy.deepcopy(a) is a
+    assert pickle.loads(pickle.dumps(a)) is a
+
+
+class _Forgetful(dict):
+    """A computed table cleared every few entries, that is, in the middle
+    of any computation longer than that."""
+
+    def __setitem__(self, ident, value):
+        if len(self) >= 3:
+            self.clear()
+        super().__setitem__(ident, value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_exprs(2), _exprs(2))
+def test_clearing_the_computed_table_changes_no_result(a, b):
+    def results():
+        s = add(a, b)
+        return (mul(a, s), powe(s, rat(2)), expand(mul(a, s, s)),
+                differentiate(mul(a, exp_(s)), u))
+
+    want = results()
+    kept, expr._COMPUTED = expr._COMPUTED, _Forgetful()
+    try:
+        got = results()
+    finally:
+        expr._COMPUTED = kept
+    assert all(g is w for g, w in zip(got, want))
+
+
+def test_a_dropped_import_is_freed():
+    """Importing rdsymm again after dropping it from sys.modules frees the
+    first copy: no module-level object outside the package (such as
+    typing's cache of subscripted aliases) keeps its classes alive."""
+    code = """if True:
+        import gc, sys, weakref
+        import rdsymm
+        first = weakref.ref(rdsymm.expr.Expr)
+        for name in [n for n in sys.modules if n.split(".")[0] == "rdsymm"]:
+            del sys.modules[name]
+        del rdsymm
+        import rdsymm
+        gc.collect()
+        assert first() is None, "the first import of rdsymm is still alive"
+    """
+    src = Path(rdsymm.__file__).resolve().parent.parent
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": str(src)})
 
 
 def test_basic_normal_forms():

@@ -24,6 +24,7 @@ import argparse
 import json
 import sys
 
+from .corpus import TABLES
 from .expr import ZERO, ExprError, substitute, sym
 from .fields import Generator, commutator
 from .nmatrix import NMatrix, as_nmatrix, canonical_form
@@ -188,7 +189,7 @@ def _peek_m(path) -> int:
 
 def cmd_corpus_run(args) -> int:
     modes = ("symbolic", "witness") if args.mode == "both" else (args.mode,)
-    rep = run_suite(tables=args.table or None, items=args.item or None,
+    rep = run_suite(tables=args.table or TABLES, items=args.item or None,
                     m_values=args.m or None, seed=args.seed, modes=modes)
     payload = rep.to_json()
     text = json.dumps(payload, indent=2, sort_keys=True)

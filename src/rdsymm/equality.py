@@ -10,10 +10,12 @@ Layered decision, cheapest first:
    "different"; agreement at every point is "equal" with the sampling
    confidence recorded.
 
-Opaque kernels are sampled as unconstrained smooth functions: every
-distinct (kernel, derivative, argument-values) triple gets an independent
-random value, consistently within one sample point.  Domain errors trigger
-resampling; if every attempt at every point fails the verdict is
+Points and opaque-kernel values come from ``numeric.Sampler``: atoms are
+drawn as +-(1..6)/(1..3), positive for u, v and symbolically exponentiated
+bases, and opaque kernels are sampled as unconstrained smooth functions
+(every distinct (kernel, derivative, argument-values) triple gets an
+independent random value, consistently within one point).  Domain errors
+trigger resampling; if every attempt at every point fails the verdict is
 "undecided".  The cancellation guard compares in mpmath, so terms beyond
 float range are decided like any others.
 """
@@ -25,9 +27,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+import mpmath
+
 from .expr import (Add, DomainError, Expr, ExprError, Jet, Mul, Pow, add,
                    children, expand, free_symbols, is_int, is_zero, mul, rat)
-from .numeric import UnboundSymbol, _as_mpf, _num_add, eval_at
+from .numeric import DPS, Sampler, UnboundSymbol, eval_at, random_fraction
 
 EQUAL = "equal"
 DIFFERENT = "different"
@@ -53,33 +57,6 @@ class EqDecision:
         return self.verdict == EQUAL
 
 
-def _random_fraction(rng: random.Random) -> Fraction:
-    # kept small so that exponentials of sampled combinations stay well
-    # inside 60-digit working precision
-    num = rng.randint(1, 6)
-    den = rng.randint(1, 3)
-    sign = -1 if rng.random() < 0.5 else 1
-    return Fraction(sign * num, den)
-
-
-def _positive_fraction(rng: random.Random) -> Fraction:
-    return Fraction(rng.randint(1, 6), rng.randint(1, 3))
-
-
-class _KernelSampler:
-    """Consistent random values for opaque-kernel atoms at one point."""
-
-    def __init__(self, rng: random.Random):
-        self.rng = rng
-        self.cache = {}
-
-    def __call__(self, name, dvec, arg_values):
-        key = (name, dvec, arg_values)
-        if key not in self.cache:
-            self.cache[key] = _random_fraction(self.rng)
-        return self.cache[key]
-
-
 def decide_equivalence(e1: Expr, e2: Expr, seed: int = 0) -> EqDecision:
     """Decide e1 == e2."""
     diff = add(e1, mul(rat(-1), e2))
@@ -100,15 +77,12 @@ def decide_equivalence(e1: Expr, e2: Expr, seed: int = 0) -> EqDecision:
     positive |= _symbolic_power_bases(target)
 
     fs = sorted(free_symbols(target), key=Expr.key)
-    rng = random.Random(seed)
+    sampler = Sampler(random.Random(seed))
     done = 0
     for i in range(SAMPLES):
         for _ in range(MAX_RESAMPLE):
-            point = {}
-            for a in fs:
-                point[a] = (_positive_fraction(rng) if a in positive
-                            else _random_fraction(rng))
-            sampler = _KernelSampler(rng)
+            point = sampler.point(
+                fs, lambda rng, a: random_fraction(rng, a in positive))
             try:
                 val, scale = _eval_with_scale(target, point, sampler)
             except DomainError:
@@ -144,10 +118,8 @@ def _eval_with_scale(target: Expr, point, sampler):
     compare."""
     terms = target.terms if isinstance(target, Add) else (target,)
     vals = [eval_at(t, point, kernel_values=sampler) for t in terms]
-    total = vals[0]
-    for v in vals[1:]:
-        total = _num_add(total, v, 60)
-    return total, max(abs(_as_mpf(v, 60)) for v in vals)
+    with mpmath.workdps(DPS):
+        return sum(vals), max(abs(mpmath.mpmathify(v)) for v in vals)
 
 
 def _symbolic_power_bases(e: Expr):

@@ -674,14 +674,19 @@ def normalize(e: Expr) -> Expr:
 
 
 def atoms(e: Expr, kinds=(Sym, Jet)) -> set:
-    """Every node of one of ``kinds`` occurring anywhere in e."""
+    """Every node of one of ``kinds`` occurring anywhere in e.  Each distinct
+    node is visited once, however many terms share it."""
     out = set()
+    seen = {e}
     stack = [e]
     while stack:
         s = stack.pop()
         if isinstance(s, kinds):
             out.add(s)
-        stack.extend(children(s))
+        for c in children(s):
+            if c not in seen:
+                seen.add(c)
+                stack.append(c)
     return out
 
 

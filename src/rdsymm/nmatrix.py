@@ -354,7 +354,7 @@ def closure_check(basis: Sequence, brackets: dict) -> bool:
 
 
 def realized_symmetry(g: NMatrix, m: int, kind: str = "dilation",
-                      mu=None, lam=None, omega=None, nu=None,
+                      mu=None, lam=None, omega=None,
                       drift_version: bool = False) -> Generator:
     """The symmetry built on a matrix g:
 

@@ -1,10 +1,12 @@
-"""Numeric evaluation of expressions.
+"""Numeric evaluation and random sampling, shared by both numeric layers
+(the randomized equality decision and the residual cross-check).
 
 ``eval_at`` stays in exact rational arithmetic as long as the expression
 only involves rational operations; anything transcendental (exp, ln, sin,
-cos, non-integer powers) promotes the computation to mpmath at a requested
-working precision (60 digits by default, comfortably below the 1e-30
-error-bound contract).
+cos, non-integer powers) promotes the computation to mpmath at ``DPS``
+working digits, comfortably below the 1e-30 error-bound contract.
+
+``Sampler`` draws the sample points and the opaque-kernel values at them.
 """
 
 from __future__ import annotations
@@ -17,46 +19,81 @@ import mpmath
 from .expr import (Add, DomainError, Expr, Jet, Ker, Mul, Pow, Rat, Sym,
                    BUILTIN_KERNELS)
 
+DPS = 60
+
 
 class UnboundSymbol(Exception):
-    def __init__(self, atom, expr=None):
+    def __init__(self, atom):
         super().__init__(f"unbound symbol {atom} while evaluating")
         self.atom = atom
 
 
-def _as_mpf(x, dps):
-    if isinstance(x, Fraction):
-        with mpmath.workdps(dps):
-            return mpmath.mpf(x.numerator) / mpmath.mpf(x.denominator)
-    return x
+def random_fraction(rng, positive: bool = False, nums=(1, 6),
+                    dens=(1, 3)) -> Fraction:
+    """±num/den with num and den drawn uniformly from the inclusive ranges
+    ``nums`` and ``dens``; the sign is drawn last, and only if not
+    ``positive``.  The defaults keep exponentials of sampled combinations
+    well inside ``DPS`` digits."""
+    num = rng.randint(*nums)
+    den = rng.randint(*dens)
+    if not positive and rng.random() < 0.5:
+        num = -num
+    return Fraction(num, den)
 
 
-def _pow_exact(base: Fraction, expo: Fraction):
-    if expo.denominator == 1:
-        n = int(expo)
-        if base == 0 and n <= 0:
+class Sampler:
+    """The source of random values for one run of sample points.
+
+    ``point`` draws each atom's value through the caller's
+    ``draw(rng, atom)``.  The sampler is also the ``kernel_values`` callable
+    of ``eval_at``: every distinct (kernel, derivative, argument-values)
+    triple gets one ``random_fraction``, kept in ``kernels`` for the
+    current point."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.kernels = {}
+
+    def point(self, atoms, draw) -> dict:
+        self.kernels = {}
+        return {a: draw(self.rng, a) for a in atoms}
+
+    def __call__(self, name, dvec, arg_values):
+        key = (name, dvec, arg_values)
+        if key not in self.kernels:
+            self.kernels[key] = random_fraction(self.rng)
+        return self.kernels[key]
+
+
+def _power(b, x, node):
+    """b ** x; exact for an integral exponent, whatever the base."""
+    if isinstance(x, Fraction) and x.denominator == 1:
+        if b == 0 and x <= 0:
             raise DomainError("0 to a non-positive power")
-        return base ** n
-    return None
+        return b ** int(x)
+    if b < 0:
+        raise DomainError(f"fractional power of negative value in {node}")
+    if b == 0:
+        if x > 0:
+            return b * x    # zero, exact when both operands are
+        raise DomainError("0 to a non-positive power")
+    return mpmath.power(b, x)
 
 
-def eval_at(e: Expr, point, dps: int = 60, kernel_values=None):
+def eval_at(e: Expr, point, kernel_values=None):
     """Evaluate at a binding of atoms to exact numbers.
 
     ``point`` maps Sym/Jet atoms to int/Fraction. Opaque kernels must either
     be absent or covered by ``kernel_values``: a callable
     ``(name, dvec, arg_values) -> Fraction`` giving a consistent value
-    assignment (used by the randomized equality layer).
+    assignment, such as a ``Sampler``.
 
     Returns a Fraction when the computation stayed rational, otherwise an
-    mpmath mpf computed at ``dps`` digits.  Domain violations raise
+    mpmath mpf computed at ``DPS`` digits.  Domain violations raise
     DomainError naming the offending subexpression.
     """
-    binding = {}
-    for k, v in point.items():
-        if isinstance(v, (int,)):
-            v = Fraction(v)
-        binding[k] = v
+    binding = {k: Fraction(v) if isinstance(v, int) else v
+               for k, v in point.items()}
 
     def ev(n: Expr):
         if isinstance(n, Rat):
@@ -70,76 +107,35 @@ def eval_at(e: Expr, point, dps: int = 60, kernel_values=None):
             args = [ev(a) for a in n.args]
             if n.name in BUILTIN_KERNELS:
                 x = args[0]
-                with mpmath.workdps(dps):
-                    xm = _as_mpf(x, dps)
-                    if n.name == "exp":
-                        return mpmath.exp(xm)
-                    if n.name == "ln":
-                        if xm <= 0:
-                            raise DomainError(f"ln of non-positive value in {n}")
-                        return mpmath.log(xm)
-                    if n.name == "sin":
-                        return mpmath.sin(xm)
-                    if n.name == "cos":
-                        return mpmath.cos(xm)
+                if n.name == "exp":
+                    return mpmath.exp(x)
+                if n.name == "ln":
+                    if x <= 0:
+                        raise DomainError(f"ln of non-positive value in {n}")
+                    return mpmath.log(x)
+                if n.name == "sin":
+                    return mpmath.sin(x)
+                if n.name == "cos":
+                    return mpmath.cos(x)
             if kernel_values is None:
                 raise UnboundSymbol(n)
             exact = all(isinstance(a, Fraction) for a in args)
             key_args = tuple(args) if exact else tuple(
-                mpmath.nstr(_as_mpf(a, dps), 40) for a in args)
+                mpmath.nstr(mpmath.mpmathify(a), 40) for a in args)
             return kernel_values(n.name, n.dvec, key_args)
         if isinstance(n, Pow):
-            b = ev(n.base)
-            x = ev(n.exp)
-            if isinstance(b, Fraction) and isinstance(x, Fraction):
-                exact = _pow_exact(b, x)
-                if exact is not None:
-                    return exact
-                if b < 0:
-                    raise DomainError(f"fractional power of negative value in {n}")
-                if b == 0:
-                    if x > 0:
-                        return Fraction(0)
-                    raise DomainError("0 to a non-positive power")
-            with mpmath.workdps(dps):
-                bm = _as_mpf(b, dps)
-                xm = _as_mpf(x, dps)
-                if bm < 0:
-                    raise DomainError(f"fractional power of negative value in {n}")
-                if bm == 0:
-                    if xm > 0:
-                        return mpmath.mpf(0)
-                    raise DomainError("0 to a non-positive power")
-                return mpmath.power(bm, xm)
+            return _power(ev(n.base), ev(n.exp), n)
         if isinstance(n, Mul):
             acc = n.coeff
             for b, x in n.pairs:
-                acc = _num_mul(acc, ev(Pow(b, x) if not
-                                       (isinstance(x, Rat) and x.value == 1)
-                                       else b), dps)
+                acc = acc * _power(ev(b), ev(x), n)
             return acc
         if isinstance(n, Add):
-            acc = Fraction(0)
-            for t in n.terms:
-                acc = _num_add(acc, ev(t), dps)
-            return acc
+            return sum((ev(t) for t in n.terms), Fraction(0))
         raise TypeError(f"cannot evaluate {n!r}")
 
-    return ev(e)
-
-
-def _num_mul(a, b, dps):
-    if isinstance(a, Fraction) and isinstance(b, Fraction):
-        return a * b
-    with mpmath.workdps(dps):
-        return _as_mpf(a, dps) * _as_mpf(b, dps)
-
-
-def _num_add(a, b, dps):
-    if isinstance(a, Fraction) and isinstance(b, Fraction):
-        return a + b
-    with mpmath.workdps(dps):
-        return _as_mpf(a, dps) + _as_mpf(b, dps)
+    with mpmath.workdps(DPS):
+        return ev(e)
 
 
 def to_float(x) -> float:

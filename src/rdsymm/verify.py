@@ -22,14 +22,13 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .corpus import (CorpusRow, build_generator, build_rules, kernel_infos,
-                     load_rows, parse_in_row, witness_menu)
-from .equality import _KernelSampler
+from .corpus import (TABLES, CorpusRow, build_generator, build_rules,
+                     kernel_infos, load_rows, parse_in_row, witness_menu)
 from .expr import (Add, DomainError, Expr, Jet, KernelWitness, Sym, ZERO, add,
                    apply_rules, is_zero, jet, jets_in, mul, rat, substitute,
                    sym, free_symbols)
 from .fields import Generator
-from .numeric import eval_at, magnitude
+from .numeric import Sampler, eval_at, magnitude, random_fraction
 from .parser import parse, to_text
 from .systems import (RDSystem, drift, is_symmetry, prolonged_equations,
                       tjet_replacements, triangular)
@@ -242,15 +241,6 @@ def instantiate_row(row: CorpusRow, seed: int, m: int,
 
 
 @dataclass
-class ClaimResult:
-    label: str
-    verdict: str
-    path: str
-    residual_text: Optional[str] = None
-    failing_monomial: Optional[str] = None
-
-
-@dataclass
 class VerificationRun:
     row_key: str
     status: str                     # pass | fail | blocked | undecided
@@ -333,12 +323,12 @@ class SuiteReport:
         return 1 if self.unannotated_failures else 0
 
 
-def run_suite(tables: Optional[Sequence[int]] = None,
+def run_suite(tables: Sequence[int] = TABLES,
               items: Optional[Sequence[str]] = None,
               m_values: Optional[Sequence[int]] = None,
               seed: int = 0,
               modes: Sequence[str] = ("symbolic", "witness")) -> SuiteReport:
-    rows = load_rows(tuple(tables) if tables else None or (2, 3, 4, 5, 6, 7, 8, 9, 10))
+    rows = load_rows(tables)
     if items:
         rows = [r for r in rows if r.item in items]
     runs = []
@@ -350,11 +340,9 @@ def run_suite(tables: Optional[Sequence[int]] = None,
         run = verify_row(row, seeds=(seed, seed + 1, seed + 2),
                          m_values=m_values, modes=modes)
         counts[run.status] += 1
-        if run.status == "blocked":
-            pass
-        elif run.annotated and run.status == "fail":
-            pass  # annotated typo rows sit outside the gate
-        else:
+        # blocked rows and annotated typo rows sit outside the gate
+        if run.status != "blocked" and not (run.annotated
+                                            and run.status == "fail"):
             gate_total += 1
             if run.status == "pass":
                 gate_pass += 1
@@ -394,7 +382,6 @@ def numeric_residual_check(system: RDSystem, x: Generator, points: int = 20,
     tjets = sorted({j for raw in raws for j in jets_in(raw) if j.nt >= 1},
                    key=lambda j: (j.nt, len(j.xs), (j.dep, j.nt, j.xs)))
     tjet_exprs = tjet_replacements(system, tjets, rhs)
-    rng = random.Random(seed)
     worst = 0.0
     free = set()
     for e in (*raws, *tjet_exprs.values()):
@@ -406,24 +393,14 @@ def numeric_residual_check(system: RDSystem, x: Generator, points: int = 20,
     # precision (the witnesses may compose exp with power arguments); points
     # whose intermediate values blow past the scale cap are resampled with
     # progressively tighter coordinates
-    def tame(positive, spread):
-        num = rng.randint(spread, spread + 3)
-        den = rng.randint(spread, spread + 3)
-        val = Fraction(num, den)
-        if not positive and rng.random() < 0.5:
-            val = -val
-        return val
-
     SCALE_CAP = 1e25
+    sampler = Sampler(random.Random(seed))
     for _ in range(points):
-        for _try in range(16):
-            spread = 2 if _try < 8 else 5
-            point = {}
-            for s in free:
-                point[s] = tame(isinstance(s, Jet) and s.order == 0, spread)
-            sampler = _KernelSampler(rng)
+        for try_ in range(16):
+            span = (2, 5) if try_ < 8 else (5, 8)
+            full = sampler.point(free, lambda rng, s: random_fraction(
+                rng, isinstance(s, Jet) and s.order == 0, span, span))
             try:
-                full = dict(point)
                 ok_scale = True
                 for j, repl in tjet_exprs.items():
                     val = eval_at(repl, full, kernel_values=sampler)

@@ -84,6 +84,20 @@ def test_verify_gets_a_verdict_beyond_float_range(tmp_path, capsys, gen):
     assert captured.err == ""
 
 
+def test_verify_fails_on_squares_of_negative_sines(tmp_path, capsys):
+    # sin(t+k) is negative at many sampled t; its square must still be
+    # evaluated, not resampled until the decision gives up
+    system = _write(tmp_path, "system.json", {
+        "m": 1, "family": {"kind": "triangular", "a": "1"},
+        "f1": "x1*sin(t)^2*sin(t+1)^2*sin(t+2)^2*sin(t+3)^2", "f2": "u*v",
+    })
+    gen = _write(tmp_path, "gen.json", {"eta": "1"})
+    code = main(["verify", system, gen])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 1 and out["verdict"] == "fails"
+    assert out["counterexample"]
+
+
 def test_usage_error_exit_2(tmp_path):
     bad = _write(tmp_path, "bad.json", {"m": 1})
     assert main(["verify", bad, bad]) == 2

@@ -143,6 +143,26 @@ def test_suite_report_is_byte_identical(suite_report):
         "89a60c5eb4302fa73d3b993cd3fc9161976e6ed2b23f6b1827891a27c8c85204")
 
 
+def test_decision_sequence_is_pinned(monkeypatch):
+    """Every claim check of the seed-0 suite keeps its verdict, decision
+    path, sample counts and counterexamples: the numeric layer draws the
+    same values in the same order."""
+    checks = []
+
+    def recording(*args, **kw):
+        rep = is_symmetry(*args, **kw)
+        checks.append((rep.verdict, rep.decision_path, [
+            (d.samples, sorted((k, str(v)) for k, v in
+                               (d.counterexample or {}).items()))
+            for d in rep.decisions]))
+        return rep
+
+    monkeypatch.setattr(rdsymm.verify, "is_symmetry", recording)
+    run_suite(seed=0)
+    assert hashlib.sha256(json.dumps(checks).encode()).hexdigest() == (
+        "a9aa044fbd7fe8e63fb957db714087d7d91f38e240410aa3ab0081a918dc764a")
+
+
 def _instantiation_digest() -> str:
     """sha256 over every instantiated row: each non-blocked row at each
     applicable m, symbolic mode on every branch (seed 0) and witness mode at

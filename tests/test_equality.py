@@ -96,3 +96,13 @@ def test_terms_beyond_float_range_are_never_agreement():
     assert (d.verdict, d.path, d.samples) == (EQUAL, "numeric", SAMPLES)
     # an exact rational value is still compared exactly
     assert decide_equivalence(big * v, ZERO).verdict == DIFFERENT
+
+
+def test_integer_powers_of_negative_transcendental_values():
+    # sin(t+k)^2 is sampled at points where sin is negative; an integral
+    # power of a negative value is defined, so no point is lost
+    x1 = sym("x1")
+    e = x1 * sin_(t) ** 2 * sin_(t + 1) ** 2 * sin_(t + 2) ** 2 \
+        * sin_(t + 3) ** 2
+    d = decide_equivalence(e, ZERO)
+    assert d.verdict == DIFFERENT and d.counterexample

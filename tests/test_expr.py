@@ -6,6 +6,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
@@ -15,7 +16,7 @@ from rdsymm.expr import (Add, DomainError, Ker, RuleSet, add, atoms, children,
                          cos_, differentiate, exp_, expand, is_zero, jet, ker,
                          ln_, mul, normalize, powe, rat, rebuild, sin_,
                          substitute, sym)
-from rdsymm.numeric import _num_add, _num_mul, eval_at, magnitude
+from rdsymm.numeric import DPS, eval_at, magnitude
 from rdsymm.parser import parse, to_text
 from rdsymm.systems import w_kernel_rules
 
@@ -67,6 +68,23 @@ def test_children_rebuild_roundtrip(e):
     assert rebuild(e, children(e)) == e
     kers = {n for n in _all_nodes(e) if isinstance(n, Ker)}
     assert atoms(e, (Ker,)) == kers
+
+
+def test_atoms_visits_each_distinct_node_once(monkeypatch):
+    # e_{k+1} = sin(e_k) + cos(e_k): 2^k paths through 3k + 1 distinct nodes
+    depth = 16
+    e = x1
+    for _ in range(depth):
+        e = sin_(e) + cos_(e)
+    calls = []
+
+    def counting_children(n):
+        calls.append(n)
+        return children(n)
+
+    monkeypatch.setattr(expr, "children", counting_children)
+    assert atoms(e) == {x1}
+    assert len(calls) == len(set(calls)) == 3 * depth + 1
 
 
 @settings(max_examples=150, deadline=None)
@@ -212,12 +230,10 @@ def test_expand_keeps_value_and_is_idempotent(e):
         scale = max(1.0, *(magnitude(s) for s in terms))
     except (DomainError, OverflowError):
         assume(False)
-    got = Fraction(0)
-    for s in terms:
-        got = _num_add(got, s, 60)
     # the terms of a true identity cancel down to rounding noise
-    assert magnitude(_num_add(want, _num_mul(Fraction(-1), got, 60), 60)) \
-        <= 1e-40 * scale
+    with mpmath.workdps(DPS):
+        residual = want - sum(terms)
+    assert magnitude(residual) <= 1e-40 * scale
     assert expand(out) == out
 
 

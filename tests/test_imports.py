@@ -1,6 +1,8 @@
-"""Every imported name is used: an AST scan of the package and the tests.
+"""AST scans of the imports: every imported name is used (package and
+tests), and no package module imports another module's private name.
 
-The package's ``__init__`` is exempt, since its imports are re-exports."""
+The package's ``__init__`` is exempt from the first scan, since its
+imports are re-exports."""
 
 import ast
 from pathlib import Path
@@ -8,8 +10,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-SOURCES = sorted(p for p in [*(ROOT / "src" / "rdsymm").rglob("*.py"),
-                             *(ROOT / "tests").glob("*.py")]
+PACKAGE = sorted((ROOT / "src" / "rdsymm").rglob("*.py"))
+SOURCES = sorted(p for p in [*PACKAGE, *(ROOT / "tests").glob("*.py")]
                  if p != ROOT / "src" / "rdsymm" / "__init__.py")
 
 
@@ -50,3 +52,13 @@ def test_no_unused_imports(path):
     unused = [f"{name} (line {line})" for name, line in _imported(tree)
               if name not in used]
     assert not unused, f"{path.name} imports unused names: {unused}"
+
+
+@pytest.mark.parametrize("path", PACKAGE,
+                         ids=[str(p.relative_to(ROOT)) for p in PACKAGE])
+def test_no_private_names_imported_across_modules(path):
+    private = [f"{alias.name} (line {node.lineno})"
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.ImportFrom)
+               for alias in node.names if alias.name.startswith("_")]
+    assert not private, f"{path.name} imports private names: {private}"

@@ -6,7 +6,7 @@ import pytest
 
 from rdsymm.expr import (DomainError, cos_, differentiate, exp_, jet, ln_,
                          powe, rat, sin_, sym)
-from rdsymm.numeric import UnboundSymbol, eval_at, magnitude, to_float
+from rdsymm.numeric import DPS, UnboundSymbol, eval_at, magnitude, to_float
 
 u, v = jet("u"), jet("v")
 t = sym("t")
@@ -31,6 +31,12 @@ def test_high_precision_bound():
     e = exp_(rat(1)) * exp_(rat(-1))
     val = eval_at(e, {})
     assert magnitude(val - 1) < 1e-30
+
+
+def test_integer_power_of_negative_mpf():
+    val = eval_at(sin_(t) ** 2, {t: -1})
+    with mpmath.workdps(DPS):
+        assert abs(val - mpmath.sin(1) ** 2) < 1e-50
 
 
 def test_domain_errors():

@@ -63,7 +63,9 @@ def load_system(path) -> RDSystem:
     if "constraints" in data:
         raise UsageError("system field 'constraints' is not supported")
     try:
-        m = int(data["m"])
+        m = data["m"]
+        if isinstance(m, bool) or not isinstance(m, int):
+            raise UsageError(f"system dimension m={m!r}, must be an integer")
         if m < 1:
             raise UsageError(f"system dimension m={m}, must be at least 1")
         fam = data["family"]
@@ -89,17 +91,22 @@ def load_system(path) -> RDSystem:
 
 def load_generator(path, m: int) -> Generator:
     data = _load_json(path)
-    try:
-        eta = _parse_expr(data.get("eta", "0"), "eta")
-        xi = [_parse_expr(s, "xi") for s in data.get("xi", ["0"] * m)]
-        pi = data.get("pi", ["0", "0"])
-        pi1 = _parse_expr(pi[0], "pi1")
-        pi2 = _parse_expr(pi[1], "pi2")
-    except (KeyError, IndexError, TypeError) as exc:
-        raise UsageError(f"generator file malformed: {exc}")
+    eta = _parse_expr(data.get("eta", "0"), "eta")
+    xi = [_parse_expr(s, "xi") for s in _array(data, "xi", ["0"] * m)]
     if len(xi) != m:
         raise UsageError(f"generator has {len(xi)} xi components, system m={m}")
-    return Generator(eta, tuple(xi), pi1, pi2)
+    pi = [_parse_expr(s, f"pi{i}")
+          for i, s in enumerate(_array(data, "pi", ["0", "0"]), start=1)]
+    if len(pi) != 2:
+        raise UsageError(f"generator has {len(pi)} pi components, needs 2")
+    return Generator(eta, tuple(xi), *pi)
+
+
+def _array(data, field, default):
+    value = data.get(field, default)
+    if not isinstance(value, list):
+        raise UsageError(f"generator field {field!r} must be a JSON array")
+    return value
 
 
 def dump_generator(g: Generator) -> dict:
@@ -183,8 +190,7 @@ def cmd_commutator(args) -> int:
 
 
 def _peek_m(path) -> int:
-    data = _load_json(path)
-    return len(data.get("xi", []))
+    return len(_array(_load_json(path), "xi", []))
 
 
 def cmd_corpus_run(args) -> int:

@@ -30,7 +30,7 @@ from typing import Optional
 import mpmath
 
 from .expr import (Add, DomainError, Expr, ExprError, Jet, Mul, Pow, add,
-                   children, expand, free_symbols, is_int, is_zero, mul, rat)
+                   atoms, expand, free_symbols, is_int, is_zero, mul, rat)
 from .numeric import DPS, Sampler, UnboundSymbol, eval_at, random_fraction
 
 EQUAL = "equal"
@@ -72,11 +72,10 @@ def decide_equivalence(e1: Expr, e2: Expr, seed: int = 0) -> EqDecision:
 
     # u, v and anything exponentiated symbolically live on the positive
     # verification domain
-    positive = {a for a in free_symbols(target)
-                if isinstance(a, Jet) and a.order == 0}
+    fs = sorted(free_symbols(target), key=Expr.key)
+    positive = {a for a in fs if isinstance(a, Jet) and a.order == 0}
     positive |= _symbolic_power_bases(target)
 
-    fs = sorted(free_symbols(target), key=Expr.key)
     sampler = Sampler(random.Random(seed))
     done = 0
     for i in range(SAMPLES):
@@ -123,16 +122,12 @@ def _eval_with_scale(target: Expr, point, sampler):
 
 
 def _symbolic_power_bases(e: Expr):
+    """The atoms under any base raised to a non-integer power in e."""
     out = set()
-    stack = [e]
-    while stack:
-        s = stack.pop()
-        kids = children(s)
-        if isinstance(s, (Pow, Mul)):
-            for b, x in zip(kids[0::2], kids[1::2]):
-                if not is_int(x):
-                    out |= free_symbols(b)
-        stack.extend(kids)
+    for n in atoms(e, (Pow, Mul)):
+        for b, x in n.pairs if isinstance(n, Mul) else ((n.base, n.exp),):
+            if not is_int(x):
+                out |= free_symbols(b)
     return out
 
 

@@ -36,6 +36,17 @@ nodes back together only through :func:`rebuild`, which always goes through
 the normalizing constructors, so a walk can never leave a node out of normal
 form.
 
+Each composite node caches the set of ``Sym``/``Jet`` atoms below it
+(:func:`free_symbols`), built once from its children's sets.  With it,
+``differentiate(e, s)`` returns 0 for any subtree without ``s`` and
+``substitute`` returns a subtree that shares no atom with the binding as
+it is, without walking either.  Both are exact: a walk over such a subtree
+would only rebuild each node from its unchanged children, and since every
+node is in normal form, ``rebuild(e, children(e)) is e``.  An atom does not
+store its own one-element set, since the set would hold the atom and the
+atom the set: that cycle would keep dead atoms in the unique table until
+the cyclic garbage collector runs.
+
 Symbols are assumed positive on the verification domain, which licenses
 ``ln(b^e) = e*ln(b)`` and friends; rational constants are never treated as
 positive unless they are.
@@ -85,7 +96,7 @@ def _intern(cls, ident, *fields):
 
 
 class Expr:
-    __slots__ = ("_key", "__weakref__")
+    __slots__ = ("_key", "_atoms", "__weakref__")
 
     def key(self):
         try:
@@ -673,7 +684,7 @@ def normalize(e: Expr) -> Expr:
     return rebuild(e, [normalize(c) for c in children(e)])
 
 
-def atoms(e: Expr, kinds=(Sym, Jet)) -> set:
+def atoms(e: Expr, kinds) -> set:
     """Every node of one of ``kinds`` occurring anywhere in e.  Each distinct
     node is visited once, however many terms share it."""
     out = set()
@@ -690,12 +701,29 @@ def atoms(e: Expr, kinds=(Sym, Jet)) -> set:
     return out
 
 
-def free_symbols(e: Expr) -> set:
-    return atoms(e, (Sym, Jet))
+def free_symbols(e: Expr) -> frozenset:
+    """The ``Sym`` and ``Jet`` atoms of e: cached on each composite node,
+    built from its children's sets, reusing a child's set when it covers
+    the others.  An atom's own set is made afresh (see the module
+    docstring).  Unordered: sort by ``key()`` before anything depends on
+    the order."""
+    if isinstance(e, (Sym, Jet)):
+        return frozenset((e,))
+    try:
+        return e._atoms
+    except AttributeError:
+        pass
+    out = frozenset()
+    for c in children(e):
+        s = free_symbols(c)
+        if not s <= out:
+            out = s if out <= s else out | s
+    e._atoms = out
+    return out
 
 
 def jets_in(e: Expr) -> set:
-    return atoms(e, (Jet,))
+    return {a for a in free_symbols(e) if isinstance(a, Jet)}
 
 
 # ---------------------------------------------------------------------------
@@ -792,17 +820,17 @@ def differentiate(e: Expr, s: Expr, rules: RuleSet = EMPTY_RULES,
     """Exact partial derivative of e with respect to the atom s."""
     if not isinstance(s, (Sym, Jet)):
         raise ExprError(f"can only differentiate by a symbol, got {s!r}")
+    if e is s:
+        return ONE
+    if s not in free_symbols(e):
+        return ZERO
     if _memo is None:
         _memo = {}
     hit = _memo.get(e)
     if hit is not None:
         return hit
 
-    if isinstance(e, Rat):
-        out = ZERO
-    elif isinstance(e, (Sym, Jet)):
-        out = ONE if e == s else ZERO
-    elif isinstance(e, Ker):
+    if isinstance(e, Ker):
         parts = []
         for i, a in enumerate(e.args):
             da = differentiate(a, s, rules, _memo)
@@ -870,6 +898,8 @@ def substitute(e: Expr, binding: Mapping, rules: RuleSet = EMPTY_RULES) -> Expr:
     def walk(n: Expr) -> Expr:
         if isinstance(n, (Sym, Jet)):
             return atom_map.get(n, n)
+        if not witness_map and free_symbols(n).isdisjoint(atom_map):
+            return n  # already normal: rebuilding it would give n back
         kids = [walk(c) for c in children(n)]
         w = witness_map.get(n.name) if isinstance(n, Ker) else None
         if w is not None:

@@ -45,13 +45,21 @@ class Generator:
         """Coefficient of d_{u^a} for the order-zero jet."""
         return mul(MINUS_ONE, self.pi1 if dep == "u" else self.pi2)
 
+    def _horizontal_parts(self, e: Expr, rules: RuleSet) -> list:
+        """The terms eta*e_t and xi_i*e_{x_i}, differentiating only where
+        the coefficient is nonzero."""
+        xs = (sym(f"x{i}") for i in range(1, self.m + 1))
+        return [mul(c, differentiate(e, a, rules))
+                for a, c in zip((T, *xs), (self.eta, *self.xi))
+                if not is_zero(c)]
+
     def apply_to(self, e: Expr, rules: RuleSet = EMPTY_RULES) -> Expr:
-        """Zeroth-order action on a function of (t, x, u, v)."""
-        parts = [mul(self.eta, differentiate(e, T, rules))]
-        for i, c in enumerate(self.xi, start=1):
-            parts.append(mul(c, differentiate(e, sym(f"x{i}"), rules)))
-        parts.append(mul(MINUS_ONE, self.pi1, differentiate(e, jet("u"), rules)))
-        parts.append(mul(MINUS_ONE, self.pi2, differentiate(e, jet("v"), rules)))
+        """Zeroth-order action on a function of (t, x, u, v); e is
+        differentiated only by atoms whose coefficient is nonzero."""
+        parts = self._horizontal_parts(e, rules)
+        for a, p in ((jet("u"), self.pi1), (jet("v"), self.pi2)):
+            if not is_zero(p):
+                parts.append(mul(MINUS_ONE, p, differentiate(e, a, rules)))
         return add(*parts)
 
     def coeffs(self) -> Tuple[Expr, ...]:
@@ -145,14 +153,20 @@ class ProlongedGenerator:
         return out
 
     def apply_to(self, e: Expr) -> Expr:
-        """pr X (e) for e an expression in (t, x, jets)."""
-        parts = [mul(self.base.eta, differentiate(e, T, self.rules))]
-        for i, c in enumerate(self.base.xi, start=1):
-            parts.append(mul(c, differentiate(e, sym(f"x{i}"), self.rules)))
+        """pr X (e) for e an expression in (t, x, jets).
+
+        e is differentiated only by the atoms whose coefficient (eta, xi_i,
+        or phi_J for a jet of e) is nonzero: a zero coefficient makes its
+        term zero whatever the derivative, and for shifts and rotations
+        most of them are zero."""
+        parts = self.base._horizontal_parts(e, self.rules)
         for j in sorted(jets_in(e), key=Expr.key):
+            phi = self.phi(j)
+            if is_zero(phi):
+                continue
             d = differentiate(e, j, self.rules)
             if not is_zero(d):
-                parts.append(mul(self.phi(j), d))
+                parts.append(mul(phi, d))
         return add(*parts)
 
 

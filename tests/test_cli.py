@@ -149,8 +149,16 @@ _GEN = {"eta": "1", "xi": ["0"], "pi": ["0", "0"]}
     ("commutator", [1, 2], [1, 2]),
     ("verify", {**_TRIANGULAR, "constraints": ["a"]}, _GEN),
     ("verify", {**_TRIANGULAR, "f1": "(" * 3000 + "u" + ")" * 3000}, _GEN),
+    ("verify", {**_TRIANGULAR, "m": 2}, {**_GEN, "xi": "x1"}),
+    ("verify", _TRIANGULAR, {**_GEN, "pi": "uv"}),
+    ("verify", _TRIANGULAR, {**_GEN, "pi": ["0", "0", "u"]}),
+    ("commutator", {**_GEN, "xi": "x"}, {**_GEN, "xi": "x"}),
+    ("verify", {**_TRIANGULAR, "m": 2.7}, {**_GEN, "xi": ["0", "0"]}),
+    ("verify", {**_TRIANGULAR, "m": True}, _GEN),
 ], ids=["m0", "division_by_zero", "aet_without_index", "aet_index_42",
-        "array_system", "array_generator", "constraints", "nested_3000"])
+        "array_system", "array_generator", "constraints", "nested_3000",
+        "xi_string", "pi_string", "pi_three", "commutator_xi_string",
+        "m_fractional", "m_boolean"])
 def test_input_faults_exit_2_with_one_line(tmp_path, capsys, command, system,
                                            other):
     first = _write(tmp_path, "first.json", system)

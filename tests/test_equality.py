@@ -2,7 +2,9 @@ from fractions import Fraction
 
 from rdsymm.equality import (EQUAL, DIFFERENT, SAMPLES, decide_equivalence,
                              equivalent)
-from rdsymm.expr import ZERO, cos_, exp_, jet, ker, ln_, powe, rat, sin_, sym
+from rdsymm import equality, expr
+from rdsymm.expr import (ZERO, children, cos_, exp_, jet, ker, ln_, powe, rat,
+                         sin_, sym)
 
 u, v, t = jet("u"), jet("v"), sym("t")
 
@@ -106,3 +108,22 @@ def test_integer_powers_of_negative_transcendental_values():
         * sin_(t + 3) ** 2
     d = decide_equivalence(e, ZERO)
     assert d.verdict == DIFFERENT and d.counterexample
+
+
+def test_symbolic_power_bases_visit_each_node_once(monkeypatch):
+    # e_{k+1} = sin(e_k) + cos(e_k) over x1^nu: 2^k paths through
+    # 3k + 3 distinct nodes
+    depth = 12
+    x1, nu = sym("x1"), sym("nu")
+    e = powe(x1, nu)
+    for _ in range(depth):
+        e = sin_(e) + cos_(e)
+    calls = []
+
+    def counting_children(n):
+        calls.append(n)
+        return children(n)
+
+    monkeypatch.setattr(expr, "children", counting_children)
+    assert equality._symbolic_power_bases(e) == {x1}
+    assert len(calls) == len(set(calls)) == 3 * depth + 3

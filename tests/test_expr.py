@@ -12,10 +12,10 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import rdsymm
 from rdsymm import expr
-from rdsymm.expr import (Add, DomainError, Ker, RuleSet, add, atoms, children,
-                         cos_, differentiate, exp_, expand, is_zero, jet, ker,
-                         ln_, mul, normalize, powe, rat, rebuild, sin_,
-                         substitute, sym)
+from rdsymm.expr import (Add, DomainError, Jet, Ker, RuleSet, Sym, add, atoms,
+                         children, cos_, differentiate, exp_, expand,
+                         free_symbols, is_zero, jet, jets_in, ker, ln_, mul,
+                         normalize, powe, rat, rebuild, sin_, substitute, sym)
 from rdsymm.numeric import DPS, eval_at, magnitude
 from rdsymm.parser import parse, to_text
 from rdsymm.systems import w_kernel_rules
@@ -70,12 +70,15 @@ def test_children_rebuild_roundtrip(e):
     assert atoms(e, (Ker,)) == kers
 
 
-def test_atoms_visits_each_distinct_node_once(monkeypatch):
-    # e_{k+1} = sin(e_k) + cos(e_k): 2^k paths through 3k + 1 distinct nodes
-    depth = 16
-    e = x1
+def _tower(x, depth):
+    # e_{k+1} = sin(e_k) + cos(e_k): 2^k paths through 3k composite nodes
+    e = x
     for _ in range(depth):
         e = sin_(e) + cos_(e)
+    return e
+
+
+def _count_children(monkeypatch):
     calls = []
 
     def counting_children(n):
@@ -83,8 +86,60 @@ def test_atoms_visits_each_distinct_node_once(monkeypatch):
         return children(n)
 
     monkeypatch.setattr(expr, "children", counting_children)
-    assert atoms(e) == {x1}
-    assert len(calls) == len(set(calls)) == 3 * depth + 1
+    return calls
+
+
+def test_atoms_visits_each_distinct_node_once(monkeypatch):
+    # a fresh atom, so that no node of the tower has its atom set yet
+    depth, x = 16, sym("tower_atoms")
+    e = _tower(x, depth)
+    calls = _count_children(monkeypatch)
+    assert free_symbols(e) == {x}
+    assert len(calls) == len(set(calls)) == 3 * depth
+    calls.clear()
+    assert free_symbols(e) == {x}
+    assert calls == []
+
+
+@settings(max_examples=500, deadline=None)
+@given(_exprs())
+def test_cached_atom_sets_match_a_walk(e):
+    for n in _all_nodes(e):
+        walked = {a for a in _all_nodes(n) if isinstance(a, (Sym, Jet))}
+        assert free_symbols(n) == walked
+        assert jets_in(n) == {a for a in walked if isinstance(a, Jet)}
+
+
+def test_differentiate_skips_subtrees_without_the_atom(monkeypatch):
+    tower = _tower(sym("tower_d"), 8)
+    e = t * tower + u
+    free_symbols(e)
+    calls = []
+    real = expr.differentiate
+
+    def counting(n, s, *rest):
+        calls.append(n)
+        return real(n, s, *rest)
+
+    monkeypatch.setattr(expr, "differentiate", counting)
+    reads = _count_children(monkeypatch)
+    assert is_zero(expr.differentiate(tower, u))
+    assert calls == [tower] and reads == []
+    calls.clear()
+    assert expr.differentiate(e, u) is rat(1)
+    assert sorted(calls, key=id) == sorted([e, *e.terms], key=id)
+    assert reads == []
+
+
+def test_substitute_keeps_subtrees_without_bound_atoms(monkeypatch):
+    tower = _tower(sym("tower_s"), 8)
+    e = t * tower + u
+    free_symbols(e)
+    reads = _count_children(monkeypatch)
+    assert substitute(tower, {u: v}) is tower
+    assert reads == []
+    assert substitute(e, {u: v}) is t * tower + v
+    assert tower not in reads and t * tower not in reads
 
 
 @settings(max_examples=150, deadline=None)

@@ -3,7 +3,9 @@ import random
 import pytest
 
 from rdsymm.equality import decide_equivalence
-from rdsymm.expr import exp_, is_zero, jet, mul, rat, sym
+from rdsymm import fields
+from rdsymm.expr import (add, differentiate, exp_, is_zero, jet, jets_in, mul,
+                         rat, sym)
 from rdsymm.fields import (CauchyRiemannError, Generator, commutator,
                            generator, h_field, named_operator, prolong,
                            zero_generator)
@@ -36,6 +38,34 @@ def test_constant_generator_has_no_higher_coefficients():
     pr = prolong(g, 2, ctx)
     assert is_zero(pr.phi(jet("u", 0, (1,))))
     assert is_zero(pr.phi(jet("v", 1)))
+
+
+def test_apply_to_differentiates_only_where_the_coefficient_is_nonzero(
+        monkeypatch):
+    ctx = JetContext(2)
+    u_t, u_xx = jet("u", 1), jet("u", 0, (1, 1))
+    e = u_t - u_xx - x1 * x2 * u * v * exp_(t) - v * jet("v", 0, (2,))
+    shift = named_operator("P", 2, index=2)
+    pr = prolong(shift, 2, ctx)
+    want = add(*[mul(c, differentiate(e, s)) for s, c in
+                 [(t, shift.eta), (x1, shift.xi[0]), (x2, shift.xi[1])]]
+               + [mul(pr.phi(j), differentiate(e, j))
+                  for j in jets_in(e)])
+    atoms = []
+
+    def counting(f, s, rules):
+        atoms.append(s)
+        return differentiate(f, s, rules)
+
+    monkeypatch.setattr(fields, "differentiate", counting)
+    assert pr.apply_to(e) is want
+    assert atoms == [x2]
+
+    g = Generator(rat(0), (rat(0), x1), u, rat(0))
+    atoms.clear()
+    assert g.apply_to(e) is add(mul(x1, differentiate(e, x2)),
+                                mul(rat(-1), u, differentiate(e, u)))
+    assert atoms == [x2, u]
 
 
 def test_scaling_prolongation_coefficient():

@@ -278,7 +278,9 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (UsageError, ParseError) as exc:
+    except (UsageError, ParseError, ExprError) as exc:
+        # an ExprError past loading is a domain fault of the input, such as
+        # differentiating 0^u (which needs ln 0)
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

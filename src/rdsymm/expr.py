@@ -895,11 +895,16 @@ def substitute(e: Expr, binding: Mapping, rules: RuleSet = EMPTY_RULES) -> Expr:
         else:
             atom_map[k] = _coerce(v)
 
+    done = {}   # node -> its image: a shared subtree is walked once
+
     def walk(n: Expr) -> Expr:
         if isinstance(n, (Sym, Jet)):
             return atom_map.get(n, n)
         if not witness_map and free_symbols(n).isdisjoint(atom_map):
             return n  # already normal: rebuilding it would give n back
+        out = done.get(n)
+        if out is not None:
+            return out
         kids = [walk(c) for c in children(n)]
         w = witness_map.get(n.name) if isinstance(n, Ker) else None
         if w is not None:
@@ -907,8 +912,11 @@ def substitute(e: Expr, binding: Mapping, rules: RuleSet = EMPTY_RULES) -> Expr:
             for i, cnt in enumerate(n.dvec):
                 for _ in range(cnt):
                     body = differentiate(body, w.params[i], rules)
-            return substitute(body, dict(zip(w.params, kids)), rules)
-        return rebuild(n, kids)
+            out = substitute(body, dict(zip(w.params, kids)), rules)
+        else:
+            out = rebuild(n, kids)
+        done[n] = out
+        return out
 
     return walk(e)
 

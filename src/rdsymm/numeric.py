@@ -6,7 +6,18 @@ only involves rational operations; anything transcendental (exp, ln, sin,
 cos, non-integer powers) promotes the computation to mpmath at ``DPS``
 working digits, comfortably below the 1e-30 error-bound contract.
 
-``Sampler`` draws the sample points and the opaque-kernel values at them.
+``Sampler`` draws the sample points and the opaque-kernel values at them,
+and keeps one value table per point: every ``eval_at`` at that point reads
+and fills it, so a node shared by several expressions, or reached along
+several paths of one tree, is evaluated once per point.  Nodes are
+hash-consed, so the table is keyed by the nodes themselves.  This is exact:
+a node's value depends only on the values of the atoms under it and on the
+point's kernel table; within one point atoms are only ever added (the
+residual check binds t-jets as it goes and never rebinds one), so a stored
+value stays right; a node whose evaluation raises is never stored; and
+first visits happen in the same depth-first order as a walk without the
+table, so the kernel values are drawn in the same order and every value
+comes out the same.  A one-shot ``eval_at`` gets a table of its own.
 """
 
 from __future__ import annotations
@@ -16,10 +27,16 @@ from fractions import Fraction
 
 import mpmath
 
-from .expr import (Add, DomainError, Expr, Jet, Ker, Mul, Pow, Rat, Sym,
+from .expr import (Add, DomainError, Expr, Jet, Ker, Mul, ONE, Pow, Rat, Sym,
                    BUILTIN_KERNELS)
 
 DPS = 60
+
+# an integral power of a rational is computed exactly only while the result
+# stays below this many bits; beyond it the mpmath power takes over: its
+# exponent range is unbounded and its cost grows only with the exponent's
+# bit length
+_EXACT_POWER_BITS = 1 << 17
 
 
 class UnboundSymbol(Exception):
@@ -48,15 +65,21 @@ class Sampler:
     ``draw(rng, atom)``.  The sampler is also the ``kernel_values`` callable
     of ``eval_at``: every distinct (kernel, derivative, argument-values)
     triple gets one ``random_fraction``, kept in ``kernels`` for the
-    current point."""
+    current point.  ``values`` is the point's value table (see the module
+    docstring): ``eval_at`` uses it for the dict that ``point`` returned,
+    to which the caller may add atoms but must not rebind one."""
 
     def __init__(self, rng):
         self.rng = rng
         self.kernels = {}
+        self.binding = None
+        self.values = {}
 
     def point(self, atoms, draw) -> dict:
         self.kernels = {}
-        return {a: draw(self.rng, a) for a in atoms}
+        self.values = {}
+        self.binding = {a: draw(self.rng, a) for a in atoms}
+        return self.binding
 
     def __call__(self, name, dvec, arg_values):
         key = (name, dvec, arg_values)
@@ -66,11 +89,17 @@ class Sampler:
 
 
 def _power(b, x, node):
-    """b ** x; exact for an integral exponent, whatever the base."""
+    """b ** x; exact for an integral exponent, whatever the base, while
+    the exact result stays below ``_EXACT_POWER_BITS``."""
     if isinstance(x, Fraction) and x.denominator == 1:
         if b == 0 and x <= 0:
             raise DomainError("0 to a non-positive power")
-        return b ** int(x)
+        n = int(x)
+        if isinstance(b, Fraction) and abs(n) * max(
+                b.numerator.bit_length(),
+                b.denominator.bit_length()) > _EXACT_POWER_BITS:
+            return mpmath.power(b, n)
+        return b ** n
     if b < 0:
         raise DomainError(f"fractional power of negative value in {node}")
     if b == 0:
@@ -88,21 +117,32 @@ def eval_at(e: Expr, point, kernel_values=None):
     ``(name, dvec, arg_values) -> Fraction`` giving a consistent value
     assignment, such as a ``Sampler``.
 
+    Every node is evaluated once: its value goes into a table keyed by node,
+    the sampler's table of the current point when ``kernel_values`` is the
+    ``Sampler`` that drew ``point``, otherwise a table of this call.
+
     Returns a Fraction when the computation stayed rational, otherwise an
     mpmath mpf computed at ``DPS`` digits.  Domain violations raise
     DomainError naming the offending subexpression.
     """
-    binding = {k: Fraction(v) if isinstance(v, int) else v
-               for k, v in point.items()}
+    shared = (isinstance(kernel_values, Sampler)
+              and point is kernel_values.binding)
+    values = kernel_values.values if shared else {}
 
     def ev(n: Expr):
+        val = values.get(n)
+        if val is None:
+            values[n] = val = value(n)
+        return val
+
+    def value(n: Expr):
         if isinstance(n, Rat):
             return n.value
         if isinstance(n, (Sym, Jet)):
-            val = binding.get(n)
+            val = point.get(n)
             if val is None:
                 raise UnboundSymbol(n)
-            return val
+            return Fraction(val) if isinstance(val, int) else val
         if isinstance(n, Ker):
             args = [ev(a) for a in n.args]
             if n.name in BUILTIN_KERNELS:
@@ -128,7 +168,8 @@ def eval_at(e: Expr, point, kernel_values=None):
         if isinstance(n, Mul):
             acc = n.coeff
             for b, x in n.pairs:
-                acc = acc * _power(ev(b), ev(x), n)
+                # b^1 is b itself: every mpf already carries DPS digits
+                acc = acc * (ev(b) if x is ONE else _power(ev(b), ev(x), n))
             return acc
         if isinstance(n, Add):
             return sum((ev(t) for t in n.terms), Fraction(0))

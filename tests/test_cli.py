@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import rdsymm
 from rdsymm.cli import main
 
 
@@ -84,6 +89,24 @@ def test_verify_gets_a_verdict_beyond_float_range(tmp_path, capsys, gen):
     assert captured.err == ""
 
 
+def test_verify_gets_a_verdict_for_a_huge_integral_power(tmp_path):
+    # u^(10^30) has no exact value of any practical size: the numeric layer
+    # takes the mpmath power; in a subprocess, so a hang fails the test
+    system = _write(tmp_path, "system.json", {
+        "m": 1, "family": {"kind": "triangular", "a": "1"},
+        "f1": "u^(10^30)", "f2": "v",
+    })
+    gen = _write(tmp_path, "gen.json",
+                 {"eta": "0", "xi": ["x1"], "pi": ["u", "v"]})
+    src = Path(rdsymm.__file__).resolve().parent.parent
+    out = subprocess.run(
+        [sys.executable, "-m", "rdsymm.cli", "verify", system, gen],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
+        text=True, timeout=60)
+    assert out.returncode == 1 and out.stderr == ""
+    assert json.loads(out.stdout)["verdict"] == "fails"
+
+
 def test_verify_fails_on_squares_of_negative_sines(tmp_path, capsys):
     # sin(t+k) is negative at many sampled t; its square must still be
     # evaluated, not resampled until the decision gives up
@@ -155,10 +178,12 @@ _GEN = {"eta": "1", "xi": ["0"], "pi": ["0", "0"]}
     ("commutator", {**_GEN, "xi": "x"}, {**_GEN, "xi": "x"}),
     ("verify", {**_TRIANGULAR, "m": 2.7}, {**_GEN, "xi": ["0", "0"]}),
     ("verify", {**_TRIANGULAR, "m": True}, _GEN),
+    ("verify", {**_TRIANGULAR, "f1": "0^u", "f2": "v"},
+     {"eta": "0", "xi": ["0"], "pi": ["u", "0"]}),
 ], ids=["m0", "division_by_zero", "aet_without_index", "aet_index_42",
         "array_system", "array_generator", "constraints", "nested_3000",
         "xi_string", "pi_string", "pi_three", "commutator_xi_string",
-        "m_fractional", "m_boolean"])
+        "m_fractional", "m_boolean", "ln_of_zero_in_derivative"])
 def test_input_faults_exit_2_with_one_line(tmp_path, capsys, command, system,
                                            other):
     first = _write(tmp_path, "first.json", system)

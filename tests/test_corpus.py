@@ -14,8 +14,8 @@ from rdsymm.fields import generator
 from rdsymm.parser import to_text
 from rdsymm.systems import classifying_residual_main, is_symmetry, triangular
 from rdsymm.verify import (apply_correction, instantiate_row,
-                           negative_control, run_suite, symbolic_branches,
-                           verify_row)
+                           negative_control, numeric_residual_check,
+                           run_suite, symbolic_branches, verify_row)
 
 u, v = jet("u"), jet("v")
 
@@ -200,6 +200,24 @@ def test_instantiation_digest():
     residuals of failing claims, this one sees every system and generator."""
     assert _instantiation_digest() == (
         "ee20adbecedbf17a7b174b60bd100bf8577bdd96889347f4ce8140769002b723")
+
+
+def test_numeric_crosscheck_is_pinned():
+    """``numeric_residual_check`` keeps its verdict and its worst residual,
+    to the last digit, on every witness claim of every non-blocked row at
+    its first m: the points, the kernel values drawn at them and every
+    evaluated value stay the same."""
+    h = hashlib.sha256()
+    for row in load_rows():
+        if row.status == "blocked":
+            continue
+        m = row.m_list[0]
+        for ci in instantiate_row(row, 0, m, "witness").claims:
+            ok, worst = numeric_residual_check(ci.system, ci.generator,
+                                               points=20, seed=0)
+            h.update(f"{row.key}|{m}|{ci.label}|{ok}|{worst!r}\n".encode())
+    assert h.hexdigest() == (
+        "76c4508abdfbce0b2d598c40193f4588e4a3223b49cab722c7e0645a2d8eb5c0")
 
 
 # rows whose residuals hand the equality layer the most terms to order

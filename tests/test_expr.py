@@ -142,6 +142,15 @@ def test_substitute_keeps_subtrees_without_bound_atoms(monkeypatch):
     assert tower not in reads and t * tower not in reads
 
 
+def test_substitute_walks_each_distinct_node_once(monkeypatch):
+    depth, x, y = 8, sym("tower_sub"), sym("tower_sub_image")
+    tower, image = _tower(x, depth), _tower(y, depth)
+    free_symbols(tower)
+    reads = _count_children(monkeypatch)
+    assert substitute(tower, {x: y}) is image
+    assert len(reads) == len(set(reads)) == 3 * depth
+
+
 @settings(max_examples=150, deadline=None)
 @given(_exprs(2), _exprs(2))
 def test_addition_commutes(e1, e2):

@@ -4,9 +4,10 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from rdsymm.expr import (DomainError, cos_, differentiate, exp_, jet, ln_,
-                         powe, rat, sin_, sym)
-from rdsymm.numeric import DPS, UnboundSymbol, eval_at, magnitude, to_float
+from rdsymm.expr import (DomainError, cos_, differentiate, exp_, jet, ker,
+                         ln_, powe, rat, sin_, sym)
+from rdsymm.numeric import (DPS, Sampler, UnboundSymbol, eval_at, magnitude,
+                            to_float)
 
 u, v = jet("u"), jet("v")
 t = sym("t")
@@ -71,3 +72,46 @@ def test_magnitude_beyond_float_range_is_inf():
     assert magnitude(Fraction(10) ** 400) == float("inf")
     assert magnitude(-Fraction(10) ** 400) == float("inf")
     assert magnitude(mpmath.mpf(10) ** 400) == float("inf")
+
+
+def test_integral_powers_are_exact_only_while_the_result_stays_small():
+    # 2^(10^6) has a million bits: the mpmath power takes over
+    val = eval_at(powe(u, rat(10 ** 6)), {u: 2})
+    assert isinstance(val, mpmath.mpf)
+    with mpmath.workdps(DPS):
+        assert val == mpmath.power(2, 10 ** 6)
+    assert eval_at(powe(t * t + 2, rat(5000)), {t: Fraction(5, 3)}) == \
+        Fraction(43, 9) ** 5000
+
+
+class _CountingSampler(Sampler):
+    def __init__(self, rng):
+        super().__init__(rng)
+        self.calls = 0
+
+    def __call__(self, *key):
+        self.calls += 1
+        return super().__call__(*key)
+
+
+def test_eval_at_evaluates_each_distinct_node_once():
+    # e_{k+1} = sin(F(e_k)) + cos(F(e_k)): 2^(depth-1) paths reach F(e_0),
+    # yet there is one distinct F node per level
+    for depth in (4, 8, 12):
+        e = t
+        for _ in range(depth):
+            f = ker("F", e)
+            e = sin_(f) + cos_(f)
+        sampler = _CountingSampler(random.Random(0))
+        point = sampler.point([t], lambda rng, a: Fraction(1, 2))
+        want = eval_at(e, point, kernel_values=sampler)
+        assert sampler.calls == depth
+        # another expression at the same point reads the point's table
+        twice = eval_at(2 * e, point, kernel_values=sampler)
+        with mpmath.workdps(DPS):
+            assert twice == 2 * want
+        assert sampler.calls == depth
+        # a one-shot evaluation fills a table of its own
+        calls = []
+        eval_at(e, dict(point), lambda *key: calls.append(key) or 1)
+        assert len(calls) == depth

@@ -3,15 +3,14 @@ reaction-diffusion systems with triangular or nilpotent diffusion matrices.
 """
 
 from .expr import (Expr, add, differentiate, expand, exp_, cos_, sin_, ln_,
-                   jet, ker, mul, normalize, powe, rat, substitute, sym,
+                   jet, ker, mul, powe, rat, substitute, sym,
                    KernelRule, KernelWitness, RuleSet)
 from .parser import ParseError, parse, to_text
 from .numeric import eval_at, UnboundSymbol
-from .equality import (EqDecision, UndecidedEquality, decide_equivalence,
-                       equivalent)
-from .jets import JetContext, JetOrderError, laplacian, total_derivative
+from .equality import EqDecision, decide_equivalence
+from .jets import JetOrderError, laplacian, total_derivative
 from .fields import (Generator, ProlongedGenerator, commutator, generator,
-                     h_field, named_operator, prolong, zero_generator)
+                     h_field, named_operator, zero_generator)
 from .systems import (DriftNormalization, ExtensionReport, FullSymmetryData,
                       RDSystem, SymmetryReport, classifying_residual_a0,
                       classifying_residual_drift, classifying_residual_full,

@@ -15,7 +15,8 @@ System files: {"m": 2, "family": {"kind": "triangular", "a": "1"} |
 Generator files: {"eta": "...", "xi": ["...", ...], "pi": ["...", "..."]}.
 Matrix files: 3x3 array of expression strings in the N pattern.
 Transform files: {"kind": "linear" | "aet" | "vshift" | "vshift_full",
-"params": {...}}.
+"params": {...}}; AET 2 and AET 3 build x^2 over the system's m, so their
+params give no m.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import json
 import sys
 
 from .corpus import TABLES
-from .expr import ZERO, ExprError, substitute, sym
+from .expr import ExprError, substitute, sym
 from .fields import Generator, commutator
 from .nmatrix import NMatrix, as_nmatrix, canonical_form
 from .parser import ParseError, parse, to_text
@@ -125,22 +126,19 @@ def load_matrix(path) -> NMatrix:
         raise UsageError(str(exc))
 
 
-def load_transform(path):
+def load_transform(path, m: int):
+    """The transform a file describes, for a system of dimension m."""
     data = _load_json(path)
     kind = data.get("kind")
     try:
         params = {k: _parse_expr(v, k)
                   for k, v in data.get("params", {}).items()}
         if kind == "linear":
-            return LinearEquiv(**{k: params.get(k, d) for k, d in
-                                  [("K1", parse("1")), ("K2", ZERO),
-                                   ("b1", ZERO), ("b2", ZERO),
-                                   ("lam", parse("1"))]})
+            return LinearEquiv(**params)
         if kind == "aet":
-            kw = {k: v for k, v in params.items() if k != "m"}
             if "m" in params:
-                kw["m"] = int(data["params"]["m"])
-            return aet(int(data["index"]), **kw)
+                raise UsageError("AET parameter m is the system's dimension")
+            return aet(int(data["index"]), m=m, **params)
         if kind == "vshift":
             return VShift(_parse_expr(data["phi"], "phi"))
         if kind == "vshift_full":
@@ -214,7 +212,7 @@ def cmd_corpus_run(args) -> int:
 
 def cmd_equiv_apply(args) -> int:
     system = load_system(args.system)
-    tr = load_transform(args.transform)
+    tr = load_transform(args.transform, system.m)
     try:
         out = apply_equiv(system, tr)
     except InapplicableTransform as exc:

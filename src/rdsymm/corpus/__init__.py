@@ -39,6 +39,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 from ..expr import (Expr, KernelWitness, ONE, Rat, RuleSet, T, ZERO, add, exp_,
                     ker, mul, powe, rat, substitute, sym)
 from ..fields import Generator, generator, named_operator, zero_generator
+from ..jets import coords
 from ..parser import parse
 from ..systems import (cauchy_riemann_rules, heat_kernel_rule,
                        laplace_kernel_rule, w_kernel_rules)
@@ -375,7 +376,7 @@ def _xi_from_spec(spec, m: int, infos, direction) -> List[Expr]:
     if isinstance(spec, dict):
         if "radial" in spec:
             c = parse_in_row(spec["radial"], m, infos, direction)
-            return [mul(c, sym(f"x{i}")) for i in range(1, m + 1)]
+            return [mul(c, x) for x in coords(m)]
         if "dir" in spec:
             # the one component along a per-direction claim's direction
             out = [ZERO] * m

@@ -129,15 +129,3 @@ def _symbolic_power_bases(e: Expr):
             if not is_int(x):
                 out |= free_symbols(b)
     return out
-
-
-class UndecidedEquality(Exception):
-    pass
-
-
-def equivalent(e1: Expr, e2: Expr, **kw) -> bool:
-    """Boolean front door; raises UndecidedEquality on the rare fallthrough."""
-    d = decide_equivalence(e1, e2, **kw)
-    if d.verdict == UNDECIDED:
-        raise UndecidedEquality(d.note)
-    return d.verdict == EQUAL

@@ -679,11 +679,6 @@ def rebuild(e: Expr, kids: Sequence[Expr]) -> Expr:
     return Ker(e.name, tuple(kids), e.dvec)
 
 
-def normalize(e: Expr) -> Expr:
-    """Rebuild bottom-up through the normalizing constructors (idempotent)."""
-    return rebuild(e, [normalize(c) for c in children(e)])
-
-
 def atoms(e: Expr, kinds) -> set:
     """Every node of one of ``kinds`` occurring anywhere in e.  Each distinct
     node is visited once, however many terms share it."""

@@ -4,8 +4,8 @@ A ``Generator`` is the first-order operator
 
     X = eta*d_t + xi_i*d_{x_i} - pi1*d_u - pi2*d_v
 
-(note the minus signs on the pi's).  ``prolong`` extends it to jet
-coordinates through the characteristic recursion
+(note the minus signs on the pi's).  ``ProlongedGenerator`` extends it to
+jet coordinates through the characteristic recursion
 
     phi^a_{J,i} = D_i phi^a_J - (D_i eta) u^a_{J,t} - sum_k (D_i xi^k) u^a_{J,k}
 
@@ -26,8 +26,8 @@ from typing import Dict, Optional, Sequence, Tuple
 from .equality import decide_equivalence
 from .expr import (EMPTY_RULES, Expr, Jet, MINUS_ONE, ONE, RuleSet, T, ZERO,
                    add, differentiate, exp_, is_zero, jet, jets_in, mul, powe,
-                   rat, sym)
-from .jets import JetContext, total_derivative, x_squared
+                   rat)
+from .jets import coords, total_derivative, x_squared
 
 
 @dataclass(frozen=True)
@@ -48,9 +48,8 @@ class Generator:
     def _horizontal_parts(self, e: Expr, rules: RuleSet) -> list:
         """The terms eta*e_t and xi_i*e_{x_i}, differentiating only where
         the coefficient is nonzero."""
-        xs = (sym(f"x{i}") for i in range(1, self.m + 1))
         return [mul(c, differentiate(e, a, rules))
-                for a, c in zip((T, *xs), (self.eta, *self.xi))
+                for a, c in zip((T, *coords(self.m)), (self.eta, *self.xi))
                 if not is_zero(c)]
 
     def apply_to(self, e: Expr, rules: RuleSet = EMPTY_RULES) -> Expr:
@@ -105,14 +104,11 @@ def generator(m: int, eta=ZERO, xi=None, phi_u=ZERO, phi_v=ZERO) -> Generator:
 
 
 class ProlongedGenerator:
-    """Generator plus phi-coefficients for every jet up to the context cap."""
+    """Generator plus phi-coefficients for every jet up to ``MAX_ORDER``,
+    over the generator's own dimension."""
 
-    def __init__(self, base: Generator, ctx: JetContext,
-                 rules: RuleSet = EMPTY_RULES):
-        if base.m != ctx.m:
-            raise ValueError("generator dimension != context dimension")
+    def __init__(self, base: Generator, rules: RuleSet = EMPTY_RULES):
         self.base = base
-        self.ctx = ctx
         self.rules = rules
         self._phi: Dict[Tuple[str, int, Tuple[int, ...]], Expr] = {}
         self._dxi: Dict[Tuple[object, int], Expr] = {}
@@ -124,7 +120,8 @@ class ProlongedGenerator:
                 e = self.base.eta
             else:
                 e = self.base.xi[which - 1]
-            self._dxi[key] = total_derivative(e, direction, self.ctx, self.rules)
+            self._dxi[key] = total_derivative(e, direction, self.base.m,
+                                              self.rules)
         return self._dxi[key]
 
     def phi(self, j: Jet) -> Expr:
@@ -143,10 +140,10 @@ class ProlongedGenerator:
                 direction = "t"
                 parent = Jet(j.dep, j.nt - 1, ())
             prev = self.phi(parent)
-            out = total_derivative(prev, direction, self.ctx, self.rules)
+            out = total_derivative(prev, direction, self.base.m, self.rules)
             out = add(out, mul(MINUS_ONE, self._dcoef("eta", direction),
                                parent.bump("t")))
-            for k in range(1, self.ctx.m + 1):
+            for k in range(1, self.base.m + 1):
                 out = add(out, mul(MINUS_ONE, self._dcoef(k, direction),
                                    parent.bump(k)))
         self._phi[key] = out
@@ -168,13 +165,6 @@ class ProlongedGenerator:
             if not is_zero(d):
                 parts.append(mul(phi, d))
         return add(*parts)
-
-
-def prolong(x: Generator, order: int, ctx: JetContext,
-            rules: RuleSet = EMPTY_RULES) -> ProlongedGenerator:
-    if order > ctx.max_order:
-        raise ValueError("requested order exceeds context cap")
-    return ProlongedGenerator(x, ctx, rules)
 
 
 def commutator(x: Generator, y: Generator,
@@ -213,7 +203,7 @@ def named_operator(name: str, m: int, *, a: Optional[Expr] = None,
     D, Dtilde, K, Ktilde, G, Ghat (boost direction = index), Hfield.
     """
     u, v = jet("u"), jet("v")
-    xs = [sym(f"x{i}") for i in range(1, m + 1)]
+    xs = coords(m)
     if name == "P0":
         return generator(m, eta=ONE)
     if name == "P":
@@ -236,8 +226,7 @@ def named_operator(name: str, m: int, *, a: Optional[Expr] = None,
         if a is None or is_zero(a):
             raise ValueError("K requires a != 0")
         wu, wv = _weight_bracket(a)
-        x2 = x_squared(JetContext(m))
-        half_x2 = mul(rat(-1, 2), x2)
+        half_x2 = mul(rat(-1, 2), x_squared(m))
         tm = mul(rat(-m), T)
         return generator(
             m, eta=mul(rat(2), T, T), xi=[mul(rat(2), T, x) for x in xs],
@@ -290,13 +279,13 @@ def h_field(m: int, H: Optional[Sequence[Expr]] = None,
     for m = 1 any H(x1) is accepted.
     """
     u, v = jet("u"), jet("v")
-    xs = [sym(f"x{i}") for i in range(1, m + 1)]
+    xs = coords(m)
     if m > 2:
         if H is None:
             if lam_vec is None:
                 raise ValueError("Hfield with m>2 needs lam_vec")
             lams = [c if isinstance(c, Expr) else rat(c) for c in lam_vec]
-            x2 = x_squared(JetContext(m))
+            x2 = x_squared(m)
             H = [add(mul(rat(2), add(*[mul(lams[b], xs[b]) for b in range(m)]),
                          xs[axis]),
                      mul(MINUS_ONE, x2, lams[axis]))

@@ -1,44 +1,50 @@
 """Jet coordinates and total derivatives.
 
-A jet symbol ``u_txi...`` stands for the corresponding partial derivative of
-u(t, x); order-zero jets are u and v themselves.  Spatial indices commute,
-so their multi-index is kept sorted.
+The independent coordinates are t and x1..xm: ``coords`` is the one place
+that spells x1..xm and ``is_coordinate`` the one test for a coordinate
+symbol.  A jet symbol ``u_txi...`` stands for the corresponding partial
+derivative of u(t, x); order-zero jets are u and v themselves.  Spatial
+indices commute, so their multi-index is kept sorted.  Total derivatives
+stop at jet order ``MAX_ORDER``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Union
+from typing import List, Union
 
-from .expr import (EMPTY_RULES, Expr, RuleSet, T, add, differentiate,
-                   is_zero, jets_in, mul, sym)
+from .expr import (EMPTY_RULES, Expr, ExprError, RuleSet, Sym, T, add,
+                   differentiate, is_zero, jets_in, mul, sym)
+
+MAX_ORDER = 4
 
 
-class JetOrderError(Exception):
+class JetOrderError(ExprError):
     pass
 
 
-@dataclass(frozen=True)
-class JetContext:
-    m: int
-    max_order: int = 4
+def coords(m: int) -> List[Sym]:
+    """The spatial coordinates x1..xm."""
+    return [sym(f"x{i}") for i in range(1, m + 1)]
 
-    def xs(self):
-        return [sym(f"x{i}") for i in range(1, self.m + 1)]
+
+def is_coordinate(s: Expr) -> bool:
+    """True for the symbols t and x<digits>."""
+    return isinstance(s, Sym) and (
+        s.name == "t" or s.name[:1] == "x" and s.name[1:].isdigit())
 
 
 Direction = Union[str, int]  # "t" or a 1-based spatial index
 
 
-def total_derivative(e: Expr, direction: Direction, ctx: JetContext,
+def total_derivative(e: Expr, direction: Direction, m: int,
                      rules: RuleSet = EMPTY_RULES) -> Expr:
     """D_direction e = de/d(direction) + sum_J u^a_{J,dir} * de/du^a_J."""
     if direction == "t":
         base = T
     else:
         i = int(direction)
-        if not 1 <= i <= ctx.m:
-            raise JetOrderError(f"direction x{i} outside dimension m={ctx.m}")
+        if not 1 <= i <= m:
+            raise JetOrderError(f"direction x{i} outside dimension m={m}")
         base = sym(f"x{i}")
     parts = [differentiate(e, base, rules)]
     for j in jets_in(e):
@@ -46,17 +52,17 @@ def total_derivative(e: Expr, direction: Direction, ctx: JetContext,
         if is_zero(d):
             continue
         bumped = j.bump(direction)
-        if bumped.order > ctx.max_order:
+        if bumped.order > MAX_ORDER:
             raise JetOrderError(
-                f"total derivative exceeds jet order cap {ctx.max_order}")
+                f"total derivative exceeds jet order cap {MAX_ORDER}")
         parts.append(mul(bumped, d))
     return add(*parts)
 
 
-def laplacian(e: Expr, ctx: JetContext, rules: RuleSet = EMPTY_RULES) -> Expr:
-    return add(*[total_derivative(total_derivative(e, i, ctx, rules), i, ctx, rules)
-                 for i in range(1, ctx.m + 1)])
+def laplacian(e: Expr, m: int, rules: RuleSet = EMPTY_RULES) -> Expr:
+    return add(*[total_derivative(total_derivative(e, i, m, rules), i, m, rules)
+                 for i in range(1, m + 1)])
 
 
-def x_squared(ctx: JetContext) -> Expr:
-    return add(*[mul(x, x) for x in ctx.xs()])
+def x_squared(m: int) -> Expr:
+    return add(*[mul(x, x) for x in coords(m)])

@@ -34,6 +34,7 @@ from .expr import (Expr, MINUS_ONE, ONE, Rat, T, ZERO, add, differentiate,
                    exp_, free_symbols, is_zero, jet, ker, mul, powe, rat,
                    substitute, sym)
 from .fields import Generator, commutator, generator, named_operator
+from .jets import coords
 
 # a string, so that typing's subscription cache holds no reference to Expr
 # (which would keep this copy of the package alive after it is dropped)
@@ -375,7 +376,7 @@ def realized_symmetry(g: NMatrix, m: int, kind: str = "dilation",
         pref = exp_(mul(_e(lam), t))
         return gh.scale(pref)
     if kind == "exp_wave":
-        xs = [sym(f"x{i}") for i in range(1, m + 1)]
+        xs = coords(m)
         om = [_e(c) for c in (omega or [0] * m)]
         pref = exp_(add(mul(_e(lam), t), *[mul(om[i], xs[i]) for i in range(m)]))
         return gh.scale(pref)

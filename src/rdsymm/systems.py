@@ -26,9 +26,10 @@ from .equality import EQUAL, DIFFERENT, EqDecision, decide_equivalence
 from .expr import (EMPTY_RULES, Expr, ExprError, Jet, Ker, KernelRule,
                    MINUS_ONE, ONE, RuleSet, T, ZERO, add, differentiate,
                    expand, is_zero, jet, jets_in, ker, mul, powe, rat,
-                   substitute, sym, free_symbols, Sym, Rat)
-from .fields import Generator, prolong
-from .jets import JetContext, JetOrderError, laplacian, total_derivative
+                   substitute, free_symbols, Rat)
+from .fields import Generator, ProlongedGenerator
+from .jets import (JetOrderError, coords, is_coordinate, laplacian,
+                   total_derivative, x_squared)
 
 U = jet("u")
 V = jet("v")
@@ -43,9 +44,6 @@ class RDSystem:
     a: Expr = ZERO           # triangular diffusion constant
     p: Expr = ONE            # drift magnitude (normalized to the last axis)
     rules: RuleSet = field(default_factory=lambda: EMPTY_RULES)
-
-    def ctx(self) -> JetContext:
-        return JetContext(self.m)
 
     def rhs(self) -> Tuple[Expr, Expr]:
         lap_u = add(*[jet("u", 0, (i, i)) for i in range(1, self.m + 1)])
@@ -120,14 +118,13 @@ def tjet_replacements(system: RDSystem, tjets: Iterable[Jet],
     right-hand side of its equation (``rhs`` as built by ``system.rhs()``),
     then D_x for each spatial index, then D_t (nt - 1) times.  Replacements
     of jets with nt >= 2 still carry t-jets of lower order."""
-    ctx = system.ctx()
     out = {}
     for j in tjets:
         repl = rhs[0] if j.dep == "u" else rhs[1]
         for i in j.xs:
-            repl = total_derivative(repl, i, ctx, system.rules)
+            repl = total_derivative(repl, i, system.m, system.rules)
         for _ in range(j.nt - 1):
-            repl = total_derivative(repl, "t", ctx, system.rules)
+            repl = total_derivative(repl, "t", system.m, system.rules)
         out[j] = repl
     return out
 
@@ -141,7 +138,7 @@ def prolonged_equations(system: RDSystem, x: Generator
     if x.m != system.m:
         raise ValueError("generator dimension != system dimension")
     rhs_u, rhs_v = rhs = system.rhs()
-    pr = prolong(x, 2, system.ctx(), system.rules)
+    pr = ProlongedGenerator(x, system.rules)
     return ((pr.apply_to(add(jet("u", 1), mul(MINUS_ONE, rhs_u))),
              pr.apply_to(add(jet("v", 1), mul(MINUS_ONE, rhs_v)))), rhs)
 
@@ -238,17 +235,16 @@ def classifying_residual_full(system: RDSystem,
     """Residuals of the full classifying equations for a != 0."""
     if system.family != "triangular" or is_zero(system.a):
         raise ValueError("full classifying equations require triangular a != 0")
-    ctx = system.ctx()
     rules = system.rules
     a = system.a
     inv_a = powe(a, MINUS_ONE)
     inv_a2 = powe(a, rat(-2))
     f1, f2 = system.f1, system.f2
     m = system.m
-    xs = ctx.xs()
+    xs = coords(m)
     sigma = tuple(data.sigma) or (ZERO,) * m
     omega = tuple(data.omega) or (ZERO,) * m
-    x2 = add(*[mul(x, x) for x in xs])
+    x2 = x_squared(m)
     S_omega = mul(data.gamma, ker("exp", mul(data.gamma, T)),
                   add(*[mul(omega[i], xs[i]) for i in range(m)]))
     S = add(mul(rat(1, 2), data.lam, x2),
@@ -268,7 +264,7 @@ def classifying_residual_full(system: RDSystem,
     lhs1 = add(mul(add(lam_t, data.mu, mul(inv_a, S), data.C1), f1),
                mul(data.gamma, S_omega, inv_a, U),
                mul(C1t, U), differentiate(data.B1, T, rules),
-               mul(MINUS_ONE, a, laplacian(data.B1, ctx, rules)))
+               mul(MINUS_ONE, a, laplacian(data.B1, m, rules)))
     lhs2 = add(mul(add(lam_t, data.mu, data.C1), f2),
                mul(data.C2, f1),
                mul(S, add(mul(inv_a, f2), mul(MINUS_ONE, inv_a2, f1))),
@@ -276,8 +272,8 @@ def classifying_residual_full(system: RDSystem,
                    add(mul(inv_a, V), mul(MINUS_ONE, inv_a2, U))),
                mul(C1t, V), mul(C2t, U),
                differentiate(data.B2, T, rules),
-               mul(MINUS_ONE, a, laplacian(data.B2, ctx, rules)),
-               mul(MINUS_ONE, laplacian(data.B1, ctx, rules)))
+               mul(MINUS_ONE, a, laplacian(data.B2, m, rules)),
+               mul(MINUS_ONE, laplacian(data.B1, m, rules)))
     return (add(lhs1, mul(MINUS_ONE, _vertical(f1, phi_u, phi_v, rules))),
             add(lhs2, mul(MINUS_ONE, _vertical(f2, phi_u, phi_v, rules))))
 
@@ -297,11 +293,10 @@ def classifying_residual_drift(system: RDSystem, F: Expr, B1: Expr, B2: Expr,
         raise ValueError("drift classifying equations require the drift family")
     if not (isinstance(system.p, Rat) and system.p.value == 1):
         raise ValueError("normalize the drift to p = 1 first")
-    ctx = system.ctx()
     rules = system.rules
     f1, f2 = system.f1, system.f2
     Ft = differentiate(F, T, rules)
-    xm = sym(f"x{system.m}")
+    xm = coords(system.m)[-1]
     phi_u = add(B1, mul(F, U))
     phi_v = add(B2, mul(add(F, mu), V))
 
@@ -310,7 +305,7 @@ def classifying_residual_drift(system: RDSystem, F: Expr, B1: Expr, B2: Expr,
                mul(MINUS_ONE, differentiate(B2, xm, rules)))
     lhs2 = add(mul(add(mul(rat(4), mu), F), f2), mul(Ft, V),
                differentiate(B2, T, rules),
-               mul(MINUS_ONE, laplacian(B1, ctx, rules)))
+               mul(MINUS_ONE, laplacian(B1, system.m, rules)))
     return (add(lhs1, mul(MINUS_ONE, _vertical(f1, phi_u, phi_v, rules))),
             add(lhs2, mul(MINUS_ONE, _vertical(f2, phi_u, phi_v, rules))))
 
@@ -325,10 +320,9 @@ def classifying_residual_a0(system: RDSystem, alpha: Expr, N: Expr, M: Expr,
     """
     if not (system.family == "triangular" and is_zero(system.a)):
         raise ValueError("a = 0 classifying equations require triangular a = 0")
-    ctx = system.ctx()
     rules = system.rules
     m = system.m
-    xs = ctx.xs()
+    xs = coords(m)
     f1, f2 = system.f1, system.f2
     if H is None:
         H = [ZERO] * m
@@ -347,8 +341,8 @@ def classifying_residual_a0(system: RDSystem, alpha: Expr, N: Expr, M: Expr,
                mul(B3, f1), mul(Mt, V),
                mul(differentiate(B3, T, rules), U),
                differentiate(B2, T, rules),
-               mul(MINUS_ONE, laplacian(B1, ctx, rules)),
-               mul(rat(2 - m), laplacian(div, ctx, rules), U))
+               mul(MINUS_ONE, laplacian(B1, m, rules)),
+               mul(rat(2 - m), laplacian(div, m, rules), U))
     return (add(lhs1, mul(MINUS_ONE, _vertical(f1, phi_u, phi_v, rules))),
             add(lhs2, mul(MINUS_ONE, _vertical(f2, phi_u, phi_v, rules))))
 
@@ -389,8 +383,7 @@ def exp_galilei_gamma(system: RDSystem) -> Optional[Expr]:
         pass
     # first equation demands  a*gamma*u = -g1, so gamma = -g1/(a u)
     cand = mul(MINUS_ONE, g1, powe(mul(a, U), MINUS_ONE))
-    if any(s in (U, V, T) or isinstance(s, Jet) or
-           (isinstance(s, Sym) and s.name.startswith("x"))
+    if any(isinstance(s, Jet) or is_coordinate(s)
            for s in free_symbols(cand)):
         return None
     gamma = cand

@@ -20,9 +20,10 @@ from typing import Dict, Tuple
 from .equality import decide_equivalence
 from .expr import (Expr, MINUS_ONE, ONE, T, ZERO, add, differentiate, exp_,
                    expand, is_zero, jet, jets_in, mul, powe, rat, substitute,
-                   sym, free_symbols, Sym)
+                   sym, free_symbols)
 from .fields import Generator
-from .jets import JetContext, laplacian, total_derivative, x_squared
+from .jets import (coords, is_coordinate, laplacian, total_derivative,
+                   x_squared)
 from .systems import RDSystem, evolution_reduce
 
 U = jet("u")
@@ -113,7 +114,7 @@ def aet(index: int, **params) -> PointMap:
     def x2():
         if "m" not in p:
             raise ValueError(f"AET {index} needs m for the x^2 shift")
-        return x_squared(JetContext(int(p["m"].value)))
+        return x_squared(int(p["m"].value))
 
     if index == 1:
         (om,) = need("omega")
@@ -160,22 +161,20 @@ def aet(index: int, **params) -> PointMap:
 def _transformed_f(system: RDSystem, pm: PointMap) -> Tuple[Expr, Expr]:
     """Push the point map through both equations; returns the new f's in the
     new variables or raises InapplicableTransform."""
-    ctx = system.ctx()
+    m, rules = system.m, system.rules
     un = pm.u_new()
     vn = pm.v_new()
     if system.family == "triangular":
-        raw1 = add(total_derivative(un, "t", ctx, system.rules),
-                   mul(MINUS_ONE, system.a, laplacian(un, ctx, system.rules)))
-        raw2 = add(total_derivative(vn, "t", ctx, system.rules),
-                   mul(MINUS_ONE, laplacian(un, ctx, system.rules)),
-                   mul(MINUS_ONE, system.a, laplacian(vn, ctx, system.rules)))
-    else:
-        xm = system.m
-        raw1 = add(total_derivative(un, "t", ctx, system.rules),
-                   mul(MINUS_ONE, system.p,
-                       total_derivative(vn, xm, ctx, system.rules)))
-        raw2 = add(total_derivative(vn, "t", ctx, system.rules),
-                   mul(MINUS_ONE, laplacian(un, ctx, system.rules)))
+        raw1 = add(total_derivative(un, "t", m, rules),
+                   mul(MINUS_ONE, system.a, laplacian(un, m, rules)))
+        raw2 = add(total_derivative(vn, "t", m, rules),
+                   mul(MINUS_ONE, laplacian(un, m, rules)),
+                   mul(MINUS_ONE, system.a, laplacian(vn, m, rules)))
+    else:  # the drift is along the last axis, x_m
+        raw1 = add(total_derivative(un, "t", m, rules),
+                   mul(MINUS_ONE, system.p, total_derivative(vn, m, m, rules)))
+        raw2 = add(total_derivative(vn, "t", m, rules),
+                   mul(MINUS_ONE, laplacian(un, m, rules)))
     rhs = system.rhs()
     raw1 = expand(evolution_reduce(raw1, system, rhs))
     raw2 = expand(evolution_reduce(raw2, system, rhs))
@@ -195,9 +194,7 @@ def _transformed_f(system: RDSystem, pm: PointMap) -> Tuple[Expr, Expr]:
 
 
 def _point_form_check(f: Expr, label: str):
-    bad = [s for s in free_symbols(f)
-           if (isinstance(s, Sym) and (s.name == "t" or s.name.startswith("x")
-                                       and s.name[1:].isdigit()))]
+    bad = [s for s in free_symbols(f) if is_coordinate(s)]
     if bad:
         raise InapplicableTransform(
             f"{label} keeps explicit {sorted(set(map(str, bad)))};"
@@ -261,8 +258,7 @@ def check_eqv3_admissible(system: RDSystem, phihat: Expr):
     ptu = differentiate(pt, U, rules)
     residuals = [add(mul(f2v, pt), mul(MINUS_ONE, ptt),
                      mul(MINUS_ONE, system.f1, ptu))]
-    for i in range(1, system.m + 1):
-        xi = sym(f"x{i}")
+    for xi in coords(system.m):
         px = differentiate(phihat, xi, rules)
         residuals.append(add(mul(f2v, px),
                              mul(MINUS_ONE, differentiate(pt, xi, rules)),
@@ -278,15 +274,14 @@ def pushforward(x: Generator, tr: LinearEquiv) -> Generator:
     lam2 = mul(tr.lam, tr.lam)
     inv_lam2 = powe(lam2, MINUS_ONE)
     inv_lam = powe(tr.lam, MINUS_ONE)
-    m = x.m
     # old coordinates in terms of new ones
     inv = tr.inverse()
     old_u = add(mul(inv.K1, U), inv.b1)
     old_w = add(mul(inv.K2, U), inv.b2)
     old_v = add(mul(inv.K1, V), old_w)
     binding = {T: mul(lam2, T), U: old_u, V: old_v}
-    for i in range(1, m + 1):
-        binding[sym(f"x{i}")] = mul(tr.lam, sym(f"x{i}"))
+    for xi in coords(x.m):
+        binding[xi] = mul(tr.lam, xi)
 
     def push(e):
         return substitute(e, binding)

@@ -151,6 +151,19 @@ def test_equiv_apply(tmp_path, sysfile, capsys):
     assert code == 0 and out["family"]["kind"] == "triangular"
 
 
+@pytest.mark.parametrize("m", [1, 2])
+def test_equiv_apply_aet_takes_m_from_the_system(tmp_path, capsys, m):
+    # u -> u + om*t + k*x^2 adds om - 2*m*a*k to f1
+    system = _write(tmp_path, "system.json", {
+        "m": m, "family": {"kind": "triangular", "a": "a"},
+        "f1": "lam*v^(nu+1)", "f2": "mu*v^(nu+1)"})
+    tr = _write(tmp_path, "tr.json", {"kind": "aet", "index": 2,
+                                      "params": {"omega": "om", "mu": "k"}})
+    assert main(["equiv", "apply", system, tr]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["f1"] == f"om - {2 * m}*a*k + lam*v^(1 + nu)"
+
+
 def test_equiv_apply_inapplicable(tmp_path, sysfile, capsys):
     tr = _write(tmp_path, "tr.json", {"kind": "vshift", "phi": "u^2"})
     code = main(["equiv", "apply", sysfile, tr])
@@ -180,10 +193,20 @@ _GEN = {"eta": "1", "xi": ["0"], "pi": ["0", "0"]}
     ("verify", {**_TRIANGULAR, "m": True}, _GEN),
     ("verify", {**_TRIANGULAR, "f1": "0^u", "f2": "v"},
      {"eta": "0", "xi": ["0"], "pi": ["u", "0"]}),
+    ("verify", {**_TRIANGULAR, "m": 2, "f1": "u_x3", "f2": "v"},
+     {**_GEN, "xi": ["0", "0"]}),
+    ("verify", {**_TRIANGULAR, "m": 2},
+     {**_GEN, "eta": "u_x3", "xi": ["0", "0"]}),
+    ("equiv", _TRIANGULAR, {"kind": "linear",
+                            "params": {"k1": "2", "lam": "3"}}),
+    ("equiv", _TRIANGULAR, {"kind": "aet", "index": 2,
+                            "params": {"omega": "om", "mu": "k", "m": "1"}}),
 ], ids=["m0", "division_by_zero", "aet_without_index", "aet_index_42",
         "array_system", "array_generator", "constraints", "nested_3000",
         "xi_string", "pi_string", "pi_three", "commutator_xi_string",
-        "m_fractional", "m_boolean", "ln_of_zero_in_derivative"])
+        "m_fractional", "m_boolean", "ln_of_zero_in_derivative",
+        "jet_index_beyond_m_in_system", "jet_index_beyond_m_in_generator",
+        "linear_unknown_param", "aet_gives_m"])
 def test_input_faults_exit_2_with_one_line(tmp_path, capsys, command, system,
                                            other):
     first = _write(tmp_path, "first.json", system)

@@ -1,7 +1,6 @@
 from fractions import Fraction
 
-from rdsymm.equality import (EQUAL, DIFFERENT, SAMPLES, decide_equivalence,
-                             equivalent)
+from rdsymm.equality import EQUAL, DIFFERENT, SAMPLES, decide_equivalence
 from rdsymm import equality, expr
 from rdsymm.expr import (ZERO, children, cos_, exp_, jet, ker, ln_, powe, rat,
                          sin_, sym)
@@ -68,11 +67,6 @@ def test_log_domain_resampling():
     nu = sym("nu")
     d = decide_equivalence(ln_(nu * nu), 2 * ln_(nu))
     assert d.verdict in (EQUAL,)
-
-
-def test_equivalent_bool_front_door():
-    assert equivalent(u + u, 2 * u)
-    assert not equivalent(u, v)
 
 
 def test_determinism():

@@ -6,10 +6,9 @@ from rdsymm.equality import decide_equivalence
 from rdsymm import fields
 from rdsymm.expr import (add, differentiate, exp_, is_zero, jet, jets_in, mul,
                          rat, sym)
-from rdsymm.fields import (CauchyRiemannError, Generator, commutator,
-                           generator, h_field, named_operator, prolong,
+from rdsymm.fields import (CauchyRiemannError, Generator, ProlongedGenerator,
+                           commutator, generator, h_field, named_operator,
                            zero_generator)
-from rdsymm.jets import JetContext
 from rdsymm.cli import dump_generator
 from rdsymm.nmatrix import g1, g4, g5, g6, realized_symmetry
 from rdsymm.parser import parse
@@ -25,28 +24,25 @@ def _gen_eq(x: Generator, y: Generator) -> bool:
 
 
 def test_translation_prolongs_to_zero():
-    ctx = JetContext(2)
     p0 = named_operator("P0", 2)
-    pr = prolong(p0, 2, ctx)
+    pr = ProlongedGenerator(p0)
     for j in [jet("u", 1), jet("u", 0, (1, 1)), jet("v", 0, (1, 2))]:
         assert is_zero(pr.phi(j))
 
 
 def test_constant_generator_has_no_higher_coefficients():
-    ctx = JetContext(1)
     g = generator(1, phi_u=rat(3), phi_v=rat(-2))
-    pr = prolong(g, 2, ctx)
+    pr = ProlongedGenerator(g)
     assert is_zero(pr.phi(jet("u", 0, (1,))))
     assert is_zero(pr.phi(jet("v", 1)))
 
 
 def test_apply_to_differentiates_only_where_the_coefficient_is_nonzero(
         monkeypatch):
-    ctx = JetContext(2)
     u_t, u_xx = jet("u", 1), jet("u", 0, (1, 1))
     e = u_t - u_xx - x1 * x2 * u * v * exp_(t) - v * jet("v", 0, (2,))
     shift = named_operator("P", 2, index=2)
-    pr = prolong(shift, 2, ctx)
+    pr = ProlongedGenerator(shift)
     want = add(*[mul(c, differentiate(e, s)) for s, c in
                  [(t, shift.eta), (x1, shift.xi[0]), (x2, shift.xi[1])]]
                + [mul(pr.phi(j), differentiate(e, j))
@@ -70,21 +66,19 @@ def test_apply_to_differentiates_only_where_the_coefficient_is_nonzero(
 
 def test_scaling_prolongation_coefficient():
     # derived by hand: for D = t dt + x/2 dx, phi^u_x = -1/2 u_x
-    ctx = JetContext(1)
     d = named_operator("D", 1)
-    pr = prolong(d, 2, ctx)
+    pr = ProlongedGenerator(d)
     got = pr.phi(jet("u", 0, (1,)))
     assert got == mul(rat(-1, 2), jet("u", 0, (1,)))
 
 
 def test_prolongation_linearity():
-    ctx = JetContext(1)
     X = generator(1, eta=t, xi=[x1 / 2], phi_u=-u, phi_v=-v)
     Y = generator(1, phi_v=u * exp_(t))
     j = jet("u", 0, (1, 1))
     a_, b_ = rat(3), rat(-2)
-    lhs = prolong(X.scale(a_) + Y.scale(b_), 2, ctx).phi(j)
-    rhs = a_ * prolong(X, 2, ctx).phi(j) + b_ * prolong(Y, 2, ctx).phi(j)
+    lhs = ProlongedGenerator(X.scale(a_) + Y.scale(b_)).phi(j)
+    rhs = a_ * ProlongedGenerator(X).phi(j) + b_ * ProlongedGenerator(Y).phi(j)
     assert bool(decide_equivalence(lhs, rhs))
 
 

@@ -1,5 +1,6 @@
-"""AST scans of the imports: every imported name is used (package and
-tests), and no package module imports another module's private name.
+"""AST scans of the sources: every imported name is used (package and
+tests), no package module imports another module's private name, and only
+``jets`` spells the coordinate symbols x1..xm.
 
 The package's ``__init__`` is exempt from the first scan, since its
 imports are re-exports."""
@@ -62,3 +63,23 @@ def test_no_private_names_imported_across_modules(path):
                if isinstance(node, ast.ImportFrom)
                for alias in node.names if alias.name.startswith("_")]
     assert not private, f"{path.name} imports private names: {private}"
+
+
+def _spells_a_coordinate(node) -> bool:
+    """A call sym(f"x...")."""
+    if not (isinstance(node, ast.Call) and node.args
+            and getattr(node.func, "id", getattr(node.func, "attr", None))
+            == "sym"):
+        return False
+    arg = node.args[0]
+    return (isinstance(arg, ast.JoinedStr) and bool(arg.values)
+            and isinstance(arg.values[0], ast.Constant)
+            and arg.values[0].value.startswith("x"))
+
+
+def test_coordinates_are_spelled_only_in_jets():
+    found = [f"{path.name}:{node.lineno}" for path in PACKAGE
+             if path.name != "jets.py"
+             for node in ast.walk(ast.parse(path.read_text()))
+             if _spells_a_coordinate(node)]
+    assert not found, f"x_i symbols built by hand, use jets.coords: {found}"

@@ -184,6 +184,17 @@ def test_exp_galilei_gamma_detection():
     assert is_symmetry(S, Gh).holds
 
 
+@pytest.mark.parametrize("p, admitted", [("nu", True), ("xnu", True),
+                                         ("x1", False)])
+def test_exp_galilei_rate_is_any_symbol_but_a_coordinate(p, admitted):
+    # a parameter whose name starts with x is not the coordinate x1
+    S = triangular(1, a, parse(f"{p}*u*ln(u)"),
+                   parse(f"{p}*v*ln(u) - {p}*u*ln(u)/a"))
+    ext = extension_check(S)
+    assert ext.exp_galilei is admitted
+    assert ext.gamma == (sym(p) if admitted else None)
+
+
 # -- classifying equations ---------------------------------------------------
 
 def test_full_reduces_to_main():

@@ -195,6 +195,8 @@ def cmd_corpus_run(args) -> int:
     modes = ("symbolic", "witness") if args.mode == "both" else (args.mode,)
     rep = run_suite(tables=args.table or TABLES, items=args.item or None,
                     m_values=args.m or None, seed=args.seed, modes=modes)
+    if not rep.runs:
+        raise UsageError("no corpus row matches the filters")
     payload = rep.to_json()
     text = json.dumps(payload, indent=2, sort_keys=True)
     if args.json:
@@ -250,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("corpus", help="table corpus operations")
     csub = p.add_subparsers(dest="corpus_command", required=True)
     pr = csub.add_parser("run", help="verify corpus rows")
-    pr.add_argument("--table", type=int, action="append")
+    pr.add_argument("--table", type=int, action="append", choices=TABLES)
     pr.add_argument("--item", action="append")
     pr.add_argument("--m", type=int, action="append")
     pr.add_argument("--seed", type=int, default=0)
@@ -278,7 +280,7 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (UsageError, ParseError, ExprError) as exc:
         # an ExprError past loading is a domain fault of the input, such as
-        # differentiating 0^u (which needs ln 0)
+        # differentiating 0^(u-1) (which needs ln 0)
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -26,15 +26,19 @@ Strings may use the placeholders {x2} (sum of squares), {xd} (x_d of a
 per-direction claim), {xm} (the last spatial variable), {m} and
 {div(H1,H2)}; declared kernel names appearing bare are rewritten to full
 applications of their argument signature.
+
+A row is compiled once per dimension m (``CorpusRow.template``): every text
+is parsed there, with the parameters left unbound, and instantiating the
+row is substitution of the compiled templates.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..expr import (Expr, KernelWitness, ONE, Rat, RuleSet, T, ZERO, add, exp_,
                     ker, mul, powe, rat, substitute, sym)
@@ -66,10 +70,18 @@ class CorpusRow:
     flags: List[str]
     annotation: Optional[dict]
     notes: str
+    templates: Dict[int, RowTemplate] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def key(self) -> str:
         return f"T{self.table}.{self.item}"
+
+    def template(self, m: int) -> RowTemplate:
+        """The row compiled at dimension m, built on first use."""
+        if m not in self.templates:
+            self.templates[m] = compile_row(self, m)
+        return self.templates[m]
 
 
 def _data_text(name: str) -> str:
@@ -78,35 +90,29 @@ def _data_text(name: str) -> str:
 
 def load_table(n: int) -> List[CorpusRow]:
     raw = json.loads(_data_text(f"table{n}.json"))
-    rows = []
-    for entry in raw["rows"]:
-        rows.append(CorpusRow(
-            table=n,
-            item=str(entry["item"]),
-            family=entry["family"],
-            m_list=list(entry.get("m", [1, 2, 3])),
-            params={k: dict(v) for k, v in entry.get("params", {}).items()},
-            zero=list(entry.get("zero", [])),
-            nonzero=list(entry.get("nonzero", [])),
-            derive=dict(entry.get("derive", {})),
-            kernels=list(entry.get("kernels", [])),
-            f1=entry["f1"],
-            f2=entry["f2"],
-            claims=list(entry.get("claims", [])),
-            aet=list(entry.get("aet", [])),
-            status=entry.get("status", "ok"),
-            flags=list(entry.get("flags", [])),
-            annotation=entry.get("annotation"),
-            notes=entry.get("notes", ""),
-        ))
-    return rows
+    return [CorpusRow(
+        table=n,
+        item=str(entry["item"]),
+        family=entry["family"],
+        m_list=list(entry.get("m", [1, 2, 3])),
+        params={k: dict(v) for k, v in entry.get("params", {}).items()},
+        zero=list(entry.get("zero", [])),
+        nonzero=list(entry.get("nonzero", [])),
+        derive=dict(entry.get("derive", {})),
+        kernels=list(entry.get("kernels", [])),
+        f1=entry["f1"],
+        f2=entry["f2"],
+        claims=list(entry.get("claims", [])),
+        aet=list(entry.get("aet", [])),
+        status=entry.get("status", "ok"),
+        flags=list(entry.get("flags", [])),
+        annotation=entry.get("annotation"),
+        notes=entry.get("notes", ""),
+    ) for entry in raw["rows"]]
 
 
 def load_rows(tables: Sequence[int] = TABLES) -> List[CorpusRow]:
-    out = []
-    for n in tables:
-        out.extend(load_table(n))
-    return out
+    return [row for n in tables for row in load_table(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -115,27 +121,19 @@ def load_rows(tables: Sequence[int] = TABLES) -> List[CorpusRow]:
 
 def expand_template(s: str, m: int, direction: Optional[int] = None,
                     kernel_args: Optional[Dict[str, str]] = None) -> str:
-    out = s
+    if "{xd}" in s and direction is None:
+        raise ValueError("{xd} used outside a per-direction claim")
+    out = (s.replace("{xm}", f"x{m}").replace("{m}", str(m))
+           .replace("{xd}", f"x{direction}"))
     if "{x2}" in out:
-        out = out.replace("{x2}", "(" + "+".join(f"x{i}^2" for i in range(1, m + 1)) + ")")
-    if "{xm}" in out:
-        out = out.replace("{xm}", f"x{m}")
-    if "{m}" in out:
-        out = out.replace("{m}", str(m))
-    if "{xd}" in out:
-        if direction is None:
-            raise ValueError("{xd} used outside a per-direction claim")
-        out = out.replace("{xd}", f"x{direction}")
-    dm = re.search(r"\{div\((\w+),(\w+)\)\}", out)
-    while dm:
-        h1, h2 = dm.groups()
-        out = (out[:dm.start()]
-               + f"({h1}__d1_0(x1,x2) + {h2}__d0_1(x1,x2))" + out[dm.end():])
-        dm = re.search(r"\{div\((\w+),(\w+)\)\}", out)
-    if kernel_args:
-        for name, args in kernel_args.items():
-            # rewrite bare kernel mentions into full applications
-            out = re.sub(rf"\b{name}\b(?!\()", f"{name}({args})", out)
+        out = out.replace("{x2}", "(" + "+".join(
+            f"x{i}^2" for i in range(1, m + 1)) + ")")
+    if "{div(" in out:
+        out = re.sub(r"\{div\((\w+),(\w+)\)\}",
+                     r"(\1__d1_0(x1,x2) + \2__d0_1(x1,x2))", out)
+    # rewrite bare kernel mentions into full applications
+    for name, args in (kernel_args or {}).items():
+        out = re.sub(rf"\b{name}\b(?!\()", f"{name}({args})", out)
     return out
 
 
@@ -363,60 +361,103 @@ def witness_menu(infos: List[KernelInfo], m: int, a_expr: Expr,
 
 
 # ---------------------------------------------------------------------------
-# generator specs
+# generator specs and compiled rows
 
 
-def _xi_from_spec(spec, m: int, infos, direction) -> List[Expr]:
+def _xi_from_spec(spec, m: int, read, direction) -> List[Expr]:
     if spec is None:
         return [ZERO] * m
     if isinstance(spec, list):
         if len(spec) != m:
             raise ValueError(f"xi list has {len(spec)} entries for m={m}")
-        return [parse_in_row(s, m, infos, direction) for s in spec]
+        return [read(s) for s in spec]
     if isinstance(spec, dict):
         if "radial" in spec:
-            c = parse_in_row(spec["radial"], m, infos, direction)
+            c = read(spec["radial"])
             return [mul(c, x) for x in coords(m)]
         if "dir" in spec:
             # the one component along a per-direction claim's direction
             out = [ZERO] * m
-            out[direction - 1] = parse_in_row(spec["expr"], m, infos, direction)
+            out[direction - 1] = read(spec["expr"])
             return out
     raise ValueError(f"bad xi spec {spec!r}")
 
 
-def build_generator(spec, m: int, infos, binding, a_expr: Expr,
+def build_generator(spec, m: int, infos,
                     direction: Optional[int] = None) -> Generator:
-    """Interpret a generator spec at dimension m with parameters bound."""
+    """Interpret a generator spec at dimension m, its parameters unbound
+    (the macros K, G and Ghat take the symbol a)."""
 
-    def sub(e: Expr) -> Expr:
-        return substitute(e, binding)
+    def read(text: str) -> Expr:
+        return parse_in_row(text, m, infos, direction)
 
     if "sum" in spec:
         g = zero_generator(m)
         for part in spec["sum"]:
-            g = g + build_generator(part, m, infos, binding, a_expr, direction)
+            g = g + build_generator(part, m, infos, direction)
         return g
     if "scale" in spec:
-        c = sub(parse_in_row(spec["scale"], m, infos, direction))
-        inner = build_generator(spec["of"], m, infos, binding, a_expr, direction)
-        return inner.scale(c)
+        return build_generator(spec["of"], m, infos, direction).scale(
+            read(spec["scale"]))
     if "macro" in spec:
         name = spec["macro"]
-        kw = {}
-        if name in ("K", "G", "Ghat"):
-            kw["a"] = a_expr
+        kw = {"a": sym("a")} if name in ("K", "G", "Ghat") else {}
         if "gamma" in spec:
-            kw["gamma"] = sub(parse_in_row(spec["gamma"], m, infos, direction))
+            kw["gamma"] = read(spec["gamma"])
         g = named_operator(name, m, **kw)
-        if "coeff" in spec:
-            g = g.scale(sub(parse_in_row(spec["coeff"], m, infos, direction)))
-        return g
-    eta = sub(parse_in_row(spec["eta"], m, infos, direction)) \
-        if "eta" in spec else ZERO
-    xi = [sub(x) for x in _xi_from_spec(spec.get("xi"), m, infos, direction)]
-    phiu = sub(parse_in_row(spec["phiu"], m, infos, direction)) \
-        if "phiu" in spec else ZERO
-    phiv = sub(parse_in_row(spec["phiv"], m, infos, direction)) \
-        if "phiv" in spec else ZERO
-    return generator(m, eta=eta, xi=xi, phi_u=phiu, phi_v=phiv)
+        return g.scale(read(spec["coeff"])) if "coeff" in spec else g
+    eta, phiu, phiv = (read(spec[k]) if k in spec else ZERO
+                       for k in ("eta", "phiu", "phiv"))
+    return generator(m, eta=eta, phi_u=phiu, phi_v=phiv,
+                     xi=_xi_from_spec(spec.get("xi"), m, read, direction))
+
+
+@dataclass
+class ClaimTemplate:
+    """A claim at dimension m: its side conditions as (parameter, value)
+    pairs bound in order, its kernel bodies and its generators by label."""
+    conditions: List[Tuple[Expr, Expr]]
+    kernel_sets: Dict[str, KernelWitness]
+    generators: List[Tuple[str, Generator]]
+
+
+@dataclass
+class RowTemplate:
+    """Every text of a row parsed at dimension m, parameters unbound."""
+    infos: List[KernelInfo]
+    f1: Expr
+    f2: Expr
+    zero: List[Expr]
+    nonzero: List[Expr]
+    derive: List[Tuple[Expr, Expr]]
+    claims: List[ClaimTemplate]   # the claims that apply at m
+
+
+def compile_row(row: CorpusRow, m: int) -> RowTemplate:
+    """Parse each text of the row once at dimension m (once per direction
+    for a per-direction claim's generator)."""
+    infos = kernel_infos(row, m)
+    params_of = {ki.name: ki.params for ki in infos}
+
+    def read(s: str) -> Expr:
+        return parse_in_row(s, m, infos)
+
+    claims = []
+    for idx, claim in enumerate(row.claims):
+        when = claim.get("when", {})
+        if "m" in when and m not in when["m"]:
+            continue
+        label = claim.get("name", f"claim{idx+1}")
+        dirs = range(1, m + 1) if claim.get("per_direction") else [None]
+        claims.append(ClaimTemplate(
+            [(sym(n), ZERO) for n in when.get("zero", [])]
+            + [(sym(n), read(s)) for n, s in when.get("set", {}).items()],
+            {k: KernelWitness(params_of[k], read(s))
+             for k, s in when.get("set_kernel", {}).items()},
+            [(label if d is None else f"{label}[x{d}]",
+              build_generator(claim["gen"], m, infos, d)) for d in dirs]))
+    return RowTemplate(infos, read(row.f1), read(row.f2),
+                       [read(c) for c in row.zero],
+                       [read(c) for c in row.nonzero],
+                       [(sym(n), read(s)) for n, s in row.derive.items()],
+                       claims)

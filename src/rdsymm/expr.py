@@ -16,7 +16,9 @@ on construction, so every ``Expr`` you can hold is already in normal form:
 * sums are flat, like terms merged, at most one rational term;
 * products are flat with a rational coefficient and base^exponent pairs,
   exponents of equal bases added, ``exp`` factors merged into one;
-* integer powers of rationals are folded, ``(b^p)^q`` collapses, and a power
+* integer powers of rationals are folded, ``0^e`` is 0 for an exponent that
+  :func:`is_positive` proves positive (u, v and what is built from them and
+  positive rationals; not a parameter), ``(b^p)^q`` collapses, and a power
   of a product distributes over its factors.
 
 ``add``, ``mul`` and ``powe`` share one computed table from (operation,
@@ -302,6 +304,23 @@ def is_int(e: Expr) -> bool:
     return isinstance(e, Rat) and e.value.denominator == 1
 
 
+def is_positive(e: Expr) -> bool:
+    """e > 0 everywhere on the domain: u and v, positive rationals, and
+    products, powers and sums of positive factors.  Parameters, t, x_i and
+    jets of order >= 1 are not known to be positive."""
+    if isinstance(e, Rat):
+        return e.value > 0
+    if isinstance(e, Jet):
+        return e.order == 0
+    if isinstance(e, Pow):
+        return is_positive(e.base)
+    if isinstance(e, Mul):
+        return e.coeff > 0 and all(is_positive(b) for b, _ in e.pairs)
+    if isinstance(e, Add):
+        return all(is_positive(t) for t in e.terms)
+    return False
+
+
 # ---------------------------------------------------------------------------
 # constructors
 
@@ -503,9 +522,9 @@ def powe(base: Expr, exp: Expr) -> Expr:
         return ONE
     if isinstance(base, Rat):
         if base.value == 0:
+            if is_positive(exp):
+                return ZERO
             if isinstance(exp, Rat):
-                if exp.value > 0:
-                    return ZERO
                 raise DomainError("division by zero: 0 to a non-positive power")
             return Pow(base, exp)
         if isinstance(exp, Rat):
@@ -880,8 +899,8 @@ def substitute(e: Expr, binding: Mapping, rules: RuleSet = EMPTY_RULES) -> Expr:
     Keys may be Sym/Jet atoms (mapping to Exprs) or kernel names (mapping to
     KernelWitness); binding a symbol not present is a no-op.
     """
-    if not binding:
-        return e
+    if not binding or isinstance(e, Rat):
+        return e  # a rational holds no atom and no kernel
     atom_map = {}
     witness_map = {}
     for k, v in binding.items():

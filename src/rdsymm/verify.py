@@ -1,8 +1,9 @@
 """Corpus verification harness.
 
 ``instantiate_row`` turns a table row into a concrete system plus claimed
-generators: parameters are either left symbolic (the claim is then checked
-as stated, with arbitrary functions opaque) or sampled as small rationals
+generators by substitution into the row's template at m, which is parsed
+once: parameters are either left symbolic (the claim is then checked as
+stated, with arbitrary functions opaque) or sampled as small rationals
 satisfying the row constraints, with arbitrary functions replaced by
 concrete witnesses.  ``verify_row`` runs every claim through the
 prolongation decision over every applicable dimension and mode;
@@ -15,21 +16,20 @@ exit nonzero.
 
 from __future__ import annotations
 
-import copy
 import math
 import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .corpus import (TABLES, CorpusRow, build_generator, build_rules,
-                     kernel_infos, load_rows, parse_in_row, witness_menu)
+from .corpus import (TABLES, CorpusRow, RowTemplate, build_rules, load_rows,
+                     witness_menu)
 from .expr import (Add, DomainError, Expr, Jet, KernelWitness, Sym, ZERO, add,
                    apply_rules, is_zero, jet, jets_in, mul, rat, substitute,
                    sym, free_symbols)
 from .fields import Generator
 from .numeric import Sampler, eval_at, magnitude, random_fraction
-from .parser import parse, to_text
+from .parser import to_text
 from .systems import (RDSystem, drift, is_symmetry, prolonged_equations,
                       tjet_replacements, triangular)
 
@@ -59,18 +59,16 @@ class UnsatisfiableConstraints(Exception):
     pass
 
 
-def _bind_derived(row: CorpusRow, binding: Dict) -> Dict:
+def _bind_derived(tpl: RowTemplate, binding: Dict) -> Dict:
     """Bind the row's derived parameters, in order, from ``binding``."""
-    for dname, dexpr in row.derive.items():
-        binding[sym(dname)] = substitute(parse(dexpr), binding)
+    for name, value in tpl.derive:
+        binding[name] = substitute(value, binding)
     return binding
 
 
-def _sample_params(row: CorpusRow, rng: random.Random):
+def _sample_params(row: CorpusRow, tpl: RowTemplate, rng: random.Random):
     """Draw parameter values satisfying the row constraints."""
     names = sorted(row.params)
-    zero = [parse(c) for c in row.zero]
-    nonzero = [parse(c) for c in row.nonzero]
     for _ in range(200):
         binding = {}
         for name in names:
@@ -83,24 +81,22 @@ def _sample_params(row: CorpusRow, rng: random.Random):
             else:
                 pool = _SAMPLE_POOL + ([Fraction(0)] if not flags.get("nonzero") else [])
                 binding[sym(name)] = rat(rng.choice(pool))
-        _bind_derived(row, binding)
-        ok = True
-        for c in zero:
-            if not is_zero(substitute(c, binding)):
-                # force one participating parameter to zero and retry the check
-                syms = [s for s in sorted(free_symbols(c), key=Expr.key)
-                        if isinstance(s, Sym) and s.name in row.params
-                        and not row.params[s.name].get("nonzero")]
-                if not syms:
-                    ok = False
-                    break
+        _bind_derived(tpl, binding)
+        for c in tpl.zero:
+            if is_zero(substitute(c, binding)):
+                continue
+            # force one participating parameter to zero and retry the check
+            syms = [s for s in sorted(free_symbols(c), key=Expr.key)
+                    if isinstance(s, Sym) and s.name in row.params
+                    and not row.params[s.name].get("nonzero")]
+            if syms:
                 binding[rng.choice(syms)] = ZERO
-                _bind_derived(row, binding)
-                if not is_zero(substitute(c, binding)):
-                    ok = False
-                    break
-        if ok and not any(is_zero(substitute(c, binding)) for c in nonzero):
-            return binding
+                _bind_derived(tpl, binding)
+            if not is_zero(substitute(c, binding)):
+                break
+        else:
+            if not any(is_zero(substitute(c, binding)) for c in tpl.nonzero):
+                return binding
     raise UnsatisfiableConstraints(f"{row.key}: no sample found")
 
 
@@ -112,8 +108,8 @@ def symbolic_branches(row: CorpusRow) -> List[Dict]:
         if flags.get("pm1"):
             branches = [{**b, sym(name): val} for b in branches
                         for val in (rat(1), rat(-1))]
-    for c in row.zero:
-        expr = parse(c)
+    # the constraints do not depend on m
+    for expr in row.template(row.m_list[0]).zero:
         factors = sorted({s.name for s in free_symbols(expr)
                           if isinstance(s, Sym) and s.name in row.params})
         new = []
@@ -124,14 +120,12 @@ def symbolic_branches(row: CorpusRow) -> List[Dict]:
                 if is_zero(substitute(expr, nb)):
                     new.append(nb)
         branches = new or branches
-    seen = []
-    out = []
+    # one branch per distinct binding, in order of first appearance
+    distinct = {}
     for b in branches:
-        key = tuple(sorted((k.name, str(v)) for k, v in b.items()))
-        if key not in seen:
-            seen.append(key)
-            out.append(b)
-    return out
+        distinct.setdefault(tuple(sorted((k.name, str(v))
+                                         for k, v in b.items())), b)
+    return list(distinct.values())
 
 
 def apply_correction(row: CorpusRow) -> CorpusRow:
@@ -139,17 +133,11 @@ def apply_correction(row: CorpusRow) -> CorpusRow:
     (used to confirm that the suspected transcription fix verifies)."""
     if not row.annotation or "corrected" not in row.annotation:
         return row
-    fixed = copy.deepcopy(row)
-    for field_name, value in row.annotation["corrected"].items():
-        setattr(fixed, field_name, copy.deepcopy(value))
-    fixed.annotation = None
-    return fixed
+    return replace(row, **row.annotation["corrected"], annotation=None)
 
 
 def _a_value(row: CorpusRow, rng: Optional[random.Random], mode: str) -> Expr:
-    if row.family == "a_zero":
-        return ZERO
-    if row.family == "drift":
+    if row.family in ("a_zero", "drift"):
         return ZERO
     if mode == "symbolic":
         return sym("a")
@@ -158,82 +146,55 @@ def _a_value(row: CorpusRow, rng: Optional[random.Random], mode: str) -> Expr:
     return rat(rng.choice([1, 2, -1, 3, Fraction(1, 2), -2]))
 
 
-def _claim_condition_binding(claim: dict, infos, m, base_binding):
-    """Apply a claim's side conditions on top of the row binding."""
-    binding = dict(base_binding)
-    when = claim.get("when", {})
-    for name in when.get("zero", []):
-        binding[sym(name)] = ZERO
-    for name, val in when.get("set", {}).items():
-        e = parse_in_row(val, m, infos)
-        binding[sym(name)] = substitute(e, binding)
-    return binding
-
-
 def instantiate_row(row: CorpusRow, seed: int, m: int,
                     mode: str = "witness",
                     branch: Optional[Dict] = None) -> RowInstance:
-    """Concrete system + claimed generators for one dimension and mode."""
+    """Concrete system + claimed generators for one dimension and mode: the
+    row's template at m with its parameters bound, then the kernel rules
+    applied, then the witnesses substituted."""
     if m not in row.m_list:
         raise ValueError(f"m={m} not applicable for {row.key}")
     rng = random.Random((seed * 1009 + row.table * 101
                          + sum(map(ord, row.item))) % (2 ** 31))
-    infos = kernel_infos(row, m)
-    params_of = {ki.name: ki.params for ki in infos}
-    f1_row = parse_in_row(row.f1, m, infos)
-    f2_row = parse_in_row(row.f2, m, infos)
+    tpl = row.template(m)
     if mode == "symbolic":
-        binding = _bind_derived(row, dict(branch or {}))
+        binding = _bind_derived(tpl, dict(branch or {}))
     else:
-        binding = _sample_params(row, rng)
-    a_expr = _a_value(row, rng, mode)
-    binding[sym("a")] = a_expr
+        binding = _sample_params(row, tpl, rng)
+    binding[sym("a")] = _a_value(row, rng, mode)
 
-    def make_system(bind, kernel_sets=None):
-        a_val = bind.get(sym("a"), a_expr)
-        f1 = substitute(f1_row, bind)
-        f2 = substitute(f2_row, bind)
-        overrides = {
-            kname: KernelWitness(params_of[kname], substitute(
-                parse_in_row(body_text, m, infos), bind))
-            for kname, body_text in (kernel_sets or {}).items()}
+    def make_system(bind, kernel_sets):
+        a_val = bind[sym("a")]
+        overrides = {name: KernelWitness(w.params, substitute(w.body, bind))
+                     for name, w in kernel_sets.items()}
         wits = {}
         if mode == "witness":
-            wits = witness_menu(infos, m, a_val, bind, rng, skip=overrides)
-        for repl in (overrides, wits):
-            if repl:
-                f1 = substitute(f1, repl)
-                f2 = substitute(f2, repl)
+            wits = witness_menu(tpl.infos, m, a_val, bind, rng, skip=overrides)
+        f1, f2 = tpl.f1, tpl.f2
+        for repl in (bind, overrides, wits):
+            f1, f2 = substitute(f1, repl), substitute(f2, repl)
         wits.update(overrides)
-        rules = build_rules(infos, m, a_val, f1, f2, bind)
+        rules = build_rules(tpl.infos, m, a_val, f1, f2, bind)
         if row.family == "drift":
             system = drift(m, 1, f1, f2, rules)
         else:
             system = triangular(m, a_val, f1, f2, rules)
         return system, wits
 
-    system, wits = make_system(binding)
+    system, wits = make_system(binding, {})
     claims = []
-    for idx, claim in enumerate(row.claims):
-        when = claim.get("when", {})
-        if "m" in when and m not in when["m"]:
-            continue
-        cb = _claim_condition_binding(claim, infos, m, binding)
-        kernel_sets = when.get("set_kernel")
-        if cb == binding and not kernel_sets:
+    for ct in tpl.claims:
+        cb = dict(binding)
+        for name, value in ct.conditions:
+            cb[name] = substitute(value, cb)
+        if cb == binding and not ct.kernel_sets:
             csystem, cwits = system, wits
         else:
-            csystem, cwits = make_system(cb, kernel_sets)
-        label = claim.get("name", f"claim{idx+1}")
-        dirs = range(1, m + 1) if claim.get("per_direction") else [None]
-        for d in dirs:
-            gen = build_generator(claim["gen"], m, infos, cb,
-                                  cb.get(sym("a"), a_expr), direction=d)
-            gen = gen.map(lambda c: apply_rules(c, csystem.rules))
-            if cwits:
-                gen = gen.map(lambda c: substitute(c, cwits))
-            claims.append(ClaimInstance(
-                label if d is None else f"{label}[x{d}]", gen, csystem))
+            csystem, cwits = make_system(cb, ct.kernel_sets)
+        for label, gen in ct.generators:
+            gen = gen.map(lambda c: substitute(apply_rules(
+                substitute(c, cb), csystem.rules), cwits))
+            claims.append(ClaimInstance(label, gen, csystem))
     return RowInstance(row, m, mode, seed, binding, system, claims)
 
 
@@ -262,10 +223,12 @@ def minimal_failing_monomial(sampled: Expr) -> str:
 def verify_row(row: CorpusRow, seeds: Sequence[int] = (0, 1, 2),
                m_values: Optional[Sequence[int]] = None,
                modes: Sequence[str] = ("symbolic", "witness")) -> VerificationRun:
+    m_list = [m for m in (m_values or row.m_list) if m in row.m_list]
+    if not m_list:
+        raise ValueError(f"no requested m is applicable for {row.key}")
     if row.status == "blocked":
         return VerificationRun(row.key, "blocked", row.annotation is not None,
                                [{"note": row.notes or "blocked row"}])
-    m_list = [m for m in (m_values or row.m_list) if m in row.m_list]
     results = []
     any_fail = False
     any_undecided = False
@@ -289,10 +252,9 @@ def verify_row(row: CorpusRow, seeds: Sequence[int] = (0, 1, 2),
                 entry = {"m": m, "mode": mode, "seed": seed,
                          "claim": ci.label, "verdict": rep.verdict,
                          "path": rep.decision_path}
-                failing = rep.failing
-                if failing:
+                if rep.failing:
                     any_fail = True
-                    bad, decision = failing
+                    bad, decision = rep.failing
                     entry["residual"] = to_text(bad)[:400]
                     entry["failing_monomial"] = minimal_failing_monomial(
                         decision.sampled)
@@ -328,27 +290,24 @@ def run_suite(tables: Sequence[int] = TABLES,
               m_values: Optional[Sequence[int]] = None,
               seed: int = 0,
               modes: Sequence[str] = ("symbolic", "witness")) -> SuiteReport:
-    rows = load_rows(tables)
-    if items:
-        rows = [r for r in rows if r.item in items]
+    rows = [r for r in load_rows(tables) if (not items or r.item in items)
+            and (not m_values or set(m_values) & set(r.m_list))]
     runs = []
     counts = {"pass": 0, "fail": 0, "blocked": 0, "undecided": 0}
     unannotated = []
-    gate_total = 0
     gate_pass = 0
     for row in sorted(rows, key=lambda r: (r.table, r.item)):
         run = verify_row(row, seeds=(seed, seed + 1, seed + 2),
                          m_values=m_values, modes=modes)
         counts[run.status] += 1
         # blocked rows and annotated typo rows sit outside the gate
-        if run.status != "blocked" and not (run.annotated
-                                            and run.status == "fail"):
-            gate_total += 1
-            if run.status == "pass":
-                gate_pass += 1
-            else:
-                unannotated.append(row.key)
+        if run.status == "pass":
+            gate_pass += 1
+        elif run.status != "blocked" and not (run.annotated
+                                              and run.status == "fail"):
+            unannotated.append(row.key)
         runs.append(run)
+    gate_total = gate_pass + len(unannotated)
     frac = (gate_pass / gate_total) if gate_total else 1.0
     return SuiteReport(runs, counts, frac, unannotated)
 

@@ -11,7 +11,7 @@ from rdsymm.corpus import TABLES, load_rows, load_table
 from rdsymm.equality import decide_equivalence
 from rdsymm.expr import ZERO, exp_, jet, ker, powe, rat, sym
 from rdsymm.fields import generator
-from rdsymm.parser import to_text
+from rdsymm.parser import parse, to_text
 from rdsymm.systems import classifying_residual_main, is_symmetry, triangular
 from rdsymm.verify import (apply_correction, instantiate_row,
                            negative_control, numeric_residual_check,
@@ -86,6 +86,35 @@ def test_negative_controls():
     for table, item in [(3, "3*"), (4, "4"), (7, "3"), (8, "4")]:
         row = [r for r in load_table(table) if r.item == item][0]
         assert negative_control(row, row.m_list[0]), f"T{table}.{item} not sensitive"
+
+
+def test_reinstantiating_a_compiled_row_parses_nothing(monkeypatch):
+    """Rows with per-direction claims, kernel bodies, side conditions and
+    derived parameters: once a row is compiled at m, instantiating it again
+    at m, in another seed or mode, is substitution only."""
+    calls = []
+
+    def counting(*args, **kw):
+        calls.append(args)
+        return parse(*args, **kw)
+
+    rows = {r.key: r for r in load_rows()}
+    keys = ("T3.2*", "T3.5", "T9.1", "T7.7")
+    for key in keys:
+        row = rows[key]
+        instantiate_row(row, 0, row.m_list[0], "witness")
+    for name, module in sorted(sys.modules.items()):
+        if name.split(".")[0] == "rdsymm":
+            for attr, value in list(vars(module).items()):
+                if value is parse:
+                    monkeypatch.setattr(module, attr, counting)
+    for key in keys:
+        row = rows[key]
+        m = row.m_list[0]
+        instantiate_row(row, 1, m, "witness")
+        for br in symbolic_branches(row):
+            instantiate_row(row, 0, m, "symbolic", branch=br)
+    assert not calls, f"{len(calls)} parse calls, first {calls[0]}"
 
 
 def test_two_path_agreement_on_main_symmetries():
@@ -228,8 +257,8 @@ _RESIDUAL_REPORT = """if True:
     from rdsymm.corpus import load_rows
     from rdsymm.verify import verify_row
     rows = {r.key: r for r in load_rows()}
-    print(json.dumps([verify_row(rows[k], m_values=(1,)).to_json()
-                      for k in sys.argv[1:]], sort_keys=True))
+    print(json.dumps([verify_row(rows[k], m_values=rows[k].m_list[:1])
+                      .to_json() for k in sys.argv[1:]], sort_keys=True))
 """
 
 
@@ -238,8 +267,8 @@ def test_term_order_does_not_depend_on_ids_or_hash_seed():
     process, where the nodes have other ids, and in fresh processes under
     two hash seeds: term order is structural."""
     rows = {r.key: r for r in load_rows()}
-    want = json.dumps([verify_row(rows[k], m_values=(1,)).to_json()
-                       for k in RESIDUAL_ROWS], sort_keys=True)
+    want = json.dumps([verify_row(rows[k], m_values=rows[k].m_list[:1])
+                       .to_json() for k in RESIDUAL_ROWS], sort_keys=True)
     src = Path(rdsymm.__file__).resolve().parent.parent
     for hash_seed in ("0", "1"):
         env = {**os.environ, "PYTHONPATH": str(src),

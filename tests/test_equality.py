@@ -13,6 +13,15 @@ def test_kernel_law_decided_by_normalization():
     assert d.verdict == EQUAL and d.path == "normalize"
 
 
+def test_zero_to_a_positive_power_decided_by_normalization():
+    # u and v are positive on the domain; a parameter may be 0 or negative
+    d = decide_equivalence(powe(ZERO, u), ZERO)
+    assert d.verdict == EQUAL and d.path == "normalize"
+    assert powe(ZERO, u * powe(v, sym("nu")) + rat(1, 2)) is ZERO
+    for e in (sym("nu"), u - 1, t):
+        assert isinstance(powe(ZERO, e), expr.Pow)
+
+
 def test_square_decided_by_normalization():
     d = decide_equivalence(u * u, powe(u, rat(2)))
     assert d.verdict == EQUAL and d.path == "normalize"

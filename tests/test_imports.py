@@ -1,6 +1,7 @@
 """AST scans of the sources: every imported name is used (package and
-tests), no package module imports another module's private name, and only
-``jets`` spells the coordinate symbols x1..xm.
+tests), no package module imports another module's private name, only
+``jets`` spells the coordinate symbols x1..xm, and only ``parser``,
+``corpus`` and ``cli`` parse text.
 
 The package's ``__init__`` is exempt from the first scan, since its
 imports are re-exports."""
@@ -83,3 +84,18 @@ def test_coordinates_are_spelled_only_in_jets():
              for node in ast.walk(ast.parse(path.read_text()))
              if _spells_a_coordinate(node)]
     assert not found, f"x_i symbols built by hand, use jets.coords: {found}"
+
+
+PARSERS = ("parser.py", "cli.py", "corpus/__init__.py")
+
+
+def test_parsing_stays_in_parser_corpus_and_cli():
+    """Other modules get expressions already parsed: a corpus row is
+    parsed once per m when it is compiled."""
+    found = [f"{path.relative_to(ROOT)}:{node.lineno}" for path in PACKAGE
+             if not path.as_posix().endswith(PARSERS)
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "id", getattr(node.func, "attr", None))
+             == "parse"]
+    assert not found, f"parse called outside parser, corpus and cli: {found}"

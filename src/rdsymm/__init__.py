@@ -4,7 +4,7 @@ reaction-diffusion systems with triangular or nilpotent diffusion matrices.
 
 from .expr import (Expr, add, differentiate, expand, exp_, cos_, sin_, ln_,
                    jet, ker, mul, powe, rat, substitute, sym,
-                   KernelRule, KernelWitness, RuleSet)
+                   KernelRule, RuleSet)
 from .parser import ParseError, parse, to_text
 from .numeric import eval_at, UnboundSymbol
 from .equality import EqDecision, decide_equivalence

@@ -28,7 +28,7 @@ import sys
 from .corpus import TABLES
 from .expr import ExprError, substitute, sym
 from .fields import Generator, commutator
-from .nmatrix import NMatrix, as_nmatrix, canonical_form
+from .nmatrix import CaseSplitNeeded, NMatrix, as_nmatrix, canonical_form
 from .parser import ParseError, parse, to_text
 from .systems import RDSystem, drift, is_symmetry, triangular
 from .transforms import (InapplicableTransform, LinearEquiv, VShift,
@@ -117,7 +117,8 @@ def dump_generator(g: Generator) -> dict:
 
 def load_matrix(path) -> NMatrix:
     data = _load_json(path, list)
-    if len(data) != 3:
+    if len(data) != 3 or not all(isinstance(row, list) and len(row) == 3
+                                 for row in data):
         raise UsageError("matrix file must be a 3x3 array of strings")
     rows = [[_parse_expr(e, "matrix entry") for e in row] for row in data]
     try:
@@ -164,7 +165,10 @@ def cmd_verify(args) -> int:
 
 def cmd_canon(args) -> int:
     g = load_matrix(args.matrix)
-    cf = canonical_form(g)
+    try:
+        cf = canonical_form(g)
+    except CaseSplitNeeded as exc:
+        raise UsageError(str(exc))
     out = {
         "label": cf.label,
         "canonical": [[to_text(e) for e in row] for row in cf.canonical.matrix()],

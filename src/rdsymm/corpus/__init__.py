@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..expr import (Expr, KernelWitness, ONE, Rat, RuleSet, T, ZERO, add, exp_,
+from ..expr import (Expr, KernelRule, ONE, Rat, RuleSet, T, ZERO, add, exp_,
                     ker, mul, powe, rat, substitute, sym)
 from ..fields import Generator, generator, named_operator, zero_generator
 from ..jets import coords
@@ -149,12 +149,13 @@ def _parsed(args: List[str]) -> List[Expr]:
 class KernelType:
     """One kind of declared kernel: its call signature at dimension m (None:
     the declaration's ``args``), its formal parameters (from the argument
-    texts), the builders of its defining rules and of its witnesses, and the
-    declaration key holding its rate or eigenvalue."""
+    texts), the builders of its defining relations and of its witnesses
+    (definitions: rules of order 0), and the declaration key holding its
+    rate or eigenvalue."""
     signature: Optional[Callable[[int], List[str]]]
     params: Callable[[List[str]], List[Expr]] = _parsed
     rules: Optional[Callable] = None     # (ki, m, a, f1, f2, binding) -> rules
-    witnesses: Optional[Callable] = None  # (ki, m, a, binding, rng) -> {name: w}
+    witnesses: Optional[Callable] = None  # (ki, m, a, binding, rng) -> rules
     spec_key: Optional[str] = None
 
 
@@ -193,16 +194,19 @@ def _cr_rules(ki, m, a_expr, f1, f2, binding):
             if m == 2 else [])
 
 
+def _defined(ki, body) -> List[KernelRule]:
+    return [KernelRule(ki.name, 0, 0, ki.params, body)]
+
+
 def _opaque_witness(ki, m, a_expr, binding, rng):
-    params = ki.params
-    s1 = params[0]
+    s1 = ki.params[0]
     choices = [mul(s1, s1),
                add(rat(rng.randint(1, 3)), mul(rat(rng.randint(1, 3)), s1)),
                exp_(s1)]
     body = rng.choice(choices)
-    for extra in params[1:]:
+    for extra in ki.params[1:]:
         body = mul(body, add(ONE, extra))
-    return {ki.name: KernelWitness(params, body)}
+    return _defined(ki, body)
 
 
 def _heat_witness(ki, m, a_expr, binding, rng):
@@ -213,7 +217,7 @@ def _heat_witness(ki, m, a_expr, binding, rng):
     else:
         body = exp_(add(mul(add(rate, mul(a_expr, k, k)), T),
                         mul(k, ki.params[1])))
-    return {ki.name: KernelWitness(ki.params, body)}
+    return _defined(ki, body)
 
 
 def _laplace_witness(ki, m, a_expr, binding, rng):
@@ -224,41 +228,38 @@ def _laplace_witness(ki, m, a_expr, binding, rng):
         if m >= 2:
             opts += [mul(xs[0], xs[1]),
                      add(mul(xs[0], xs[0]), mul(rat(-1), xs[1], xs[1]))]
-        return {ki.name: KernelWitness(xs, rng.choice(opts))}
+        return _defined(ki, rng.choice(opts))
     # eigen = k^2 with k prearranged by the instantiator; otherwise the
     # kernel stays symbolic under its eigenrelation rule
     kq = _exact_sqrt(eig)
-    return {} if kq is None else {
-        ki.name: KernelWitness(xs, exp_(mul(kq, xs[0])))}
+    return [] if kq is None else _defined(ki, exp_(mul(kq, xs[0])))
 
 
 def _laplace_shift_witness(ki, m, a_expr, binding, rng):
     kq = _exact_sqrt(substitute(ki.spec, binding))
-    return {} if kq is None else {
-        ki.name: KernelWitness(ki.params, exp_(mul(kq, ki.params[-1])))}
+    return [] if kq is None else _defined(ki, exp_(mul(kq, ki.params[-1])))
 
 
 def _space_tilde_witness(ki, m, a_expr, binding, rng):
-    params = ki.params
-    if not params:
-        return {ki.name: KernelWitness([], rat(rng.randint(1, 4)))}
-    p = params[0]
-    return {ki.name: KernelWitness(params, rng.choice([ONE, p, mul(p, p)]))}
+    if not ki.params:
+        return _defined(ki, rat(rng.randint(1, 4)))
+    p = ki.params[0]
+    return _defined(ki, rng.choice([ONE, p, mul(p, p)]))
 
 
 def _cr_witnesses(ki, m, a_expr, binding, rng):
     """One harmonic pair for the kernel and its partner, drawn together."""
     if m != 2:
-        return {}
-    x1, x2 = params = ki.params
+        return []
+    x1, x2 = ki.params
     pairs = [
         (x1, x2),
         (add(mul(x1, x1), mul(rat(-1), x2, x2)), mul(rat(2), x1, x2)),
         (mul(exp_(x1), ker("cos", x2)), mul(exp_(x1), ker("sin", x2))),
     ]
     p1, p2 = rng.choice(pairs)
-    return {ki.name: KernelWitness(params, p1),
-            ki.decl["partner"]: KernelWitness(params, p2)}
+    return (_defined(ki, p1)
+            + [KernelRule(ki.decl["partner"], 0, 0, ki.params, p2)])
 
 
 def _exact_sqrt(e: Expr) -> Optional[Expr]:
@@ -350,14 +351,12 @@ def build_rules(infos: List[KernelInfo], m: int, a_expr: Expr, f1: Expr,
 
 
 def witness_menu(infos: List[KernelInfo], m: int, a_expr: Expr,
-                 binding: Dict, rng, skip=()) -> Dict[str, KernelWitness]:
-    """Concrete replacements for the kernels not named in ``skip``, drawn
-    in declaration order; a kernel that stays symbolic gets none."""
-    wits = {}
-    for ki in infos:
-        if ki.kind.witnesses and ki.name not in skip:
-            wits.update(ki.kind.witnesses(ki, m, a_expr, binding, rng))
-    return wits
+                 binding: Dict, rng, skip=()) -> List[KernelRule]:
+    """Concrete definitions (rules of order 0) for the kernels not named in
+    ``skip``, drawn in declaration order; a kernel that stays symbolic gets
+    none."""
+    return [r for ki in infos if ki.kind.witnesses and ki.name not in skip
+            for r in ki.kind.witnesses(ki, m, a_expr, binding, rng)]
 
 
 # ---------------------------------------------------------------------------
@@ -415,9 +414,10 @@ def build_generator(spec, m: int, infos,
 @dataclass
 class ClaimTemplate:
     """A claim at dimension m: its side conditions as (parameter, value)
-    pairs bound in order, its kernel bodies and its generators by label."""
+    pairs bound in order, its kernel bodies as definitions (rules of order
+    0) and its generators by label."""
     conditions: List[Tuple[Expr, Expr]]
-    kernel_sets: Dict[str, KernelWitness]
+    kernel_sets: List[KernelRule]
     generators: List[Tuple[str, Generator]]
 
 
@@ -452,8 +452,8 @@ def compile_row(row: CorpusRow, m: int) -> RowTemplate:
         claims.append(ClaimTemplate(
             [(sym(n), ZERO) for n in when.get("zero", [])]
             + [(sym(n), read(s)) for n, s in when.get("set", {}).items()],
-            {k: KernelWitness(params_of[k], read(s))
-             for k, s in when.get("set_kernel", {}).items()},
+            [KernelRule(k, 0, 0, params_of[k], read(s))
+             for k, s in when.get("set_kernel", {}).items()],
             [(label if d is None else f"{label}[x{d}]",
               build_generator(claim["gen"], m, infos, d)) for d in dirs]))
     return RowTemplate(infos, read(row.f1), read(row.f2),

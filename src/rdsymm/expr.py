@@ -49,9 +49,13 @@ store its own one-element set, since the set would hold the atom and the
 atom the set: that cycle would keep dead atoms in the unique table until
 the cyclic garbage collector runs.
 
-Symbols are assumed positive on the verification domain, which licenses
-``ln(b^e) = e*ln(b)`` and friends; rational constants are never treated as
-positive unless they are.
+The declared domain is the one the numeric layer samples: u and v are
+positive; parameters, t, the x_i and the higher jets are real and may be
+negative.  :func:`is_positive` keeps to it, and a rational constant is
+positive only if it is.  Two rewrites still assume more, for bases that
+may be negative (ROADMAP item 3, open): ``ker`` splits ``ln`` of powers
+and products (``ln(b^e) = e*ln(b)``), and ``powe`` merges powers of powers
+(``(b^p)^q = b^(p*q)``) and distributes a power over a product.
 """
 
 from __future__ import annotations
@@ -750,7 +754,10 @@ class KernelRule:
     The template is written in terms of the canonical parameter symbols and
     may mention other derivatives of the same kernel (by name), as long as
     every kernel occurrence in it carries strictly fewer slot-derivatives
-    than ``order`` -- that is what makes rewriting terminate.
+    than ``order`` -- that is what makes rewriting terminate.  A rule of
+    order 0 is a definition, K(params) = template: it rewrites the kernel
+    and each of its derivatives, and its template mentions no kernel that
+    has a rule.
     """
 
     __slots__ = ("name", "slot", "order", "params", "template")
@@ -785,27 +792,43 @@ EMPTY_RULES = RuleSet()
 
 
 def apply_rules(e: Expr, rules: RuleSet) -> Expr:
-    """Rewrite every derived kernel in e through the defining rules."""
+    """Rewrite every kernel in e that has a rule for its name through
+    :func:`reduce_kernel`, arguments first; each distinct node is rewritten
+    once.  A relation (order >= 1) leaves a kernel with too few derivatives
+    as it is; a definition (order 0) replaces every occurrence."""
     if not rules:
         return e
-    kids = [apply_rules(c, rules) for c in children(e)]
-    if isinstance(e, Ker) and any(e.dvec):
-        return reduce_kernel(e.name, tuple(kids), e.dvec, rules)
-    return rebuild(e, kids)
+    done = {}
+
+    def walk(n: Expr) -> Expr:
+        out = done.get(n)
+        if out is None:
+            kids = [walk(c) for c in children(n)]
+            if isinstance(n, Ker) and rules.for_name(n.name):
+                out = reduce_kernel(n.name, tuple(kids), n.dvec, rules)
+            else:
+                out = rebuild(n, kids)
+            done[n] = out
+        return out
+
+    return walk(e)
 
 
 def reduce_kernel(name: str, args, dvec, rules: RuleSet) -> Expr:
-    """Apply defining rewrite rules to a derived kernel, recursively."""
+    """Apply defining rewrite rules to a derived kernel, recursively: the
+    first rule for ``name`` whose order the derivatives reach rewrites it
+    (an order-0 rule always does)."""
     for rule in rules.for_name(name):
-        if dvec[rule.slot] >= rule.order:
-            rem = list(dvec)
+        rem = list(dvec)
+        if rule.order:
+            if rem[rule.slot] < rule.order:
+                continue
             rem[rule.slot] -= rule.order
-            e = rule.template
-            for i, n in enumerate(rem):
-                for _ in range(n):
-                    e = differentiate(e, rule.params[i], rules)
-            binding = {p: a for p, a in zip(rule.params, args)}
-            return substitute(e, binding, rules)
+        e = rule.template
+        for i, n in enumerate(rem):
+            for _ in range(n):
+                e = differentiate(e, rule.params[i], rules)
+        return substitute(e, dict(zip(rule.params, args)))
     return Ker(name, args, tuple(dvec))
 
 
@@ -883,53 +906,23 @@ def differentiate(e: Expr, s: Expr, rules: RuleSet = EMPTY_RULES,
 # substitution
 
 
-class KernelWitness:
-    """Concrete replacement for an opaque kernel: body written in params."""
-
-    __slots__ = ("params", "body")
-
-    def __init__(self, params: Sequence[Expr], body: Expr):
-        self.params = tuple(params)
-        self.body = body
-
-
-def substitute(e: Expr, binding: Mapping, rules: RuleSet = EMPTY_RULES) -> Expr:
-    """Simultaneous capture-free substitution followed by normalization.
-
-    Keys may be Sym/Jet atoms (mapping to Exprs) or kernel names (mapping to
-    KernelWitness); binding a symbol not present is a no-op.
-    """
+def substitute(e: Expr, binding: Mapping[Expr, Expr]) -> Expr:
+    """Simultaneous capture-free substitution of ``Sym``/``Jet`` atoms by
+    expressions, followed by normalization; binding an atom not present is
+    a no-op.  Kernels are rewritten by :func:`apply_rules`."""
     if not binding or isinstance(e, Rat):
-        return e  # a rational holds no atom and no kernel
-    atom_map = {}
-    witness_map = {}
-    for k, v in binding.items():
-        if isinstance(k, str):
-            witness_map[k] = v
-        else:
-            atom_map[k] = _coerce(v)
+        return e  # a rational holds no atom
 
     done = {}   # node -> its image: a shared subtree is walked once
 
     def walk(n: Expr) -> Expr:
         if isinstance(n, (Sym, Jet)):
-            return atom_map.get(n, n)
-        if not witness_map and free_symbols(n).isdisjoint(atom_map):
+            return binding.get(n, n)
+        if free_symbols(n).isdisjoint(binding):
             return n  # already normal: rebuilding it would give n back
         out = done.get(n)
-        if out is not None:
-            return out
-        kids = [walk(c) for c in children(n)]
-        w = witness_map.get(n.name) if isinstance(n, Ker) else None
-        if w is not None:
-            body = w.body
-            for i, cnt in enumerate(n.dvec):
-                for _ in range(cnt):
-                    body = differentiate(body, w.params[i], rules)
-            out = substitute(body, dict(zip(w.params, kids)), rules)
-        else:
-            out = rebuild(n, kids)
-        done[n] = out
+        if out is None:
+            out = done[n] = rebuild(n, [walk(c) for c in children(n)])
         return out
 
     return walk(e)

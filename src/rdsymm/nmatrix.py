@@ -267,11 +267,11 @@ class AlgebraPresentation:
     note: str = ""
 
 
-_G = {"g1": g1, "g3": g3, "g4": g4, "g5": g5, "g6": g6, "g2~": g2_tilde}
+_G = {"g1": g1, "g3": g3, "g4": g4, "g5": g5, "g6": g6, "g2~": g2_tilde,
+      "g2(lam)": lambda: g2(sym("lam"))}
 
 
 def _catalog_raw():
-    lam = sym("lam")
     return {
         # two-dimensional, abelian
         "A2,1": (("g3", "g2~"), {}),
@@ -302,12 +302,7 @@ def algebra_catalog(name: str) -> AlgebraPresentation:
     if name not in raw:
         raise KeyError(f"unknown algebra {name!r}; have {sorted(raw)}")
     names, brackets = raw[name]
-    basis = []
-    for n in names:
-        if n == "g2(lam)":
-            basis.append(g2(sym("lam")))
-        else:
-            basis.append(_G[n]())
+    basis = [_G[n]() for n in names]
     note = ""
     if name == "A3,4":
         note = ("basis order fixed by verifying the stated constants "

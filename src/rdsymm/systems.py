@@ -151,7 +151,7 @@ def evolution_reduce(e: Expr, system: RDSystem,
         tjets = [j for j in jets_in(e) if j.nt >= 1]
         if not tjets:
             return e
-        e = substitute(e, tjet_replacements(system, tjets, rhs), system.rules)
+        e = substitute(e, tjet_replacements(system, tjets, rhs))
     raise JetOrderError("evolution substitution did not terminate")
 
 

@@ -183,8 +183,7 @@ def _transformed_f(system: RDSystem, pm: PointMap) -> Tuple[Expr, Expr]:
     inv = pm.inverse_binding(u_tmp, v_tmp)
     out = []
     for raw in (raw1, raw2):
-        e = substitute(raw, inv, system.rules)
-        e = expand(substitute(e, {u_tmp: U, v_tmp: V}, system.rules))
+        e = expand(substitute(substitute(raw, inv), {u_tmp: U, v_tmp: V}))
         leftover_jets = [j for j in jets_in(e) if j.order > 0]
         if leftover_jets:
             raise InapplicableTransform(

@@ -5,7 +5,7 @@ generators by substitution into the row's template at m, which is parsed
 once: parameters are either left symbolic (the claim is then checked as
 stated, with arbitrary functions opaque) or sampled as small rationals
 satisfying the row constraints, with arbitrary functions replaced by
-concrete witnesses.  ``verify_row`` runs every claim through the
+concrete witnesses (definitions: kernel rules of order 0).  ``verify_row`` runs every claim through the
 prolongation decision over every applicable dimension and mode;
 ``run_suite`` aggregates a deterministic report.
 
@@ -24,9 +24,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .corpus import (TABLES, CorpusRow, RowTemplate, build_rules, load_rows,
                      witness_menu)
-from .expr import (Add, DomainError, Expr, Jet, KernelWitness, Sym, ZERO, add,
-                   apply_rules, is_zero, jet, jets_in, mul, rat, substitute,
-                   sym, free_symbols)
+from .expr import (Add, DomainError, Expr, Jet, KernelRule, RuleSet, Sym, ZERO,
+                   add, apply_rules, is_zero, jet, jets_in, mul, rat,
+                   substitute, sym, free_symbols)
 from .fields import Generator
 from .numeric import Sampler, eval_at, magnitude, random_fraction
 from .parser import to_text
@@ -100,16 +100,16 @@ def _sample_params(row: CorpusRow, tpl: RowTemplate, rng: random.Random):
     raise UnsatisfiableConstraints(f"{row.key}: no sample found")
 
 
-def symbolic_branches(row: CorpusRow) -> List[Dict]:
+def symbolic_branches(row: CorpusRow, m: int) -> List[Dict]:
     """Bindings realizing the row's product-type zero constraints (one per
-    choice of vanishing factor) and its +-1-valued parameters."""
+    choice of vanishing factor) and its +-1-valued parameters, read from
+    the row compiled at m."""
     branches = [dict()]
     for name, flags in sorted(row.params.items()):
         if flags.get("pm1"):
             branches = [{**b, sym(name): val} for b in branches
                         for val in (rat(1), rat(-1))]
-    # the constraints do not depend on m
-    for expr in row.template(row.m_list[0]).zero:
+    for expr in row.template(m).zero:
         factors = sorted({s.name for s in free_symbols(expr)
                           if isinstance(s, Sym) and s.name in row.params})
         new = []
@@ -150,8 +150,10 @@ def instantiate_row(row: CorpusRow, seed: int, m: int,
                     mode: str = "witness",
                     branch: Optional[Dict] = None) -> RowInstance:
     """Concrete system + claimed generators for one dimension and mode: the
-    row's template at m with its parameters bound, then the kernel rules
-    applied, then the witnesses substituted."""
+    row's template at m with its parameters bound, then the kernels'
+    defining relations applied, then their definitions (the claim's kernel
+    bodies and, in witness mode, the witnesses), which the systems never
+    see."""
     if m not in row.m_list:
         raise ValueError(f"m={m} not applicable for {row.key}")
     rng = random.Random((seed * 1009 + row.table * 101
@@ -165,35 +167,34 @@ def instantiate_row(row: CorpusRow, seed: int, m: int,
 
     def make_system(bind, kernel_sets):
         a_val = bind[sym("a")]
-        overrides = {name: KernelWitness(w.params, substitute(w.body, bind))
-                     for name, w in kernel_sets.items()}
-        wits = {}
+        defs = [KernelRule(r.name, 0, 0, r.params,
+                           substitute(r.template, bind)) for r in kernel_sets]
         if mode == "witness":
-            wits = witness_menu(tpl.infos, m, a_val, bind, rng, skip=overrides)
-        f1, f2 = tpl.f1, tpl.f2
-        for repl in (bind, overrides, wits):
-            f1, f2 = substitute(f1, repl), substitute(f2, repl)
-        wits.update(overrides)
+            defs += witness_menu(tpl.infos, m, a_val, bind, rng,
+                                 skip={r.name for r in defs})
+        defs = RuleSet(defs)
+        f1, f2 = (apply_rules(substitute(f, bind), defs)
+                  for f in (tpl.f1, tpl.f2))
         rules = build_rules(tpl.infos, m, a_val, f1, f2, bind)
         if row.family == "drift":
             system = drift(m, 1, f1, f2, rules)
         else:
             system = triangular(m, a_val, f1, f2, rules)
-        return system, wits
+        return system, defs
 
-    system, wits = make_system(binding, {})
+    system, defs = make_system(binding, [])
     claims = []
     for ct in tpl.claims:
         cb = dict(binding)
         for name, value in ct.conditions:
             cb[name] = substitute(value, cb)
         if cb == binding and not ct.kernel_sets:
-            csystem, cwits = system, wits
+            csystem, cdefs = system, defs
         else:
-            csystem, cwits = make_system(cb, ct.kernel_sets)
+            csystem, cdefs = make_system(cb, ct.kernel_sets)
         for label, gen in ct.generators:
-            gen = gen.map(lambda c: substitute(apply_rules(
-                substitute(c, cb), csystem.rules), cwits))
+            gen = gen.map(lambda c: apply_rules(apply_rules(
+                substitute(c, cb), csystem.rules), cdefs))
             claims.append(ClaimInstance(label, gen, csystem))
     return RowInstance(row, m, mode, seed, binding, system, claims)
 
@@ -232,11 +233,11 @@ def verify_row(row: CorpusRow, seeds: Sequence[int] = (0, 1, 2),
     results = []
     any_fail = False
     any_undecided = False
-    branches = symbolic_branches(row)
     for m in m_list:
         plans = []
         if "symbolic" in modes:
-            plans += [("symbolic", seeds[0], br) for br in branches]
+            plans += [("symbolic", seeds[0], br)
+                      for br in symbolic_branches(row, m)]
         if "witness" in modes:
             plans += [("witness", s, None) for s in seeds]
         for mode, seed, br in plans:

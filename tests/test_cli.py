@@ -50,6 +50,18 @@ def test_canon(tmp_path, capsys):
     assert code == 0 and out["label"] == "g3"
 
 
+@pytest.mark.parametrize("matrix", [
+    [["0", "0", "0"], ["1", "1"], ["1", "0", "1"]],
+    [["0", "0", "0"], 5, ["1", "0", "1"]],
+    [["0", "0", "0"], ["a", "0", "0"], ["0", "0", "0"]],
+], ids=["short_row", "row_not_an_array", "needs_a_case_split"])
+def test_canon_input_faults_exit_2_with_one_line(tmp_path, capsys, matrix):
+    assert main(["canon", _write(tmp_path, "m.json", matrix)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_commutator(tmp_path, capsys):
     x = _write(tmp_path, "x.json", {"eta": "t", "xi": ["x1/2"],
                                     "pi": ["0", "0"]})

@@ -112,9 +112,22 @@ def test_reinstantiating_a_compiled_row_parses_nothing(monkeypatch):
         row = rows[key]
         m = row.m_list[0]
         instantiate_row(row, 1, m, "witness")
-        for br in symbolic_branches(row):
+        for br in symbolic_branches(row, m):
             instantiate_row(row, 0, m, "symbolic", branch=br)
     assert not calls, f"{len(calls)} parse calls, first {calls[0]}"
+
+
+def test_a_run_at_one_m_compiles_each_row_at_that_m_only(monkeypatch):
+    compiled = []
+    compile_row = rdsymm.corpus.compile_row
+
+    def counting(row, m):
+        compiled.append((row.key, m))
+        return compile_row(row, m)
+
+    monkeypatch.setattr(rdsymm.corpus, "compile_row", counting)
+    run_suite(tables=[2, 3], m_values=(2,))
+    assert len(compiled) == 16 and {m for _, m in compiled} == {2}
 
 
 def test_two_path_agreement_on_main_symmetries():
@@ -212,7 +225,7 @@ def _instantiation_digest() -> str:
         if row.status == "blocked":
             continue
         for m in row.m_list:
-            plans = [("symbolic", 0, br) for br in symbolic_branches(row)]
+            plans = [("symbolic", 0, br) for br in symbolic_branches(row, m)]
             plans += [("witness", s, None) for s in (0, 1, 2)]
             for mode, seed, br in plans:
                 inst = instantiate_row(row, seed, m, mode, branch=br)

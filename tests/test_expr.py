@@ -12,10 +12,11 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import rdsymm
 from rdsymm import expr
-from rdsymm.expr import (Add, DomainError, Jet, Ker, RuleSet, Sym, add, atoms,
-                         children, cos_, differentiate, exp_, expand,
-                         free_symbols, is_zero, jet, jets_in, ker, ln_, mul,
-                         powe, rat, rebuild, sin_, substitute, sym)
+from rdsymm.expr import (Add, DomainError, Jet, Ker, KernelRule, RuleSet, Sym,
+                         add, apply_rules, atoms, children, cos_,
+                         differentiate, exp_, expand, free_symbols, is_zero,
+                         jet, jets_in, ker, ln_, mul, powe, rat, rebuild,
+                         sin_, substitute, sym)
 from rdsymm.numeric import DPS, eval_at, magnitude
 from rdsymm.parser import parse, to_text
 from rdsymm.systems import w_kernel_rules
@@ -358,3 +359,31 @@ def test_kernel_rewrite_rule_terminates():
     # second derivative also closes (no t-derivatives of W remain)
     wtt = differentiate(wt, t, rules)
     assert all(k.dvec[0] == 0 for k in atoms(wtt, (Ker,)) if k.name == "W")
+
+
+def test_a_definition_rewrites_the_kernel_and_its_derivatives():
+    s = sym("s")
+    rules = RuleSet([KernelRule("F", 0, 0, [s], s ** 3)])   # F(s) = s^3
+    assert apply_rules(ker("F", x1), rules) is x1 ** 3
+    assert apply_rules(ker("F", x1, dvec=(1,)), rules) is 3 * x1 ** 2
+
+
+def test_a_kernel_of_no_arguments_is_defined_by_a_constant():
+    rules = RuleSet([KernelRule("phi", 0, 0, [], rat(2))])
+    assert apply_rules(t * ker("phi") + u, rules) is 2 * t + u
+
+
+def test_apply_rules_reduces_a_shared_kernel_once(monkeypatch):
+    s = sym("s")
+    calls = []
+    original = expr.reduce_kernel
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(expr, "reduce_kernel", counting)
+    rules = RuleSet([KernelRule("F", 0, 1, [s], ker("F", s))])   # F' = F
+    dF, F = ker("F", x1, dvec=(1,)), ker("F", x1)
+    assert apply_rules(t * dF + x1 * dF, rules) is t * F + x1 * F
+    assert calls == [("F", (x1,), (1,), rules)]

@@ -1,10 +1,24 @@
 """Numeric evaluation and random sampling, shared by both numeric layers
 (the randomized equality decision and the residual cross-check).
 
-``eval_at`` stays in exact rational arithmetic as long as the expression
-only involves rational operations; anything transcendental (exp, ln, sin,
-cos, non-integer powers) promotes the computation to mpmath at ``DPS``
-working digits, comfortably below the 1e-30 error-bound contract.
+``eval_at`` works with two kinds of value.  A value is an exact
+``Fraction`` as long as the expression only involves rational operations.
+Anything transcendental (exp, ln, sin, cos, non-integer powers, integral
+powers too large to keep exact) makes it inexact: a raw ``mpmath.libmp``
+number at ``_PREC`` bits, ``DPS`` decimal digits, comfortably below the
+1e-30 error-bound contract.  Only the final result is wrapped in an
+``mpf``.
+
+There are two rounding rules, the ones mpmath's own operators apply at
+``DPS`` digits.  A rational that meets an inexact value is first converted
+to ``_PREC`` bits rounding down (``from_rational`` at its default
+rounding, as mpmath's ``convert`` does it); each operation on inexact
+values then rounds its result to nearest.  The arithmetic calls libmp
+directly, and it must keep the sequence of roundings that the operators
+made: the same conversions, the operands in the same order and the same
+starting zero of every sum.  Any other sequence gives different last bits,
+and the worst residuals that the numeric cross-check pins to the last
+digit (``worst!r``) move.
 
 ``Sampler`` draws the sample points and the opaque-kernel values at them,
 and keeps one value table per point: every ``eval_at`` at that point reads
@@ -26,14 +40,19 @@ import math
 from fractions import Fraction
 
 import mpmath
+from mpmath.libmp import (dps_to_prec, from_float, from_rational, mpf_add,
+                          mpf_cos, mpf_exp, mpf_log, mpf_mul, mpf_pow,
+                          mpf_pow_int, mpf_sign, mpf_sin, round_nearest,
+                          to_str)
 
-from .expr import (Add, DomainError, Expr, Jet, Ker, Mul, ONE, Pow, Rat, Sym,
-                   BUILTIN_KERNELS)
+from .expr import Add, DomainError, Expr, Jet, Ker, Mul, ONE, Pow, Rat, Sym
 
 DPS = 60
+_PREC = dps_to_prec(DPS)
+_ZERO = Fraction(0)     # the start of every sum (see the module docstring)
 
 # an integral power of a rational is computed exactly only while the result
-# stays below this many bits; beyond it the mpmath power takes over: its
+# stays below this many bits; beyond it the libmp power takes over: its
 # exponent range is unbounded and its cost grows only with the exponent's
 # bit length
 _EXACT_POWER_BITS = 1 << 17
@@ -88,41 +107,110 @@ class Sampler:
         return self.kernels[key]
 
 
+def _inexact(x):
+    """x as a raw mpf: a Fraction is converted at ``_PREC`` bits with
+    ``from_rational``'s default rounding (down), as mpmath's ``convert``
+    does it."""
+    if type(x) is Fraction:
+        return from_rational(x.numerator, x.denominator, _PREC)
+    return x
+
+
+def _add(a, b):
+    if type(a) is Fraction:
+        if type(b) is Fraction:
+            return a + b
+        # Python hands a Fraction + mpf to the mpf's reflected operator,
+        # which puts the mpf first
+        a, b = b, a
+    return mpf_add(a, _inexact(b), _PREC, round_nearest)
+
+
+def _mul(a, b):
+    if type(a) is Fraction:
+        if type(b) is Fraction:
+            return a * b
+        a, b = b, a
+    return mpf_mul(a, _inexact(b), _PREC, round_nearest)
+
+
+def _sign(x) -> int:
+    if type(x) is Fraction:
+        return (x > 0) - (x < 0)
+    return mpf_sign(x)
+
+
+def _number(x):
+    """An atom's or a kernel's value as a Fraction or a raw mpf."""
+    if type(x) is Fraction:
+        return x
+    if isinstance(x, int):
+        return Fraction(x)
+    if isinstance(x, float):
+        return from_float(x)    # exact, as mpmath.mpmathify converts it
+    return x._mpf_
+
+
 def _power(b, x, node):
-    """b ** x; exact for an integral exponent, whatever the base, while
-    the exact result stays below ``_EXACT_POWER_BITS``."""
-    if isinstance(x, Fraction) and x.denominator == 1:
-        if b == 0 and x <= 0:
+    """b ** x; exact for an integral exponent of a rational base while the
+    exact result stays below ``_EXACT_POWER_BITS``."""
+    if type(x) is Fraction and x.denominator == 1:
+        n = x.numerator
+        if n <= 0 and _sign(b) == 0:
             raise DomainError("0 to a non-positive power")
-        n = int(x)
-        if isinstance(b, Fraction) and abs(n) * max(
+        if type(b) is Fraction and abs(n) * max(
                 b.numerator.bit_length(),
-                b.denominator.bit_length()) > _EXACT_POWER_BITS:
-            return mpmath.power(b, n)
-        return b ** n
-    if b < 0:
+                b.denominator.bit_length()) <= _EXACT_POWER_BITS:
+            return b ** n
+        return mpf_pow_int(_inexact(b), n, _PREC, round_nearest)
+    if _sign(b) < 0:
         raise DomainError(f"fractional power of negative value in {node}")
-    if b == 0:
-        if x > 0:
-            return b * x    # zero, exact when both operands are
+    if _sign(b) == 0:
+        if _sign(x) > 0:
+            return _mul(b, x)   # zero, exact when both operands are
         raise DomainError("0 to a non-positive power")
-    return mpmath.power(b, x)
+    return mpf_pow(_inexact(b), _inexact(x), _PREC, round_nearest)
+
+
+_BUILTIN = {"exp": mpf_exp, "ln": mpf_log, "sin": mpf_sin, "cos": mpf_cos}
+
+
+def _kernel(n, args, kernel_values):
+    """Kernel node n at the values args of its arguments: a builtin is
+    computed, an opaque kernel is read from ``kernel_values``."""
+    fn = _BUILTIN.get(n.name)
+    if fn is not None:
+        x = args[0]
+        if fn is mpf_log and _sign(x) <= 0:
+            raise DomainError(f"ln of non-positive value in {n}")
+        return fn(_inexact(x), _PREC, round_nearest)
+    if kernel_values is None:
+        raise UnboundSymbol(n)
+    if all(type(a) is Fraction for a in args):
+        key_args = tuple(args)
+    else:
+        key_args = tuple(to_str(_inexact(a), 40) for a in args)
+    return _number(kernel_values(n.name, n.dvec, key_args))
 
 
 def eval_at(e: Expr, point, kernel_values=None):
-    """Evaluate at a binding of atoms to exact numbers.
+    """Evaluate at a binding of atoms to numbers.
 
-    ``point`` maps Sym/Jet atoms to int/Fraction. Opaque kernels must either
-    be absent or covered by ``kernel_values``: a callable
-    ``(name, dvec, arg_values) -> Fraction`` giving a consistent value
-    assignment, such as a ``Sampler``.
+    ``point`` maps Sym/Jet atoms to finite values: an ``int``, a
+    ``Fraction`` or an ``mpf``.  A ``float`` is taken exactly, as
+    ``mpmath.mpmathify`` converts it, and its value becomes inexact.
+    Opaque kernels must either be absent or covered by ``kernel_values``: a
+    callable ``(name, dvec, arg_values) -> value`` giving a consistent
+    value assignment, such as a ``Sampler``; it may return any of the atom
+    value types.  ``arg_values`` holds the arguments' Fractions when all of
+    them are exact, otherwise every argument as a 40-digit string.
 
     Every node is evaluated once: its value goes into a table keyed by node,
     the sampler's table of the current point when ``kernel_values`` is the
     ``Sampler`` that drew ``point``, otherwise a table of this call.
 
     Returns a Fraction when the computation stayed rational, otherwise an
-    mpmath mpf computed at ``DPS`` digits.  Domain violations raise
+    ``mpf`` computed at ``DPS`` digits.  Domain violations raise
     DomainError naming the offending subexpression.
     """
     shared = (isinstance(kernel_values, Sampler)
@@ -131,52 +219,37 @@ def eval_at(e: Expr, point, kernel_values=None):
 
     def ev(n: Expr):
         val = values.get(n)
-        if val is None:
-            values[n] = val = value(n)
-        return val
-
-    def value(n: Expr):
-        if isinstance(n, Rat):
-            return n.value
-        if isinstance(n, (Sym, Jet)):
+        if val is not None:
+            return val
+        cls = type(n)
+        if cls is Mul:
+            val = n.coeff
+            for b, x in n.pairs:
+                # b^1 is b itself: every mpf already carries DPS digits
+                val = _mul(val, ev(b) if x is ONE
+                           else _power(ev(b), ev(x), n))
+        elif cls is Add:
+            val = _ZERO
+            for t in n.terms:
+                val = _add(val, ev(t))
+        elif cls is Jet or cls is Sym:
             val = point.get(n)
             if val is None:
                 raise UnboundSymbol(n)
-            return Fraction(val) if isinstance(val, int) else val
-        if isinstance(n, Ker):
-            args = [ev(a) for a in n.args]
-            if n.name in BUILTIN_KERNELS:
-                x = args[0]
-                if n.name == "exp":
-                    return mpmath.exp(x)
-                if n.name == "ln":
-                    if x <= 0:
-                        raise DomainError(f"ln of non-positive value in {n}")
-                    return mpmath.log(x)
-                if n.name == "sin":
-                    return mpmath.sin(x)
-                if n.name == "cos":
-                    return mpmath.cos(x)
-            if kernel_values is None:
-                raise UnboundSymbol(n)
-            exact = all(isinstance(a, Fraction) for a in args)
-            key_args = tuple(args) if exact else tuple(
-                mpmath.nstr(mpmath.mpmathify(a), 40) for a in args)
-            return kernel_values(n.name, n.dvec, key_args)
-        if isinstance(n, Pow):
-            return _power(ev(n.base), ev(n.exp), n)
-        if isinstance(n, Mul):
-            acc = n.coeff
-            for b, x in n.pairs:
-                # b^1 is b itself: every mpf already carries DPS digits
-                acc = acc * (ev(b) if x is ONE else _power(ev(b), ev(x), n))
-            return acc
-        if isinstance(n, Add):
-            return sum((ev(t) for t in n.terms), Fraction(0))
-        raise TypeError(f"cannot evaluate {n!r}")
+            val = _number(val)
+        elif cls is Rat:
+            val = n.value
+        elif cls is Pow:
+            val = _power(ev(n.base), ev(n.exp), n)
+        elif cls is Ker:
+            val = _kernel(n, [ev(a) for a in n.args], kernel_values)
+        else:
+            raise TypeError(f"cannot evaluate {n!r}")
+        values[n] = val
+        return val
 
-    with mpmath.workdps(DPS):
-        return ev(e)
+    val = ev(e)
+    return val if type(val) is Fraction else mpmath.mp.make_mpf(val)
 
 
 def to_float(x) -> float:

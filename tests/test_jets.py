@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from rdsymm.expr import jet, sin_, sym
@@ -39,20 +40,12 @@ def test_finite_difference_oracle():
 
     def field_point(tv: Fraction, xv: Fraction):
         # jets of u = sin(x + 2t), v = x^2 * t
-        import mpmath
-        s = float(xv + 2 * tv)
-        vals = {
-            t: tv, x1: xv,
-            u: None, v: None,
-        }
-        point = {t: tv, x1: xv}
-        point[jet("u")] = mpmath.sin(s)
-        point[jet("u", 0, (1,))] = mpmath.cos(s)
-        point[jet("u", 0, (1, 1))] = -mpmath.sin(s)
-        point[jet("v")] = float(xv * xv * tv)
-        point[jet("v", 0, (1,))] = float(2 * xv * tv)
-        point[jet("v", 0, (1, 1))] = float(2 * tv)
-        return point
+        s = xv + 2 * tv
+        return {t: tv, x1: xv,
+                u: mpmath.sin(s), jet("u", 0, (1,)): mpmath.cos(s),
+                jet("u", 0, (1, 1)): -mpmath.sin(s),
+                v: xv * xv * tv, jet("v", 0, (1,)): 2 * xv * tv,
+                jet("v", 0, (1, 1)): 2 * tv}
 
     h = 1e-6
     for xv in (Fraction(1, 2), Fraction(2), Fraction(-1)):

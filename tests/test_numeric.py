@@ -3,11 +3,13 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from rdsymm.expr import (DomainError, cos_, differentiate, exp_, jet, ker,
-                         ln_, powe, rat, sin_, sym)
-from rdsymm.numeric import (DPS, Sampler, UnboundSymbol, eval_at, magnitude,
-                            to_float)
+from rdsymm.expr import (Add, DomainError, ExprError, Jet, Ker, Mul, ONE, Pow,
+                         Rat, Sym, cos_, differentiate, exp_, jet, ker, ln_,
+                         powe, rat, sin_, sym)
+from rdsymm.numeric import (DPS, _EXACT_POWER_BITS, Sampler, UnboundSymbol,
+                            eval_at, magnitude, random_fraction, to_float)
 
 u, v = jet("u"), jet("v")
 t = sym("t")
@@ -115,3 +117,170 @@ def test_eval_at_evaluates_each_distinct_node_once():
         calls = []
         eval_at(e, dict(point), lambda *key: calls.append(key) or 1)
         assert len(calls) == depth
+
+
+def test_eval_at_input_contract():
+    third = mpmath.mpf(1) / 3          # 53 bits, the default precision
+    got = eval_at(u * v + t, {u: 2, v: Fraction(1, 2), t: third})
+    with mpmath.workdps(DPS):
+        assert got == 1 + third
+    # a float is taken exactly, and the arithmetic on it runs at DPS digits
+    assert eval_at(u, {u: 0.1}) == mpmath.mpf(0.1)
+    got = eval_at(3 * u, {u: 0.1})
+    assert isinstance(got, mpmath.mpf)
+    with mpmath.workdps(DPS):
+        assert got == 3 * mpmath.mpf(0.1)
+    # kernel_values may return an int: it is exact, also under a power
+    f = ker("F", u)
+    got = eval_at(2 * f + powe(f, rat(-1)), {u: 1}, lambda *key: 3)
+    assert type(got) is Fraction and got == Fraction(19, 3)
+
+
+def _reference_power(b, x):
+    if isinstance(x, Fraction) and x.denominator == 1:
+        if b == 0 and x <= 0:
+            raise DomainError("0 to a non-positive power")
+        n = int(x)
+        if isinstance(b, Fraction) and abs(n) * max(
+                b.numerator.bit_length(),
+                b.denominator.bit_length()) > _EXACT_POWER_BITS:
+            return mpmath.power(b, n)
+        return b ** n
+    if b < 0:
+        raise DomainError("fractional power of negative value")
+    if b == 0:
+        if x > 0:
+            return b * x
+        raise DomainError("0 to a non-positive power")
+    return mpmath.power(b, x)
+
+
+def _reference_eval(e, point, kernel_values):
+    """eval_at written with Python's operators on Fractions and mpfs under
+    ``mpmath.workdps(DPS)``: the rounding that ``eval_at`` must reproduce
+    bit for bit."""
+    def ev(n):
+        if isinstance(n, Rat):
+            return n.value
+        if isinstance(n, (Sym, Jet)):
+            val = point.get(n)
+            if val is None:
+                raise UnboundSymbol(n)
+            return Fraction(val) if isinstance(val, int) else val
+        if isinstance(n, Ker):
+            args = [ev(a) for a in n.args]
+            if n.name == "exp":
+                return mpmath.exp(args[0])
+            if n.name == "ln":
+                if args[0] <= 0:
+                    raise DomainError("ln of non-positive value")
+                return mpmath.log(args[0])
+            if n.name == "sin":
+                return mpmath.sin(args[0])
+            if n.name == "cos":
+                return mpmath.cos(args[0])
+            if all(isinstance(a, Fraction) for a in args):
+                key = tuple(args)
+            else:
+                key = tuple(mpmath.nstr(mpmath.mpmathify(a), 40)
+                            for a in args)
+            return kernel_values(n.name, n.dvec, key)
+        if isinstance(n, Pow):
+            return _reference_power(ev(n.base), ev(n.exp))
+        if isinstance(n, Mul):
+            acc = n.coeff
+            for b, x in n.pairs:
+                acc = acc * (ev(b) if x is ONE
+                             else _reference_power(ev(b), ev(x)))
+            return acc
+        if isinstance(n, Add):
+            return sum((ev(t) for t in n.terms), Fraction(0))
+        raise TypeError(n)
+
+    with mpmath.workdps(DPS):
+        return ev(e)
+
+
+def _kernel_table(name, dvec, args):
+    """One fixed Fraction per (kernel, derivative, argument-values) key,
+    whatever order the keys come in."""
+    return random_fraction(random.Random(repr((name, dvec, args))))
+
+
+def _mpf(num, den, dps):
+    with mpmath.workdps(dps):
+        return mpmath.mpf(num) / den
+
+
+# denominators 3 and 7 are not powers of two, so that the conversion of a
+# rational that meets an mpf has to round
+_fractions = st.builds(Fraction, st.integers(-7, 7),
+                       st.sampled_from([1, 3, 7]))
+_values = st.one_of(
+    st.integers(-3, 3), _fractions,
+    st.builds(_mpf, st.integers(-7, 7), st.sampled_from([3, 7]),
+              st.sampled_from([15, DPS, 80])))
+_consts = st.builds(Fraction, st.integers(-5, 5),
+                    st.sampled_from([1, 2, 3, 7]))
+_exponents = st.sampled_from([2, 3, -1, -2, Fraction(1, 2), Fraction(3, 2),
+                              Fraction(-1, 3), Fraction(2, 7)])
+
+
+def _built(make, *parts):
+    """make's expression of the drawn parts, where construction itself does
+    not raise."""
+    def build(drawn):
+        try:
+            return make(*drawn)
+        except (DomainError, ExprError):
+            return None
+    return st.tuples(*parts).map(build).filter(lambda e: e is not None)
+
+
+_leaves = st.one_of(st.sampled_from([u, v, t]), _consts.map(rat))
+# the arguments of exp, ln, sin, cos and of a power's symbolic exponent:
+# nested exponentials of unbounded arguments could outgrow any precision
+_small = st.one_of(_leaves, _built(lambda c, a, b: c * a + b,
+                                   _consts, _leaves, _leaves))
+
+
+def _compound(sub):
+    return st.one_of(
+        _built(lambda a, b: a + b, sub, sub),
+        _built(lambda c, a, b: c * a * b, _consts, sub, sub),
+        _built(lambda a, x: powe(a, rat(x)), sub, _exponents),
+        _built(lambda a, b: powe(a, sin_(b)), sub, _small),
+        *(_built(fn, _small) for fn in (exp_, ln_, sin_, cos_)),
+        _built(lambda a: ker("F", a), sub),
+        _built(lambda a: ker("F", a, dvec=(1,)), sub),
+        _built(lambda a, b: ker("G", a, b), sub, sub))
+
+
+_exprs = st.recursive(_leaves, _compound, max_leaves=10)
+
+
+# powers near _EXACT_POWER_BITS: of an exact base, exact below it (u = 3:
+# 100000 bits) and in libmp beyond it (u = 7: 150000 bits); of an inexact base
+_big_powers = st.sampled_from([
+    powe(u, rat(50000)), powe(v, rat(-50000)),
+    powe(sin_(t) + 2, rat(50000)), rat(0)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_exprs, _big_powers, st.fixed_dictionaries(
+    {u: _values, v: _values, t: _values}))
+@example(rat(1, 3) * exp_(u), rat(0), {u: Fraction(1, 3), v: 1, t: 1})
+@example(exp_(u) + rat(1, 3), rat(0), {u: 1, v: 1, t: 1})
+def test_eval_at_rounds_as_the_operators_do(e, big, point):
+    e = e + big
+    try:
+        want = _reference_eval(e, point, _kernel_table)
+    except Exception as exc:
+        with pytest.raises(Exception) as got:
+            eval_at(e, point, _kernel_table)
+        assert type(got.value) is type(exc)
+        return
+    got = eval_at(e, point, _kernel_table)
+    assert type(got) is type(want)
+    # an mpf compares by its raw (sign, mantissa, exponent, bits): every bit
+    assert getattr(got, "_mpf_", got) == getattr(want, "_mpf_", want)

@@ -9,7 +9,10 @@ jet coordinates through the characteristic recursion
 
     phi^a_{J,i} = D_i phi^a_J - (D_i eta) u^a_{J,t} - sum_k (D_i xi^k) u^a_{J,k}
 
-with phi^a at order zero equal to -pi^a.
+with phi^a at order zero equal to -pi^a.  Each phi^a_J is built from the
+nonzero terms of that recursion only, after the jet itself is checked
+against m and ``MAX_ORDER``, so a shift or a rotation, whose coefficients
+are mostly constant, prolongs without building a total derivative of 0.
 
 The named operators below are the dilation/Galilei/conformal family for the
 triangular systems.  The boost and conformal weights carry the coefficients
@@ -25,9 +28,10 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from .equality import decide_equivalence
 from .expr import (EMPTY_RULES, Expr, Jet, MINUS_ONE, ONE, RuleSet, T, ZERO,
-                   add, differentiate, exp_, is_zero, jet, jets_in, mul, powe,
-                   rat)
-from .jets import coords, total_derivative, x_squared
+                   add, differentiate, exp_, free_symbols, is_zero, jet, jets_in,
+                   mul, powe, rat)
+from .jets import (MAX_ORDER, Direction, JetOrderError, coords,
+                   total_derivative, x_squared)
 
 
 @dataclass(frozen=True)
@@ -103,32 +107,59 @@ def generator(m: int, eta=ZERO, xi=None, phi_u=ZERO, phi_v=ZERO) -> Generator:
     return Generator(eta, xi, mul(MINUS_ONE, phi_u), mul(MINUS_ONE, phi_v))
 
 
+def _moves(e: Expr, axis: Expr) -> bool:
+    """False when the total derivative along the coordinate ``axis`` is 0
+    without building it: e holds neither ``axis`` nor a jet, so each
+    partial derivative in it is by an absent atom."""
+    atoms = free_symbols(e)
+    return axis in atoms or any(type(s) is Jet for s in atoms)
+
+
 class ProlongedGenerator:
     """Generator plus phi-coefficients for every jet up to ``MAX_ORDER``,
-    over the generator's own dimension."""
+    over the generator's own dimension.
+
+    A jet is checked before anything is built: an order beyond
+    ``MAX_ORDER`` or a spatial index outside 1..m raises ``JetOrderError``
+    whatever the coefficients are.  Each phi^J is then one ``add`` over the
+    nonzero terms of the recursion only: D_i phi^J is taken only when
+    phi^J holds x_i (or t) or a jet, and so is D_i c for c among eta and
+    xi_1..xi_m; any other total derivative is 0 and is never built.  The
+    shifts and rotations the classification states most often have
+    mostly constant coefficients, so most terms vanish this way."""
 
     def __init__(self, base: Generator, rules: RuleSet = EMPTY_RULES):
         self.base = base
         self.rules = rules
         self._phi: Dict[Tuple[str, int, Tuple[int, ...]], Expr] = {}
-        self._dxi: Dict[Tuple[object, int], Expr] = {}
+        self._directions: Dict[Direction, Tuple[Expr, list]] = {}
 
-    def _dcoef(self, which, direction) -> Expr:
-        key = (which, direction)
-        if key not in self._dxi:
-            if which == "eta":
-                e = self.base.eta
-            else:
-                e = self.base.xi[which - 1]
-            self._dxi[key] = total_derivative(e, direction, self.base.m,
-                                              self.rules)
-        return self._dxi[key]
+    def _direction(self, direction: Direction) -> Tuple[Expr, list]:
+        """The direction's coordinate and the nonzero pairs
+        (D_direction c, toward) for c = eta (toward t) and c = xi_k (toward
+        x_k), built once per direction."""
+        hit = self._directions.get(direction)
+        if hit is None:
+            m = self.base.m
+            axis = T if direction == "t" else coords(m)[direction - 1]
+            hit = self._directions[direction] = (axis, [
+                (d, toward) for c, toward in zip(
+                    (self.base.eta, *self.base.xi), ("t", *range(1, m + 1)))
+                if _moves(c, axis)
+                for d in (total_derivative(c, direction, m, self.rules),)
+                if not is_zero(d)])
+        return hit
 
     def phi(self, j: Jet) -> Expr:
         key = (j.dep, j.nt, j.xs)
         hit = self._phi.get(key)
         if hit is not None:
             return hit
+        if j.order > MAX_ORDER:
+            raise JetOrderError(f"jet {j} beyond jet order cap {MAX_ORDER}")
+        if j.xs and not (j.xs[0] >= 1 and j.xs[-1] <= self.base.m):
+            raise JetOrderError(
+                f"jet {j} has a direction outside dimension m={self.base.m}")
         if j.order == 0:
             out = self.base.phi(j.dep)
         else:
@@ -140,12 +171,13 @@ class ProlongedGenerator:
                 direction = "t"
                 parent = Jet(j.dep, j.nt - 1, ())
             prev = self.phi(parent)
-            out = total_derivative(prev, direction, self.base.m, self.rules)
-            out = add(out, mul(MINUS_ONE, self._dcoef("eta", direction),
-                               parent.bump("t")))
-            for k in range(1, self.base.m + 1):
-                out = add(out, mul(MINUS_ONE, self._dcoef(k, direction),
-                                   parent.bump(k)))
+            axis, dcoefs = self._direction(direction)
+            terms = [mul(MINUS_ONE, d, parent.bump(toward))
+                     for d, toward in dcoefs]
+            if _moves(prev, axis):
+                terms.append(total_derivative(prev, direction, self.base.m,
+                                              self.rules))
+            out = add(*terms)
         self._phi[key] = out
         return out
 

@@ -226,8 +226,11 @@ def eval_at(e: Expr, point, kernel_values=None):
             val = n.coeff
             for b, x in n.pairs:
                 # b^1 is b itself: every mpf already carries DPS digits
-                val = _mul(val, ev(b) if x is ONE
-                           else _power(ev(b), ev(x), n))
+                f = ev(b) if x is ONE else _power(ev(b), ev(x), n)
+                # 1*f is f for a rational f; an mpf f still goes through
+                # mpf_mul, which re-rounds it to DPS digits
+                val = (f if type(f) is Fraction and val == 1
+                       else _mul(val, f))
         elif cls is Add:
             val = _ZERO
             for t in n.terms:

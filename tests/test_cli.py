@@ -207,6 +207,9 @@ _GEN = {"eta": "1", "xi": ["0"], "pi": ["0", "0"]}
      {**_GEN, "xi": ["0", "0"]}),
     ("verify", {**_TRIANGULAR, "m": 2},
      {**_GEN, "eta": "u_x3", "xi": ["0", "0"]}),
+    ("verify", {**_TRIANGULAR, "m": 2, "f1": "u_x3", "f2": "v"},
+     {"eta": "0", "xi": ["0", "0"], "pi": ["0", "0"]}),
+    ("verify", {**_TRIANGULAR, "f1": "u_x1x1x1x1x1"}, _GEN),
     ("equiv", _TRIANGULAR, {"kind": "linear",
                             "params": {"k1": "2", "lam": "3"}}),
     ("equiv", _TRIANGULAR, {"kind": "aet", "index": 2,
@@ -216,6 +219,8 @@ _GEN = {"eta": "1", "xi": ["0"], "pi": ["0", "0"]}
         "xi_string", "pi_string", "pi_three", "commutator_xi_string",
         "m_fractional", "m_boolean",
         "jet_index_beyond_m_in_system", "jet_index_beyond_m_in_generator",
+        "jet_index_beyond_m_with_the_zero_generator",
+        "jet_beyond_order_cap_with_a_translation",
         "linear_unknown_param", "aet_gives_m"])
 def test_input_faults_exit_2_with_one_line(tmp_path, capsys, command, system,
                                            other):

@@ -1,17 +1,20 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rdsymm.equality import decide_equivalence
 from rdsymm import fields
-from rdsymm.expr import (add, differentiate, exp_, is_zero, jet, jets_in, mul,
-                         rat, sym)
+from rdsymm.expr import (EMPTY_RULES, Jet, RuleSet, add, differentiate, exp_,
+                         is_zero, jet, jets_in, ker, mul, rat, sym)
+from rdsymm.jets import JetOrderError, coords, total_derivative
 from rdsymm.fields import (CauchyRiemannError, Generator, ProlongedGenerator,
                            commutator, generator, h_field, named_operator,
                            zero_generator)
 from rdsymm.cli import dump_generator
 from rdsymm.nmatrix import g1, g4, g5, g6, realized_symmetry
 from rdsymm.parser import parse
+from rdsymm.systems import heat_kernel_rule, prolonged_equations, triangular
 
 u, v, t = jet("u"), jet("v"), sym("t")
 x1, x2 = sym("x1"), sym("x2")
@@ -62,6 +65,121 @@ def test_apply_to_differentiates_only_where_the_coefficient_is_nonzero(
     assert g.apply_to(e) is add(mul(x1, differentiate(e, x2)),
                                 mul(rat(-1), u, differentiate(e, u)))
     assert atoms == [x2, u]
+
+
+def _reference_phi(g: Generator, rules: RuleSet = EMPTY_RULES):
+    """phi^J by the recursion with every term built, zero or not, and added
+    one at a time: m + 1 incremental adds after D_i phi^J."""
+    m, memo = g.m, {}
+
+    def phi(j: Jet):
+        if j not in memo:
+            if j.order == 0:
+                out = g.phi(j.dep)
+            else:
+                if j.xs:
+                    direction, parent = j.xs[-1], Jet(j.dep, j.nt, j.xs[:-1])
+                else:
+                    direction, parent = "t", Jet(j.dep, j.nt - 1, ())
+                out = total_derivative(phi(parent), direction, m, rules)
+                for toward, c in zip(("t", *range(1, m + 1)), (g.eta, *g.xi)):
+                    d = total_derivative(c, direction, m, rules)
+                    out = add(out, mul(rat(-1), d, parent.bump(toward)))
+            memo[j] = out
+        return memo[j]
+
+    return phi
+
+
+def _assert_phi_is_reference(g: Generator, rules: RuleSet = EMPTY_RULES):
+    m = g.m
+    js = [jet("u", 1), jet("v", 1), jet("u", 1, (1,)), jet("v", 2, (1, m))]
+    js += [jet("u", 0, (i,)) for i in range(1, m + 1)]
+    js += [jet("u", 0, (i, k)) for i in range(1, m + 1)
+           for k in range(i, m + 1)]
+    pr, reference = ProlongedGenerator(g, rules), _reference_phi(g, rules)
+    for j in js:
+        assert pr.phi(j) is reference(j), j
+
+
+def _named_operators(m):
+    xs = coords(m)
+    H = {1: [x1 * x1 * x1], 2: [x1 * x1 - x2 * x2, 2 * x1 * x2]}
+    ops = [named_operator("P0", m), named_operator("D", m),
+           named_operator("Dtilde", m), named_operator("K", m, a=a),
+           named_operator("G", m, a=a, index=m),
+           named_operator("Ghat", m, a=a, gamma=sym("g"), index=1),
+           h_field(m, H=H.get(m), lam_vec=[1, 0, -2][:m])]
+    ops += [named_operator("P", m, index=i) for i in range(1, m + 1)]
+    if m >= 2:
+        ops.append(named_operator("J", m, index=1, index2=m))
+    return ops
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_phi_is_the_full_recursion_for_named_operators(m):
+    for g in _named_operators(m):
+        _assert_phi_is_reference(g)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_phi_is_the_full_recursion_under_heat_kernel_rules(m):
+    params = [t, *coords(m)]
+    psi = ker("psi", *params)
+    rules = RuleSet([heat_kernel_rule("psi", params, a, sym("nu"))])
+    g = generator(m, eta=psi, xi=[mul(x1, psi)] + [t] * (m - 1),
+                  phi_u=mul(psi, u), phi_v=mul(psi, v))
+    _assert_phi_is_reference(g, rules)
+
+
+def _polynomials(m):
+    atoms = [t, u, v, *coords(m)]
+    monomials = st.builds(
+        lambda c, fs: mul(rat(c), *fs), st.integers(-3, 3),
+        st.lists(st.sampled_from(atoms), max_size=2))
+    return st.lists(monomials, max_size=3).map(lambda ts: add(*ts))
+
+
+@st.composite
+def _polynomial_generators(draw):
+    m = draw(st.integers(1, 3))
+    p = _polynomials(m)
+    return Generator(draw(p), tuple(draw(p) for _ in range(m)), draw(p),
+                     draw(p))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_polynomial_generators())
+def test_phi_is_the_full_recursion_for_random_polynomial_generators(g):
+    _assert_phi_is_reference(g)
+
+
+def test_jets_are_checked_whatever_the_coefficients():
+    for g in (zero_generator(2), named_operator("P", 2, index=1),
+              generator(2, phi_u=u)):
+        pr = ProlongedGenerator(g)
+        for j in (jet("u", 0, (3,)), jet("v", 1, (1, 3)), jet("u", 0, (0,)),
+                  jet("u", 0, (1,) * 5), jet("v", 5)):
+            with pytest.raises(JetOrderError):
+                pr.phi(j)
+
+
+def test_shifts_prolong_without_a_total_derivative(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return total_derivative(*args)
+
+    monkeypatch.setattr(fields, "total_derivative", counting)
+    system = triangular(3, a, parse("u^2*exp(x1)"), parse("u*v + t*v^2"))
+    for i in range(4):
+        g = (named_operator("P", 3, index=i) if i
+             else named_operator("P0", 3))
+        prolonged_equations(system, g)
+    assert calls == []
+    prolonged_equations(system, named_operator("J", 3, index=1, index2=2))
+    assert calls
 
 
 def test_scaling_prolongation_coefficient():

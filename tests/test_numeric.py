@@ -271,6 +271,9 @@ _big_powers = st.sampled_from([
     {u: _values, v: _values, t: _values}))
 @example(rat(1, 3) * exp_(u), rat(0), {u: Fraction(1, 3), v: 1, t: 1})
 @example(exp_(u) + rat(1, 3), rat(0), {u: 1, v: 1, t: 1})
+# the coefficient 1 times an 80-digit u rounds u to DPS digits before v
+# multiplies it; skipping that product would round only once
+@example(u * v, rat(0), {u: _mpf(1, 3, 80), v: 7, t: 1})
 def test_eval_at_rounds_as_the_operators_do(e, big, point):
     e = e + big
     try:

@@ -949,45 +949,60 @@ def _merged(terms: list) -> Expr:
     return terms[0] if len(terms) == 1 else add(*terms)
 
 
-def _expanded(e: Expr) -> Expr:
-    return _merged(_expand_terms(e))
+def _expanded(e: Expr, memo: dict) -> Expr:
+    return _merged(_expand_terms(e, memo))
 
 
-def _power_terms(b: Expr, x: Expr) -> list:
+def _power_terms(b: Expr, x: Expr, memo: dict) -> list:
     """The terms of b^x, distributed when b expands to a sum and x to an
     integer > 1; otherwise b^x goes through ``powe``, whose result is
-    expanded again only when it rewrote the node."""
-    b, x = _expanded(b), _expanded(x)
-    if isinstance(b, Add) and is_int(x) and x.value > 1:
-        acc = b.terms
-        for _ in range(int(x.value) - 1):
-            acc = _distribute(acc, b.terms)
-        return acc
-    p = powe(b, x)
-    if p is b or (isinstance(p, Pow) and p.base is b and p.exp is x):
-        return _addends(p)
-    return _expand_terms(p)
+    expanded again only when it rewrote the node.  ``memo`` maps (b, x)
+    to its terms for the length of one ``expand`` call."""
+    out = memo.get((b, x))
+    if out is not None:
+        return out
+    eb, ex = _expanded(b, memo), _expanded(x, memo)
+    if isinstance(eb, Add) and is_int(ex) and ex.value > 1:
+        out = eb.terms
+        for _ in range(int(ex.value) - 1):
+            out = _distribute(out, eb.terms)
+    else:
+        p = powe(eb, ex)
+        if p is eb or (isinstance(p, Pow) and p.base is eb and p.exp is ex):
+            out = _addends(p)
+        else:
+            out = _expand_terms(p, memo)
+    memo[(b, x)] = out
+    return out
 
 
-def _expand_terms(e: Expr) -> list:
+def _expand_terms(e: Expr, memo: dict) -> list:
     """The terms of e with every product distributed over sums, in one pass
-    over the tree; the terms are not merged with each other."""
+    over the tree; the terms are not merged with each other.  ``memo``
+    maps each node met in one ``expand`` call to its terms, so a subtree
+    shared by many terms is expanded once."""
+    out = memo.get(e)
+    if out is not None:
+        return out
     if isinstance(e, Add):
-        return [t for c in e.terms for t in _expand_terms(c)]
-    if isinstance(e, Mul):
-        acc = [rat(e.coeff)]
+        out = [t for c in e.terms for t in _expand_terms(c, memo)]
+    elif isinstance(e, Mul):
+        out = [rat(e.coeff)]
         for b, x in e.pairs:
-            acc = _distribute(acc, _addends(_merged(_power_terms(b, x))))
-        return acc
-    if isinstance(e, Pow):
-        return _power_terms(e.base, e.exp)
-    r = rebuild(e, [_expanded(c) for c in children(e)])
-    # a kernel constructor may rewrite (exp pulls out ln parts, ln splits
-    # products, sin pulls out a sign): expand what it made
-    return [r] if r is e or isinstance(r, Ker) else _expand_terms(r)
+            out = _distribute(out, _addends(_merged(_power_terms(b, x, memo))))
+    elif isinstance(e, Pow):
+        out = _power_terms(e.base, e.exp, memo)
+    else:
+        r = rebuild(e, [_expanded(c, memo) for c in children(e)])
+        # a kernel constructor may rewrite (exp pulls out ln parts, ln
+        # splits products, sin pulls out a sign): expand what it made
+        out = ([r] if r is e or isinstance(r, Ker)
+               else _expand_terms(r, memo))
+    memo[e] = out
+    return out
 
 
-def _cos_reduced(t: Expr) -> list:
+def _cos_reduced(t: Expr, memo: dict) -> list:
     """The expanded terms of the monomial t with each cos(a)^k (k >= 2)
     rewritten as (1 - sin(a)^2)^(k//2) * cos(a)^(k%2)."""
     coeff, pairs = _term_parts(t)
@@ -999,7 +1014,8 @@ def _cos_reduced(t: Expr) -> list:
                     for bb, xx in pairs[:j] + pairs[j + 1:]]
             new = mul(rat(coeff), powe(cos2, rat(k // 2)), powe(b, rat(k % 2)),
                       *rest)
-            return [r for s in _expand_terms(new) for r in _cos_reduced(s)]
+            return [r for s in _expand_terms(new, memo)
+                    for r in _cos_reduced(s, memo)]
     return [t]
 
 
@@ -1010,4 +1026,6 @@ def expand(e: Expr) -> Expr:
     its cos powers reduced through cos^2 = 1 - sin^2, and a single ``add``
     merges the lot.  Raises ExprError when a product would exceed
     ``_EXPAND_TERM_CAP`` terms."""
-    return add(*[r for t in _expand_terms(e) for r in _cos_reduced(t)])
+    memo = {}
+    return add(*[r for t in _expand_terms(e, memo)
+                 for r in _cos_reduced(t, memo)])

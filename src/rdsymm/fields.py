@@ -14,6 +14,11 @@ nonzero terms of that recursion only, after the jet itself is checked
 against m and ``MAX_ORDER``, so a shift or a rotation, whose coefficients
 are mostly constant, prolongs without building a total derivative of 0.
 
+pr X depends only on X and the kernel rules, so a generator keeps one
+prolongation (``Generator.prolonged``): the one for the last rule set it
+was prolonged under.  Checking one generator against many systems with the
+same rules derives each phi^a_J once.
+
 The named operators below are the dilation/Galilei/conformal family for the
 triangular systems.  The boost and conformal weights carry the coefficients
 that actually verify by direct prolongation (weight sign opposite to the
@@ -23,7 +28,7 @@ the worked-example suite pin them down, see the package tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Tuple
 
 from .equality import decide_equivalence
@@ -40,10 +45,23 @@ class Generator:
     xi: Tuple[Expr, ...]
     pi1: Expr
     pi2: Expr
+    # the last prolongation, see ``prolonged``; not part of the value
+    _pr: Optional["ProlongedGenerator"] = field(
+        default=None, init=False, repr=False, compare=False)
 
     @property
     def m(self) -> int:
         return len(self.xi)
+
+    def prolonged(self, rules: RuleSet = EMPTY_RULES) -> "ProlongedGenerator":
+        """pr X under ``rules``, kept on the generator: the same object is
+        returned while the rule set is the same object, and a new one
+        replaces it when another rule set comes."""
+        pr = self._pr
+        if pr is None or pr.rules is not rules:
+            pr = ProlongedGenerator(self, rules)
+            object.__setattr__(self, "_pr", pr)
+        return pr
 
     def phi(self, dep: str) -> Expr:
         """Coefficient of d_{u^a} for the order-zero jet."""
@@ -126,7 +144,12 @@ class ProlongedGenerator:
     phi^J holds x_i (or t) or a jet, and so is D_i c for c among eta and
     xi_1..xi_m; any other total derivative is 0 and is never built.  The
     shifts and rotations the classification states most often have
-    mostly constant coefficients, so most terms vanish this way."""
+    mostly constant coefficients, so most terms vanish this way.
+
+    Every phi^J is kept once built.  ``Generator.prolonged`` keeps one
+    ProlongedGenerator on its generator, for the last rule set used, so
+    the phi^J of one generator are shared by every system with those
+    rules; one built directly lives as long as its caller holds it."""
 
     def __init__(self, base: Generator, rules: RuleSet = EMPTY_RULES):
         self.base = base

@@ -227,10 +227,12 @@ def eval_at(e: Expr, point, kernel_values=None):
             for b, x in n.pairs:
                 # b^1 is b itself: every mpf already carries DPS digits
                 f = ev(b) if x is ONE else _power(ev(b), ev(x), n)
-                # 1*f is f for a rational f; an mpf f still goes through
-                # mpf_mul, which re-rounds it to DPS digits
-                val = (f if type(f) is Fraction and val == 1
-                       else _mul(val, f))
+                # a rational times 1 is that rational; an mpf operand still
+                # goes through mpf_mul, which re-rounds it to DPS digits
+                if type(f) is Fraction and type(val) is Fraction:
+                    val = f if val == 1 else val if f == 1 else val * f
+                else:
+                    val = _mul(val, f)
         elif cls is Add:
             val = _ZERO
             for t in n.terms:

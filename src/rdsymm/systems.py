@@ -5,6 +5,9 @@ Families:
 * triangular  u_t - a*Lap(u) = f1,  v_t - Lap(u) - a*Lap(v) = f2   (a may be 0)
 * drift       u_t - p*v_{x_m} = f1,  v_t - Lap(u) = f2             (p != 0)
 
+f1 and f2 hold no t-jet: each system is solved for u_t and v_t, and one
+whose right-hand side holds a t-jet is refused when it is built.
+
 ``symmetry_residual`` applies the second prolongation of a generator to both
 equations and eliminates every t-jet through the system (evolution
 substitution), leaving polynomials in the spatial jets; a generator is a
@@ -27,7 +30,7 @@ from .expr import (EMPTY_RULES, Expr, ExprError, Jet, Ker, KernelRule,
                    MINUS_ONE, ONE, RuleSet, T, ZERO, add, differentiate,
                    expand, is_zero, jet, jets_in, ker, mul, powe, rat,
                    substitute, free_symbols, Rat)
-from .fields import Generator, ProlongedGenerator
+from .fields import Generator
 from .jets import (JetOrderError, coords, is_coordinate, laplacian,
                    total_derivative, x_squared)
 
@@ -44,6 +47,16 @@ class RDSystem:
     a: Expr = ZERO           # triangular diffusion constant
     p: Expr = ONE            # drift magnitude (normalized to the last axis)
     rules: RuleSet = field(default_factory=lambda: EMPTY_RULES)
+
+    def __post_init__(self):
+        # evolution substitution reads each equation as solved for u_t or
+        # v_t: a t-jet on a right-hand side would be substituted into itself
+        for name, f in (("f1", self.f1), ("f2", self.f2)):
+            tjets = sorted(str(j) for j in jets_in(f) if j.nt)
+            if tjets:
+                raise ValueError(f"{name} holds the t-derivative "
+                                 f"{', '.join(tjets)}: the system must be "
+                                 "solved for u_t and v_t")
 
     def rhs(self) -> Tuple[Expr, Expr]:
         lap_u = add(*[jet("u", 0, (i, i)) for i in range(1, self.m + 1)])
@@ -138,7 +151,7 @@ def prolonged_equations(system: RDSystem, x: Generator
     if x.m != system.m:
         raise ValueError("generator dimension != system dimension")
     rhs_u, rhs_v = rhs = system.rhs()
-    pr = ProlongedGenerator(x, system.rules)
+    pr = x.prolonged(system.rules)
     return ((pr.apply_to(add(jet("u", 1), mul(MINUS_ONE, rhs_u))),
              pr.apply_to(add(jet("v", 1), mul(MINUS_ONE, rhs_v)))), rhs)
 

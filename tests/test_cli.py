@@ -210,6 +210,10 @@ _GEN = {"eta": "1", "xi": ["0"], "pi": ["0", "0"]}
     ("verify", {**_TRIANGULAR, "m": 2, "f1": "u_x3", "f2": "v"},
      {"eta": "0", "xi": ["0", "0"], "pi": ["0", "0"]}),
     ("verify", {**_TRIANGULAR, "f1": "u_x1x1x1x1x1"}, _GEN),
+    ("verify", {**_TRIANGULAR, "f1": "u_t"}, {**_GEN, "pi": ["u", "v"]}),
+    ("verify", {**_TRIANGULAR, "f1": "u_t"}, {**_GEN, "eta": "u_x1"}),
+    ("verify", {**_TRIANGULAR, "family": {"kind": "drift", "p": "1"},
+                "f2": "u*v_tx1"}, _GEN),
     ("equiv", _TRIANGULAR, {"kind": "linear",
                             "params": {"k1": "2", "lam": "3"}}),
     ("equiv", _TRIANGULAR, {"kind": "aet", "index": 2,
@@ -221,6 +225,8 @@ _GEN = {"eta": "1", "xi": ["0"], "pi": ["0", "0"]}
         "jet_index_beyond_m_in_system", "jet_index_beyond_m_in_generator",
         "jet_index_beyond_m_with_the_zero_generator",
         "jet_beyond_order_cap_with_a_translation",
+        "t_jet_in_f1_with_a_vertical_generator",
+        "t_jet_in_f1_with_a_jet_coefficient", "t_jet_in_f2_of_a_drift",
         "linear_unknown_param", "aet_gives_m"])
 def test_input_faults_exit_2_with_one_line(tmp_path, capsys, command, system,
                                            other):

@@ -272,6 +272,25 @@ def test_expand_expands_what_a_kernel_constructor_rewrites():
     assert expand(e) == u * u + 2 * u * v + v * v
 
 
+def test_expand_walks_a_shared_subtree_once(monkeypatch):
+    # F(u + v) sits in 20 terms; one expand call rebuilds it once
+    shared = ker("F", u + v)
+    e = add(*[mul(sym(f"c{i}"), shared, shared + t) for i in range(20)])
+    rebuilt = []
+
+    def counting(n, kids):
+        rebuilt.append(n)
+        return rebuild(n, kids)
+
+    monkeypatch.setattr(expr, "rebuild", counting)
+    out = expand(e)
+    assert rebuilt.count(shared) == 1
+    monkeypatch.undo()
+    assert out == add(*[mul(sym(f"c{i}"), shared, shared)
+                        for i in range(20)] +
+                      [mul(sym(f"c{i}"), shared, t) for i in range(20)])
+
+
 _POSITIVE_POINT = {u: Fraction(3, 2), v: Fraction(2, 3), t: Fraction(5, 4),
                    x1: Fraction(7, 3), nu: Fraction(3, 5), mu: Fraction(5, 2)}
 

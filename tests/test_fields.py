@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -7,7 +8,7 @@ from rdsymm.equality import decide_equivalence
 from rdsymm import fields
 from rdsymm.expr import (EMPTY_RULES, Jet, RuleSet, add, differentiate, exp_,
                          is_zero, jet, jets_in, ker, mul, rat, sym)
-from rdsymm.jets import JetOrderError, coords, total_derivative
+from rdsymm.jets import MAX_ORDER, JetOrderError, coords, total_derivative
 from rdsymm.fields import (CauchyRiemannError, Generator, ProlongedGenerator,
                            commutator, generator, h_field, named_operator,
                            zero_generator)
@@ -180,6 +181,42 @@ def test_shifts_prolong_without_a_total_derivative(monkeypatch):
     assert calls == []
     prolonged_equations(system, named_operator("J", 3, index=1, index2=2))
     assert calls
+
+
+def _jets_up_to_max_order(m):
+    return [Jet(dep, nt, xs) for dep in "uv" for nt in range(MAX_ORDER + 1)
+            for k in range(MAX_ORDER + 1 - nt)
+            for xs in itertools.combinations_with_replacement(
+                range(1, m + 1), k)]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_prolonged_is_a_fresh_prolongation_for_named_operators(m):
+    for g in _named_operators(m):
+        pr, fresh = g.prolonged(EMPTY_RULES), ProlongedGenerator(g)
+        assert pr.base is g and pr.rules is EMPTY_RULES
+        for j in _jets_up_to_max_order(m):
+            assert pr.phi(j) is fresh.phi(j), (g, j)
+        assert g.prolonged(EMPTY_RULES) is pr
+
+
+def test_the_kept_prolongation_is_not_part_of_the_generator_value():
+    g = named_operator("J", 2, index=1, index2=2)
+    twin = Generator(g.eta, g.xi, g.pi1, g.pi2)
+    before = repr(g)
+    g.prolonged().phi(jet("u", 0, (1, 2)))
+    assert g == twin and hash(g) == hash(twin) and repr(g) == before
+    assert twin.prolonged() is not g.prolonged()
+
+
+def test_a_jet_beyond_m_raises_on_every_call():
+    g = named_operator("P", 2, index=1)
+    system = triangular(2, a, jet("u", 0, (3,)), v)
+    for _ in range(3):
+        with pytest.raises(JetOrderError):
+            g.prolonged().phi(jet("u", 0, (3,)))
+        with pytest.raises(JetOrderError):
+            prolonged_equations(system, g)
 
 
 def test_scaling_prolongation_coefficient():

@@ -2,18 +2,20 @@ from collections import defaultdict
 
 import pytest
 
+from rdsymm import fields
 from rdsymm.equality import decide_equivalence
 from rdsymm.expr import (ZERO, add, exp_, expand, is_zero, jet, jets_in, ker,
-                         mul, powe, rat, sym, Add, Jet, _term_parts,
+                         mul, powe, rat, sym, Add, Jet, RuleSet, _term_parts,
                          _from_parts)
 from rdsymm.fields import Generator, generator, named_operator
+from rdsymm.jets import coords, total_derivative
 from rdsymm.parser import parse, to_text
 from rdsymm.systems import (FullSymmetryData, RDSystem,
                             classifying_residual_a0,
                             classifying_residual_drift,
                             classifying_residual_full,
                             classifying_residual_main, drift, drift_normalize,
-                            extension_check, is_symmetry,
+                            extension_check, heat_kernel_rule, is_symmetry,
                             prolonged_equations, symmetry_residual,
                             triangular)
 from rdsymm.verify import minimal_failing_monomial
@@ -91,6 +93,58 @@ def test_rotations_hold_for_any_point_nonlinearity():
     S = triangular(2, a, F1, F2)
     J = named_operator("J", 2, index=1, index2=2)
     assert is_symmetry(S, J).holds
+
+
+def _fresh(x: Generator) -> Generator:
+    """An equal generator that has not been prolonged yet."""
+    return Generator(x.eta, x.xi, x.pi1, x.pi2)
+
+
+def test_one_generator_against_systems_with_other_rules():
+    params = [t, *coords(2)]
+    psi = ker("psi", *params)
+    f1, f2 = parse("u^2"), mul(psi, v)
+    A = triangular(2, a, f1, f2)
+    B = triangular(2, a, f1, f2,
+                   rules=RuleSet([heat_kernel_rule("psi", params, a, nu)]))
+    X = generator(2, eta=psi, xi=[mul(x1, psi), t], phi_u=mul(psi, u))
+    got = {}
+    for S in (A, B, A):
+        r = symmetry_residual(S, X)
+        assert r == symmetry_residual(S, _fresh(X))
+        got.setdefault(S.rules, r)
+        assert got[S.rules] == r
+    assert got[A.rules] != got[B.rules]
+
+
+def test_a_second_system_with_the_same_rules_prolongs_nothing(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return total_derivative(*args)
+
+    monkeypatch.setattr(fields, "total_derivative", counting)
+    J = named_operator("J", 3, index=1, index2=3)
+    first = triangular(3, a, parse("u^2*x2"), parse("u*v"))
+    second = drift(3, rat(2), parse("u*v^3"), ker("F", u, v))
+    symmetry_residual(first, J)
+    assert calls
+    calls.clear()
+    r = symmetry_residual(second, J)
+    assert calls == []
+    assert r == symmetry_residual(second, _fresh(J))
+
+
+@pytest.mark.parametrize("f1, f2", [
+    (jet("u", 1), v), (u, mul(v, jet("u", 1, (1,)))),
+    (ker("F", jet("v", 2)), u)], ids=["u_t", "u_tx1", "v_tt_in_a_kernel"])
+def test_a_right_hand_side_with_a_t_jet_is_rejected(f1, f2):
+    for build in (lambda: triangular(1, a, f1, f2),
+                  lambda: drift(1, rat(1), f1, f2),
+                  lambda: RDSystem(1, "triangular", f2, f1)):
+        with pytest.raises(ValueError, match="t-derivative"):
+            build()
 
 
 # -- drift normalization -----------------------------------------------------

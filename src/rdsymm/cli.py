@@ -139,7 +139,10 @@ def load_transform(path, m: int):
         if kind == "aet":
             if "m" in params:
                 raise UsageError("AET parameter m is the system's dimension")
-            return aet(int(data["index"]), m=m, **params)
+            index = data["index"]
+            if isinstance(index, bool) or not isinstance(index, int):
+                raise UsageError(f"AET index {index!r}, must be an integer")
+            return aet(index, m=m, **params)
         if kind == "vshift":
             return VShift(_parse_expr(data["phi"], "phi"))
         if kind == "vshift_full":

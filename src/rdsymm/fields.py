@@ -4,15 +4,19 @@ A ``Generator`` is the first-order operator
 
     X = eta*d_t + xi_i*d_{x_i} - pi1*d_u - pi2*d_v
 
-(note the minus signs on the pi's).  ``ProlongedGenerator`` extends it to
-jet coordinates through the characteristic recursion
+(note the minus signs on the pi's).  ``ProlongedGenerator`` is pr X: it
+keeps X's coefficients, not X, and extends them to jet coordinates
+through the characteristic recursion
 
     phi^a_{J,i} = D_i phi^a_J - (D_i eta) u^a_{J,t} - sum_k (D_i xi^k) u^a_{J,k}
 
-with phi^a at order zero equal to -pi^a.  Each phi^a_J is built from the
-nonzero terms of that recursion only, after the jet itself is checked
-against m and ``MAX_ORDER``, so a shift or a rotation, whose coefficients
-are mostly constant, prolongs without building a total derivative of 0.
+from phi^a at order zero, -pi^a.  Its ``apply_to`` is the one action of a
+vector field: X on a function of (t, x, u, v) is the order-zero case, and
+``commutator`` and ``transforms.pushforward`` are built on it.  Each
+phi^a_J is built from the nonzero terms of the recursion only, after the
+jet itself is checked against m and ``MAX_ORDER``, so a shift or a
+rotation, whose coefficients are mostly constant, prolongs without
+building a total derivative of 0.
 
 pr X depends only on X and the kernel rules, so a generator keeps one
 prolongation (``Generator.prolonged``): the one for the last rule set it
@@ -67,22 +71,6 @@ class Generator:
         """Coefficient of d_{u^a} for the order-zero jet."""
         return mul(MINUS_ONE, self.pi1 if dep == "u" else self.pi2)
 
-    def _horizontal_parts(self, e: Expr, rules: RuleSet) -> list:
-        """The terms eta*e_t and xi_i*e_{x_i}, differentiating only where
-        the coefficient is nonzero."""
-        return [mul(c, differentiate(e, a, rules))
-                for a, c in zip((T, *coords(self.m)), (self.eta, *self.xi))
-                if not is_zero(c)]
-
-    def apply_to(self, e: Expr, rules: RuleSet = EMPTY_RULES) -> Expr:
-        """Zeroth-order action on a function of (t, x, u, v); e is
-        differentiated only by atoms whose coefficient is nonzero."""
-        parts = self._horizontal_parts(e, rules)
-        for a, p in ((jet("u"), self.pi1), (jet("v"), self.pi2)):
-            if not is_zero(p):
-                parts.append(mul(MINUS_ONE, p, differentiate(e, a, rules)))
-        return add(*parts)
-
     def coeffs(self) -> Tuple[Expr, ...]:
         """(eta, xi_1, ..., xi_m, pi1, pi2)."""
         return (self.eta, *self.xi, self.pi1, self.pi2)
@@ -134,8 +122,9 @@ def _moves(e: Expr, axis: Expr) -> bool:
 
 
 class ProlongedGenerator:
-    """Generator plus phi-coefficients for every jet up to ``MAX_ORDER``,
-    over the generator's own dimension.
+    """pr X: m, (eta, xi_1..xi_m) and the phi-coefficient of every jet up to
+    ``MAX_ORDER``, seeded with -pi1 and -pi2 at order zero; it keeps X's
+    coefficients, not X.  ``apply_to`` is the one action of a vector field.
 
     A jet is checked before anything is built: an order beyond
     ``MAX_ORDER`` or a spatial index outside 1..m raises ``JetOrderError``
@@ -151,10 +140,12 @@ class ProlongedGenerator:
     the phi^J of one generator are shared by every system with those
     rules; one built directly lives as long as its caller holds it."""
 
-    def __init__(self, base: Generator, rules: RuleSet = EMPTY_RULES):
-        self.base = base
+    def __init__(self, x: Generator, rules: RuleSet = EMPTY_RULES):
+        self.m = x.m
+        self.eta_xi = (x.eta, *x.xi)
         self.rules = rules
-        self._phi: Dict[Tuple[str, int, Tuple[int, ...]], Expr] = {}
+        self._phi: Dict[Tuple[str, int, Tuple[int, ...]], Expr] = {
+            (dep, 0, ()): x.phi(dep) for dep in ("u", "v")}
         self._directions: Dict[Direction, Tuple[Expr, list]] = {}
 
     def _direction(self, direction: Direction) -> Tuple[Expr, list]:
@@ -163,11 +154,11 @@ class ProlongedGenerator:
         x_k), built once per direction."""
         hit = self._directions.get(direction)
         if hit is None:
-            m = self.base.m
+            m = self.m
             axis = T if direction == "t" else coords(m)[direction - 1]
             hit = self._directions[direction] = (axis, [
                 (d, toward) for c, toward in zip(
-                    (self.base.eta, *self.base.xi), ("t", *range(1, m + 1)))
+                    self.eta_xi, ("t", *range(1, m + 1)))
                 if _moves(c, axis)
                 for d in (total_derivative(c, direction, m, self.rules),)
                 if not is_zero(d)])
@@ -180,28 +171,23 @@ class ProlongedGenerator:
             return hit
         if j.order > MAX_ORDER:
             raise JetOrderError(f"jet {j} beyond jet order cap {MAX_ORDER}")
-        if j.xs and not (j.xs[0] >= 1 and j.xs[-1] <= self.base.m):
+        if j.xs and not (j.xs[0] >= 1 and j.xs[-1] <= self.m):
             raise JetOrderError(
-                f"jet {j} has a direction outside dimension m={self.base.m}")
-        if j.order == 0:
-            out = self.base.phi(j.dep)
+                f"jet {j} has a direction outside dimension m={self.m}")
+        # peel the last direction (t's first, then xs); order 0 is seeded
+        if j.xs:
+            direction = j.xs[-1]
+            parent = Jet(j.dep, j.nt, j.xs[:-1])
         else:
-            # peel the last derivative direction (t's first, then xs)
-            if j.xs:
-                direction = j.xs[-1]
-                parent = Jet(j.dep, j.nt, j.xs[:-1])
-            else:
-                direction = "t"
-                parent = Jet(j.dep, j.nt - 1, ())
-            prev = self.phi(parent)
-            axis, dcoefs = self._direction(direction)
-            terms = [mul(MINUS_ONE, d, parent.bump(toward))
-                     for d, toward in dcoefs]
-            if _moves(prev, axis):
-                terms.append(total_derivative(prev, direction, self.base.m,
-                                              self.rules))
-            out = add(*terms)
-        self._phi[key] = out
+            direction = "t"
+            parent = Jet(j.dep, j.nt - 1, ())
+        prev = self.phi(parent)
+        axis, dcoefs = self._direction(direction)
+        terms = [mul(MINUS_ONE, d, parent.bump(toward))
+                 for d, toward in dcoefs]
+        if _moves(prev, axis):
+            terms.append(total_derivative(prev, direction, self.m, self.rules))
+        out = self._phi[key] = add(*terms)
         return out
 
     def apply_to(self, e: Expr) -> Expr:
@@ -211,7 +197,9 @@ class ProlongedGenerator:
         or phi_J for a jet of e) is nonzero: a zero coefficient makes its
         term zero whatever the derivative, and for shifts and rotations
         most of them are zero."""
-        parts = self.base._horizontal_parts(e, self.rules)
+        parts = [mul(c, differentiate(e, a, self.rules))
+                 for a, c in zip((T, *coords(self.m)), self.eta_xi)
+                 if not is_zero(c)]
         for j in sorted(jets_in(e), key=Expr.key):
             phi = self.phi(j)
             if is_zero(phi):
@@ -224,11 +212,13 @@ class ProlongedGenerator:
 
 def commutator(x: Generator, y: Generator,
                rules: RuleSet = EMPTY_RULES) -> Generator:
-    """[X, Y]; coefficients X(Y-coeff) - Y(X-coeff)."""
+    """[X, Y]; coefficients pr X(Y-coeff) - pr Y(X-coeff) by fresh
+    prolongations, so a jet in a coefficient brings its phi^J terms."""
     if x.m != y.m:
         raise ValueError("generators over different dimensions")
-    return x.map(lambda cx, cy: add(x.apply_to(cy, rules),
-                                    mul(MINUS_ONE, y.apply_to(cx, rules))), y)
+    prx, pry = ProlongedGenerator(x, rules), ProlongedGenerator(y, rules)
+    return x.map(lambda cx, cy: add(prx.apply_to(cy),
+                                    mul(MINUS_ONE, pry.apply_to(cx))), y)
 
 
 # ---------------------------------------------------------------------------

@@ -27,15 +27,12 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .equality import EQUAL, DIFFERENT, EqDecision, decide_equivalence
 from .expr import (EMPTY_RULES, Expr, ExprError, Jet, Ker, KernelRule,
-                   MINUS_ONE, ONE, RuleSet, T, ZERO, add, differentiate,
+                   MINUS_ONE, ONE, RuleSet, T, U, V, ZERO, add, differentiate,
                    expand, is_zero, jet, jets_in, ker, mul, powe, rat,
                    substitute, free_symbols, Rat)
 from .fields import Generator
 from .jets import (JetOrderError, coords, is_coordinate, laplacian,
                    total_derivative, x_squared)
-
-U = jet("u")
-V = jet("v")
 
 
 @dataclass(frozen=True)

@@ -2,15 +2,17 @@
 
 ``LinearEquiv`` is the general linear family (u, v scaled together with a
 shear and shifts, time and space rescaled); the numbered additional
-equivalence transformations (AETs) are time-dependent point maps; the a=0
-family additionally admits v-shifts by functions of u (and, under an
-admissibility PDE system, of (u, t, x)).
+equivalence transformations (AETs, ``aet(k)``) are time-dependent
+``PointMap``s; the a=0 family additionally admits v-shifts by functions of
+u (``VShift``) and, under an admissibility PDE system, of (u, t, x)
+(``VShiftFull``).
 
 ``apply_equiv`` re-derives the transformed nonlinearities mechanically: it
 pushes the map through the equations with total derivatives, eliminates
 t-jets through the system, and re-expresses the result in the new dependent
 variables.  A transform is applicable precisely when that calculation closes
-up point-form again (no leftover jets, no explicit t or x)."""
+up point-form again (no leftover jets, no explicit t or x).  ``pushforward``
+carries a generator through any of these transforms."""
 
 from __future__ import annotations
 
@@ -18,16 +20,13 @@ from dataclasses import dataclass, replace
 from typing import Dict, Tuple
 
 from .equality import decide_equivalence
-from .expr import (Expr, MINUS_ONE, ONE, T, ZERO, add, differentiate, exp_,
-                   expand, is_zero, jet, jets_in, mul, powe, rat, substitute,
+from .expr import (Expr, MINUS_ONE, ONE, T, U, V, ZERO, add, differentiate,
+                   exp_, expand, is_zero, jets_in, mul, powe, rat, substitute,
                    sym, free_symbols)
-from .fields import Generator
+from .fields import Generator, ProlongedGenerator
 from .jets import (coords, is_coordinate, laplacian, total_derivative,
                    x_squared)
 from .systems import RDSystem, evolution_reduce
-
-U = jet("u")
-V = jet("v")
 
 
 class InapplicableTransform(Exception):
@@ -267,26 +266,24 @@ def check_eqv3_admissible(system: RDSystem, phihat: Expr):
     return ok, residuals
 
 
-def pushforward(x: Generator, tr: LinearEquiv) -> Generator:
-    """The generator in the transformed variables (exact change of
-    variables on coefficients)."""
-    lam2 = mul(tr.lam, tr.lam)
-    inv_lam2 = powe(lam2, MINUS_ONE)
-    inv_lam = powe(tr.lam, MINUS_ONE)
-    # old coordinates in terms of new ones
-    inv = tr.inverse()
-    old_u = add(mul(inv.K1, U), inv.b1)
-    old_w = add(mul(inv.K2, U), inv.b2)
-    old_v = add(mul(inv.K1, V), old_w)
-    binding = {T: mul(lam2, T), U: old_u, V: old_v}
-    for xi in coords(x.m):
-        binding[xi] = mul(tr.lam, xi)
+def pushforward(x: Generator, transform) -> Generator:
+    """X in the new variables of a ``LinearEquiv``, a ``PointMap`` (every
+    ``aet(k)``), a ``VShift`` or a ``VShiftFull``: each new coefficient is
+    pr X applied to one new coordinate (t' = lam^-2 t, x' = lam^-1 x, u'
+    and v' from the point map; lam is 1 but for ``LinearEquiv``), written
+    in the new ones through ``PointMap.inverse_binding`` and the scaling."""
+    pm = transform if isinstance(transform, PointMap) else transform.point_map()
+    lam = transform.lam if isinstance(transform, LinearEquiv) else ONE
+    inv_lam, xs = powe(lam, MINUS_ONE), coords(x.m)
+    old_uv = pm.inverse_binding(U, V)
+    old_tx = {T: mul(lam, lam, T), **{c: mul(lam, c) for c in xs}}
+    pr = ProlongedGenerator(x)
 
-    def push(e):
-        return substitute(e, binding)
+    def applied(new_coordinate):
+        return substitute(substitute(pr.apply_to(new_coordinate), old_uv),
+                          old_tx)
 
-    eta = mul(inv_lam2, push(x.eta))
-    xi = tuple(mul(inv_lam, push(c)) for c in x.xi)
-    pi1 = mul(tr.K1, push(x.pi1))
-    pi2 = add(mul(tr.K1, push(x.pi2)), mul(tr.K2, push(x.pi1)))
-    return Generator(eta, xi, pi1, pi2)
+    return Generator(applied(mul(inv_lam, inv_lam, T)),
+                     tuple(applied(mul(inv_lam, c)) for c in xs),
+                     mul(MINUS_ONE, applied(pm.u_new())),
+                     mul(MINUS_ONE, applied(pm.v_new())))

@@ -193,6 +193,10 @@ _GEN = {"eta": "1", "xi": ["0"], "pi": ["0", "0"]}
     ("verify", {**_TRIANGULAR, "f1": "x1/0"}, _GEN),
     ("equiv", _TRIANGULAR, {"kind": "aet", "params": {}}),
     ("equiv", _TRIANGULAR, {"kind": "aet", "index": 42, "params": {}}),
+    ("equiv", _TRIANGULAR, {"kind": "aet", "index": 1.9,
+                            "params": {"omega": "om"}}),
+    ("equiv", _TRIANGULAR, {"kind": "aet", "index": True,
+                            "params": {"omega": "om"}}),
     ("verify", [1, 2], _GEN),
     ("commutator", [1, 2], [1, 2]),
     ("verify", {**_TRIANGULAR, "constraints": ["a"]}, _GEN),
@@ -219,6 +223,7 @@ _GEN = {"eta": "1", "xi": ["0"], "pi": ["0", "0"]}
     ("equiv", _TRIANGULAR, {"kind": "aet", "index": 2,
                             "params": {"omega": "om", "mu": "k", "m": "1"}}),
 ], ids=["m0", "division_by_zero", "aet_without_index", "aet_index_42",
+        "aet_index_fractional", "aet_index_boolean",
         "array_system", "array_generator", "constraints", "nested_3000",
         "xi_string", "pi_string", "pi_three", "commutator_xi_string",
         "m_fractional", "m_boolean",

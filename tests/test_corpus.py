@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import rdsymm
 
 from rdsymm.corpus import TABLES, load_rows, load_table
@@ -290,3 +292,20 @@ def test_term_order_does_not_depend_on_ids_or_hash_seed():
             [sys.executable, "-c", _RESIDUAL_REPORT, *RESIDUAL_ROWS],
             env=env, check=True, capture_output=True, text=True).stdout
         assert out.strip() == want
+
+
+@pytest.mark.xfail(
+    raises=AssertionError, strict=True,
+    reason="ROADMAP item 1: the residuals cancel only over the common "
+    "denominator mu - 1, so they are equal only by sampling")
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_corrected_t8_8_holds_exactly(m):
+    row = apply_correction(next(r for r in load_table(8) if r.item == "8"))
+    inst = instantiate_row(row, 0, m, "symbolic",
+                           branch=symbolic_branches(row, m)[0])
+    (ci,) = inst.claims
+    rep = is_symmetry(ci.system, ci.generator)
+    if not rep.holds:
+        pytest.fail(f"the corrected claim reads {rep.verdict}")
+    assert all(d.path in ("normalize", "expand") for d in rep.decisions), \
+        rep.decision_path

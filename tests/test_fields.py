@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -61,10 +63,13 @@ def test_apply_to_differentiates_only_where_the_coefficient_is_nonzero(
     assert pr.apply_to(e) is want
     assert atoms == [x2]
 
+    # on a function of (t, x, u, v), pr X is X
+    point = x1 * x2 * u * v * exp_(t) - v * v
     g = Generator(rat(0), (rat(0), x1), u, rat(0))
     atoms.clear()
-    assert g.apply_to(e) is add(mul(x1, differentiate(e, x2)),
-                                mul(rat(-1), u, differentiate(e, u)))
+    assert ProlongedGenerator(g).apply_to(point) is add(
+        mul(x1, differentiate(point, x2)),
+        mul(rat(-1), u, differentiate(point, u)))
     assert atoms == [x2, u]
 
 
@@ -194,7 +199,8 @@ def _jets_up_to_max_order(m):
 def test_prolonged_is_a_fresh_prolongation_for_named_operators(m):
     for g in _named_operators(m):
         pr, fresh = g.prolonged(EMPTY_RULES), ProlongedGenerator(g)
-        assert pr.base is g and pr.rules is EMPTY_RULES
+        assert (pr.m, pr.eta_xi, pr.rules) == (g.m, (g.eta, *g.xi),
+                                               EMPTY_RULES)
         for j in _jets_up_to_max_order(m):
             assert pr.phi(j) is fresh.phi(j), (g, j)
         assert g.prolonged(EMPTY_RULES) is pr
@@ -207,6 +213,20 @@ def test_the_kept_prolongation_is_not_part_of_the_generator_value():
     g.prolonged().phi(jet("u", 0, (1, 2)))
     assert g == twin and hash(g) == hash(twin) and repr(g) == before
     assert twin.prolonged() is not g.prolonged()
+
+
+def test_a_dropped_generator_is_freed_with_its_prolongation():
+    # pr X keeps X's coefficients, not X: no cycle waits for the collector
+    gc.disable()
+    try:
+        g = named_operator("J", 2, index=1, index2=2)
+        pr = g.prolonged()
+        pr.phi(jet("u", 0, (1, 2)))
+        refs = [weakref.ref(g), weakref.ref(pr)]
+        del g, pr
+        assert [r() for r in refs] == [None, None]
+    finally:
+        gc.enable()
 
 
 def test_a_jet_beyond_m_raises_on_every_call():
@@ -245,6 +265,14 @@ def test_commutator_table_basics():
     d = named_operator("D", 2)
     c = commutator(d, p0)
     assert _gen_eq(c, p0.scale(rat(-1)))
+
+
+def test_a_jet_in_a_coefficient_brings_its_prolongation_into_the_bracket():
+    # [u du, u_x1 dt] = pr(u du)(u_x1) dt = u_x1 dt; the order-zero action
+    # of u du alone would give 0
+    x = generator(1, phi_u=u)
+    y = generator(1, eta=jet("u", 0, (1,)))
+    assert commutator(x, y) == generator(1, eta=jet("u", 0, (1,)))
 
 
 def test_commutator_antisymmetry_and_jacobi():

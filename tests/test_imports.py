@@ -1,7 +1,8 @@
 """AST scans of the sources: every imported name is used (package and
 tests), no package module imports another module's private name, only
-``jets`` spells the coordinate symbols x1..xm, and only ``parser``,
-``corpus`` and ``cli`` parse text.
+``jets`` spells the coordinate symbols x1..xm, only ``parser``,
+``corpus`` and ``cli`` parse text, and ``apply_to`` is defined once, in
+``fields``.
 
 The package's ``__init__`` is exempt from the first scan, since its
 imports are re-exports."""
@@ -99,3 +100,15 @@ def test_parsing_stays_in_parser_corpus_and_cli():
              and getattr(node.func, "id", getattr(node.func, "attr", None))
              == "parse"]
     assert not found, f"parse called outside parser, corpus and cli: {found}"
+
+
+def test_a_vector_field_acts_only_in_fields():
+    """``fields.ProlongedGenerator.apply_to`` is the one action of a vector
+    field: the commutator and the pushforward are built on it."""
+    found = [f"{path.relative_to(ROOT).as_posix()}:{node.lineno}"
+             for path in PACKAGE
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+             and node.name == "apply_to"]
+    assert len(found) == 1 and found[0].startswith("src/rdsymm/fields.py:"), \
+        f"apply_to must be defined once, in fields: {found}"

@@ -1,17 +1,24 @@
+from collections import Counter
+
 import pytest
 
+from rdsymm.corpus import load_rows
 from rdsymm.equality import decide_equivalence
-from rdsymm.expr import exp_, jet, ker, powe, rat, sym
-from rdsymm.fields import generator
+from rdsymm.expr import (MINUS_ONE, T, U, V, add, exp_, jet, ker, mul, powe,
+                         rat, substitute, sym)
+from rdsymm.fields import Generator, generator, named_operator
+from rdsymm.jets import coords
 from rdsymm.parser import parse
 from rdsymm.systems import is_symmetry, triangular
 from rdsymm.transforms import (InapplicableTransform, LinearEquiv, VShift,
                                VShiftFull, aet, apply_equiv,
                                check_eqv3_admissible, preserves_class,
                                pushforward)
+from rdsymm.verify import instantiate_row, symbolic_branches
 
 u, v, t = jet("u"), jet("v"), sym("t")
 x1 = sym("x1")
+EXACT_PATHS = ("normalize", "expand")
 a, lam, mu, nu, sig, om = (sym("a"), sym("lam"), sym("mu"), sym("nu"),
                            sym("sig"), sym("om"))
 
@@ -128,13 +135,111 @@ def _needed(idx):
             10: ["omega"]}[idx]
 
 
-def test_symmetry_transport():
+def _transport_example():
     F1 = ker("F1", u / v)
     F2 = ker("F2", u / v)
     S = triangular(1, a, powe(u, mu + 1) * F1, powe(v, mu + 1) * F2)
     X1 = generator(1, eta=mu * t, xi=[mu * x1 / 2], phi_u=-u, phi_v=-v)
+    return S, X1
+
+
+def test_symmetry_transport():
+    S, X1 = _transport_example()
     assert is_symmetry(S, X1).holds
     for L in [LinearEquiv(K1=rat(3), K2=rat(2)),
               LinearEquiv(K1=rat(2), K2=rat(-1), lam=rat(3)),
               LinearEquiv(K1=rat(1), b1=rat(0), b2=rat(0), lam=rat(2))]:
         assert is_symmetry(apply_equiv(S, L), pushforward(X1, L)).holds
+
+
+@pytest.mark.xfail(
+    raises=AssertionError, strict=True,
+    reason="ROADMAP item 1: the transported residuals cancel only over "
+    "common denominators in u and v, so they are equal only by sampling")
+@pytest.mark.parametrize("L", [LinearEquiv(K1=rat(3), K2=rat(2)),
+                               LinearEquiv(K1=rat(2), K2=rat(-1), lam=rat(3))],
+                         ids=["K1=3,K2=2", "K1=2,K2=-1,lam=3"])
+def test_transported_symmetry_holds_exactly(L):
+    S, X1 = _transport_example()
+    rep = is_symmetry(apply_equiv(S, L), pushforward(X1, L))
+    if not rep.holds:
+        pytest.fail(f"transported symmetry reads {rep.verdict}")
+    assert all(d.path in EXACT_PATHS for d in rep.decisions), \
+        rep.decision_path
+
+
+def _linear_pushforward(x: Generator, tr: LinearEquiv) -> Generator:
+    """The change of variables of a ``LinearEquiv`` written out by hand:
+    pi1' = K1 pi1, pi2' = K1 pi2 + K2 pi1, eta' = lam^-2 eta, xi' = lam^-1
+    xi, each at the old coordinates written in the new ones."""
+    lam2 = mul(tr.lam, tr.lam)
+    inv = tr.inverse()
+    binding = {T: mul(lam2, T), U: add(mul(inv.K1, U), inv.b1),
+               V: add(mul(inv.K1, V), mul(inv.K2, U), inv.b2),
+               **{c: mul(tr.lam, c) for c in coords(x.m)}}
+
+    def push(e):
+        return substitute(e, binding)
+
+    return Generator(mul(powe(lam2, MINUS_ONE), push(x.eta)),
+                     tuple(mul(powe(tr.lam, MINUS_ONE), push(c))
+                           for c in x.xi),
+                     mul(tr.K1, push(x.pi1)),
+                     add(mul(tr.K1, push(x.pi2)), mul(tr.K2, push(x.pi1))))
+
+
+def test_pushforward_of_a_linear_transform_is_its_change_of_variables():
+    gamma = sym("gamma")
+    transforms = [
+        LinearEquiv(K1=rat(3), K2=rat(2)),
+        LinearEquiv(K1=rat(2), K2=rat(-1), b1=rat(1), b2=rat(-3), lam=rat(3)),
+        LinearEquiv(K1=sym("k1"), K2=sym("k2"), b1=sym("b1"), b2=sym("b2"),
+                    lam=sym("l"))]
+    paths = Counter()
+    for m in (1, 2, 3):
+        ops = [named_operator(name, m, a=a, gamma=gamma)
+               for name in ("P0", "P", "D", "Dtilde", "K", "G", "Ghat")]
+        if m >= 2:
+            ops.append(named_operator("J", m))
+        for x in ops:
+            for tr in transforms:
+                for got, want in zip(pushforward(x, tr).coeffs(),
+                                     _linear_pushforward(x, tr).coeffs()):
+                    d = decide_equivalence(got, want)
+                    assert d.verdict == "equal", (x, tr, got, want)
+                    paths[d.path] += 1
+    assert set(paths) <= set(EXACT_PATHS) and sum(paths.values()) == 348
+
+
+def test_claimed_aets_carry_claimed_symmetries():
+    """Each AET a row claims (index 1-10, unconditional) maps each claim
+    that holds on the row's own system to one that holds on the
+    transformed system: pushforward(X, T) is a symmetry of T(system)."""
+    params = {name: sym(f"_{short}") for name, short in [
+        ("omega", "om"), ("mu", "mu"), ("rho", "rho"), ("kappa", "kap"),
+        ("lam", "lam"), ("eps", "eps")]}
+    tally = Counter()
+    for row in load_rows():
+        indices = [c["index"] for c in row.aet
+                   if 1 <= c["index"] <= 10 and "when" not in c]
+        if row.status == "blocked" or not indices:
+            continue
+        m = row.m_list[0]
+        inst = instantiate_row(row, 0, m, "symbolic",
+                               branch=symbolic_branches(row, m)[0])
+        claims = [ci for ci in inst.claims if ci.system is inst.system]
+        for index in indices:
+            tr = aet(index, m=m, **params)
+            try:
+                image = apply_equiv(inst.system, tr)
+            except InapplicableTransform:
+                tally["inapplicable"] += 1
+                continue
+            for ci in claims:
+                if not is_symmetry(inst.system, ci.generator).holds:
+                    tally["skipped"] += 1
+                    continue
+                rep = is_symmetry(image, pushforward(ci.generator, tr))
+                exact = all(d.path in EXACT_PATHS for d in rep.decisions)
+                tally[rep.verdict if exact else "inexact"] += 1
+    assert tally == {"holds": 44, "inapplicable": 6, "skipped": 4}

@@ -29,8 +29,9 @@ from typing import Optional
 
 import mpmath
 
-from .expr import (Add, DomainError, Expr, ExprError, Jet, Mul, Pow, add,
-                   atoms, expand, free_symbols, is_int, is_zero, mul, rat)
+from .expr import (Add, DomainError, Expr, ExprError, Jet, Mul, Pow, ZERO,
+                   add, atoms, expand, free_symbols, is_int, is_zero, mul,
+                   rat)
 from .numeric import DPS, Sampler, UnboundSymbol, eval_at, random_fraction
 
 EQUAL = "equal"
@@ -59,7 +60,8 @@ class EqDecision:
 
 def decide_equivalence(e1: Expr, e2: Expr, seed: int = 0) -> EqDecision:
     """Decide e1 == e2."""
-    diff = add(e1, mul(rat(-1), e2))
+    # e1 - 0 is e1 itself: no need to merge its terms again
+    diff = e1 if e2 is ZERO else add(e1, mul(rat(-1), e2))
     if is_zero(diff):
         return EqDecision(EQUAL, "normalize")
     try:

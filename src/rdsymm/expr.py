@@ -16,16 +16,22 @@ on construction, so every ``Expr`` you can hold is already in normal form:
 * sums are flat, like terms merged, at most one rational term;
 * products are flat with a rational coefficient and base^exponent pairs,
   exponents of equal bases added, ``exp`` factors merged into one;
+* a rational's ``value`` and a product's ``coeff`` are an ``int`` when
+  they are integral and a ``Fraction`` otherwise, so ``rat(2)`` is
+  ``rat(Fraction(4, 2))``; ``key()`` and the printed text read numerator
+  and denominator and are the same for both;
 * integer powers of rationals are folded, ``0^e`` is 0 for an exponent that
   :func:`is_positive` proves positive (u, v and what is built from them and
   positive rationals; not a parameter), ``(b^p)^q`` collapses, and a power
   of a product distributes over its factors.
 
-``add``, ``mul`` and ``powe`` share one computed table from (operation,
-operand nodes) to the result, since the same operands recur many times in a
-prolongation.  The table is cleared whenever it holds ``_COMPUTED_CAP``
-entries: it keeps its results alive, and unbounded it would hold every
-intermediate of a whole run and carry one run's work into the next.
+``add``, ``mul`` and ``powe`` each keep a computed table from the operand
+nodes to the result, looked up inline, since the same operands recur many
+times in a prolongation; a call that raises stores nothing.  The tables
+share one bound and are cleared together whenever they hold
+``_COMPUTED_CAP`` entries in all: they keep their results alive, and
+unbounded they would hold every intermediate of a whole run and carry one
+run's work into the next.
 
 Products of sums are *not* distributed here; :func:`expand` does that in
 one pass over the tree, reduces cos powers per monomial through
@@ -36,7 +42,12 @@ sin(-a) = -sin(a) and cos(-a) = cos(a) share one argument.
 Structural walks reach subexpressions only through :func:`children` and put
 nodes back together only through :func:`rebuild`, which always goes through
 the normalizing constructors, so a walk can never leave a node out of normal
-form.
+form.  A recursive walk is a module-level function that takes its memo as
+an argument, never a closure that calls itself: such a closure and its cell
+hold each other, a reference cycle per call that keeps the walk's
+temporaries until the cyclic garbage collector runs.  Without cycles every
+node and temporary is freed by reference counting as soon as it is
+dropped.
 
 Each composite node caches the set of ``Sym``/``Jet`` atoms below it
 (:func:`free_symbols`), built once from its children's sets.  With it,
@@ -60,7 +71,6 @@ and products (``ln(b^e) = e*ln(b)``), and ``powe`` merges powers of powers
 
 from __future__ import annotations
 
-import functools
 import weakref
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence, Union
@@ -80,6 +90,13 @@ Number = Union[int, Fraction]
 _NODES = {}
 
 
+class _Ref(weakref.ref):
+    """A weak reference that knows its key in the unique table, built by
+    C-level calls only."""
+
+    __slots__ = ("key",)
+
+
 def _forget(ref, nodes=_NODES):
     # a node with the same identity may have been built again in between
     if nodes.get(ref.key) is ref:
@@ -97,7 +114,8 @@ def _intern(cls, ident, *fields):
     node = object.__new__(cls)
     for name, value in zip(cls.__slots__, fields):
         setattr(node, name, value)
-    _NODES[ident] = weakref.KeyedRef(node, _forget, ident)
+    ref = _NODES[ident] = _Ref(node, _forget)
+    ref.key = ident
     return node
 
 
@@ -173,8 +191,9 @@ def _coerce(x) -> Expr:
 class Rat(Expr):
     __slots__ = ("value",)
 
-    def __new__(cls, value: Fraction):
-        return _intern(cls, (0, value.numerator, value.denominator), value)
+    def __new__(cls, value: Number):
+        n, d = value.numerator, value.denominator
+        return _intern(cls, (0, n, d), n if d == 1 else value)
 
     def _make_key(self):
         return (0, self.value.numerator, self.value.denominator)
@@ -249,10 +268,10 @@ class Mul(Expr):
 
     __slots__ = ("coeff", "pairs")
 
-    def __new__(cls, coeff: Fraction, pairs):
+    def __new__(cls, coeff: Number, pairs):
         pairs = tuple(pairs)
-        return _intern(cls, (5, coeff.numerator, coeff.denominator, pairs),
-                       coeff, pairs)
+        n, d = coeff.numerator, coeff.denominator
+        return _intern(cls, (5, n, d, pairs), n if d == 1 else coeff, pairs)
 
     def _make_key(self):
         return (5, self.coeff.numerator, self.coeff.denominator,
@@ -274,8 +293,8 @@ BUILTIN_KERNELS = ("exp", "ln", "sin", "cos")
 
 
 def rat(num, den=None) -> Rat:
-    return Rat(Fraction(num, den) if den is not None else (
-        num if isinstance(num, Fraction) else Fraction(num)))
+    exact = den is None and type(num) in (int, Fraction)
+    return Rat(num if exact else Fraction(num, den))
 
 
 ZERO = rat(0)
@@ -305,7 +324,7 @@ def is_one(e: Expr) -> bool:
 
 
 def is_int(e: Expr) -> bool:
-    return isinstance(e, Rat) and e.value.denominator == 1
+    return isinstance(e, Rat) and type(e.value) is int
 
 
 def is_positive(e: Expr) -> bool:
@@ -330,44 +349,44 @@ def is_positive(e: Expr) -> bool:
 
 
 def _term_parts(t: Expr):
-    """Split an Add term into (Fraction coefficient, monomial pairs key)."""
+    """Split an Add term into (rational coefficient, monomial pairs key)."""
     if isinstance(t, Rat):
         return t.value, None
     if isinstance(t, Mul):
         return t.coeff, t.pairs
     if isinstance(t, Pow):
-        return Fraction(1), ((t.base, t.exp),)
-    return Fraction(1), ((t, ONE),)
+        return 1, ((t.base, t.exp),)
+    return 1, ((t, ONE),)
 
 
-def _from_parts(coeff: Fraction, pairs) -> Expr:
+def _from_parts(coeff: Number, pairs) -> Expr:
     if pairs is None:
         return rat(coeff)
     return _make_mul(coeff, pairs)
 
 
 _COMPUTED_CAP = 4096
-_COMPUTED = {}  # (operation, operand nodes) -> result
+# the computed tables of add, mul and powe: operand nodes -> result
+_ADDED = {}
+_MULTIPLIED = {}
+_POWERED = {}
 
 
-def _computed(op):
-    """``op`` answered from the computed table; exceptions are not kept."""
-    @functools.wraps(op)
-    def cached(*args):
-        ident = (op, args)
-        out = _COMPUTED.get(ident)
-        if out is None:
-            out = op(*args)
-            if len(_COMPUTED) >= _COMPUTED_CAP:
-                _COMPUTED.clear()
-            _COMPUTED[ident] = out
-        return out
-
-    return cached
+def _keep(table: dict, operands: tuple, out: Expr) -> Expr:
+    """Store ``out`` in ``table``, one of the computed tables; all three are
+    cleared together once they hold ``_COMPUTED_CAP`` entries in all."""
+    if len(_ADDED) + len(_MULTIPLIED) + len(_POWERED) >= _COMPUTED_CAP:
+        _ADDED.clear()
+        _MULTIPLIED.clear()
+        _POWERED.clear()
+    table[operands] = out
+    return out
 
 
-@_computed
 def add(*terms) -> Expr:
+    out = _ADDED.get(terms)
+    if out is not None:
+        return out
     acc = {}  # monomial pairs (None for the rational term) -> coefficient
     for t in terms:
         stack = [t]
@@ -383,17 +402,17 @@ def add(*terms) -> Expr:
                 acc[pairs] += coeff
             else:
                 acc[pairs] = coeff
-    out = [_from_parts(coeff, pairs) for pairs, coeff in acc.items()
-           if coeff != 0]
-    if not out:
-        return ZERO
-    if len(out) == 1:
-        return out[0]
-    out.sort(key=Expr.key)
-    return Add(out)
+    parts = [_from_parts(coeff, pairs) for pairs, coeff in acc.items()
+             if coeff != 0]
+    if len(parts) > 1:
+        parts.sort(key=Expr.key)
+        out = Add(parts)
+    else:
+        out = parts[0] if parts else ZERO
+    return _keep(_ADDED, terms, out)
 
 
-def _make_mul(coeff: Fraction, pairs) -> Expr:
+def _make_mul(coeff: Number, pairs) -> Expr:
     """Assemble a product from already-collected (base, exp) pairs."""
     if coeff == 0:
         return ZERO
@@ -412,57 +431,62 @@ def _make_mul(coeff: Fraction, pairs) -> Expr:
     return Mul(coeff, tuple(pairs))
 
 
-def _scale_term(coeff: Fraction, t: Expr) -> Expr:
+def _scale_term(coeff: Number, t: Expr) -> Expr:
     c, pairs = _term_parts(t)
     return _from_parts(coeff * c, pairs)
 
 
-@_computed
+def _int_power(value: Number, n: int) -> Number:
+    """value ** n, exact also for an int to a negative power."""
+    return value ** n if n >= 0 else Fraction(value) ** n
+
+
 def mul(*factors) -> Expr:
-    coeff = Fraction(1)
+    out = _MULTIPLIED.get(factors)
+    if out is not None:
+        return out
+    coeff = 1
     bases = {}  # base -> list of exponents
     exp_args = []  # accumulated exponential-kernel arguments (already scaled)
 
-    def classify(f, merge_exp=True):
-        nonlocal coeff
-        if isinstance(f, Rat):
-            coeff *= f.value
-            return
-        if isinstance(f, Mul):
-            coeff *= f.coeff
-            for b, e in f.pairs:
-                classify(Pow(b, e) if not is_one(e) else b, merge_exp)
-            return
-        if isinstance(f, Pow):
-            base, expo = f.base, f.exp
-        else:
-            base, expo = f, ONE
-        if merge_exp and isinstance(base, Ker) and base.name == "exp":
-            exp_args.append(base.args[0] if is_one(expo)
-                            else mul(expo, base.args[0]))
-            return
-        if isinstance(base, Rat) and is_int(expo):
-            n = int(expo.value)
-            if base.value == 0:
-                if n > 0:
-                    coeff = Fraction(0)
-                    return
-                raise DomainError("division by zero: 0 to a non-positive power")
-            coeff *= base.value ** n
-            return
-        bases.setdefault(base, []).append(expo)
-
-    for f in factors:
-        classify(f)
-        if coeff == 0:
-            return ZERO
-    if exp_args:
-        merged = ker("exp", add(*exp_args))
+    tops = factors
+    for merge_exp in (True, False):
+        for top in tops:
+            # (f, ONE) stands for the factor f and any other (b, x) for the
+            # power b^x; a nested product's pairs are visited in order
+            stack = [(top, ONE)]
+            while stack:
+                base, expo = stack.pop()
+                if expo is ONE:
+                    if isinstance(base, Rat):
+                        coeff *= base.value
+                        continue
+                    if isinstance(base, Mul):
+                        coeff *= base.coeff
+                        stack.extend(reversed(base.pairs))
+                        continue
+                    if isinstance(base, Pow):
+                        base, expo = base.base, base.exp
+                if merge_exp and isinstance(base, Ker) and base.name == "exp":
+                    exp_args.append(base.args[0] if is_one(expo)
+                                    else mul(expo, base.args[0]))
+                elif isinstance(base, Rat) and is_int(expo):
+                    if base.value == 0:
+                        if expo.value <= 0:
+                            raise DomainError(
+                                "division by zero: 0 to a non-positive power")
+                        coeff = 0
+                    else:
+                        coeff *= _int_power(base.value, expo.value)
+                else:
+                    bases.setdefault(base, []).append(expo)
+            if coeff == 0:
+                return ZERO
+        if not (merge_exp and exp_args):
+            break
         # ln extraction may have turned the exponential into a product;
         # fold its pieces back in (any surviving exp factor goes in as-is)
-        classify(merged, merge_exp=False)
-        if coeff == 0:
-            return ZERO
+        tops = (ker("exp", add(*exp_args)),)
 
     out_pairs = []
     pending = []  # collapse fallout that must be reclassified
@@ -471,10 +495,9 @@ def mul(*factors) -> Expr:
         if is_zero(e):
             continue
         if isinstance(base, Rat) and is_int(e):
-            n = int(e.value)
-            if base.value == 0 and n <= 0:
+            if base.value == 0 and e.value <= 0:
                 raise DomainError("division by zero")
-            coeff *= base.value ** n
+            coeff *= _int_power(base.value, e.value)
             if coeff == 0:
                 return ZERO
             continue
@@ -486,11 +509,13 @@ def mul(*factors) -> Expr:
         else:
             pending.append(collapsed)
     if pending:
-        return mul(_make_mul(coeff, out_pairs), *pending)
-    return _make_mul(coeff, out_pairs)
+        out = mul(_make_mul(coeff, out_pairs), *pending)
+    else:
+        out = _make_mul(coeff, out_pairs)
+    return _keep(_MULTIPLIED, factors, out)
 
 
-def _rat_root(value: Fraction, q: int) -> Optional[Fraction]:
+def _rat_root(value: Number, q: int) -> Optional[Number]:
     """Exact q-th root of a non-negative rational, if it exists."""
     def iroot(n: int) -> Optional[int]:
         if n in (0, 1):
@@ -516,8 +541,16 @@ def _rat_root(value: Fraction, q: int) -> Optional[Fraction]:
     return Fraction(rn, rd)
 
 
-@_computed
 def powe(base: Expr, exp: Expr) -> Expr:
+    operands = (base, exp)
+    out = _POWERED.get(operands)
+    if out is None:
+        out = _keep(_POWERED, operands, _powe(base, exp))
+    return out
+
+
+def _powe(base: Expr, exp: Expr) -> Expr:
+    """``powe`` without its computed table."""
     if is_zero(exp):
         return ONE
     if is_one(exp):
@@ -532,9 +565,8 @@ def powe(base: Expr, exp: Expr) -> Expr:
                 raise DomainError("division by zero: 0 to a non-positive power")
             return Pow(base, exp)
         if isinstance(exp, Rat):
-            if exp.value.denominator == 1:
-                n = int(exp.value)
-                return rat(base.value ** n)
+            if is_int(exp):
+                return rat(_int_power(base.value, exp.value))
             if base.value > 0:
                 root = _rat_root(base.value, exp.value.denominator)
                 if root is not None:
@@ -585,7 +617,7 @@ def _sign_flip(e: Expr):
 def _ln_split(term: Expr):
     """Match term == c * ln(b); return (c, b) or None."""
     if isinstance(term, Ker) and term.name == "ln":
-        return Fraction(1), term.args[0]
+        return 1, term.args[0]
     if isinstance(term, Mul) and len(term.pairs) == 1:
         (b, e), = term.pairs
         if isinstance(b, Ker) and b.name == "ln" and is_one(e):
@@ -798,20 +830,21 @@ def apply_rules(e: Expr, rules: RuleSet) -> Expr:
     as it is; a definition (order 0) replaces every occurrence."""
     if not rules:
         return e
-    done = {}
+    return _rewritten(e, rules, {})
 
-    def walk(n: Expr) -> Expr:
-        out = done.get(n)
-        if out is None:
-            kids = [walk(c) for c in children(n)]
-            if isinstance(n, Ker) and rules.for_name(n.name):
-                out = reduce_kernel(n.name, tuple(kids), n.dvec, rules)
-            else:
-                out = rebuild(n, kids)
-            done[n] = out
-        return out
 
-    return walk(e)
+def _rewritten(n: Expr, rules: RuleSet, done: dict) -> Expr:
+    """n with its kernels rewritten; ``done`` maps each node already
+    rewritten in one ``apply_rules`` call to its image."""
+    out = done.get(n)
+    if out is None:
+        kids = [_rewritten(c, rules, done) for c in children(n)]
+        if isinstance(n, Ker) and rules.for_name(n.name):
+            out = reduce_kernel(n.name, tuple(kids), n.dvec, rules)
+        else:
+            out = rebuild(n, kids)
+        done[n] = out
+    return out
 
 
 def reduce_kernel(name: str, args, dvec, rules: RuleSet) -> Expr:
@@ -912,20 +945,22 @@ def substitute(e: Expr, binding: Mapping[Expr, Expr]) -> Expr:
     a no-op.  Kernels are rewritten by :func:`apply_rules`."""
     if not binding or isinstance(e, Rat):
         return e  # a rational holds no atom
+    return _substituted(e, binding, {})
 
-    done = {}   # node -> its image: a shared subtree is walked once
 
-    def walk(n: Expr) -> Expr:
-        if isinstance(n, (Sym, Jet)):
-            return binding.get(n, n)
-        if free_symbols(n).isdisjoint(binding):
-            return n  # already normal: rebuilding it would give n back
-        out = done.get(n)
-        if out is None:
-            out = done[n] = rebuild(n, [walk(c) for c in children(n)])
-        return out
-
-    return walk(e)
+def _substituted(n: Expr, binding: Mapping[Expr, Expr], done: dict) -> Expr:
+    """n under ``binding``; ``done`` maps each node already substituted in
+    one ``substitute`` call to its image, so a shared subtree is walked
+    once."""
+    if isinstance(n, (Sym, Jet)):
+        return binding.get(n, n)
+    if free_symbols(n).isdisjoint(binding):
+        return n  # already normal: rebuilding it would give n back
+    out = done.get(n)
+    if out is None:
+        out = done[n] = rebuild(n, [_substituted(c, binding, done)
+                                    for c in children(n)])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -964,7 +999,7 @@ def _power_terms(b: Expr, x: Expr, memo: dict) -> list:
     eb, ex = _expanded(b, memo), _expanded(x, memo)
     if isinstance(eb, Add) and is_int(ex) and ex.value > 1:
         out = eb.terms
-        for _ in range(int(ex.value) - 1):
+        for _ in range(ex.value - 1):
             out = _distribute(out, eb.terms)
     else:
         p = powe(eb, ex)
@@ -1008,7 +1043,7 @@ def _cos_reduced(t: Expr, memo: dict) -> list:
     coeff, pairs = _term_parts(t)
     for j, (b, x) in enumerate(pairs or ()):
         if isinstance(b, Ker) and b.name == "cos" and is_int(x) and x.value >= 2:
-            k = int(x.value)
+            k = x.value
             cos2 = add(ONE, mul(MINUS_ONE, powe(ker("sin", b.args[0]), rat(2))))
             rest = [Pow(bb, xx) if not is_one(xx) else bb
                     for bb, xx in pairs[:j] + pairs[j + 1:]]

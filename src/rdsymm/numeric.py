@@ -1,18 +1,20 @@
 """Numeric evaluation and random sampling, shared by both numeric layers
 (the randomized equality decision and the residual cross-check).
 
-``eval_at`` works with two kinds of value.  A value is an exact
-``Fraction`` as long as the expression only involves rational operations.
-Anything transcendental (exp, ln, sin, cos, non-integer powers, integral
-powers too large to keep exact) makes it inexact: a raw ``mpmath.libmp``
-number at ``_PREC`` bits, ``DPS`` decimal digits, comfortably below the
-1e-30 error-bound contract.  Only the final result is wrapped in an
-``mpf``.
+``eval_at`` works with two kinds of value.  A value is exact, an ``int``
+or a ``Fraction`` (a node's own numbers are ints when integral), as long
+as the expression only involves rational operations.  Anything
+transcendental (exp, ln, sin, cos, non-integer powers, integral powers too
+large to keep exact) makes it inexact: a raw ``mpmath.libmp`` number, a
+tuple, at ``_PREC`` bits, ``DPS`` decimal digits, comfortably below the
+1e-30 error-bound contract.  Only the final result is wrapped: in an
+``mpf``, or in a ``Fraction`` when it is exact.
 
 There are two rounding rules, the ones mpmath's own operators apply at
 ``DPS`` digits.  A rational that meets an inexact value is first converted
 to ``_PREC`` bits rounding down (``from_rational`` at its default
-rounding, as mpmath's ``convert`` does it); each operation on inexact
+rounding, as mpmath's ``convert`` does it for the equal ``Fraction``, so an
+``int`` rounds as that ``Fraction`` would); each operation on inexact
 values then rounds its result to nearest.  The arithmetic calls libmp
 directly, and it must keep the sequence of roundings that the operators
 made: the same conversions, the operands in the same order and the same
@@ -108,17 +110,17 @@ class Sampler:
 
 
 def _inexact(x):
-    """x as a raw mpf: a Fraction is converted at ``_PREC`` bits with
+    """x as a raw mpf: an exact value is converted at ``_PREC`` bits with
     ``from_rational``'s default rounding (down), as mpmath's ``convert``
-    does it."""
-    if type(x) is Fraction:
+    does it for the equal Fraction."""
+    if type(x) is not tuple:
         return from_rational(x.numerator, x.denominator, _PREC)
     return x
 
 
 def _add(a, b):
-    if type(a) is Fraction:
-        if type(b) is Fraction:
+    if type(a) is not tuple:
+        if type(b) is not tuple:
             return a + b
         # Python hands a Fraction + mpf to the mpf's reflected operator,
         # which puts the mpf first
@@ -127,25 +129,24 @@ def _add(a, b):
 
 
 def _mul(a, b):
-    if type(a) is Fraction:
-        if type(b) is Fraction:
+    if type(a) is not tuple:
+        if type(b) is not tuple:
             return a * b
         a, b = b, a
     return mpf_mul(a, _inexact(b), _PREC, round_nearest)
 
 
 def _sign(x) -> int:
-    if type(x) is Fraction:
+    if type(x) is not tuple:
         return (x > 0) - (x < 0)
     return mpf_sign(x)
 
 
 def _number(x):
-    """An atom's or a kernel's value as a Fraction or a raw mpf."""
-    if type(x) is Fraction:
+    """An atom's or a kernel's value as an exact int or Fraction, or a raw
+    mpf."""
+    if isinstance(x, (int, Fraction)):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
     if isinstance(x, float):
         return from_float(x)    # exact, as mpmath.mpmathify converts it
     return x._mpf_
@@ -154,13 +155,15 @@ def _number(x):
 def _power(b, x, node):
     """b ** x; exact for an integral exponent of a rational base while the
     exact result stays below ``_EXACT_POWER_BITS``."""
-    if type(x) is Fraction and x.denominator == 1:
+    if type(x) is not tuple and x.denominator == 1:
         n = x.numerator
         if n <= 0 and _sign(b) == 0:
             raise DomainError("0 to a non-positive power")
-        if type(b) is Fraction and abs(n) * max(
+        if type(b) is not tuple and abs(n) * max(
                 b.numerator.bit_length(),
                 b.denominator.bit_length()) <= _EXACT_POWER_BITS:
+            if n < 0 and type(b) is int:
+                b = Fraction(b)     # an int to a negative power is a float
             return b ** n
         return mpf_pow_int(_inexact(b), n, _PREC, round_nearest)
     if _sign(b) < 0:
@@ -186,8 +189,9 @@ def _kernel(n, args, kernel_values):
         return fn(_inexact(x), _PREC, round_nearest)
     if kernel_values is None:
         raise UnboundSymbol(n)
-    if all(type(a) is Fraction for a in args):
-        key_args = tuple(args)
+    if all(type(a) is not tuple for a in args):
+        key_args = tuple([a if type(a) is Fraction else Fraction(a)
+                          for a in args])
     else:
         key_args = tuple(to_str(_inexact(a), 40) for a in args)
     return _number(kernel_values(n.name, n.dvec, key_args))
@@ -216,45 +220,55 @@ def eval_at(e: Expr, point, kernel_values=None):
     shared = (isinstance(kernel_values, Sampler)
               and point is kernel_values.binding)
     values = kernel_values.values if shared else {}
+    val = _value(e, point, kernel_values, values)
+    if type(val) is tuple:
+        return mpmath.mp.make_mpf(val)
+    return val if type(val) is Fraction else Fraction(val)
 
-    def ev(n: Expr):
-        val = values.get(n)
-        if val is not None:
-            return val
-        cls = type(n)
-        if cls is Mul:
-            val = n.coeff
-            for b, x in n.pairs:
-                # b^1 is b itself: every mpf already carries DPS digits
-                f = ev(b) if x is ONE else _power(ev(b), ev(x), n)
-                # a rational times 1 is that rational; an mpf operand still
-                # goes through mpf_mul, which re-rounds it to DPS digits
-                if type(f) is Fraction and type(val) is Fraction:
-                    val = f if val == 1 else val if f == 1 else val * f
-                else:
-                    val = _mul(val, f)
-        elif cls is Add:
-            val = _ZERO
-            for t in n.terms:
-                val = _add(val, ev(t))
-        elif cls is Jet or cls is Sym:
-            val = point.get(n)
-            if val is None:
-                raise UnboundSymbol(n)
-            val = _number(val)
-        elif cls is Rat:
-            val = n.value
-        elif cls is Pow:
-            val = _power(ev(n.base), ev(n.exp), n)
-        elif cls is Ker:
-            val = _kernel(n, [ev(a) for a in n.args], kernel_values)
-        else:
-            raise TypeError(f"cannot evaluate {n!r}")
-        values[n] = val
+
+def _value(n: Expr, point, kernel_values, values: dict):
+    """The value of n for ``eval_at``: exact or a raw mpf, read from or
+    stored in ``values``."""
+    val = values.get(n)
+    if val is not None:
         return val
-
-    val = ev(e)
-    return val if type(val) is Fraction else mpmath.mp.make_mpf(val)
+    cls = type(n)
+    if cls is Mul:
+        val = n.coeff
+        for b, x in n.pairs:
+            # b^1 is b itself: every mpf already carries DPS digits
+            f = _value(b, point, kernel_values, values)
+            if x is not ONE:
+                f = _power(f, _value(x, point, kernel_values, values), n)
+            # a rational times 1 is that rational; an mpf operand still
+            # goes through mpf_mul, which re-rounds it to DPS digits.  The
+            # factor goes first: an int coefficient times a Fraction would
+            # take the Fraction's slower reflected operator
+            if type(f) is not tuple and type(val) is not tuple:
+                val = f if val == 1 else val if f == 1 else f * val
+            else:
+                val = _mul(val, f)
+    elif cls is Add:
+        val = _ZERO
+        for t in n.terms:
+            val = _add(val, _value(t, point, kernel_values, values))
+    elif cls is Jet or cls is Sym:
+        val = point.get(n)
+        if val is None:
+            raise UnboundSymbol(n)
+        val = _number(val)
+    elif cls is Rat:
+        val = n.value
+    elif cls is Pow:
+        val = _power(_value(n.base, point, kernel_values, values),
+                     _value(n.exp, point, kernel_values, values), n)
+    elif cls is Ker:
+        val = _kernel(n, [_value(a, point, kernel_values, values)
+                          for a in n.args], kernel_values)
+    else:
+        raise TypeError(f"cannot evaluate {n!r}")
+    values[n] = val
+    return val
 
 
 def to_float(x) -> float:

@@ -12,8 +12,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import rdsymm
 from rdsymm import expr
-from rdsymm.expr import (Add, DomainError, Jet, Ker, KernelRule, RuleSet, Sym,
-                         add, apply_rules, atoms, children, cos_,
+from rdsymm.expr import (Add, DomainError, Jet, Ker, KernelRule, ONE, RuleSet,
+                         Sym, add, apply_rules, atoms, children, cos_,
                          differentiate, exp_, expand, free_symbols, is_zero,
                          jet, jets_in, ker, ln_, mul, powe, rat, rebuild,
                          sin_, substitute, sym)
@@ -187,11 +187,15 @@ def test_clearing_the_computed_table_changes_no_result(a, b):
                 differentiate(mul(a, exp_(s)), u))
 
     want = results()
-    kept, expr._COMPUTED = expr._COMPUTED, _Forgetful()
+    tables = ("_ADDED", "_MULTIPLIED", "_POWERED")
+    kept = {name: getattr(expr, name) for name in tables}
     try:
+        for name in tables:
+            setattr(expr, name, _Forgetful())
         got = results()
     finally:
-        expr._COMPUTED = kept
+        for name, table in kept.items():
+            setattr(expr, name, table)
     assert all(g is w for g, w in zip(got, want))
 
 
@@ -213,6 +217,23 @@ def test_a_dropped_import_is_freed():
     src = Path(rdsymm.__file__).resolve().parent.parent
     subprocess.run([sys.executable, "-c", code], check=True,
                    env={**os.environ, "PYTHONPATH": str(src)})
+
+
+def test_coefficients_are_canonical():
+    """A rational value or coefficient is an int when it is integral and a
+    Fraction otherwise, whatever it was computed from."""
+    assert rat(Fraction(4, 2)) is rat(2)
+    assert type(rat(Fraction(4, 2)).value) is int
+    assert rat(Fraction(4, 2)).value == 2
+    assert mul(rat(1, 2), rat(2)) is ONE
+    # an int to a negative power stays exact
+    assert powe(rat(2), rat(-3)) is rat(1, 8)
+    assert powe(rat(3), rat(-2)) is rat(1, 9)
+    # 3^(1/2) * 3^(-5/2): the exponents of one rational base add up to -2
+    assert mul(powe(rat(3), rat(1, 2)), powe(rat(3), rat(-5, 2))) is rat(1, 9)
+    half_u = mul(powe(rat(2), rat(-1)), u)
+    assert type(half_u.coeff) is Fraction and half_u.coeff == Fraction(1, 2)
+    assert type(mul(rat(3), u).coeff) is int
 
 
 def test_basic_normal_forms():

@@ -1,8 +1,8 @@
 """AST scans of the sources: every imported name is used (package and
 tests), no package module imports another module's private name, only
 ``jets`` spells the coordinate symbols x1..xm, only ``parser``,
-``corpus`` and ``cli`` parse text, and ``apply_to`` is defined once, in
-``fields``.
+``corpus`` and ``cli`` parse text, ``apply_to`` is defined once, in
+``fields``, and no nested function calls itself.
 
 The package's ``__init__`` is exempt from the first scan, since its
 imports are re-exports."""
@@ -112,3 +112,23 @@ def test_a_vector_field_acts_only_in_fields():
              and node.name == "apply_to"]
     assert len(found) == 1 and found[0].startswith("src/rdsymm/fields.py:"), \
         f"apply_to must be defined once, in fields: {found}"
+
+
+def test_no_function_nested_in_another_calls_itself():
+    """A nested function that reads its own name holds the cell that holds
+    it: each call of the enclosing function leaves a reference cycle that
+    only the cyclic garbage collector frees.  Recursive walkers are
+    module-level functions that take their memo as an argument."""
+    funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    found = set()
+    for path in PACKAGE:
+        for outer in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(outer, funcs):
+                continue
+            for inner in ast.walk(outer):
+                if inner is not outer and isinstance(inner, funcs) and any(
+                        isinstance(n, ast.Name) and n.id == inner.name
+                        for n in ast.walk(inner)):
+                    found.add(f"{path.relative_to(ROOT).as_posix()}:"
+                              f"{inner.lineno} {inner.name}")
+    assert not found, f"self-recursive closures: {sorted(found)}"

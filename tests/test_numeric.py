@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction
 
@@ -10,6 +11,8 @@ from rdsymm.expr import (Add, DomainError, ExprError, Jet, Ker, Mul, ONE, Pow,
                          powe, rat, sin_, sym)
 from rdsymm.numeric import (DPS, _EXACT_POWER_BITS, Sampler, UnboundSymbol,
                             eval_at, magnitude, random_fraction, to_float)
+from rdsymm.corpus import load_rows
+from rdsymm.verify import instantiate_row, numeric_residual_check, verify_row
 
 u, v = jet("u"), jet("v")
 t = sym("t")
@@ -19,6 +22,33 @@ def test_exact_rational_path():
     e = u * u - 1
     assert eval_at(e, {u: 3}) == Fraction(8)
     assert isinstance(eval_at(e, {u: Fraction(1, 2)}), Fraction)
+
+
+def test_an_exact_result_over_integers_is_a_fraction():
+    # every node holds an int: the coefficient 3, the exponent 2, the value 5
+    got = eval_at(3 * u ** 2 + 5, {u: 2})
+    assert type(got) is Fraction and got == 17
+    assert type(eval_at(rat(4), {})) is Fraction
+    # an int to a negative power stays exact
+    got = eval_at(u ** -2, {u: 3})
+    assert type(got) is Fraction and got == Fraction(1, 9)
+
+
+def test_the_core_leaves_no_cyclic_garbage():
+    """Building, evaluating and dropping expressions frees everything by
+    reference counting: no walker leaves a reference cycle behind for the
+    cyclic collector.  T4.3 fails at m = 1, so its run reaches the failure
+    report and the numeric layer."""
+    rows = {r.key: r for r in load_rows()}
+    gc.collect()
+    gc.disable()
+    try:
+        assert verify_row(rows["T4.3"], m_values=(1,)).status == "fail"
+        ci = instantiate_row(rows["T9.1"], 0, 2, "witness").claims[0]
+        numeric_residual_check(ci.system, ci.generator, points=5)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_spec_examples():
@@ -161,7 +191,7 @@ def _reference_eval(e, point, kernel_values):
     bit for bit."""
     def ev(n):
         if isinstance(n, Rat):
-            return n.value
+            return Fraction(n.value)
         if isinstance(n, (Sym, Jet)):
             val = point.get(n)
             if val is None:
@@ -188,7 +218,7 @@ def _reference_eval(e, point, kernel_values):
         if isinstance(n, Pow):
             return _reference_power(ev(n.base), ev(n.exp))
         if isinstance(n, Mul):
-            acc = n.coeff
+            acc = Fraction(n.coeff)
             for b, x in n.pairs:
                 acc = acc * (ev(b) if x is ONE
                              else _reference_power(ev(b), ev(x)))

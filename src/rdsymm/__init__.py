@@ -19,11 +19,11 @@ from .systems import (DriftNormalization, ExtensionReport, FullSymmetryData,
                       heat_kernel_rule, is_symmetry, laplace_kernel_rule,
                       symmetry_residual, triangular, w_kernel_rules)
 from .nmatrix import (AlgebraPresentation, CanonicalForm, FundamentalPair,
-                      NMatrix, UMatrix, algebra_catalog, as_nmatrix,
-                      canonical_form, closure_check, conjugate,
-                      fundamental_pair, g1, g2, g2_tilde, g3, g4, g5, g6,
-                      mat_commutator, mat_mul, pair_residuals, realize,
-                      realized_basis, umatrix, wronskian_at_zero)
+                      NMatrix, algebra_catalog, as_nmatrix, canonical_form,
+                      closure_check, conjugate, fundamental_pair, g1, g2,
+                      g2_tilde, g3, g4, g5, g6, mat_commutator, mat_mul,
+                      pair_residuals, realize, realized_basis,
+                      wronskian_at_zero)
 from .transforms import (InapplicableTransform, LinearEquiv, PointMap, VShift,
                          VShiftFull, aet, apply_equiv, check_eqv3_admissible,
                          preserves_class, pushforward)

@@ -138,31 +138,31 @@ class Expr:
 
     # arithmetic sugar (used heavily by the rest of the package and tests)
     def __add__(self, other):
-        return add(self, _coerce(other))
+        return add(self, as_expr(other))
 
     def __radd__(self, other):
-        return add(_coerce(other), self)
+        return add(as_expr(other), self)
 
     def __sub__(self, other):
-        return add(self, mul(MINUS_ONE, _coerce(other)))
+        return add(self, mul(MINUS_ONE, as_expr(other)))
 
     def __rsub__(self, other):
-        return add(_coerce(other), mul(MINUS_ONE, self))
+        return add(as_expr(other), mul(MINUS_ONE, self))
 
     def __mul__(self, other):
-        return mul(self, _coerce(other))
+        return mul(self, as_expr(other))
 
     def __rmul__(self, other):
-        return mul(_coerce(other), self)
+        return mul(as_expr(other), self)
 
     def __truediv__(self, other):
-        return mul(self, powe(_coerce(other), MINUS_ONE))
+        return mul(self, powe(as_expr(other), MINUS_ONE))
 
     def __rtruediv__(self, other):
-        return mul(_coerce(other), powe(self, MINUS_ONE))
+        return mul(as_expr(other), powe(self, MINUS_ONE))
 
     def __pow__(self, other):
-        return powe(self, _coerce(other))
+        return powe(self, as_expr(other))
 
     def __neg__(self):
         return mul(MINUS_ONE, self)
@@ -180,7 +180,9 @@ class Expr:
         return to_text(self)
 
 
-def _coerce(x) -> Expr:
+def as_expr(x) -> Expr:
+    """An Expr as it is, an int or a Fraction as its rational; anything
+    else, a float or a str, raises ``ExprError``."""
     if isinstance(x, Expr):
         return x
     if isinstance(x, (int, Fraction)):
@@ -626,7 +628,7 @@ def _ln_split(term: Expr):
 
 
 def ker(name: str, *args, dvec: Sequence[int] = None) -> Expr:
-    args = tuple(_coerce(a) for a in args)
+    args = tuple(as_expr(a) for a in args)
     if name in BUILTIN_KERNELS:
         if len(args) != 1:
             raise ExprError(f"{name} takes one argument")

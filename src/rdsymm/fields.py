@@ -37,8 +37,8 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from .equality import decide_equivalence
 from .expr import (EMPTY_RULES, Expr, Jet, MINUS_ONE, ONE, RuleSet, T, ZERO,
-                   add, differentiate, exp_, free_symbols, is_zero, jet, jets_in,
-                   mul, powe, rat)
+                   add, as_expr, differentiate, exp_, free_symbols, is_zero,
+                   jet, jets_in, mul, powe, rat)
 from .jets import (MAX_ORDER, Direction, JetOrderError, coords,
                    total_derivative, x_squared)
 
@@ -94,7 +94,7 @@ class Generator:
         return self + other.scale(rat(-1))
 
     def scale(self, c) -> "Generator":
-        c = c if isinstance(c, Expr) else rat(c)
+        c = as_expr(c)
         return self.map(lambda e: mul(c, e))
 
     def __neg__(self) -> "Generator":
@@ -313,8 +313,7 @@ def named_operator(name: str, m: int, *, a: Optional[Expr] = None,
 
 
 def h_field(m: int, H: Optional[Sequence[Expr]] = None,
-            lam_vec: Optional[Sequence] = None,
-            rules: RuleSet = EMPTY_RULES) -> Generator:
+            lam_vec: Optional[Sequence] = None) -> Generator:
     """The a=0 conformal-type operator
 
         X = 2m H^a d_{x_a} - (m-2) H^a_{x_a} u d_u - (m+2) H^a_{x_a} v d_v.
@@ -329,7 +328,7 @@ def h_field(m: int, H: Optional[Sequence[Expr]] = None,
         if H is None:
             if lam_vec is None:
                 raise ValueError("Hfield with m>2 needs lam_vec")
-            lams = [c if isinstance(c, Expr) else rat(c) for c in lam_vec]
+            lams = [as_expr(c) for c in lam_vec]
             x2 = x_squared(m)
             H = [add(mul(rat(2), add(*[mul(lams[b], xs[b]) for b in range(m)]),
                          xs[axis]),
@@ -342,14 +341,13 @@ def h_field(m: int, H: Optional[Sequence[Expr]] = None,
     if len(H) != m:
         raise ValueError("H must have one component per spatial direction")
     if m == 2:
-        cr1 = add(differentiate(H[0], xs[0], rules),
-                  mul(MINUS_ONE, differentiate(H[1], xs[1], rules)))
-        cr2 = add(differentiate(H[0], xs[1], rules),
-                  differentiate(H[1], xs[0], rules))
+        cr1 = add(differentiate(H[0], xs[0]),
+                  mul(MINUS_ONE, differentiate(H[1], xs[1])))
+        cr2 = add(differentiate(H[0], xs[1]), differentiate(H[1], xs[0]))
         if not (decide_equivalence(cr1, ZERO) and decide_equivalence(cr2, ZERO)):
             raise CauchyRiemannError(
                 "H pair violates the Cauchy-Riemann conditions")
-    div = add(*[differentiate(H[i], xs[i], rules) for i in range(m)])
+    div = add(*[differentiate(H[i], xs[i]) for i in range(m)])
     return generator(
         m, xi=[mul(rat(2 * m), h) for h in H],
         phi_u=mul(rat(-(m - 2)), div, u),

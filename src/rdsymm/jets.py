@@ -10,7 +10,7 @@ stop at jet order ``MAX_ORDER``.
 
 from __future__ import annotations
 
-from typing import List, Union
+from typing import List, Sequence, Union
 
 from .expr import (EMPTY_RULES, Expr, ExprError, RuleSet, Sym, T, add,
                    differentiate, is_zero, jets_in, mul, sym)
@@ -57,6 +57,16 @@ def total_derivative(e: Expr, direction: Direction, m: int,
                 f"total derivative exceeds jet order cap {MAX_ORDER}")
         parts.append(mul(bumped, d))
     return add(*parts)
+
+
+def total_derivatives(e: Expr, nt: int, xs: Sequence[int], m: int,
+                      rules: RuleSet = EMPTY_RULES) -> Expr:
+    """D_t^nt D_xs e: D_x for each index in ``xs``, then D_t nt times."""
+    for i in xs:
+        e = total_derivative(e, i, m, rules)
+    for _ in range(nt):
+        e = total_derivative(e, "t", m, rules)
+    return e
 
 
 def laplacian(e: Expr, m: int, rules: RuleSet = EMPTY_RULES) -> Expr:

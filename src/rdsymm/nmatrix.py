@@ -12,8 +12,10 @@ are conjugated by the equivalence-group matrices
     U = ( b1   K1   0 ),     K1 != 0,
         ( b2   K2   K1)
 
-and classified up to conjugation plus nonzero rescaling of g.  Under
-conjugation mu1 and mu2 are invariant and the first column transforms as
+(``transforms.LinearEquiv.matrix()``, the group's linear part acting on
+(1, u, v)) and classified up to conjugation plus nonzero rescaling of g.
+Under conjugation mu1 and mu2 are invariant and the first column transforms
+as
 
     nu1' = K1*nu1 - mu1*b1
     nu2' = K2*nu1 + K1*nu2 - mu2*b1 - mu1*b2,
@@ -30,19 +32,16 @@ from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
 from .equality import EQUAL, decide_equivalence
-from .expr import (Expr, MINUS_ONE, ONE, Rat, T, ZERO, add, differentiate,
-                   exp_, free_symbols, is_zero, jet, ker, mul, powe, rat,
-                   substitute, sym)
+from .expr import (Expr, MINUS_ONE, ONE, Rat, T, ZERO, add, as_expr,
+                   differentiate, exp_, free_symbols, is_zero, jet, ker, mul,
+                   powe, rat, substitute, sym)
 from .fields import Generator, commutator, generator, named_operator
 from .jets import coords
+from .transforms import LinearEquiv
 
 # a string, so that typing's subscription cache holds no reference to Expr
 # (which would keep this copy of the package alive after it is dropped)
 Matrix = "Tuple[Tuple[Expr, ...], ...]"
-
-
-def _e(x) -> Expr:
-    return x if isinstance(x, Expr) else rat(x)
 
 
 @dataclass(frozen=True)
@@ -58,7 +57,7 @@ class NMatrix:
                 (self.nu2, self.mu2, self.mu1))
 
     def scale(self, c) -> "NMatrix":
-        c = _e(c)
+        c = as_expr(c)
         return NMatrix(mul(c, self.nu1), mul(c, self.nu2),
                        mul(c, self.mu1), mul(c, self.mu2))
 
@@ -67,39 +66,7 @@ class NMatrix:
 
 
 def nmatrix(nu1=0, nu2=0, mu1=0, mu2=0) -> NMatrix:
-    return NMatrix(_e(nu1), _e(nu2), _e(mu1), _e(mu2))
-
-
-@dataclass(frozen=True)
-class UMatrix:
-    b1: Expr
-    b2: Expr
-    K1: Expr
-    K2: Expr
-
-    def matrix(self) -> Matrix:
-        return ((ONE, ZERO, ZERO),
-                (self.b1, self.K1, ZERO),
-                (self.b2, self.K2, self.K1))
-
-    def inverse(self) -> Matrix:
-        k1inv = powe(self.K1, MINUS_ONE)
-        k1inv2 = powe(self.K1, rat(-2))
-        return ((ONE, ZERO, ZERO),
-                (mul(MINUS_ONE, self.b1, k1inv), k1inv, ZERO),
-                (mul(add(mul(self.b1, self.K2),
-                         mul(MINUS_ONE, self.b2, self.K1)), k1inv2),
-                 mul(MINUS_ONE, self.K2, k1inv2), k1inv))
-
-
-def umatrix(b1=0, b2=0, K1=1, K2=0) -> UMatrix:
-    u = UMatrix(_e(b1), _e(b2), _e(K1), _e(K2))
-    if is_zero(u.K1):
-        raise ValueError("UMatrix requires K1 != 0")
-    return u
-
-
-IDENTITY_U = umatrix()
+    return NMatrix(as_expr(nu1), as_expr(nu2), as_expr(mu1), as_expr(mu2))
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -125,11 +92,12 @@ def as_nmatrix(m: Matrix) -> NMatrix:
     return NMatrix(m[1][0], m[2][0], m[1][1], m[2][1])
 
 
-def conjugate(g: NMatrix, u: UMatrix) -> NMatrix:
+def conjugate(g: NMatrix, u: LinearEquiv) -> NMatrix:
     """g -> U g U^{-1}; the result keeps the pattern."""
     if is_zero(u.K1):
         raise ValueError("conjugation requires K1 != 0")
-    return as_nmatrix(mat_mul(mat_mul(u.matrix(), g.matrix()), u.inverse()))
+    return as_nmatrix(mat_mul(mat_mul(u.matrix(), g.matrix()),
+                              u.inverse().matrix()))
 
 
 # canonical representatives ------------------------------------------------
@@ -164,10 +132,11 @@ def g6() -> NMatrix:
 
 
 class CaseSplitNeeded(Exception):
-    """Raised when a symbolic entry's vanishing cannot be decided."""
+    """Raised when a symbolic condition cannot be decided: whether an
+    entry vanishes, or the sign of a discriminant."""
 
     def __init__(self, conditions):
-        super().__init__("canonical form needs a case split on: "
+        super().__init__("needs a case split on: "
                          + ", ".join(str(c) for c in conditions))
         self.conditions = tuple(conditions)
 
@@ -176,7 +145,7 @@ class CaseSplitNeeded(Exception):
 class CanonicalForm:
     label: str                    # g1, g3, g4, g5, g6, g2~, zero
     canonical: NMatrix
-    witness: UMatrix
+    witness: LinearEquiv          # lam = 1
     scale: Expr                   # scale * U g U^{-1} == canonical, exactly
     invariant: Optional[Expr] = None   # mu2/mu1 for the g4 class
 
@@ -185,11 +154,9 @@ def _vanishes(e: Expr) -> bool:
     d = decide_equivalence(e, ZERO)
     if d.verdict == EQUAL:
         return True
-    if d.verdict == "different":
-        if d.path != "numeric" or not free_symbols(e):
-            return False
-        # nonzero only generically: a free parameter could still vanish
-        raise CaseSplitNeeded([e])
+    if d.verdict == "different" and not free_symbols(e):
+        return False
+    # undecided, or nonzero only generically: a free parameter could vanish
     raise CaseSplitNeeded([e])
 
 
@@ -204,7 +171,7 @@ def canonical_form(g: NMatrix) -> CanonicalForm:
         inv = powe(mu1, MINUS_ONE)
         b1 = mul(nu1, inv)
         b2 = mul(add(nu2, mul(MINUS_ONE, mu2, b1)), inv)
-        w = umatrix(b1=b1, b2=b2)
+        w = LinearEquiv(b1=b1, b2=b2)
         if _vanishes(mu2):
             return CanonicalForm("g1", g1(), w, inv)
         ratio = mul(mu2, inv)
@@ -216,18 +183,18 @@ def canonical_form(g: NMatrix) -> CanonicalForm:
         if not _vanishes(n1):
             k1 = powe(n1, MINUS_ONE)
             b1 = mul(k1, n2)
-            w = umatrix(b1=b1, K1=k1)
+            w = LinearEquiv(K1=k1, b1=b1)
             return CanonicalForm("g6", g6(), w, scale)
-        w = umatrix(b1=n2)
+        w = LinearEquiv(b1=n2)
         return CanonicalForm("g5", g5(), w, scale)
     if not _vanishes(nu1):
         k1 = powe(nu1, MINUS_ONE)
-        w = umatrix(K1=k1, K2=mul(MINUS_ONE, nu2, powe(nu1, rat(-2))))
+        w = LinearEquiv(K1=k1, K2=mul(MINUS_ONE, nu2, powe(nu1, rat(-2))))
         return CanonicalForm("g3", g3(), w, ONE)
     if not _vanishes(nu2):
-        w = umatrix(K1=powe(nu2, MINUS_ONE))
+        w = LinearEquiv(K1=powe(nu2, MINUS_ONE))
         return CanonicalForm("g2~", g2_tilde(), w, ONE)
-    return CanonicalForm("zero", nmatrix(), IDENTITY_U, ONE)
+    return CanonicalForm("zero", nmatrix(), LinearEquiv(), ONE)
 
 
 # realization --------------------------------------------------------------
@@ -365,15 +332,16 @@ def realized_symmetry(g: NMatrix, m: int, kind: str = "dilation",
     if kind == "dilation":
         dname = "Dtilde" if drift_version else "D"
         d = named_operator(dname, m)
-        muv = _e(mu if mu is not None else 0)
+        muv = as_expr(mu if mu is not None else 0)
         return d.scale(muv) + gh
     if kind == "exponential":
-        pref = exp_(mul(_e(lam), t))
+        pref = exp_(mul(as_expr(lam), t))
         return gh.scale(pref)
     if kind == "exp_wave":
         xs = coords(m)
-        om = [_e(c) for c in (omega or [0] * m)]
-        pref = exp_(add(mul(_e(lam), t), *[mul(om[i], xs[i]) for i in range(m)]))
+        om = [as_expr(c) for c in (omega or [0] * m)]
+        pref = exp_(add(mul(as_expr(lam), t),
+                        *[mul(om[i], xs[i]) for i in range(m)]))
         return gh.scale(pref)
     raise ValueError(f"unknown realization kind {kind!r}")
 
@@ -383,7 +351,7 @@ def realized_two_dim(name: str, m: int = 1, mu=0, nu=0,
     """The two-dimensional main-symmetry realizations built on the matrix
     algebras: basis generators plus their expected nonzero brackets
     ((i, j) -> {k: coeff}, over the returned basis)."""
-    mu, nu = _e(mu), _e(nu)
+    mu, nu = as_expr(mu), as_expr(nu)
     t = sym("t")
     ap = algebra_catalog(name)
     e = [realized_basis(g, m) for g in ap.basis]
@@ -420,7 +388,7 @@ def drift_one_dim(name: str, m: int = 1, mu=0, nu=0) -> Generator:
     """The one-dimensional main-symmetry operators of the first-derivative
     systems (the dilation swapped for its drift version; the exponential
     shift operators are taken at zero rates, where the pairs close)."""
-    mu, nu = _e(mu), _e(nu)
+    mu, nu = as_expr(mu), as_expr(nu)
     u, v = jet("u"), jet("v")
     dt = named_operator("Dtilde", m)
     if name == "X1^(1)":
@@ -449,7 +417,7 @@ def drift_algebra(name: str, m: int = 1, mu=0, nu=0):
     outside the span); it is returned with the extension element that
     closes it recorded in the bracket table against index 3.
     """
-    mu, nu = _e(mu), _e(nu)
+    mu, nu = as_expr(mu), as_expr(nu)
     u, v = jet("u"), jet("v")
     dt = named_operator("Dtilde", m)
     if name == "A~1":
@@ -500,7 +468,7 @@ def fundamental_pair(lam, alp, sig, gam) -> FundamentalPair:
     """Two independent closed-form solutions of the 2x2 linear system,
     split over the sign of the discriminant (distinct real / repeated /
     complex conjugate eigenvalues)."""
-    lam, alp, sig, gam = _e(lam), _e(alp), _e(sig), _e(gam)
+    lam, alp, sig, gam = map(as_expr, (lam, alp, sig, gam))
     t = sym("t")
     tr = add(lam, gam)
     disc = add(mul(add(lam, mul(MINUS_ONE, gam)), add(lam, mul(MINUS_ONE, gam))),
@@ -560,12 +528,6 @@ def fundamental_pair(lam, alp, sig, gam) -> FundamentalPair:
     raise ValueError("complex eigenvalues require alp != 0 in this pattern")
 
 
-class SignSplitNeeded(Exception):
-    def __init__(self, disc):
-        super().__init__(f"cannot decide the sign of the discriminant {disc}")
-        self.disc = disc
-
-
 def _disc_sign(disc: Expr) -> int:
     if isinstance(disc, Rat):
         if disc.value > 0:
@@ -575,12 +537,12 @@ def _disc_sign(disc: Expr) -> int:
         return 0
     if decide_equivalence(disc, ZERO):
         return 0
-    raise SignSplitNeeded(disc)
+    raise CaseSplitNeeded([disc])
 
 
 def pair_residuals(fp: FundamentalPair, lam, alp, sig, gam):
     """Back-substitution residuals of both returned solutions."""
-    lam, alp, sig, gam = _e(lam), _e(alp), _e(sig), _e(gam)
+    lam, alp, sig, gam = map(as_expr, (lam, alp, sig, gam))
     out = []
     for F, G in fp.pairs():
         out.append(add(differentiate(F, T),

@@ -27,12 +27,12 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .equality import EQUAL, DIFFERENT, EqDecision, decide_equivalence
 from .expr import (EMPTY_RULES, Expr, ExprError, Jet, Ker, KernelRule,
-                   MINUS_ONE, ONE, RuleSet, T, U, V, ZERO, add, differentiate,
-                   expand, is_zero, jet, jets_in, ker, mul, powe, rat,
-                   substitute, free_symbols, Rat)
+                   MINUS_ONE, ONE, RuleSet, T, U, V, ZERO, add, as_expr,
+                   differentiate, expand, is_zero, jet, jets_in, ker, mul,
+                   powe, rat, substitute, free_symbols, Rat)
 from .fields import Generator
 from .jets import (JetOrderError, coords, is_coordinate, laplacian,
-                   total_derivative, x_squared)
+                   total_derivatives, x_squared)
 
 
 @dataclass(frozen=True)
@@ -55,28 +55,29 @@ class RDSystem:
                                  f"{', '.join(tjets)}: the system must be "
                                  "solved for u_t and v_t")
 
-    def rhs(self) -> Tuple[Expr, Expr]:
-        lap_u = add(*[jet("u", 0, (i, i)) for i in range(1, self.m + 1)])
-        lap_v = add(*[jet("v", 0, (i, i)) for i in range(1, self.m + 1)])
+    def linear(self) -> Tuple[Expr, Expr]:
+        """The diffusion or drift part of each right-hand side."""
+        lap_u, lap_v = (add(*[jet(d, 0, (i, i)) for i in range(1, self.m + 1)])
+                        for d in "uv")
         if self.family == "triangular":
-            return (add(mul(self.a, lap_u), self.f1),
-                    add(lap_u, mul(self.a, lap_v), self.f2))
+            return mul(self.a, lap_u), add(lap_u, mul(self.a, lap_v))
         if self.family == "drift":
-            return (add(mul(self.p, jet("v", 0, (self.m,))), self.f1),
-                    add(lap_u, self.f2))
+            return mul(self.p, jet("v", 0, (self.m,))), lap_u
         raise ValueError(f"unknown family {self.family!r}")
+
+    def rhs(self) -> Tuple[Expr, Expr]:
+        lin_u, lin_v = self.linear()
+        return add(lin_u, self.f1), add(lin_v, self.f2)
 
 
 def triangular(m: int, a, f1: Expr, f2: Expr,
                rules: RuleSet = EMPTY_RULES) -> RDSystem:
-    a = a if isinstance(a, Expr) else rat(a)
-    return RDSystem(m, "triangular", f1, f2, a=a, rules=rules)
+    return RDSystem(m, "triangular", f1, f2, a=as_expr(a), rules=rules)
 
 
 def drift(m: int, p, f1: Expr, f2: Expr,
           rules: RuleSet = EMPTY_RULES) -> RDSystem:
-    p = p if isinstance(p, Expr) else rat(p)
-    return RDSystem(m, "drift", f1, f2, p=p, rules=rules)
+    return RDSystem(m, "drift", f1, f2, p=as_expr(p), rules=rules)
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +93,7 @@ class DriftNormalization:
 
 def drift_normalize(p_vec: Sequence) -> DriftNormalization:
     """Orthogonal change of the x-variables sending p to (0, ..., 0, |p|)."""
-    p = [c if isinstance(c, Expr) else rat(c) for c in p_vec]
+    p = [as_expr(c) for c in p_vec]
     m = len(p)
     norm2 = add(*[mul(c, c) for c in p])
     if is_zero(norm2):
@@ -128,15 +129,9 @@ def tjet_replacements(system: RDSystem, tjets: Iterable[Jet],
     right-hand side of its equation (``rhs`` as built by ``system.rhs()``),
     then D_x for each spatial index, then D_t (nt - 1) times.  Replacements
     of jets with nt >= 2 still carry t-jets of lower order."""
-    out = {}
-    for j in tjets:
-        repl = rhs[0] if j.dep == "u" else rhs[1]
-        for i in j.xs:
-            repl = total_derivative(repl, i, system.m, system.rules)
-        for _ in range(j.nt - 1):
-            repl = total_derivative(repl, "t", system.m, system.rules)
-        out[j] = repl
-    return out
+    return {j: total_derivatives(rhs[0] if j.dep == "u" else rhs[1],
+                                 j.nt - 1, j.xs, system.m, system.rules)
+            for j in tjets}
 
 
 def prolonged_equations(system: RDSystem, x: Generator

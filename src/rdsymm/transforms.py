@@ -7,12 +7,16 @@ equivalence transformations (AETs, ``aet(k)``) are time-dependent
 u (``VShift``) and, under an admissibility PDE system, of (u, t, x)
 (``VShiftFull``).
 
+``LinearEquiv.matrix()`` is the same group element as the U that
+``nmatrix`` conjugates its matrices by.
+
 ``apply_equiv`` re-derives the transformed nonlinearities mechanically: it
-pushes the map through the equations with total derivatives, eliminates
-t-jets through the system, and re-expresses the result in the new dependent
-variables.  A transform is applicable precisely when that calculation closes
-up point-form again (no leftover jets, no explicit t or x).  ``pushforward``
-carries a generator through any of these transforms."""
+pushes the map through u_t and v_t minus the family's ``RDSystem.linear()``
+part with total derivatives, eliminates t-jets through the system, and
+re-expresses the result in the new dependent variables.  A transform is
+applicable precisely when that calculation closes up point-form again (no
+leftover jets, no explicit t or x).  ``pushforward`` carries a generator
+through any of these transforms."""
 
 from __future__ import annotations
 
@@ -20,12 +24,11 @@ from dataclasses import dataclass, replace
 from typing import Dict, Tuple
 
 from .equality import decide_equivalence
-from .expr import (Expr, MINUS_ONE, ONE, T, U, V, ZERO, add, differentiate,
-                   exp_, expand, is_zero, jets_in, mul, powe, rat, substitute,
-                   sym, free_symbols)
+from .expr import (Expr, MINUS_ONE, ONE, T, U, V, ZERO, add, as_expr,
+                   differentiate, exp_, expand, is_zero, jets_in, mul, powe,
+                   rat, substitute, free_symbols)
 from .fields import Generator, ProlongedGenerator
-from .jets import (coords, is_coordinate, laplacian, total_derivative,
-                   x_squared)
+from .jets import coords, is_coordinate, total_derivatives, x_squared
 from .systems import RDSystem, evolution_reduce
 
 
@@ -70,6 +73,12 @@ class LinearEquiv:
         return PointMap(cu=self.K1, ru=self.b1, cv=self.K1,
                         w=add(mul(self.K2, U), self.b2))
 
+    def matrix(self) -> Tuple[Tuple[Expr, ...], ...]:
+        """The U acting on (1, u, v) that conjugates ``nmatrix`` matrices."""
+        return ((ONE, ZERO, ZERO),
+                (self.b1, self.K1, ZERO),
+                (self.b2, self.K2, self.K1))
+
     def inverse(self) -> "LinearEquiv":
         k1i = powe(self.K1, MINUS_ONE)
         k2i = mul(MINUS_ONE, self.K2, powe(self.K1, rat(-2)))
@@ -101,7 +110,7 @@ class VShiftFull:
 def aet(index: int, **params) -> PointMap:
     """The numbered additional equivalence transformations (1-10); item 11
     is VShiftFull and is built separately."""
-    p = {k: (v if isinstance(v, Expr) else rat(v)) for k, v in params.items()}
+    p = {k: as_expr(v) for k, v in params.items()}
     t = T
 
     def need(*names):
@@ -161,28 +170,17 @@ def _transformed_f(system: RDSystem, pm: PointMap) -> Tuple[Expr, Expr]:
     """Push the point map through both equations; returns the new f's in the
     new variables or raises InapplicableTransform."""
     m, rules = system.m, system.rules
-    un = pm.u_new()
-    vn = pm.v_new()
-    if system.family == "triangular":
-        raw1 = add(total_derivative(un, "t", m, rules),
-                   mul(MINUS_ONE, system.a, laplacian(un, m, rules)))
-        raw2 = add(total_derivative(vn, "t", m, rules),
-                   mul(MINUS_ONE, laplacian(un, m, rules)),
-                   mul(MINUS_ONE, system.a, laplacian(vn, m, rules)))
-    else:  # the drift is along the last axis, x_m
-        raw1 = add(total_derivative(un, "t", m, rules),
-                   mul(MINUS_ONE, system.p, total_derivative(vn, m, m, rules)))
-        raw2 = add(total_derivative(vn, "t", m, rules),
-                   mul(MINUS_ONE, laplacian(un, m, rules)))
-    rhs = system.rhs()
-    raw1 = expand(evolution_reduce(raw1, system, rhs))
-    raw2 = expand(evolution_reduce(raw2, system, rhs))
-    # express in the new dependent variables
-    u_tmp, v_tmp = sym("_unew"), sym("_vnew")
-    inv = pm.inverse_binding(u_tmp, v_tmp)
+    new = {"u": pm.u_new(), "v": pm.v_new()}
+    rhs, old_uv = system.rhs(), pm.inverse_binding(U, V)
     out = []
-    for raw in (raw1, raw2):
-        e = expand(substitute(substitute(raw, inv), {u_tmp: U, v_tmp: V}))
+    for dep, lin in zip("uv", system.linear()):
+        # D_t(new) minus the linear part, each jet u_J, v_J in it as D_J(new)
+        d_j = {j: total_derivatives(new[j.dep], 0, j.xs, m, rules)
+               for j in jets_in(lin)}
+        raw = add(total_derivatives(new[dep], 1, (), m, rules),
+                  mul(MINUS_ONE, substitute(lin, d_j)))
+        raw = expand(evolution_reduce(raw, system, rhs))
+        e = expand(substitute(raw, old_uv))
         leftover_jets = [j for j in jets_in(e) if j.order > 0]
         if leftover_jets:
             raise InapplicableTransform(
@@ -199,14 +197,29 @@ def _point_form_check(f: Expr, label: str):
             " not a point nonlinearity")
 
 
+def _decoded(transform) -> Tuple[PointMap, Expr]:
+    """The point map and the scaling lam of a transform (lam is 1 but for
+    ``LinearEquiv``); raises InapplicableTransform for an unknown transform
+    or one with a literal-zero K1, lam, cu or cv."""
+    if isinstance(transform, PointMap):
+        pm = transform
+    elif isinstance(transform, (LinearEquiv, VShift, VShiftFull)):
+        pm = transform.point_map()
+    else:
+        raise InapplicableTransform(f"unknown transform {transform!r}")
+    lam = transform.lam if isinstance(transform, LinearEquiv) else ONE
+    if any(is_zero(c) for c in (pm.cu, pm.cv, lam)):
+        raise InapplicableTransform(
+            "transform is not invertible: K1, lam, cu and cv must be nonzero")
+    return pm, lam
+
+
 def apply_equiv(system: RDSystem, transform) -> RDSystem:
     """Transformed system of the same family; raises InapplicableTransform
-    when the preconditions or the point-form requirement are violated."""
-    if isinstance(transform, LinearEquiv):
-        if is_zero(transform.K1) or is_zero(transform.lam):
-            raise InapplicableTransform("linear transform needs K1, lam != 0")
-        pm, scale = transform.point_map(), mul(transform.lam, transform.lam)
-    elif isinstance(transform, (VShift, VShiftFull)):
+    when the preconditions or the point-form requirement are violated.  The
+    scaling lam multiplies f1 and f2 by lam^2, and a drift's p by lam."""
+    pm, lam = _decoded(transform)
+    if isinstance(transform, (VShift, VShiftFull)):
         if not (system.family == "triangular" and is_zero(system.a)):
             raise InapplicableTransform("v-shifts require the a = 0 family")
         if isinstance(transform, VShiftFull):
@@ -215,15 +228,11 @@ def apply_equiv(system: RDSystem, transform) -> RDSystem:
                 raise InapplicableTransform(
                     "shift violates the admissibility system; residuals: "
                     + "; ".join(str(r) for r in residuals))
-        pm, scale = transform.point_map(), ONE
-    elif isinstance(transform, PointMap):
-        pm, scale = transform, ONE
-    else:
-        raise InapplicableTransform(f"unknown transform {transform!r}")
-    f1n, f2n = (mul(scale, f) for f in _transformed_f(system, pm))
+    f1n, f2n = (mul(lam, lam, f) for f in _transformed_f(system, pm))
     _point_form_check(f1n, "f1")
     _point_form_check(f2n, "f2")
-    return replace(system, f1=f1n, f2=f2n)
+    p = mul(lam, system.p) if system.family == "drift" else system.p
+    return replace(system, f1=f1n, f2=f2n, p=p)
 
 
 def preserves_class(system: RDSystem, transform) -> bool:
@@ -272,8 +281,7 @@ def pushforward(x: Generator, transform) -> Generator:
     pr X applied to one new coordinate (t' = lam^-2 t, x' = lam^-1 x, u'
     and v' from the point map; lam is 1 but for ``LinearEquiv``), written
     in the new ones through ``PointMap.inverse_binding`` and the scaling."""
-    pm = transform if isinstance(transform, PointMap) else transform.point_map()
-    lam = transform.lam if isinstance(transform, LinearEquiv) else ONE
+    pm, lam = _decoded(transform)
     inv_lam, xs = powe(lam, MINUS_ONE), coords(x.m)
     old_uv = pm.inverse_binding(U, V)
     old_tx = {T: mul(lam, lam, T), **{c: mul(lam, c) for c in xs}}

@@ -13,7 +13,7 @@ from rdsymm.fields import Generator, commutator, generator, named_operator
 from rdsymm.nmatrix import (algebra_catalog, as_nmatrix, canonical_form,
                             closure_check, conjugate, fundamental_pair,
                             mat_commutator, nmatrix, pair_residuals,
-                            realized_basis, umatrix, wronskian_at_zero)
+                            realized_basis, wronskian_at_zero)
 from rdsymm.systems import drift, extension_check, is_symmetry, triangular
 from rdsymm.transforms import (LinearEquiv, VShift, aet, apply_equiv,
                                check_eqv3_admissible, preserves_class,
@@ -126,10 +126,10 @@ def test_criterion_3_canonicalization():
                      (got.mu1, cf.canonical.mu1), (got.mu2, cf.canonical.mu2)]:
             if not is_zero(add(x, mul(rat(-1), y))):
                 bad += 1
-        un = umatrix(b1=Fraction(rng.randint(-4, 4)),
-                     b2=Fraction(rng.randint(-4, 4)),
-                     K1=Fraction(rng.choice([1, 2, 3, -1, -2])),
-                     K2=Fraction(rng.randint(-4, 4)))
+        un = LinearEquiv(b1=rat(rng.randint(-4, 4)),
+                         b2=rat(rng.randint(-4, 4)),
+                         K1=rat(rng.choice([1, 2, 3, -1, -2])),
+                         K2=rat(rng.randint(-4, 4)))
         g2c = conjugate(g, un).scale(Fraction(rng.choice([1, 2, -1, -3])))
         cf2 = canonical_form(g2c)
         if cf.label != cf2.label:

@@ -43,11 +43,20 @@ def test_verify_fails(tmp_path, sysfile, capsys):
 
 
 def test_canon(tmp_path, capsys):
-    mat = _write(tmp_path, "m.json",
-                 [["0", "0", "0"], ["1", "0", "0"], ["2", "0", "0"]])
-    code = main(["canon", mat])
-    out = json.loads(capsys.readouterr().out)
-    assert code == 0 and out["label"] == "g3"
+    """The whole output, witness text included, for a g3 and a g4 orbit."""
+    cases = [
+        ([["0", "0", "0"], ["1", "0", "0"], ["2", "0", "0"]],
+         {"label": "g3", "scale": "1",
+          "canonical": [["0", "0", "0"], ["1", "0", "0"], ["0", "0", "0"]],
+          "witness": [["1", "0", "0"], ["0", "1", "0"], ["0", "-2", "1"]]}),
+        ([["0", "0", "0"], ["1", "2", "0"], ["3", "4", "2"]],
+         {"label": "g4", "scale": "1/2", "invariant": "2",
+          "canonical": [["0", "0", "0"], ["0", "1", "0"], ["0", "2", "1"]],
+          "witness": [["1", "0", "0"], ["1/2", "1", "0"], ["1/2", "0", "1"]]}),
+    ]
+    for matrix, expect in cases:
+        code = main(["canon", _write(tmp_path, "m.json", matrix)])
+        assert code == 0 and json.loads(capsys.readouterr().out) == expect
 
 
 @pytest.mark.parametrize("matrix", [
@@ -180,6 +189,23 @@ def test_equiv_apply_inapplicable(tmp_path, sysfile, capsys):
     tr = _write(tmp_path, "tr.json", {"kind": "vshift", "phi": "u^2"})
     code = main(["equiv", "apply", sysfile, tr])
     assert code == 1
+    assert "error" in json.loads(capsys.readouterr().out)
+
+
+def test_equiv_apply_scales_the_drift_magnitude(tmp_path, capsys):
+    system = _write(tmp_path, "system.json", {
+        "m": 1, "family": {"kind": "drift", "p": "1"}, "f1": "0", "f2": "0"})
+    tr = _write(tmp_path, "tr.json", {"kind": "linear",
+                                      "params": {"lam": "3"}})
+    assert main(["equiv", "apply", system, tr]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["family"] == {"kind": "drift", "p": "3"}
+
+
+def test_equiv_apply_degenerate_linear_exits_1(tmp_path, sysfile, capsys):
+    tr = _write(tmp_path, "tr.json", {"kind": "linear",
+                                      "params": {"K1": "0"}})
+    assert main(["equiv", "apply", sysfile, tr]) == 1
     assert "error" in json.loads(capsys.readouterr().out)
 
 

@@ -1,8 +1,9 @@
 """AST scans of the sources: every imported name is used (package and
 tests), no package module imports another module's private name, only
 ``jets`` spells the coordinate symbols x1..xm, only ``parser``,
-``corpus`` and ``cli`` parse text, ``apply_to`` is defined once, in
-``fields``, and no nested function calls itself.
+``corpus`` and ``cli`` parse text, only ``expr`` turns a number into an
+expression by hand, ``apply_to`` is defined once, in ``fields``, and no
+nested function calls itself.
 
 The package's ``__init__`` is exempt from the first scan, since its
 imports are re-exports."""
@@ -100,6 +101,23 @@ def test_parsing_stays_in_parser_corpus_and_cli():
              and getattr(node.func, "id", getattr(node.func, "attr", None))
              == "parse"]
     assert not found, f"parse called outside parser, corpus and cli: {found}"
+
+
+def _coerces_by_hand(node) -> bool:
+    """An ``x if isinstance(x, Expr) else ...`` expression."""
+    test = getattr(node, "test", None)
+    return (isinstance(node, ast.IfExp) and isinstance(test, ast.Call)
+            and getattr(test.func, "id", None) == "isinstance"
+            and len(test.args) == 2
+            and getattr(test.args[1], "id", None) == "Expr")
+
+
+def test_numbers_become_expressions_only_through_as_expr():
+    found = [f"{path.relative_to(ROOT).as_posix()}:{node.lineno}"
+             for path in PACKAGE if path.name != "expr.py"
+             for node in ast.walk(ast.parse(path.read_text()))
+             if _coerces_by_hand(node)]
+    assert not found, f"coercion written out, use expr.as_expr: {found}"
 
 
 def test_a_vector_field_acts_only_in_fields():

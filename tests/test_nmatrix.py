@@ -12,7 +12,8 @@ from rdsymm.nmatrix import (CaseSplitNeeded, algebra_catalog, as_nmatrix,
                             drift_algebra, fundamental_pair, g1, g2, g2_tilde,
                             g3, g4, g5, g6, mat_commutator, mat_mul, nmatrix,
                             pair_residuals, realize, realized_basis,
-                            realized_two_dim, umatrix, wronskian_at_zero)
+                            realized_two_dim, wronskian_at_zero)
+from rdsymm.transforms import LinearEquiv
 
 u, v = jet("u"), jet("v")
 
@@ -29,15 +30,14 @@ def _rand_nmatrix(rng):
 
 
 def _rand_umatrix(rng):
-    return umatrix(b1=Fraction(rng.randint(-4, 4)),
-                   b2=Fraction(rng.randint(-4, 4)),
-                   K1=Fraction(rng.choice([1, 2, 3, -1, -2])),
-                   K2=Fraction(rng.randint(-4, 4)))
+    return LinearEquiv(b1=rat(rng.randint(-4, 4)), b2=rat(rng.randint(-4, 4)),
+                       K1=rat(rng.choice([1, 2, 3, -1, -2])),
+                       K2=rat(rng.randint(-4, 4)))
 
 
 def test_umatrix_inverse_exact():
-    un = umatrix(b1=1, b2=-2, K1=3, K2=4)
-    prod = mat_mul(un.matrix(), un.inverse())
+    un = LinearEquiv(b1=rat(1), b2=rat(-2), K1=rat(3), K2=rat(4))
+    prod = mat_mul(un.matrix(), un.inverse().matrix())
     for i in range(3):
         for j in range(3):
             expect = rat(1) if i == j else ZERO
@@ -46,8 +46,9 @@ def test_umatrix_inverse_exact():
 
 def test_conjugation_identity_and_pattern():
     g = nmatrix(2, 3, 5, 7)
-    assert _nm_eq(conjugate(g, umatrix()), g)
-    gc = conjugate(g, umatrix(b1=1, b2=2, K1=2, K2=-1))
+    assert _nm_eq(conjugate(g, LinearEquiv()), g)
+    gc = conjugate(g, LinearEquiv(b1=rat(1), b2=rat(2), K1=rat(2),
+                                  K2=rat(-1)))
     # pattern checked inside as_nmatrix; diagonal invariants preserved
     assert gc.mu1 == rat(5) and gc.mu2 == rat(7)
 
@@ -60,7 +61,7 @@ def test_conjugation_matrix_multiply_oracle():
                 [[c for c in r] for r in mat]]
 
     g = nmatrix(1, -2, 3, 4)
-    un = umatrix(b1=2, b2=-1, K1=2, K2=3)
+    un = LinearEquiv(b1=rat(2), b2=rat(-1), K1=rat(2), K2=rat(3))
     got = conjugate(g, un).matrix()
 
     gm = [[Fraction(0), Fraction(0), Fraction(0)],
@@ -88,7 +89,7 @@ def test_shear_kills_second_component():
     # g with nu1 = lam != 0, mu = 0: shear K2 = -K1*nu2/nu1 zeroes nu2
     lamv = rat(3)
     g = g2(lamv)          # nu1 = 3, nu2 = 1
-    un = umatrix(K1=1, K2=rat(-1, 3))
+    un = LinearEquiv(K1=rat(1), K2=rat(-1, 3))
     gc = conjugate(g, un)
     assert is_zero(gc.nu2) and gc.nu1 == rat(3)
 
@@ -101,7 +102,8 @@ def test_group_action_composition():
         u2 = _rand_umatrix(rng)
         lhs = conjugate(conjugate(g, u1), u2)
         big = mat_mul(u2.matrix(), u1.matrix())
-        u21 = umatrix(b1=big[1][0], b2=big[2][0], K1=big[1][1], K2=big[2][1])
+        u21 = LinearEquiv(b1=big[1][0], b2=big[2][0], K1=big[1][1],
+                          K2=big[2][1])
         assert _nm_eq(lhs, conjugate(g, u21))
 
 
@@ -213,6 +215,14 @@ def test_fundamental_pairs_three_cases():
             assert bool(decide_equivalence(r, ZERO))
         w = wronskian_at_zero(fp)
         assert decide_equivalence(w, ZERO).verdict == "different"
+
+
+def test_fundamental_pair_case_split_on_a_symbolic_discriminant():
+    p = sym("p")
+    with pytest.raises(CaseSplitNeeded) as exc:
+        fundamental_pair(p, 1, 1, 0)
+    (disc,) = exc.value.conditions
+    assert bool(decide_equivalence(disc, p * p + 4))
 
 
 def test_fundamental_pair_examples():

@@ -4,14 +4,16 @@ import pytest
 
 from rdsymm.corpus import load_rows
 from rdsymm.equality import decide_equivalence
-from rdsymm.expr import (MINUS_ONE, T, U, V, add, exp_, jet, ker, mul, powe,
-                         rat, substitute, sym)
+from rdsymm.expr import (MINUS_ONE, T, U, V, ZERO, add, exp_, jet, ker, mul,
+                         powe, rat, substitute, sym)
 from rdsymm.fields import Generator, generator, named_operator
 from rdsymm.jets import coords
+from rdsymm.nmatrix import (conjugate, g1, g2, g2_tilde, g3, g4, g5, g6,
+                            nmatrix, realize)
 from rdsymm.parser import parse
-from rdsymm.systems import is_symmetry, triangular
-from rdsymm.transforms import (InapplicableTransform, LinearEquiv, VShift,
-                               VShiftFull, aet, apply_equiv,
+from rdsymm.systems import drift, is_symmetry, triangular
+from rdsymm.transforms import (InapplicableTransform, LinearEquiv, PointMap,
+                               VShift, VShiftFull, aet, apply_equiv,
                                check_eqv3_admissible, preserves_class,
                                pushforward)
 from rdsymm.verify import instantiate_row, symbolic_branches
@@ -150,6 +152,51 @@ def test_symmetry_transport():
               LinearEquiv(K1=rat(2), K2=rat(-1), lam=rat(3)),
               LinearEquiv(K1=rat(1), b1=rat(0), b2=rat(0), lam=rat(2))]:
         assert is_symmetry(apply_equiv(S, L), pushforward(X1, L)).holds
+
+
+def test_linear_scaling_carries_the_drift_magnitude():
+    """u_t scales by lam^2 and v_{x_m} by lam, so the image of p is lam*p:
+    the solution shift t du + x1 dv is carried to the image's symmetry."""
+    S = drift(1, 1, ZERO, ZERO)
+    X = generator(1, phi_u=t, phi_v=x1)
+    L = LinearEquiv(lam=rat(3))
+    assert is_symmetry(S, X).holds
+    image = apply_equiv(S, L)
+    assert image.p == rat(3)
+    assert is_symmetry(image, pushforward(X, L)).holds
+    assert not is_symmetry(S, pushforward(X, L)).holds
+
+
+@pytest.mark.parametrize("transform", [
+    LinearEquiv(K1=ZERO), LinearEquiv(lam=ZERO), PointMap(cu=ZERO),
+    PointMap(cv=ZERO)], ids=["K1=0", "lam=0", "cu=0", "cv=0"])
+@pytest.mark.parametrize("act", ["apply_equiv", "pushforward"])
+def test_a_degenerate_transform_is_inapplicable(act, transform):
+    S, X1 = _transport_example()
+    with pytest.raises(InapplicableTransform, match="not invertible"):
+        if act == "apply_equiv":
+            apply_equiv(S, transform)
+        else:
+            pushforward(X1, transform)
+
+
+def test_conjugation_is_the_pushforward_of_the_realization():
+    """nmatrix's conjugation by U = L.matrix() and the pushforward through
+    L are one group action: realize(U g U^-1) = pushforward(realize(g), L),
+    coefficient by coefficient, for a fully symbolic L."""
+    L = LinearEquiv(K1=sym("k1"), K2=sym("k2"), b1=sym("b1"), b2=sym("b2"),
+                    lam=lam)
+    gs = [g1(), g2(sym("l")), g2_tilde(), g3(), g4(), g4(sym("r")), g5(),
+          g6(), nmatrix(sym("n1"), sym("n2"), sym("m1"), sym("m2"))]
+    paths = Counter()
+    for m in (1, 2):
+        for g in gs:
+            for got, want in zip(realize(conjugate(g, L), m).coeffs(),
+                                 pushforward(realize(g, m), L).coeffs()):
+                d = decide_equivalence(got, want)
+                assert d.verdict == "equal", (g, m, got, want)
+                paths[d.path] += 1
+    assert set(paths) <= set(EXACT_PATHS), paths
 
 
 @pytest.mark.xfail(

@@ -7,7 +7,8 @@
                       [--json out.json] [--mode symbolic|witness|both]
     rdsymm equiv apply <system.json> <transform.json>
 
-Exit codes: 0 all pass, 1 verification failures, 2 usage or parse errors.
+Exit codes: 0 all pass; 1 verification failures (``verify`` also exits 1
+on an undecided claim); 2 usage or parse errors.
 
 System files: {"m": 2, "family": {"kind": "triangular", "a": "1"} |
 {"kind": "drift", "p": "1"}, "f1": "...", "f2": "...",

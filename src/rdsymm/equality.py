@@ -29,9 +29,8 @@ from typing import Optional
 
 import mpmath
 
-from .expr import (Add, DomainError, Expr, ExprError, Jet, Mul, Pow, ZERO,
-                   add, atoms, expand, free_symbols, is_int, is_zero, mul,
-                   rat)
+from .expr import (Add, DomainError, Expr, ExprError, Jet, Mul, ZERO, add,
+                   atoms, expand, free_symbols, is_int, is_zero, mul, rat)
 from .numeric import DPS, Sampler, UnboundSymbol, eval_at, random_fraction
 
 EQUAL = "equal"
@@ -126,8 +125,8 @@ def _eval_with_scale(target: Expr, point, sampler):
 def _symbolic_power_bases(e: Expr):
     """The atoms under any base raised to a non-integer power in e."""
     out = set()
-    for n in atoms(e, (Pow, Mul)):
-        for b, x in n.pairs if isinstance(n, Mul) else ((n.base, n.exp),):
+    for n in atoms(e, Mul):
+        for b, x in n.pairs:
             if not is_int(x):
                 out |= free_symbols(b)
     return out

@@ -6,7 +6,7 @@ structure means the same object.  ``==``, hashing and dict lookups are
 identity, ``is_zero(e)`` is ``e is ZERO``, and dicts are keyed by the nodes
 themselves.  ``Expr.key()`` is a nested tuple computed once per live node;
 it gives the structural order only (sorting terms and factors, the sign
-rule of sin/cos, ``<``), so term order never depends on object ids.  A node
+rule of sin/cos), so term order never depends on object ids.  A node
 leaves the table when nothing else holds it.
 
 The module-level constructors (``rat``, ``add``, ``mul``, ``powe``,
@@ -16,6 +16,9 @@ on construction, so every ``Expr`` you can hold is already in normal form:
 * sums are flat, like terms merged, at most one rational term;
 * products are flat with a rational coefficient and base^exponent pairs,
   exponents of equal bases added, ``exp`` factors merged into one;
+* a lone power b^x (x != 1) is the product with coefficient 1 and the one
+  pair (b, x), so powers and products are one node kind; its ``key()`` is
+  that of a power, ``(4, b, x)``, ordered before every other product;
 * a rational's ``value`` and a product's ``coeff`` are an ``int`` when
   they are integral and a ``Fraction`` otherwise, so ``rat(2)`` is
   ``rat(Fraction(4, 2))``; ``key()`` and the printed text read numerator
@@ -64,8 +67,9 @@ The declared domain is the one the numeric layer samples: u and v are
 positive; parameters, t, the x_i and the higher jets are real and may be
 negative.  :func:`is_positive` keeps to it, and a rational constant is
 positive only if it is.  Two rewrites still assume more, for bases that
-may be negative (ROADMAP item 3, open): ``ker`` splits ``ln`` of powers
-and products (``ln(b^e) = e*ln(b)``), and ``powe`` merges powers of powers
+may be negative (ROADMAP item 3, open): ``ker`` splits ``ln`` of a
+product of coefficient 1, a lone power among them (``ln(b^e) = e*ln(b)``),
+and ``powe`` merges powers of powers
 (``(b^p)^q = b^(p*q)``) and distributes a power over a product.
 """
 
@@ -128,9 +132,6 @@ class Expr:
         except AttributeError:
             self._key = k = self._make_key()
             return k
-
-    def __lt__(self, other):
-        return self.key() < other.key()
 
     def __reduce__(self):
         # copies and unpickled nodes go through the unique table as well
@@ -255,18 +256,9 @@ class Ker(Expr):
         return (3, self.name, self.dvec, tuple(a.key() for a in self.args))
 
 
-class Pow(Expr):
-    __slots__ = ("base", "exp")
-
-    def __new__(cls, base: Expr, exp: Expr):
-        return _intern(cls, (4, base, exp), base, exp)
-
-    def _make_key(self):
-        return (4, self.base.key(), self.exp.key())
-
-
 class Mul(Expr):
-    """coeff * prod(base^exp for base, exp in pairs); pairs sorted by base."""
+    """coeff * prod(base^exp for base, exp in pairs); pairs sorted by base.
+    A lone power b^x is the product with coeff 1 and the one pair (b, x)."""
 
     __slots__ = ("coeff", "pairs")
 
@@ -276,6 +268,9 @@ class Mul(Expr):
         return _intern(cls, (5, n, d, pairs), n if d == 1 else coeff, pairs)
 
     def _make_key(self):
+        if self.coeff == 1 and len(self.pairs) == 1:
+            (b, x), = self.pairs
+            return (4, b.key(), x.key())    # a power sorts before products
         return (5, self.coeff.numerator, self.coeff.denominator,
                 tuple((b.key(), e.key()) for b, e in self.pairs))
 
@@ -329,16 +324,28 @@ def is_int(e: Expr) -> bool:
     return isinstance(e, Rat) and type(e.value) is int
 
 
+def _power(b: Expr, x: Expr) -> Expr:
+    """The node b^x with no rewrite: b itself for x = 1, otherwise the
+    product 1*b^x.  Only for a pair (b, x) taken from a normal product, or
+    for what ``powe`` has ruled out every rewrite of."""
+    return b if x is ONE else Mul(1, ((b, x),))
+
+
+def lone_power(e: Expr):
+    """(b, x) when e is the lone power b^x, the product 1*b^x; else None."""
+    if isinstance(e, Mul) and e.coeff == 1 and len(e.pairs) == 1:
+        return e.pairs[0]
+    return None
+
+
 def is_positive(e: Expr) -> bool:
     """e > 0 everywhere on the domain: u and v, positive rationals, and
-    products, powers and sums of positive factors.  Parameters, t, x_i and
-    jets of order >= 1 are not known to be positive."""
+    products (powers among them) and sums of positive factors.  Parameters,
+    t, x_i and jets of order >= 1 are not known to be positive."""
     if isinstance(e, Rat):
         return e.value > 0
     if isinstance(e, Jet):
         return e.order == 0
-    if isinstance(e, Pow):
-        return is_positive(e.base)
     if isinstance(e, Mul):
         return e.coeff > 0 and all(is_positive(b) for b, _ in e.pairs)
     if isinstance(e, Add):
@@ -356,8 +363,6 @@ def _term_parts(t: Expr):
         return t.value, None
     if isinstance(t, Mul):
         return t.coeff, t.pairs
-    if isinstance(t, Pow):
-        return 1, ((t.base, t.exp),)
     return 1, ((t, ONE),)
 
 
@@ -425,7 +430,7 @@ def _make_mul(coeff: Number, pairs) -> Expr:
     if len(pairs) == 1:
         b, e = pairs[0]
         if coeff == 1:
-            return b if is_one(e) else Pow(b, e)
+            return _power(b, e)
         # a bare rational multiple of a sum distributes, so that like terms
         # across sums can merge
         if is_one(e) and isinstance(b, Add):
@@ -467,8 +472,6 @@ def mul(*factors) -> Expr:
                         coeff *= base.coeff
                         stack.extend(reversed(base.pairs))
                         continue
-                    if isinstance(base, Pow):
-                        base, expo = base.base, base.exp
                 if merge_exp and isinstance(base, Ker) and base.name == "exp":
                     exp_args.append(base.args[0] if is_one(expo)
                                     else mul(expo, base.args[0]))
@@ -503,13 +506,12 @@ def mul(*factors) -> Expr:
             if coeff == 0:
                 return ZERO
             continue
-        collapsed = powe(base, e)
-        if isinstance(collapsed, Pow) and collapsed.base is base:
-            out_pairs.append((base, collapsed.exp))
-        elif collapsed is base and is_one(e):
-            out_pairs.append((base, ONE))
-        else:
-            pending.append(collapsed)
+        if e is not ONE:
+            collapsed = powe(base, e)
+            if lone_power(collapsed) != (base, e):
+                pending.append(collapsed)
+                continue
+        out_pairs.append((base, e))
     if pending:
         out = mul(_make_mul(coeff, out_pairs), *pending)
     else:
@@ -559,38 +561,31 @@ def _powe(base: Expr, exp: Expr) -> Expr:
         return base
     if is_one(base):
         return ONE
+    lone = lone_power(base)
     if isinstance(base, Rat):
         if base.value == 0:
             if is_positive(exp):
                 return ZERO
             if isinstance(exp, Rat):
                 raise DomainError("division by zero: 0 to a non-positive power")
-            return Pow(base, exp)
-        if isinstance(exp, Rat):
+        elif isinstance(exp, Rat):
             if is_int(exp):
                 return rat(_int_power(base.value, exp.value))
             if base.value > 0:
                 root = _rat_root(base.value, exp.value.denominator)
                 if root is not None:
                     return rat(root ** exp.value.numerator)
-            return Pow(base, exp)
-        return Pow(base, exp)
-    if isinstance(base, Pow):
-        inner_exp = base.exp
-        merge = is_int(exp) or not (isinstance(base.base, Rat) and base.base.value < 0)
-        if merge:
-            return powe(base.base, mul(inner_exp, exp))
-        return Pow(base, exp)
-    if isinstance(base, Mul):
+    elif lone is not None:
+        b, x = lone
+        if is_int(exp) or not (isinstance(b, Rat) and b.value < 0):
+            return powe(b, mul(x, exp))
+    elif isinstance(base, Mul):
         if is_int(exp) or base.coeff > 0:
-            factors = [powe(rat(base.coeff), exp)]
-            factors += [powe(Pow(b, e) if not is_one(e) else b, exp)
-                        for b, e in base.pairs]
-            return mul(*factors)
-        return Pow(base, exp)
-    if isinstance(base, Ker) and base.name == "exp":
+            return mul(powe(rat(base.coeff), exp),
+                       *[powe(_power(b, x), exp) for b, x in base.pairs])
+    elif isinstance(base, Ker) and base.name == "exp":
         return ker("exp", mul(base.args[0], exp))
-    return Pow(base, exp)
+    return _power(base, exp)
 
 
 def _sign_flip(e: Expr):
@@ -661,8 +656,6 @@ def ker(name: str, *args, dvec: Sequence[int] = None) -> Expr:
                 return ZERO
             if isinstance(a, Ker) and a.name == "exp":
                 return a.args[0]
-            if isinstance(a, Pow):
-                return mul(a.exp, ker("ln", a.base))
             if isinstance(a, Mul) and a.coeff == 1:
                 return add(*[mul(e, ker("ln", b)) for b, e in a.pairs])
             if isinstance(a, Rat) and a.value <= 0:
@@ -705,16 +698,14 @@ def cos_(a) -> Expr:
 
 def children(e: Expr) -> Sequence[Expr]:
     """Direct subexpressions in a fixed order: the terms of a sum, ``b, x``
-    for each pair of a product (its coefficient stays on the node), base and
-    exponent of a power, the arguments of a kernel; atoms have none."""
+    for each pair of a product or power (its coefficient stays on the
+    node), the arguments of a kernel; atoms have none."""
     if isinstance(e, (Rat, Sym, Jet)):
         return ()
     if isinstance(e, Add):
         return e.terms
     if isinstance(e, Mul):
         return [c for pair in e.pairs for c in pair]
-    if isinstance(e, Pow):
-        return (e.base, e.exp)
     return e.args
 
 
@@ -729,8 +720,6 @@ def rebuild(e: Expr, kids: Sequence[Expr]) -> Expr:
     if isinstance(e, Mul):
         pairs = iter(kids)
         return mul(rat(e.coeff), *[powe(b, x) for b, x in zip(pairs, pairs)])
-    if isinstance(e, Pow):
-        return powe(*kids)
     if e.name in BUILTIN_KERNELS:
         return ker(e.name, *kids)
     return Ker(e.name, tuple(kids), e.dvec)
@@ -910,24 +899,20 @@ def differentiate(e: Expr, s: Expr, rules: RuleSet = EMPTY_RULES,
                 continue
             parts.append(mul(_ker_slot_derivative(e, i, rules), da))
         out = add(*parts) if parts else ZERO
-    elif isinstance(e, Pow):
-        db = differentiate(e.base, s, rules, _memo)
-        de = differentiate(e.exp, s, rules, _memo)
-        parts = []
-        if not is_zero(db):
-            parts.append(mul(e.exp, powe(e.base, add(e.exp, MINUS_ONE)), db))
-        if not is_zero(de):
-            parts.append(mul(ker("ln", e.base), powe(e.base, e.exp), de))
-        out = add(*parts) if parts else ZERO
     elif isinstance(e, Mul):
-        factors = [Pow(b, x) if not is_one(x) else b for b, x in e.pairs]
+        factors = [_power(b, x) for b, x in e.pairs]
         parts = []
-        for i, f in enumerate(factors):
-            df = differentiate(f, s, rules, _memo)
-            if is_zero(df):
-                continue
-            rest = factors[:i] + factors[i + 1:]
-            parts.append(mul(rat(e.coeff), df, *rest))
+        for i, (b, x) in enumerate(e.pairs):
+            # d(b^x) = x*b^(x-1)*db + ln(b)*b^x*dx
+            df = differentiate(b, s, rules, _memo)
+            dx = differentiate(x, s, rules, _memo)
+            if x is not ONE and not is_zero(df):
+                df = mul(x, powe(b, add(x, MINUS_ONE)), df)
+            if not is_zero(dx):
+                df = add(df, mul(ker("ln", b), factors[i], dx))
+            if not is_zero(df):
+                parts.append(mul(rat(e.coeff), df,
+                                 *factors[:i], *factors[i + 1:]))
         out = add(*parts) if parts else ZERO
     elif isinstance(e, Add):
         out = add(*[differentiate(t, s, rules, _memo) for t in e.terms])
@@ -1005,7 +990,7 @@ def _power_terms(b: Expr, x: Expr, memo: dict) -> list:
             out = _distribute(out, eb.terms)
     else:
         p = powe(eb, ex)
-        if p is eb or (isinstance(p, Pow) and p.base is eb and p.exp is ex):
+        if p is eb or lone_power(p) == (eb, ex):
             out = _addends(p)
         else:
             out = _expand_terms(p, memo)
@@ -1027,8 +1012,6 @@ def _expand_terms(e: Expr, memo: dict) -> list:
         out = [rat(e.coeff)]
         for b, x in e.pairs:
             out = _distribute(out, _addends(_merged(_power_terms(b, x, memo))))
-    elif isinstance(e, Pow):
-        out = _power_terms(e.base, e.exp, memo)
     else:
         r = rebuild(e, [_expanded(c, memo) for c in children(e)])
         # a kernel constructor may rewrite (exp pulls out ln parts, ln
@@ -1047,8 +1030,7 @@ def _cos_reduced(t: Expr, memo: dict) -> list:
         if isinstance(b, Ker) and b.name == "cos" and is_int(x) and x.value >= 2:
             k = x.value
             cos2 = add(ONE, mul(MINUS_ONE, powe(ker("sin", b.args[0]), rat(2))))
-            rest = [Pow(bb, xx) if not is_one(xx) else bb
-                    for bb, xx in pairs[:j] + pairs[j + 1:]]
+            rest = [_power(bb, xx) for bb, xx in pairs[:j] + pairs[j + 1:]]
             new = mul(rat(coeff), powe(cos2, rat(k // 2)), powe(b, rat(k % 2)),
                       *rest)
             return [r for s in _expand_terms(new, memo)

@@ -27,7 +27,7 @@ continuous invariant on the canonical representative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
@@ -93,11 +93,12 @@ def as_nmatrix(m: Matrix) -> NMatrix:
 
 
 def conjugate(g: NMatrix, u: LinearEquiv) -> NMatrix:
-    """g -> U g U^{-1}; the result keeps the pattern."""
+    """g -> U g U^{-1}; the result keeps the pattern.  lam plays no part
+    in U, so only U is inverted."""
     if is_zero(u.K1):
         raise ValueError("conjugation requires K1 != 0")
     return as_nmatrix(mat_mul(mat_mul(u.matrix(), g.matrix()),
-                              u.inverse().matrix()))
+                              replace(u, lam=ONE).inverse().matrix()))
 
 
 # canonical representatives ------------------------------------------------

@@ -47,7 +47,7 @@ from mpmath.libmp import (dps_to_prec, from_float, from_rational, mpf_add,
                           mpf_pow_int, mpf_sign, mpf_sin, round_nearest,
                           to_str)
 
-from .expr import Add, DomainError, Expr, Jet, Ker, Mul, ONE, Pow, Rat, Sym
+from .expr import Add, DomainError, Expr, Jet, Ker, Mul, ONE, Rat, Sym
 
 DPS = 60
 _PREC = dps_to_prec(DPS)
@@ -246,6 +246,8 @@ def _value(n: Expr, point, kernel_values, values: dict):
             # take the Fraction's slower reflected operator
             if type(f) is not tuple and type(val) is not tuple:
                 val = f if val == 1 else val if f == 1 else f * val
+            elif val == 1 and x is not ONE:
+                val = f     # _power rounded it to DPS digits already
             else:
                 val = _mul(val, f)
     elif cls is Add:
@@ -259,9 +261,6 @@ def _value(n: Expr, point, kernel_values, values: dict):
         val = _number(val)
     elif cls is Rat:
         val = n.value
-    elif cls is Pow:
-        val = _power(_value(n.base, point, kernel_values, values),
-                     _value(n.exp, point, kernel_values, values), n)
     elif cls is Ker:
         val = _kernel(n, [_value(a, point, kernel_values, values)
                           for a in n.args], kernel_values)

@@ -16,8 +16,8 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .expr import (Add, BUILTIN_KERNELS, Expr, Jet, Ker, Mul, Pow, Rat, Sym,
-                   add, is_one, jet, ker, mul, powe, rat, sym)
+from .expr import (Add, BUILTIN_KERNELS, Expr, Jet, Ker, Mul, Rat, Sym, add,
+                   is_one, jet, ker, lone_power, mul, powe, rat, sym)
 
 
 class ParseError(Exception):
@@ -216,7 +216,7 @@ def _prec(e: Expr) -> int:
         return _ATOM if e.value.denominator == 1 else _MUL
     if isinstance(e, (Sym, Jet, Ker)):
         return _ATOM
-    if isinstance(e, Pow):
+    if lone_power(e) is not None:
         return _POW
     if isinstance(e, Mul):
         return _UNARY if (e.coeff == -1 and len(e.pairs) == 1
@@ -243,8 +243,6 @@ def to_text(e: Expr) -> str:
         if any(e.dvec):
             name = f"{name}__d" + "_".join(str(c) for c in e.dvec)
         return f"{name}({', '.join(to_text(a) for a in e.args)})"
-    if isinstance(e, Pow):
-        return f"{_wrap(e.base, _POW + 1)}^{_wrap(e.exp, _POW + 1)}"
     if isinstance(e, Mul):
         parts = []
         if e.coeff == -1 and e.pairs:

@@ -408,16 +408,6 @@ class ExtensionReport:
     conformal: bool
     gamma: Optional[Expr] = None
 
-    def labels(self):
-        out = set()
-        if self.galilei:
-            out.add("Galilei")
-        if self.exp_galilei:
-            out.add("ExpGalilei")
-        if self.conformal:
-            out.add("Conformal")
-        return out
-
 
 def extension_check(system: RDSystem) -> ExtensionReport:
     """Which extended operators (G, Ghat, K) the nonlinearities admit."""

@@ -80,6 +80,9 @@ class LinearEquiv:
                 (self.b2, self.K2, self.K1))
 
     def inverse(self) -> "LinearEquiv":
+        if is_zero(self.K1) or is_zero(self.lam):
+            raise InapplicableTransform(
+                "transform is not invertible: K1 and lam must be nonzero")
         k1i = powe(self.K1, MINUS_ONE)
         k2i = mul(MINUS_ONE, self.K2, powe(self.K1, rat(-2)))
         b1i = mul(MINUS_ONE, self.b1, k1i)

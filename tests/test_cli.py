@@ -42,6 +42,18 @@ def test_verify_fails(tmp_path, sysfile, capsys):
     assert code == 1 and out["verdict"] == "fails"
 
 
+def test_verify_undecided_exits_1(tmp_path, capsys):
+    system = _write(tmp_path, "system.json", {
+        "m": 1, "family": {"kind": "triangular", "a": "1"},
+        "f1": "ln(-1 - u^2)", "f2": "0",
+    })
+    gen = _write(tmp_path, "gen.json", {"pi": ["-u", "-v"]})
+    code = main(["verify", system, gen])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 1 and out["verdict"] == "undecided"
+    assert out["decision_path"] == "numeric+normalize"
+
+
 def test_canon(tmp_path, capsys):
     """The whole output, witness text included, for a g3 and a g4 orbit."""
     cases = [

@@ -12,8 +12,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import rdsymm
 from rdsymm import expr
-from rdsymm.expr import (Add, DomainError, Jet, Ker, KernelRule, ONE, RuleSet,
-                         Sym, add, apply_rules, atoms, children, cos_,
+from rdsymm.expr import (Add, DomainError, Jet, Ker, KernelRule, Mul, ONE,
+                         RuleSet, Sym, add, apply_rules, atoms, children, cos_,
                          differentiate, exp_, expand, free_symbols, is_zero,
                          jet, jets_in, ker, ln_, mul, powe, rat, rebuild,
                          sin_, substitute, sym)
@@ -245,6 +245,21 @@ def test_basic_normal_forms():
     assert powe(powe(u, rat(2)), rat(3)) == powe(u, rat(6))
     # rational multiples of sums distribute so like terms merge
     assert is_zero((u + v) - u - v)
+
+
+def test_a_power_is_a_one_factor_product():
+    sq = powe(u, rat(2))
+    assert type(sq) is Mul and sq.coeff == 1 and sq.pairs == ((u, rat(2)),)
+    # a power keeps its own order key, so terms sort and print as before
+    assert sq.key() == (4, u.key(), rat(2).key())
+    for text in ["(-2)^(1/2) + u^2 + v^3 + (u + v)^nu + u*v + 2*u",
+                 "((-2)^(1/2))^(1/3)", "(-2*u)^(1/2)"]:
+        assert to_text(parse(text)) == text
+    assert to_text(differentiate(parse("(u+v)^u"), u)) == (
+        "u*(u + v)^(-1 + u) + ln(u + v)*(u + v)^u")
+    # the power rule stays one factor of the product rule
+    assert to_text(differentiate(parse("v*(u+v)^u"), u)) == (
+        "v*(u*(u + v)^(-1 + u) + ln(u + v)*(u + v)^u)")
 
 
 def test_exp_ln_kernel_laws():

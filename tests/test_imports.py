@@ -2,8 +2,9 @@
 tests), no package module imports another module's private name, only
 ``jets`` spells the coordinate symbols x1..xm, only ``parser``,
 ``corpus`` and ``cli`` parse text, only ``expr`` turns a number into an
-expression by hand, ``apply_to`` is defined once, in ``fields``, and no
-nested function calls itself.
+expression by hand, ``apply_to`` is defined once, in ``fields``, no
+nested function calls itself, and ``expr`` defines the only expression
+node classes.
 
 The package's ``__init__`` is exempt from the first scan, since its
 imports are re-exports."""
@@ -130,6 +131,29 @@ def test_a_vector_field_acts_only_in_fields():
              and node.name == "apply_to"]
     assert len(found) == 1 and found[0].startswith("src/rdsymm/fields.py:"), \
         f"apply_to must be defined once, in fields: {found}"
+
+
+def test_the_expression_nodes_are_the_six_in_expr():
+    """A power is a one-factor product, so every walker handles six node
+    kinds; a second power node (or any other) would need a branch in each."""
+    classes = [(f"{path.relative_to(ROOT).as_posix()}:{node.name}",
+                node.name,
+                {getattr(b, "id", getattr(b, "attr", None))
+                 for b in node.bases})
+               for path in PACKAGE
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.ClassDef)]
+    found = set()   # (where, name) of each class below Expr, to a fixpoint
+    while True:
+        below = {"Expr"} | {name for _, name in found}
+        more = {(where, name) for where, name, bases in classes
+                if bases & below}
+        if more == found:
+            break
+        found = more
+    assert {where for where, _ in found} == {
+        f"src/rdsymm/expr.py:{name}"
+        for name in ("Rat", "Sym", "Jet", "Ker", "Mul", "Add")}, sorted(found)
 
 
 def test_no_function_nested_in_another_calls_itself():

@@ -13,7 +13,7 @@ from rdsymm.nmatrix import (CaseSplitNeeded, algebra_catalog, as_nmatrix,
                             g3, g4, g5, g6, mat_commutator, mat_mul, nmatrix,
                             pair_residuals, realize, realized_basis,
                             realized_two_dim, wronskian_at_zero)
-from rdsymm.transforms import LinearEquiv
+from rdsymm.transforms import InapplicableTransform, LinearEquiv
 
 u, v = jet("u"), jet("v")
 
@@ -51,6 +51,20 @@ def test_conjugation_identity_and_pattern():
                                   K2=rat(-1)))
     # pattern checked inside as_nmatrix; diagonal invariants preserved
     assert gc.mu1 == rat(5) and gc.mu2 == rat(7)
+
+
+def test_a_degenerate_linear_equivalence():
+    """A zero K1 or lam has no inverse; conjugation inverts only U, where
+    lam plays no part, so lam = 0 conjugates as lam = 1 does."""
+    for L in (LinearEquiv(K1=ZERO), LinearEquiv(lam=ZERO)):
+        with pytest.raises(InapplicableTransform, match="not invertible"):
+            L.inverse()
+    with pytest.raises(ValueError, match="K1 != 0"):
+        conjugate(g1(), LinearEquiv(K1=ZERO))
+    g = nmatrix(2, 3, 5, 7)
+    L = dict(b1=rat(1), b2=rat(2), K1=rat(2), K2=rat(-1))
+    assert (conjugate(g, LinearEquiv(**L, lam=ZERO)).matrix()
+            == conjugate(g, LinearEquiv(**L)).matrix())
 
 
 def test_conjugation_matrix_multiply_oracle():

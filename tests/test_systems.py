@@ -5,8 +5,8 @@ import pytest
 from rdsymm import fields
 from rdsymm.equality import decide_equivalence
 from rdsymm.expr import (ZERO, add, exp_, expand, is_zero, jet, jets_in, ker,
-                         mul, powe, rat, sym, Add, Jet, RuleSet, _term_parts,
-                         _from_parts)
+                         ln_, mul, powe, rat, sym, Add, Jet, RuleSet,
+                         _term_parts, _from_parts)
 from rdsymm.fields import Generator, generator, named_operator
 from rdsymm.jets import coords, total_derivative
 from rdsymm.parser import parse, to_text
@@ -66,6 +66,16 @@ def test_failing_side_and_its_sampled_expansion():
     assert decision.sampled == expanded and decision.sampled != bad
     first = expanded.terms[0] if isinstance(expanded, Add) else expanded
     assert minimal_failing_monomial(decision.sampled) == to_text(first)
+
+
+def test_undecided_when_every_sample_leaves_the_domain():
+    # ln(-1 - u^2) has no real value anywhere: the numeric layer gets no
+    # sample, and a claim neither shown equal nor different is undecided
+    S = triangular(1, 1, ln_(-1 - u * u), ZERO)
+    rep = is_symmetry(S, generator(1, phi_u=-u, phi_v=-v))
+    assert rep.verdict == "undecided" and not rep.holds
+    assert rep.decision_path == "numeric+normalize"
+    assert rep.decisions[0].note == "all 32 points hit domain errors"
 
 
 def test_failing_is_none_when_the_claim_holds():

@@ -268,8 +268,9 @@ class Mul(Expr):
         return _intern(cls, (5, n, d, pairs), n if d == 1 else coeff, pairs)
 
     def _make_key(self):
-        if self.coeff == 1 and len(self.pairs) == 1:
-            (b, x), = self.pairs
+        lone = lone_power(self)
+        if lone is not None:
+            b, x = lone
             return (4, b.key(), x.key())    # a power sorts before products
         return (5, self.coeff.numerator, self.coeff.denominator,
                 tuple((b.key(), e.key()) for b, e in self.pairs))

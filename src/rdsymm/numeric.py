@@ -246,8 +246,6 @@ def _value(n: Expr, point, kernel_values, values: dict):
             # take the Fraction's slower reflected operator
             if type(f) is not tuple and type(val) is not tuple:
                 val = f if val == 1 else val if f == 1 else f * val
-            elif val == 1 and x is not ONE:
-                val = f     # _power rounded it to DPS digits already
             else:
                 val = _mul(val, f)
     elif cls is Add:

@@ -13,20 +13,26 @@ The module-level constructors (``rat``, ``add``, ``mul``, ``powe``,
 ``ker``, ...) are the only way composite nodes get built and they normalize
 on construction, so every ``Expr`` you can hold is already in normal form:
 
-* sums are flat, like terms merged, at most one rational term;
-* products are flat with a rational coefficient and base^exponent pairs,
-  exponents of equal bases added, ``exp`` factors merged into one;
+* sums are flat (no term is a sum) with at least two terms sorted by key,
+  like terms merged, at most one rational term;
+* products are flat with a nonzero rational coefficient and base^exponent
+  pairs sorted by base, exponents of equal bases added and never 0; no
+  base is a rational with an integer exponent or a product with exponent
+  1, and the ``exp`` factors are merged into one, of exponent 1;
 * a lone power b^x (x != 1) is the product with coefficient 1 and the one
   pair (b, x), so powers and products are one node kind; its ``key()`` is
   that of a power, ``(4, b, x)``, ordered before every other product;
 * a rational's ``value`` and a product's ``coeff`` are an ``int`` when
   they are integral and a ``Fraction`` otherwise, so ``rat(2)`` is
   ``rat(Fraction(4, 2))``; ``key()`` and the printed text read numerator
-  and denominator and are the same for both;
-* integer powers of rationals are folded, ``0^e`` is 0 for an exponent that
-  :func:`is_positive` proves positive (u, v and what is built from them and
-  positive rationals; not a parameter), ``(b^p)^q`` collapses, and a power
-  of a product distributes over its factors.
+  and denominator (each of at most ``MAX_DIGITS`` digits): the same for both.
+
+``mul`` only collects factors and hands each base with its summed exponent
+to ``powe``, the one place that rewrites a power b^x: it folds a rational's
+power, makes ``0^e`` 0 for an exponent that :func:`is_positive` proves
+positive (u, v and what is built from them and positive rationals; not a
+parameter) and raises for a rational e <= 0, collapses ``(b^p)^q``,
+distributes a power over a product and folds ``exp(a)^x``.
 
 ``add``, ``mul`` and ``powe`` each keep a computed table from the operand
 nodes to the result, looked up inline, since the same operands recur many
@@ -69,8 +75,9 @@ negative.  :func:`is_positive` keeps to it, and a rational constant is
 positive only if it is.  Two rewrites still assume more, for bases that
 may be negative (ROADMAP item 3, open): ``ker`` splits ``ln`` of a
 product of coefficient 1, a lone power among them (``ln(b^e) = e*ln(b)``),
-and ``powe`` merges powers of powers
-(``(b^p)^q = b^(p*q)``) and distributes a power over a product.
+and ``powe`` merges powers of powers (``(b^p)^q = b^(p*q)``) and
+distributes a power over a product; ``mul`` reaches both only through
+``powe``.
 """
 
 from __future__ import annotations
@@ -191,11 +198,22 @@ def as_expr(x) -> Expr:
     raise ExprError(f"cannot coerce {x!r} to Expr")
 
 
+MAX_DIGITS = 4300  # the default limit of str(int), which the printer uses
+_TOO_LONG = 10 ** MAX_DIGITS
+_TOO_LONG_BITS = _TOO_LONG.bit_length()
+
+
+def _printable(n: int, d: int):
+    if not (-_TOO_LONG < n < _TOO_LONG and d < _TOO_LONG):
+        raise ExprError(f"a number of more than {MAX_DIGITS} digits")
+
+
 class Rat(Expr):
     __slots__ = ("value",)
 
     def __new__(cls, value: Number):
         n, d = value.numerator, value.denominator
+        _printable(n, d)
         return _intern(cls, (0, n, d), n if d == 1 else value)
 
     def _make_key(self):
@@ -265,6 +283,7 @@ class Mul(Expr):
     def __new__(cls, coeff: Number, pairs):
         pairs = tuple(pairs)
         n, d = coeff.numerator, coeff.denominator
+        _printable(n, d)
         return _intern(cls, (5, n, d, pairs), n if d == 1 else coeff, pairs)
 
     def _make_key(self):
@@ -397,12 +416,8 @@ def add(*terms) -> Expr:
         return out
     acc = {}  # monomial pairs (None for the rational term) -> coefficient
     for t in terms:
-        stack = [t]
-        while stack:
-            s = stack.pop()
-            if isinstance(s, Add):
-                stack.extend(reversed(s.terms))
-                continue
+        # the terms of a sum are never sums, so one level flattens it
+        for s in (t.terms if isinstance(t, Add) else (t,)):
             if s is ZERO:
                 continue
             coeff, pairs = _term_parts(s)
@@ -421,13 +436,9 @@ def add(*terms) -> Expr:
 
 
 def _make_mul(coeff: Number, pairs) -> Expr:
-    """Assemble a product from already-collected (base, exp) pairs."""
-    if coeff == 0:
-        return ZERO
-    pairs = [(b, e) for b, e in pairs if not is_zero(e)]
+    """Assemble a product from a nonzero coefficient and sorted pairs."""
     if not pairs:
         return rat(coeff)
-    pairs.sort(key=lambda be: be[0].key())
     if len(pairs) == 1:
         b, e = pairs[0]
         if coeff == 1:
@@ -436,7 +447,7 @@ def _make_mul(coeff: Number, pairs) -> Expr:
         # across sums can merge
         if is_one(e) and isinstance(b, Add):
             return add(*[_scale_term(coeff, t) for t in b.terms])
-    return Mul(coeff, tuple(pairs))
+    return Mul(coeff, pairs)
 
 
 def _scale_term(coeff: Number, t: Expr) -> Expr:
@@ -444,106 +455,70 @@ def _scale_term(coeff: Number, t: Expr) -> Expr:
     return _from_parts(coeff * c, pairs)
 
 
-def _int_power(value: Number, n: int) -> Number:
-    """value ** n, exact also for an int to a negative power."""
-    return value ** n if n >= 0 else Fraction(value) ** n
-
-
 def mul(*factors) -> Expr:
     out = _MULTIPLIED.get(factors)
     if out is not None:
         return out
     coeff = 1
-    bases = {}  # base -> list of exponents
-    exp_args = []  # accumulated exponential-kernel arguments (already scaled)
-
-    tops = factors
-    for merge_exp in (True, False):
-        for top in tops:
-            # (f, ONE) stands for the factor f and any other (b, x) for the
-            # power b^x; a nested product's pairs are visited in order
-            stack = [(top, ONE)]
-            while stack:
-                base, expo = stack.pop()
-                if expo is ONE:
-                    if isinstance(base, Rat):
-                        coeff *= base.value
-                        continue
-                    if isinstance(base, Mul):
-                        coeff *= base.coeff
-                        stack.extend(reversed(base.pairs))
-                        continue
-                if merge_exp and isinstance(base, Ker) and base.name == "exp":
-                    exp_args.append(base.args[0] if is_one(expo)
-                                    else mul(expo, base.args[0]))
-                elif isinstance(base, Rat) and is_int(expo):
-                    if base.value == 0:
-                        if expo.value <= 0:
-                            raise DomainError(
-                                "division by zero: 0 to a non-positive power")
-                        coeff = 0
-                    else:
-                        coeff *= _int_power(base.value, expo.value)
-                else:
-                    bases.setdefault(base, []).append(expo)
-            if coeff == 0:
-                return ZERO
-        if not (merge_exp and exp_args):
-            break
-        # ln extraction may have turned the exponential into a product;
-        # fold its pieces back in (any surviving exp factor goes in as-is)
-        tops = (ker("exp", add(*exp_args)),)
-
+    bases = {}  # base -> its exponents
+    exp_args = []  # the arguments of the exp factors
+    for f in factors:
+        if isinstance(f, Rat):
+            coeff *= f.value
+            continue
+        # one level flattens f: a product's pairs hold no factor to flatten
+        if isinstance(f, Mul):
+            coeff *= f.coeff
+            pairs = f.pairs
+        else:
+            pairs = ((f, ONE),)
+        for b, x in pairs:
+            if isinstance(b, Ker) and b.name == "exp":
+                exp_args.append(b.args[0])  # powe leaves exp(a) to the 1st
+            elif b in bases:
+                bases[b].append(x)
+            else:
+                bases[b] = [x]
+    if coeff == 0:
+        return ZERO
+    pending = []  # what powe rewrote, multiplied in afresh
+    if exp_args:
+        # ln extraction may turn the merged exponential into a product
+        e = ker("exp", add(*exp_args))
+        if isinstance(e, Ker) and e.name == "exp":
+            bases[e] = [ONE]
+        else:
+            pending.append(e)
     out_pairs = []
-    pending = []  # collapse fallout that must be reclassified
-    for base, exps in bases.items():
-        e = add(*exps)
-        if is_zero(e):
+    for b, xs in bases.items():
+        x = xs[0] if len(xs) == 1 else add(*xs)
+        if x is ZERO:
             continue
-        if isinstance(base, Rat) and is_int(e):
-            if base.value == 0 and e.value <= 0:
-                raise DomainError("division by zero")
-            coeff *= _int_power(base.value, e.value)
-            if coeff == 0:
-                return ZERO
-            continue
-        if e is not ONE:
-            collapsed = powe(base, e)
-            if lone_power(collapsed) != (base, e):
-                pending.append(collapsed)
+        # a rational or a product to the 1st is no factor of a normal product
+        if x is not ONE or isinstance(b, (Rat, Mul)):
+            p = powe(b, x)
+            if lone_power(p) != (b, x):
+                pending.append(p)
                 continue
-        out_pairs.append((base, e))
+        out_pairs.append((b, x))
+    out_pairs.sort(key=lambda bx: bx[0].key())
+    out = _make_mul(coeff, out_pairs)
     if pending:
-        out = mul(_make_mul(coeff, out_pairs), *pending)
-    else:
-        out = _make_mul(coeff, out_pairs)
+        out = mul(out, *pending)
     return _keep(_MULTIPLIED, factors, out)
 
 
-def _rat_root(value: Number, q: int) -> Optional[Number]:
-    """Exact q-th root of a non-negative rational, if it exists."""
-    def iroot(n: int) -> Optional[int]:
-        if n in (0, 1):
-            return n
-        lo, hi = 1, n
-        while lo <= hi:
-            mid = (lo + hi) // 2
-            p = mid ** q
-            if p == n:
-                return mid
-            if p < n:
-                lo = mid + 1
-            else:
-                hi = mid - 1
-        return None
-
-    rn = iroot(value.numerator)
-    if rn is None:
-        return None
-    rd = iroot(value.denominator)
-    if rd is None:
-        return None
-    return Fraction(rn, rd)
+def _root(n: int, q: int) -> Optional[int]:
+    """The q-th root of n when it is an integer.  It is below 2^(bits/q): no
+    search runs for q >= bits, none computes a power of over 2*bits bits."""
+    lo, hi = 0, (1 << (n.bit_length() // q + 1)) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if mid ** q < n:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo if lo ** q == n else None
 
 
 def powe(base: Expr, exp: Expr) -> Expr:
@@ -570,12 +545,19 @@ def _powe(base: Expr, exp: Expr) -> Expr:
             if isinstance(exp, Rat):
                 raise DomainError("division by zero: 0 to a non-positive power")
         elif isinstance(exp, Rat):
-            if is_int(exp):
-                return rat(_int_power(base.value, exp.value))
-            if base.value > 0:
-                root = _rat_root(base.value, exp.value.denominator)
-                if root is not None:
-                    return rat(root ** exp.value.numerator)
+            value, n = base.value, exp.value
+            if type(n) is not int:
+                rn = _root(value.numerator, n.denominator)
+                rd = _root(value.denominator, n.denominator)
+                value = None if rn is None or rd is None else Fraction(rn, rd)
+                n = n.numerator
+            if value is not None:
+                # value^n has a part of at least 2^(|n|*bits): check first
+                bits = max(value.numerator.bit_length(),
+                           value.denominator.bit_length()) - 1
+                if bits * abs(n) >= _TOO_LONG_BITS:
+                    raise ExprError(f"a power of over {MAX_DIGITS} digits")
+                return rat(value ** n if n >= 0 else Fraction(value) ** n)
     elif lone is not None:
         b, x = lone
         if is_int(exp) or not (isinstance(b, Rat) and b.value < 0):
@@ -634,8 +616,6 @@ def ker(name: str, *args, dvec: Sequence[int] = None) -> Expr:
         if name == "exp":
             if is_zero(a):
                 return ONE
-            if isinstance(a, Ker) and a.name == "ln":
-                return a.args[0]
             # pull rational multiples of ln out of the exponent
             terms = a.terms if isinstance(a, Add) else (a,)
             lnparts, rest = [], []

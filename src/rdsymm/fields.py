@@ -240,12 +240,11 @@ def _weight_bracket(a: Expr):
 def named_operator(name: str, m: int, *, a: Optional[Expr] = None,
                    gamma: Optional[Expr] = None, lam: Optional[Expr] = None,
                    p: Optional[Expr] = None, index: int = 1,
-                   index2: int = 2, H: Optional[Sequence[Expr]] = None,
-                   lam_vec: Optional[Sequence] = None) -> Generator:
+                   index2: int = 2) -> Generator:
     """The operators the classification states its results with.
 
     P0, P (shift along x_index), J (rotation in the index/index2 plane),
-    D, Dtilde, K, Ktilde, G, Ghat (boost direction = index), Hfield.
+    D, Dtilde, K, Ktilde, G, Ghat (boost direction = index).
     """
     u, v = jet("u"), jet("v")
     xs = coords(m)
@@ -307,8 +306,6 @@ def named_operator(name: str, m: int, *, a: Optional[Expr] = None,
         xi[index - 1] = pref
         w = mul(rat(-1, 2), gamma, xs[index - 1], pref)
         return generator(m, xi=xi, phi_u=mul(w, wu), phi_v=mul(w, wv))
-    if name == "Hfield":
-        return h_field(m, H=H, lam_vec=lam_vec)
     raise ValueError(f"unknown named operator {name!r}")
 
 

@@ -140,7 +140,10 @@ class _Parser:
     def nud(self) -> Expr:
         kind, val, off = self.next()
         if kind == "num":
-            return rat(int(val))
+            try:
+                return rat(int(val))
+            except ValueError:  # beyond str(int)'s limit of digits
+                raise ParseError("number too long", off) from None
         if kind == "op" and val == "-":
             return mul(rat(-1), self.expression(25))
         if kind == "op" and val == "+":

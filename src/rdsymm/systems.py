@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .equality import EQUAL, DIFFERENT, EqDecision, decide_equivalence
-from .expr import (EMPTY_RULES, Expr, ExprError, Jet, Ker, KernelRule,
+from .expr import (EMPTY_RULES, Expr, ExprError, Jet, KernelRule,
                    MINUS_ONE, ONE, RuleSet, T, U, V, ZERO, add, as_expr,
                    differentiate, expand, is_zero, jet, jets_in, ker, mul,
                    powe, rat, substitute, free_symbols, Rat)
@@ -433,10 +433,10 @@ def heat_kernel_rule(name: str, params: Sequence[Expr], a: Expr,
     """psi_t = a*Lap(psi) + nu*psi for psi(params), params = (t, x1..xm):
     rewrites the first derivative in the time slot."""
     n = len(params)
-    lap = add(*[Ker(name, tuple(params),
-                    tuple(2 if j == i else 0 for j in range(n)))
+    lap = add(*[ker(name, *params,
+                    dvec=tuple(2 if j == i else 0 for j in range(n)))
                 for i in range(1, n)])
-    template = add(mul(a, lap), mul(nu, Ker(name, tuple(params), (0,) * n)))
+    template = add(mul(a, lap), mul(nu, ker(name, *params)))
     return KernelRule(name, 0, 1, params, template)
 
 
@@ -445,10 +445,10 @@ def laplace_kernel_rule(name: str, params: Sequence[Expr],
     """Lap(Psi) = mu*Psi for Psi(params), the Laplacian taken over the
     parameter slots: rewrites the second derivative in the last slot."""
     n = len(params)
-    rest = add(*[Ker(name, tuple(params),
-                     tuple(2 if j == i else 0 for j in range(n)))
+    rest = add(*[ker(name, *params,
+                     dvec=tuple(2 if j == i else 0 for j in range(n)))
                  for i in range(n - 1)])
-    template = add(mul(mu, Ker(name, tuple(params), (0,) * n)),
+    template = add(mul(mu, ker(name, *params)),
                    mul(MINUS_ONE, rest))
     return KernelRule(name, n - 1, 2, params, template)
 
@@ -462,7 +462,7 @@ def w_kernel_rules(name: str, params: Sequence[Expr], f1: Expr, f2: Expr,
     for e in (f1, f2v):
         if V in free_symbols(e):
             raise ValueError("W kernel requires f1 and f2_v independent of v")
-    wu = Ker(name, tuple(params), (0,) * (n - 1) + (1,))
+    wu = ker(name, *params, dvec=(0,) * (n - 1) + (1,))
     template = add(f2v, mul(MINUS_ONE, wu, f1))
     return KernelRule(name, 0, 1, params, template)
 
@@ -471,10 +471,9 @@ def cauchy_riemann_rules(h1: str, h2: str,
                          params: Sequence[Expr]) -> List[KernelRule]:
     """CR pair on params = (x1, x2): H2 derivatives rewrite through H1; H1
     harmonic."""
-    args = tuple(params)
-    h1_x1 = Ker(h1, args, (1, 0))
-    h1_x2 = Ker(h1, args, (0, 1))
-    h1_x1x1 = Ker(h1, args, (2, 0))
+    h1_x1 = ker(h1, *params, dvec=(1, 0))
+    h1_x2 = ker(h1, *params, dvec=(0, 1))
+    h1_x1x1 = ker(h1, *params, dvec=(2, 0))
     return [
         KernelRule(h2, 1, 1, params, h1_x1),                       # H2_x2 = H1_x1
         KernelRule(h2, 0, 1, params, mul(MINUS_ONE, h1_x2)),       # H2_x1 = -H1_x2

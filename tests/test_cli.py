@@ -154,6 +154,21 @@ def test_verify_fails_on_squares_of_negative_sines(tmp_path, capsys):
     assert out["counterexample"]
 
 
+@pytest.mark.parametrize("f1, pi1", [("3^10000*u^2", "u"),
+                                     ("u^2", "1" + "0" * 4999)],
+                         ids=["long_power", "long_literal"])
+def test_numbers_too_long_to_print_exit_2(tmp_path, capsys, f1, pi1):
+    system = _write(tmp_path, "system.json", {
+        "m": 1, "family": {"kind": "triangular", "a": "1"},
+        "f1": f1, "f2": "v",
+    })
+    gen = _write(tmp_path, "gen.json",
+                 {"eta": "0", "xi": ["0"], "pi": [pi1, "v"]})
+    code = main(["verify", system, gen])
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_usage_error_exit_2(tmp_path):
     bad = _write(tmp_path, "bad.json", {"m": 1})
     assert main(["verify", bad, bad]) == 2

@@ -13,10 +13,10 @@ from hypothesis import assume, example, given, settings, strategies as st
 import rdsymm
 from rdsymm import expr
 from rdsymm.expr import (Add, DomainError, Jet, Ker, KernelRule, Mul, ONE,
-                         RuleSet, Sym, add, apply_rules, atoms, children, cos_,
-                         differentiate, exp_, expand, free_symbols, is_zero,
-                         jet, jets_in, ker, ln_, mul, powe, rat, rebuild,
-                         sin_, substitute, sym)
+                         Rat, RuleSet, Sym, ZERO, add, apply_rules, atoms,
+                         children, cos_, differentiate, exp_, expand,
+                         free_symbols, is_int, is_zero, jet, jets_in, ker, ln_,
+                         mul, powe, rat, rebuild, sin_, substitute, sym)
 from rdsymm.numeric import DPS, eval_at, magnitude
 from rdsymm.parser import parse, to_text
 from rdsymm.systems import w_kernel_rules
@@ -260,6 +260,75 @@ def test_a_power_is_a_one_factor_product():
     # the power rule stays one factor of the product rule
     assert to_text(differentiate(parse("v*(u+v)^u"), u)) == (
         "v*(u*(u + v)^(-1 + u) + ln(u + v)*(u + v)^u)")
+
+
+def _assert_normal(e):
+    """The invariants of the normal form on every product and sum in e."""
+    for n in _all_nodes(e):
+        if isinstance(n, Mul):
+            keys = [b.key() for b, _ in n.pairs]
+            assert n.coeff != 0 and keys and keys == sorted(set(keys))
+            # 1*b is b itself
+            assert not (n.coeff == 1 and len(n.pairs) == 1
+                        and n.pairs[0][1] is ONE)
+            for b, x in n.pairs:
+                assert x is not ZERO
+                assert not (isinstance(b, Rat) and is_int(x))
+                assert not (isinstance(b, Mul) and x is ONE)
+                assert not (isinstance(b, Ker) and b.name == "exp") \
+                    or x is ONE
+            assert sum(isinstance(b, Ker) and b.name == "exp"
+                       for b, _ in n.pairs) <= 1
+        elif isinstance(n, Add):
+            keys = [t.key() for t in n.terms]
+            assert len(keys) >= 2 and keys == sorted(set(keys))
+            monomials = [t.pairs if isinstance(t, Mul)
+                         else None if isinstance(t, Rat) else ((t, ONE),)
+                         for t in n.terms]
+            assert len(set(monomials)) == len(monomials)
+            assert not any(isinstance(t, Add) or t is ZERO for t in n.terms)
+
+
+_exponents = st.sampled_from([rat(1, 2), rat(-1, 2), rat(1, 3), rat(2),
+                              nu, 1 - nu, -1 - nu, mu - nu])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_exprs())
+def test_constructors_keep_the_normal_form(e):
+    _assert_normal(e)
+    _assert_normal(expand(e))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_exprs(2), _exprs(2), _exponents, _exponents)
+def test_products_of_powers_keep_the_normal_form(a, b, p, q):
+    # exponents of one base that add up to 1, an integer or 0
+    try:
+        e = mul(b, powe(a, p), powe(a, q), powe(a, 1 - p), powe(mul(a, b), q))
+    except DomainError:
+        assume(False)
+    _assert_normal(e)
+
+
+def test_a_product_base_whose_exponents_add_up_to_1_is_flattened():
+    h = powe(-2 * u, rat(1, 2))
+    assert mul(v, h, h) is -2 * u * v
+    p = sym("p")
+    assert mul(v, powe(-u, p), powe(-u, 1 - p)) is -u * v
+    w = powe(powe(rat(-2), rat(1, 2)), rat(1, 3))
+    assert to_text(mul(u, w, w, w)) == "(-2)^(1/2)*u"
+
+
+def test_powers_whose_exponents_add_up_to_an_integer():
+    half, quarter, p = rat(1, 2), rat(1, 4), sym("p")
+    assert mul(powe(rat(2), half), powe(rat(2), half)) is rat(2)
+    assert mul(powe(rat(4), quarter), powe(rat(4), quarter)) is rat(2)
+    assert mul(powe(rat(2), p), powe(rat(2), 1 - p)) is rat(2)
+    assert mul(powe(ZERO, p), powe(ZERO, 1 - p)) is ZERO
+    with pytest.raises(DomainError):
+        mul(powe(ZERO, p), powe(ZERO, -1 - p))
+    assert exp_(ln_(2 * u)) is 2 * u
 
 
 def test_exp_ln_kernel_laws():

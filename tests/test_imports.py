@@ -3,8 +3,8 @@ tests), no package module imports another module's private name, only
 ``jets`` spells the coordinate symbols x1..xm, only ``parser``,
 ``corpus`` and ``cli`` parse text, only ``expr`` turns a number into an
 expression by hand, ``apply_to`` is defined once, in ``fields``, no
-nested function calls itself, and ``expr`` defines the only expression
-node classes.
+nested function calls itself, ``expr`` defines the only expression
+node classes, and only ``expr`` builds a node by its class.
 
 The package's ``__init__`` is exempt from the first scan, since its
 imports are re-exports."""
@@ -174,3 +174,17 @@ def test_no_function_nested_in_another_calls_itself():
                     found.add(f"{path.relative_to(ROOT).as_posix()}:"
                               f"{inner.lineno} {inner.name}")
     assert not found, f"self-recursive closures: {sorted(found)}"
+
+
+def test_nodes_are_built_by_their_class_only_in_expr():
+    """Elsewhere a number, product, sum or kernel is built by ``rat``,
+    ``mul``, ``add`` or ``ker``, which normalize, so that every node is in
+    normal form."""
+    classes = ("Rat", "Mul", "Add", "Ker")
+    found = [f"{path.relative_to(ROOT).as_posix()}:{node.lineno}"
+             for path in SOURCES if path != ROOT / "src" / "rdsymm" / "expr.py"
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "id", getattr(node.func, "attr", None))
+             in classes]
+    assert not found, f"nodes built by their class: {found}"

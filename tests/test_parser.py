@@ -1,7 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rdsymm.expr import differentiate, exp_, jet, ker, powe, rat, sym
+import rdsymm
+from rdsymm.expr import (ExprError, differentiate, exp_, jet, ker, powe, rat,
+                         sym)
 from rdsymm.parser import ParseError, parse, to_text
 
 u, v = jet("u"), jet("v")
@@ -68,6 +75,36 @@ _texts = st.sampled_from([
 def test_round_trip(text):
     e = parse(text)
     assert parse(to_text(e)) == e
+
+
+def test_numbers_too_long_to_print_are_refused():
+    """Every number the parser accepts prints again: a literal beyond
+    str(int)'s limit of digits is a ParseError, and a power or product
+    whose number would be longer an ExprError."""
+    with pytest.raises(ParseError):
+        parse("1" + "0" * 5000)
+    for text in ["3^10000*u^2", "(1/3)^10000", "u*10^3000*10^3000"]:
+        with pytest.raises(ExprError):
+            parse(text)
+    assert to_text(parse("(1/2)^(-10000)")).startswith("1995063116880758")
+
+
+def test_huge_rational_powers_are_refused_before_they_are_computed():
+    # in a subprocess, so that a hang fails the test
+    code = """if True:
+        from rdsymm.expr import ExprError
+        from rdsymm.parser import parse, to_text
+        try:
+            parse("3^(10^9)")
+            raise SystemExit("3^(10^9) was built")
+        except ExprError:
+            pass
+        assert to_text(parse("2^(1/10^9)")) == "2^(1/1000000000)"
+        assert to_text(parse("(3^4000)^(1/1000)")) == "81"
+    """
+    src = Path(rdsymm.__file__).resolve().parent.parent
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=30,
+                   env={**os.environ, "PYTHONPATH": str(src)})
 
 
 def test_round_trip_derived_kernels():

@@ -17,7 +17,8 @@ Generator files: {"eta": "...", "xi": ["...", ...], "pi": ["...", "..."]}.
 Matrix files: 3x3 array of expression strings in the N pattern.
 Transform files: {"kind": "linear" | "aet" | "vshift" | "vshift_full",
 "params": {...}}; AET 2 and AET 3 build x^2 over the system's m, so their
-params give no m.
+params give no m.  Every expression field is a JSON string or a JSON
+integer; null, a boolean or any other JSON value exits 2.
 """
 
 from __future__ import annotations
@@ -53,9 +54,15 @@ def _load_json(path, shape=dict):
     return data
 
 
-def _parse_expr(text, what):
+def _parse_expr(value, what):
+    """The expression a JSON string or integer spells; any other JSON value
+    (null, a boolean, a float, an array, an object) is refused, since its
+    Python text would parse as a symbol such as ``None`` or ``True``."""
+    if isinstance(value, bool) or not isinstance(value, (str, int)):
+        raise UsageError(f"bad expression for {what}: {json.dumps(value)} "
+                         "is not a JSON string or integer")
     try:
-        return parse(str(text))
+        return parse(str(value))
     except (ParseError, ExprError) as exc:
         raise UsageError(f"bad expression for {what}: {exc}")
 
@@ -133,7 +140,7 @@ def load_transform(path, m: int):
     data = _load_json(path)
     kind = data.get("kind")
     try:
-        params = {k: _parse_expr(v, k)
+        params = {k: _parse_expr(v, f"transform param {k}")
                   for k, v in data.get("params", {}).items()}
         if kind == "linear":
             return LinearEquiv(**params)

@@ -135,17 +135,24 @@ class ProlongedGenerator:
     shifts and rotations the classification states most often have
     mostly constant coefficients, so most terms vanish this way.
 
-    Every phi^J is kept once built.  ``Generator.prolonged`` keeps one
-    ProlongedGenerator on its generator, for the last rule set used, so
-    the phi^J of one generator are shared by every system with those
-    rules; one built directly lives as long as its caller holds it."""
+    What depends on X alone is derived once per prolongation, not once per
+    ``apply_to``: the nonzero horizontal pairs (t, eta) and (x_i, xi_i)
+    when it is built, each direction's derivative pairs and each phi^J
+    when first needed.  Every phi^J is kept, keyed by its hash-consed
+    ``Jet`` node.  ``Generator.prolonged`` keeps one ProlongedGenerator on
+    its generator, for the last rule set used, so the phi^J of one
+    generator are shared by every system with those rules; one built
+    directly lives as long as its caller holds it."""
 
     def __init__(self, x: Generator, rules: RuleSet = EMPTY_RULES):
         self.m = x.m
         self.eta_xi = (x.eta, *x.xi)
         self.rules = rules
-        self._phi: Dict[Tuple[str, int, Tuple[int, ...]], Expr] = {
-            (dep, 0, ()): x.phi(dep) for dep in ("u", "v")}
+        self._horizontal = tuple(
+            (a, c) for a, c in zip((T, *coords(x.m)), self.eta_xi)
+            if not is_zero(c))
+        self._phi: Dict[Jet, Expr] = {jet(dep): x.phi(dep)
+                                      for dep in ("u", "v")}
         self._directions: Dict[Direction, Tuple[Expr, list]] = {}
 
     def _direction(self, direction: Direction) -> Tuple[Expr, list]:
@@ -165,8 +172,7 @@ class ProlongedGenerator:
         return hit
 
     def phi(self, j: Jet) -> Expr:
-        key = (j.dep, j.nt, j.xs)
-        hit = self._phi.get(key)
+        hit = self._phi.get(j)
         if hit is not None:
             return hit
         if j.order > MAX_ORDER:
@@ -187,7 +193,7 @@ class ProlongedGenerator:
                  for d, toward in dcoefs]
         if _moves(prev, axis):
             terms.append(total_derivative(prev, direction, self.m, self.rules))
-        out = self._phi[key] = add(*terms)
+        out = self._phi[j] = add(*terms)
         return out
 
     def apply_to(self, e: Expr) -> Expr:
@@ -198,8 +204,7 @@ class ProlongedGenerator:
         term zero whatever the derivative, and for shifts and rotations
         most of them are zero."""
         parts = [mul(c, differentiate(e, a, self.rules))
-                 for a, c in zip((T, *coords(self.m)), self.eta_xi)
-                 if not is_zero(c)]
+                 for a, c in self._horizontal]
         for j in sorted(jets_in(e), key=Expr.key):
             phi = self.phi(j)
             if is_zero(phi):

@@ -2,15 +2,17 @@
 
 The independent coordinates are t and x1..xm: ``coords`` is the one place
 that spells x1..xm and ``is_coordinate`` the one test for a coordinate
-symbol.  A jet symbol ``u_txi...`` stands for the corresponding partial
-derivative of u(t, x); order-zero jets are u and v themselves.  Spatial
-indices commute, so their multi-index is kept sorted.  Total derivatives
-stop at jet order ``MAX_ORDER``.
+symbol.  ``coords(m)`` returns one tuple per m, built on first use, kept
+in a module-level table and shared by every caller.  A jet symbol
+``u_txi...`` stands for the corresponding partial derivative of u(t, x);
+order-zero jets are u and v themselves.  Spatial indices commute, so their
+multi-index is kept sorted.  Total derivatives stop at jet order
+``MAX_ORDER``.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Union
+from typing import Dict, Sequence, Tuple, Union
 
 from .expr import (EMPTY_RULES, Expr, ExprError, RuleSet, Sym, T, add,
                    differentiate, is_zero, jets_in, mul, sym)
@@ -22,9 +24,15 @@ class JetOrderError(ExprError):
     pass
 
 
-def coords(m: int) -> List[Sym]:
-    """The spatial coordinates x1..xm."""
-    return [sym(f"x{i}") for i in range(1, m + 1)]
+_COORDS: Dict[int, Tuple[Sym, ...]] = {}
+
+
+def coords(m: int) -> Tuple[Sym, ...]:
+    """The spatial coordinates x1..xm, one tuple per m."""
+    xs = _COORDS.get(m)
+    if xs is None:
+        xs = _COORDS[m] = tuple(sym(f"x{i}") for i in range(1, m + 1))
+    return xs
 
 
 def is_coordinate(s: Expr) -> bool:
@@ -45,7 +53,7 @@ def total_derivative(e: Expr, direction: Direction, m: int,
         i = int(direction)
         if not 1 <= i <= m:
             raise JetOrderError(f"direction x{i} outside dimension m={m}")
-        base = sym(f"x{i}")
+        base = coords(m)[i - 1]
     parts = [differentiate(e, base, rules)]
     for j in jets_in(e):
         d = differentiate(e, j, rules)

@@ -13,6 +13,12 @@ equations and eliminates every t-jet through the system (evolution
 substitution), leaving polynomials in the spatial jets; a generator is a
 symmetry iff both reduce to zero.
 
+The right-hand sides depend on the system alone, so a system keeps them,
+as a generator keeps its prolongation: ``RDSystem.rhs`` builds the pair
+once and every later check of the same system (against P0, P_a, J_ab, ...)
+reuses it.  ``dataclasses.replace`` builds a new system, which builds its
+own.
+
 The classifying-equation residuals are transcribed from the classification's
 closed displays, with two corrections that the cross-validation suite pins
 down against direct prolongation: the second equation carries the
@@ -44,6 +50,9 @@ class RDSystem:
     a: Expr = ZERO           # triangular diffusion constant
     p: Expr = ONE            # drift magnitude (normalized to the last axis)
     rules: RuleSet = field(default_factory=lambda: EMPTY_RULES)
+    # the right-hand sides, see ``rhs``; not part of the value
+    _rhs: Optional[Tuple[Expr, Expr]] = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # evolution substitution reads each equation as solved for u_t or
@@ -66,8 +75,14 @@ class RDSystem:
         raise ValueError(f"unknown family {self.family!r}")
 
     def rhs(self) -> Tuple[Expr, Expr]:
-        lin_u, lin_v = self.linear()
-        return add(lin_u, self.f1), add(lin_v, self.f2)
+        """(linear part + f1, linear part + f2), built on the first call
+        and kept on the system."""
+        rhs = self._rhs
+        if rhs is None:
+            lin_u, lin_v = self.linear()
+            rhs = add(lin_u, self.f1), add(lin_v, self.f2)
+            object.__setattr__(self, "_rhs", rhs)
+        return rhs
 
 
 def triangular(m: int, a, f1: Expr, f2: Expr,
@@ -123,48 +138,43 @@ def drift_normalize(p_vec: Sequence) -> DriftNormalization:
 _MAX_REDUCE_PASSES = 8
 
 
-def tjet_replacements(system: RDSystem, tjets: Iterable[Jet],
-                      rhs: Tuple[Expr, Expr]) -> Dict[Jet, Expr]:
+def tjet_replacements(system: RDSystem, tjets: Iterable[Jet]
+                      ) -> Dict[Jet, Expr]:
     """Each t-jet written through the system on the solution manifold: the
-    right-hand side of its equation (``rhs`` as built by ``system.rhs()``),
-    then D_x for each spatial index, then D_t (nt - 1) times.  Replacements
-    of jets with nt >= 2 still carry t-jets of lower order."""
+    right-hand side of its equation, then D_x for each spatial index, then
+    D_t (nt - 1) times.  Replacements of jets with nt >= 2 still carry
+    t-jets of lower order."""
+    rhs = system.rhs()
     return {j: total_derivatives(rhs[0] if j.dep == "u" else rhs[1],
                                  j.nt - 1, j.xs, system.m, system.rules)
             for j in tjets}
 
 
-def prolonged_equations(system: RDSystem, x: Generator
-                        ) -> Tuple[Tuple[Expr, Expr], Tuple[Expr, Expr]]:
+def prolonged_equations(system: RDSystem, x: Generator) -> Tuple[Expr, Expr]:
     """pr X applied to (u_t - rhs_u, v_t - rhs_v), not yet reduced on the
-    solution manifold; returned together with the rhs built here, which
-    callers pass on to ``evolution_reduce`` and ``tjet_replacements``
-    instead of building it again."""
+    solution manifold."""
     if x.m != system.m:
         raise ValueError("generator dimension != system dimension")
-    rhs_u, rhs_v = rhs = system.rhs()
+    rhs_u, rhs_v = system.rhs()
     pr = x.prolonged(system.rules)
-    return ((pr.apply_to(add(jet("u", 1), mul(MINUS_ONE, rhs_u))),
-             pr.apply_to(add(jet("v", 1), mul(MINUS_ONE, rhs_v)))), rhs)
+    return (pr.apply_to(add(jet("u", 1), mul(MINUS_ONE, rhs_u))),
+            pr.apply_to(add(jet("v", 1), mul(MINUS_ONE, rhs_v))))
 
 
-def evolution_reduce(e: Expr, system: RDSystem,
-                     rhs: Tuple[Expr, Expr]) -> Expr:
-    """Eliminate every jet carrying t-derivatives using the system; ``rhs``
-    is ``system.rhs()``, built once by the caller."""
+def evolution_reduce(e: Expr, system: RDSystem) -> Expr:
+    """Eliminate every jet carrying t-derivatives using the system."""
     for _ in range(_MAX_REDUCE_PASSES):
         tjets = [j for j in jets_in(e) if j.nt >= 1]
         if not tjets:
             return e
-        e = substitute(e, tjet_replacements(system, tjets, rhs))
+        e = substitute(e, tjet_replacements(system, tjets))
     raise JetOrderError("evolution substitution did not terminate")
 
 
 def symmetry_residual(system: RDSystem, x: Generator) -> Tuple[Expr, Expr]:
     """pr X applied to both equations, reduced on the solution manifold."""
-    (raw1, raw2), rhs = prolonged_equations(system, x)
-    return (evolution_reduce(raw1, system, rhs),
-            evolution_reduce(raw2, system, rhs))
+    raw1, raw2 = prolonged_equations(system, x)
+    return evolution_reduce(raw1, system), evolution_reduce(raw2, system)
 
 
 @dataclass

@@ -174,7 +174,7 @@ def _transformed_f(system: RDSystem, pm: PointMap) -> Tuple[Expr, Expr]:
     new variables or raises InapplicableTransform."""
     m, rules = system.m, system.rules
     new = {"u": pm.u_new(), "v": pm.v_new()}
-    rhs, old_uv = system.rhs(), pm.inverse_binding(U, V)
+    old_uv = pm.inverse_binding(U, V)
     out = []
     for dep, lin in zip("uv", system.linear()):
         # D_t(new) minus the linear part, each jet u_J, v_J in it as D_J(new)
@@ -182,7 +182,7 @@ def _transformed_f(system: RDSystem, pm: PointMap) -> Tuple[Expr, Expr]:
                for j in jets_in(lin)}
         raw = add(total_derivatives(new[dep], 1, (), m, rules),
                   mul(MINUS_ONE, substitute(lin, d_j)))
-        raw = expand(evolution_reduce(raw, system, rhs))
+        raw = expand(evolution_reduce(raw, system))
         e = expand(substitute(raw, old_uv))
         leftover_jets = [j for j in jets_in(e) if j.order > 0]
         if leftover_jets:

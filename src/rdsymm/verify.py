@@ -336,12 +336,12 @@ def numeric_residual_check(system: RDSystem, x: Generator, points: int = 20,
                            seed: int = 0, tol: float = 1e-20) -> Tuple[bool, float]:
     """Evaluate the pre-reduction residuals at random points, substituting
     the t-jets numerically through the system; returns (ok, worst)."""
-    raws, rhs = prolonged_equations(system, x)
+    raws = prolonged_equations(system, x)
     # t-jets of lower order first: the replacements of jets with nt >= 2
     # mention them, so they must be valued before those are evaluated
     tjets = sorted({j for raw in raws for j in jets_in(raw) if j.nt >= 1},
                    key=lambda j: (j.nt, len(j.xs), (j.dep, j.nt, j.xs)))
-    tjet_exprs = tjet_replacements(system, tjets, rhs)
+    tjet_exprs = tjet_replacements(system, tjets)
     worst = 0.0
     free = set()
     for e in (*raws, *tjet_exprs.values()):

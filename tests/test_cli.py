@@ -75,7 +75,8 @@ def test_canon(tmp_path, capsys):
     [["0", "0", "0"], ["1", "1"], ["1", "0", "1"]],
     [["0", "0", "0"], 5, ["1", "0", "1"]],
     [["0", "0", "0"], ["a", "0", "0"], ["0", "0", "0"]],
-], ids=["short_row", "row_not_an_array", "needs_a_case_split"])
+    [["0", "0", "0"], ["1", "0", "0"], [None, "0", "0"]],
+], ids=["short_row", "row_not_an_array", "needs_a_case_split", "entry_null"])
 def test_canon_input_faults_exit_2_with_one_line(tmp_path, capsys, matrix):
     assert main(["canon", _write(tmp_path, "m.json", matrix)]) == 2
     captured = capsys.readouterr()
@@ -275,6 +276,20 @@ _GEN = {"eta": "1", "xi": ["0"], "pi": ["0", "0"]}
                             "params": {"k1": "2", "lam": "3"}}),
     ("equiv", _TRIANGULAR, {"kind": "aet", "index": 2,
                             "params": {"omega": "om", "mu": "k", "m": "1"}}),
+    ("verify", {**_TRIANGULAR, "f1": None}, _GEN),
+    ("verify", {**_TRIANGULAR, "f2": True}, _GEN),
+    ("verify", {**_TRIANGULAR, "family": {"kind": "triangular", "a": None}},
+     {**_GEN, "pi": [None, "u"]}),
+    ("verify", {**_TRIANGULAR, "family": {"kind": "drift", "p": False}},
+     _GEN),
+    ("verify", {**_TRIANGULAR, "f1": "k*u", "params": {"k": None}}, _GEN),
+    ("verify", _TRIANGULAR, {**_GEN, "eta": None}),
+    ("verify", _TRIANGULAR, {**_GEN, "xi": [True]}),
+    ("verify", _TRIANGULAR, {**_GEN, "pi": ["0", None]}),
+    ("commutator", {**_GEN, "xi": [None]}, _GEN),
+    ("equiv", _TRIANGULAR, {"kind": "linear", "params": {"lam": None}}),
+    ("equiv", _TRIANGULAR, {"kind": "vshift", "phi": True}),
+    ("equiv", _TRIANGULAR, {"kind": "vshift_full", "phihat": None}),
 ], ids=["m0", "division_by_zero", "aet_without_index", "aet_index_42",
         "aet_index_fractional", "aet_index_boolean",
         "array_system", "array_generator", "constraints", "nested_3000",
@@ -285,7 +300,11 @@ _GEN = {"eta": "1", "xi": ["0"], "pi": ["0", "0"]}
         "jet_beyond_order_cap_with_a_translation",
         "t_jet_in_f1_with_a_vertical_generator",
         "t_jet_in_f1_with_a_jet_coefficient", "t_jet_in_f2_of_a_drift",
-        "linear_unknown_param", "aet_gives_m"])
+        "linear_unknown_param", "aet_gives_m",
+        "f1_null", "f2_boolean", "a_and_pi1_null", "p_boolean",
+        "param_value_null", "eta_null", "xi_boolean", "pi2_null",
+        "commutator_xi_null", "linear_param_null", "vshift_phi_boolean",
+        "vshift_full_phihat_null"])
 def test_input_faults_exit_2_with_one_line(tmp_path, capsys, command, system,
                                            other):
     first = _write(tmp_path, "first.json", system)

@@ -4,7 +4,8 @@ tests), no package module imports another module's private name, only
 ``corpus`` and ``cli`` parse text, only ``expr`` turns a number into an
 expression by hand, ``apply_to`` is defined once, in ``fields``, no
 nested function calls itself, ``expr`` defines the only expression
-node classes, and only ``expr`` builds a node by its class.
+node classes, only ``expr`` builds a node by its class, and every private
+dataclass field is left out of the value.
 
 The package's ``__init__`` is exempt from the first scan, since its
 imports are re-exports."""
@@ -188,3 +189,38 @@ def test_nodes_are_built_by_their_class_only_in_expr():
              and getattr(node.func, "id", getattr(node.func, "attr", None))
              in classes]
     assert not found, f"nodes built by their class: {found}"
+
+
+def _is_dataclass(node) -> bool:
+    return isinstance(node, ast.ClassDef) and any(
+        getattr(getattr(d, "func", d), "id", None) == "dataclass"
+        for d in node.decorator_list)
+
+
+def _off_the_value(value) -> bool:
+    """A ``field(...)`` call with init, compare and repr all False."""
+    if not (isinstance(value, ast.Call)
+            and getattr(value.func, "id", None) == "field"):
+        return False
+    flags = {k.arg: k.value for k in value.keywords}
+    return all(isinstance(flags.get(name), ast.Constant)
+               and flags[name].value is False
+               for name in ("init", "compare", "repr"))
+
+
+def test_private_dataclass_fields_are_not_part_of_the_value():
+    """What an object keeps for itself (``Generator._pr``, ``RDSystem._rhs``)
+    is left out of its constructor, equality, hash and repr, so a kept
+    piece can never make two equal values differ."""
+    private, bad = [], []
+    for path in PACKAGE:
+        for cls in filter(_is_dataclass, ast.walk(ast.parse(path.read_text()))):
+            for stmt in cls.body:
+                if (isinstance(stmt, ast.AnnAssign)
+                        and stmt.target.id.startswith("_")):
+                    where = f"{path.name}:{cls.name}.{stmt.target.id}"
+                    private.append(where)
+                    if not _off_the_value(stmt.value):
+                        bad.append(where)
+    assert {"fields.py:Generator._pr", "systems.py:RDSystem._rhs"} <= set(private)
+    assert not bad, f"private fields inside the value: {bad}"

@@ -4,7 +4,8 @@ import mpmath
 import pytest
 
 from rdsymm.expr import jet, sin_, sym
-from rdsymm.jets import MAX_ORDER, JetOrderError, laplacian, total_derivative
+from rdsymm.jets import (MAX_ORDER, JetOrderError, coords, laplacian,
+                         total_derivative)
 from rdsymm.numeric import eval_at, to_float
 
 u, v, t = jet("u"), jet("v"), sym("t")
@@ -17,6 +18,11 @@ def test_spec_examples():
     got = total_derivative(u * jet("v", 0, (1,)), 1, 2)
     expect = jet("u", 0, (1,)) * jet("v", 0, (1,)) + u * jet("v", 0, (1, 1))
     assert got == expect
+
+
+def test_coords_is_one_tuple_per_m():
+    assert coords(2) is coords(2)
+    assert coords(2) == (x1, x2)
 
 
 def test_symmetric_indices():

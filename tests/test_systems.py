@@ -1,4 +1,5 @@
 from collections import defaultdict
+from dataclasses import replace
 
 import pytest
 
@@ -84,17 +85,42 @@ def test_failing_is_none_when_the_claim_holds():
     assert rep.holds and rep.failing is None and rep.counterexample is None
 
 
-def test_one_rhs_build_per_claim_check(monkeypatch):
-    S = triangular(1, a, parse("u^2"), parse("u*v"))
-    D = named_operator("D", 1)
-    raws, _ = prolonged_equations(S, D)
-    assert all(any(j.nt for j in jets_in(r)) for r in raws)
+def test_one_rhs_build_per_system(monkeypatch):
+    # the system keeps its rhs: checking it against its shifts, a rotation
+    # and a dilation, whose prolonged equations hold t-jets, builds the
+    # linear part once
     builds = []
-    rhs = RDSystem.rhs
-    monkeypatch.setattr(RDSystem, "rhs",
-                        lambda self: builds.append(self) or rhs(self))
+    linear = RDSystem.linear
+    monkeypatch.setattr(RDSystem, "linear",
+                        lambda self: builds.append(self) or linear(self))
+    S = triangular(2, a, parse("u^2"), parse("u*v"))
+    gens = [named_operator("P0", 2), named_operator("P", 2, index=1),
+            named_operator("P", 2, index=2),
+            named_operator("J", 2, index=1, index2=2)]
+    assert all(is_symmetry(S, g).holds for g in gens)
+    D = named_operator("D", 2)
+    assert all(any(j.nt for j in jets_in(r))
+               for r in prolonged_equations(S, D))
     assert is_symmetry(S, D).verdict == "fails"
     assert builds == [S]
+
+
+def test_a_replaced_system_builds_its_own_rhs():
+    S = triangular(1, a, parse("u^2"), parse("u*v"))
+    kept = S.rhs()
+    assert S.rhs() is kept
+    other = replace(S, f2=parse("v^2"))
+    assert other.rhs() == triangular(1, a, parse("u^2"), parse("v^2")).rhs()
+    assert other.rhs()[1] is not kept[1]
+
+
+def test_the_kept_rhs_is_not_part_of_the_value():
+    S, twin = (triangular(1, a, parse("u^2"), parse("u*v")) for _ in range(2))
+    before = hash(S), repr(S)
+    S.rhs()
+    assert (hash(S), repr(S)) == before
+    assert S == twin and hash(S) == hash(twin) and repr(S) == repr(twin)
+    assert "_rhs" not in repr(S)
 
 
 def test_rotations_hold_for_any_point_nonlinearity():

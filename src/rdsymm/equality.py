@@ -11,11 +11,12 @@ Layered decision, cheapest first:
    confidence recorded.
 
 Points and opaque-kernel values come from ``numeric.Sampler``: atoms are
-drawn as +-(1..6)/(1..3), positive for u, v and symbolically exponentiated
-bases, and opaque kernels are sampled as unconstrained smooth functions
-(every distinct (kernel, derivative, argument-values) triple gets an
-independent random value, consistently within one point).  Domain errors
-trigger resampling; if every attempt at every point fails the verdict is
+drawn as +-(1..6)/(1..3), positive for u and v only (the declared domain:
+a point where a negative base meets a fractional power is drawn again), and
+opaque kernels are sampled as unconstrained smooth functions (every
+distinct (kernel, derivative, argument-values) triple gets an independent
+random value, consistently within one point).  Domain errors trigger
+resampling; if every attempt at every point fails the verdict is
 "undecided".  The cancellation guard compares in mpmath, so terms beyond
 float range are decided like any others.
 """
@@ -29,8 +30,8 @@ from typing import Optional
 
 import mpmath
 
-from .expr import (Add, DomainError, Expr, ExprError, Jet, Mul, ZERO, add,
-                   atoms, expand, free_symbols, is_int, is_zero, mul, rat)
+from .expr import (Add, DomainError, Expr, ExprError, Jet, ZERO, add, expand,
+                   free_symbols, is_zero, mul, rat)
 from .numeric import DPS, Sampler, UnboundSymbol, eval_at, random_fraction
 
 EQUAL = "equal"
@@ -71,11 +72,9 @@ def decide_equivalence(e1: Expr, e2: Expr, seed: int = 0) -> EqDecision:
         return EqDecision(EQUAL, "expand")
     target = expanded if expanded is not None else diff
 
-    # u, v and anything exponentiated symbolically live on the positive
-    # verification domain
+    # u and v live on the positive verification domain
     fs = sorted(free_symbols(target), key=Expr.key)
     positive = {a for a in fs if isinstance(a, Jet) and a.order == 0}
-    positive |= _symbolic_power_bases(target)
 
     sampler = Sampler(random.Random(seed))
     done = 0
@@ -121,12 +120,3 @@ def _eval_with_scale(target: Expr, point, sampler):
     with mpmath.workdps(DPS):
         return sum(vals), max(abs(mpmath.mpmathify(v)) for v in vals)
 
-
-def _symbolic_power_bases(e: Expr):
-    """The atoms under any base raised to a non-integer power in e."""
-    out = set()
-    for n in atoms(e, Mul):
-        for b, x in n.pairs:
-            if not is_int(x):
-                out |= free_symbols(b)
-    return out

@@ -31,8 +31,9 @@ on construction, so every ``Expr`` you can hold is already in normal form:
 to ``powe``, the one place that rewrites a power b^x: it folds a rational's
 power, makes ``0^e`` 0 for an exponent that :func:`is_positive` proves
 positive (u, v and what is built from them and positive rationals; not a
-parameter) and raises for a rational e <= 0, collapses ``(b^p)^q``,
-distributes a power over a product and folds ``exp(a)^x``.
+parameter) and raises for a rational e <= 0, collapses ``(b^p)^q`` and
+distributes a power over a product where the declared domain below allows
+it, and folds ``exp(a)^x``.
 
 ``add``, ``mul`` and ``powe`` each keep a computed table from the operand
 nodes to the result, looked up inline, since the same operands recur many
@@ -44,7 +45,15 @@ run's work into the next.
 
 Products of sums are *not* distributed here; :func:`expand` does that in
 one pass over the tree, reduces cos powers per monomial through
-cos^2 = 1 - sin^2, and merges the terms once.  ``sin``/``cos`` pull the
+cos^2 = 1 - sin^2, and merges the terms once.  Its walk keeps the terms of
+each node and power it meets in a table; inside a
+:func:`shared_expansions` block every ``expand`` call reads and fills the
+block's one table, which ``verify.verify_row`` opens for a corpus row, whose
+claim checks share most subtrees of their residuals.  This is exact: the
+terms are a pure function of a hash-consed node, the table holds its keys
+alive so a key always names the same expression, no caller mutates a term
+list it gets, and a node whose expansion raises is never stored.  The
+table is dropped with its block, so no run inherits another's work.  ``sin``/``cos`` pull the
 sign out of their argument, choosing between a and -a by a fixed rule, so
 sin(-a) = -sin(a) and cos(-a) = cos(a) share one argument.
 
@@ -72,17 +81,22 @@ the cyclic garbage collector runs.
 The declared domain is the one the numeric layer samples: u and v are
 positive; parameters, t, the x_i and the higher jets are real and may be
 negative.  :func:`is_positive` keeps to it, and a rational constant is
-positive only if it is.  Two rewrites still assume more, for bases that
-may be negative (ROADMAP item 3, open): ``ker`` splits ``ln`` of a
-product of coefficient 1, a lone power among them (``ln(b^e) = e*ln(b)``),
-and ``powe`` merges powers of powers (``(b^p)^q = b^(p*q)``) and
-distributes a power over a product; ``mul`` reaches both only through
-``powe``.
+positive only if it is.  Every rewrite holds on that domain wherever both
+sides are defined, so the three that need a positive base are gated:
+``powe`` merges ``(b^p)^q = b^(p*q)`` only for an integer q or a positive
+b (``(t^2)^(1/2)`` is ``|t|``); it distributes a power over a product only
+for an integer exponent, and otherwise takes out only a positive
+coefficient and the positive factors, keeping the rest as one power, or
+the product whole when nothing positive comes out (``(t*x1)^(1/2)``,
+``(-2*u)^(1/2)``); ``ker`` splits ``ln`` of a product of coefficient 1
+only when every base is positive, or for one base to an odd power
+(``ln(x1^3) = 3*ln(x1)``, but ``ln(t^2)`` stays whole).
 """
 
 from __future__ import annotations
 
 import weakref
+from contextlib import contextmanager
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
@@ -559,13 +573,25 @@ def _powe(base: Expr, exp: Expr) -> Expr:
                     raise ExprError(f"a power of over {MAX_DIGITS} digits")
                 return rat(value ** n if n >= 0 else Fraction(value) ** n)
     elif lone is not None:
+        # (b^x)^e = b^(x*e) for an integer e, or where b^x is real for a
+        # real x: (t^2)^(1/2) is |t|, not t
         b, x = lone
-        if is_int(exp) or not (isinstance(b, Rat) and b.value < 0):
+        if is_int(exp) or is_positive(b):
             return powe(b, mul(x, exp))
     elif isinstance(base, Mul):
-        if is_int(exp) or base.coeff > 0:
+        # (c*a*b)^e = c^e * a^e * b^e for an integer e; else only a
+        # positive coefficient and the positive factors come out:
+        # (t*x1)^(1/2) is defined where t, x1 < 0, t^(1/2)*x1^(1/2) is not
+        if is_int(exp):
             return mul(powe(rat(base.coeff), exp),
                        *[powe(_power(b, x), exp) for b, x in base.pairs])
+        if base.coeff > 0:
+            positive = [(b, x) for b, x in base.pairs if is_positive(b)]
+            rest = [(b, x) for b, x in base.pairs if not is_positive(b)]
+            if positive or base.coeff != 1:
+                return mul(powe(rat(base.coeff), exp),
+                           *[powe(_power(b, x), exp) for b, x in positive],
+                           powe(_make_mul(1, rest), exp))
     elif isinstance(base, Ker) and base.name == "exp":
         return ker("exp", mul(base.args[0], exp))
     return _power(base, exp)
@@ -637,7 +663,13 @@ def ker(name: str, *args, dvec: Sequence[int] = None) -> Expr:
                 return ZERO
             if isinstance(a, Ker) and a.name == "exp":
                 return a.args[0]
-            if isinstance(a, Mul) and a.coeff == 1:
+            # ln(a*b) = ln(a) + ln(b) and ln(b^e) = e*ln(b) wherever
+            # either side is defined: for positive bases, or one base to an
+            # odd power (ln(t^2) is defined at t < 0, 2*ln(t) is not)
+            if isinstance(a, Mul) and a.coeff == 1 and (
+                    all(is_positive(b) for b, _ in a.pairs)
+                    or len(a.pairs) == 1 and is_int(a.pairs[0][1])
+                    and a.pairs[0][1].value % 2):
                 return add(*[mul(e, ker("ln", b)) for b, e in a.pairs])
             if isinstance(a, Rat) and a.value <= 0:
                 raise DomainError(f"ln of non-positive constant {a.value}")
@@ -960,7 +992,7 @@ def _power_terms(b: Expr, x: Expr, memo: dict) -> list:
     """The terms of b^x, distributed when b expands to a sum and x to an
     integer > 1; otherwise b^x goes through ``powe``, whose result is
     expanded again only when it rewrote the node.  ``memo`` maps (b, x)
-    to its terms for the length of one ``expand`` call."""
+    to its terms (see :func:`expand` for how long it lives)."""
     out = memo.get((b, x))
     if out is not None:
         return out
@@ -982,8 +1014,8 @@ def _power_terms(b: Expr, x: Expr, memo: dict) -> list:
 def _expand_terms(e: Expr, memo: dict) -> list:
     """The terms of e with every product distributed over sums, in one pass
     over the tree; the terms are not merged with each other.  ``memo``
-    maps each node met in one ``expand`` call to its terms, so a subtree
-    shared by many terms is expanded once."""
+    maps each node met to its terms, so a subtree shared by many terms is
+    expanded once; no caller mutates a list it hands out."""
     out = memo.get(e)
     if out is not None:
         return out
@@ -1019,13 +1051,31 @@ def _cos_reduced(t: Expr, memo: dict) -> list:
     return [t]
 
 
+# the expansion table of the open shared_expansions() block, else None
+_SHARED = None
+
+
+@contextmanager
+def shared_expansions():
+    """A block whose ``expand`` calls share one table of the terms of each
+    node and power met, dropped when the block ends; every result is the
+    one a call outside any block gives (see the module docstring)."""
+    global _SHARED
+    outer, _SHARED = _SHARED, {}
+    try:
+        yield
+    finally:
+        _SHARED = outer
+
+
 def expand(e: Expr) -> Expr:
     """Fully distribute products over sums and reduce cos powers to <= 1.
 
     One pass collects the distributed terms of e unmerged, each term has
     its cos powers reduced through cos^2 = 1 - sin^2, and a single ``add``
-    merges the lot.  Raises ExprError when a product would exceed
-    ``_EXPAND_TERM_CAP`` terms."""
-    memo = {}
+    merges the lot.  Inside a :func:`shared_expansions` block the walk reads
+    and fills the block's table, else a table of its own.  Raises ExprError
+    when a product would exceed ``_EXPAND_TERM_CAP`` terms."""
+    memo = _SHARED if _SHARED is not None else {}
     return add(*[r for t in _expand_terms(e, memo)
                  for r in _cos_reduced(t, memo)])

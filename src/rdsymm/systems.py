@@ -55,6 +55,10 @@ class RDSystem:
         default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        # with p = 0 the drift system is the triangular one with a = 0
+        if self.family == "drift" and is_zero(self.p):
+            raise ValueError("a drift system needs p != 0; with p = 0 it is "
+                             "the triangular system with a = 0")
         # evolution substitution reads each equation as solved for u_t or
         # v_t: a t-jet on a right-hand side would be substituted into itself
         for name, f in (("f1", self.f1), ("f2", self.f2)):

@@ -26,7 +26,7 @@ from .corpus import (TABLES, CorpusRow, RowTemplate, build_rules, load_rows,
                      witness_menu)
 from .expr import (Add, DomainError, Expr, Jet, KernelRule, RuleSet, Sym, ZERO,
                    add, apply_rules, is_zero, jet, jets_in, mul, rat,
-                   substitute, sym, free_symbols)
+                   shared_expansions, substitute, sym, free_symbols)
 from .fields import Generator
 from .numeric import Sampler, eval_at, magnitude, random_fraction
 from .parser import to_text
@@ -233,35 +233,38 @@ def verify_row(row: CorpusRow, seeds: Sequence[int] = (0, 1, 2),
     results = []
     any_fail = False
     any_undecided = False
-    for m in m_list:
-        plans = []
-        if "symbolic" in modes:
-            plans += [("symbolic", seeds[0], br)
-                      for br in symbolic_branches(row, m)]
-        if "witness" in modes:
-            plans += [("witness", s, None) for s in seeds]
-        for mode, seed, br in plans:
-            try:
-                inst = instantiate_row(row, seed, m, mode, branch=br)
-            except UnsatisfiableConstraints as exc:
-                results.append({"m": m, "mode": mode, "seed": seed,
-                                "verdict": "undecided", "note": str(exc)})
-                any_undecided = True
-                continue
-            for ci in inst.claims:
-                rep = is_symmetry(ci.system, ci.generator, seed=seed)
-                entry = {"m": m, "mode": mode, "seed": seed,
-                         "claim": ci.label, "verdict": rep.verdict,
-                         "path": rep.decision_path}
-                if rep.failing:
-                    any_fail = True
-                    bad, decision = rep.failing
-                    entry["residual"] = to_text(bad)[:400]
-                    entry["failing_monomial"] = minimal_failing_monomial(
-                        decision.sampled)
-                elif rep.verdict == "undecided":
+    # the row's checks share most subtrees of their residuals: expand
+    # each once per row
+    with shared_expansions():
+        for m in m_list:
+            plans = []
+            if "symbolic" in modes:
+                plans += [("symbolic", seeds[0], br)
+                          for br in symbolic_branches(row, m)]
+            if "witness" in modes:
+                plans += [("witness", s, None) for s in seeds]
+            for mode, seed, br in plans:
+                try:
+                    inst = instantiate_row(row, seed, m, mode, branch=br)
+                except UnsatisfiableConstraints as exc:
+                    results.append({"m": m, "mode": mode, "seed": seed,
+                                    "verdict": "undecided", "note": str(exc)})
                     any_undecided = True
-                results.append(entry)
+                    continue
+                for ci in inst.claims:
+                    rep = is_symmetry(ci.system, ci.generator, seed=seed)
+                    entry = {"m": m, "mode": mode, "seed": seed,
+                             "claim": ci.label, "verdict": rep.verdict,
+                             "path": rep.decision_path}
+                    if rep.failing:
+                        any_fail = True
+                        bad, decision = rep.failing
+                        entry["residual"] = to_text(bad)[:400]
+                        entry["failing_monomial"] = (
+                            minimal_failing_monomial(decision.sampled))
+                    elif rep.verdict == "undecided":
+                        any_undecided = True
+                    results.append(entry)
     status = "fail" if any_fail else ("undecided" if any_undecided else "pass")
     return VerificationRun(row.key, status, row.annotation is not None, results)
 

@@ -282,6 +282,9 @@ _GEN = {"eta": "1", "xi": ["0"], "pi": ["0", "0"]}
      {**_GEN, "pi": [None, "u"]}),
     ("verify", {**_TRIANGULAR, "family": {"kind": "drift", "p": False}},
      _GEN),
+    ("verify", {**_TRIANGULAR, "family": {"kind": "drift", "p": "0"}}, _GEN),
+    ("equiv", {**_TRIANGULAR, "family": {"kind": "drift", "p": "0"}},
+     {"kind": "linear", "params": {"lam": "2"}}),
     ("verify", {**_TRIANGULAR, "f1": "k*u", "params": {"k": None}}, _GEN),
     ("verify", _TRIANGULAR, {**_GEN, "eta": None}),
     ("verify", _TRIANGULAR, {**_GEN, "xi": [True]}),
@@ -302,6 +305,7 @@ _GEN = {"eta": "1", "xi": ["0"], "pi": ["0", "0"]}
         "t_jet_in_f1_with_a_jet_coefficient", "t_jet_in_f2_of_a_drift",
         "linear_unknown_param", "aet_gives_m",
         "f1_null", "f2_boolean", "a_and_pi1_null", "p_boolean",
+        "drift_p_zero", "equiv_drift_p_zero",
         "param_value_null", "eta_null", "xi_boolean", "pi2_null",
         "commutator_xi_null", "linear_param_null", "vshift_phi_boolean",
         "vshift_full_phihat_null"])

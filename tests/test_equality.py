@@ -1,9 +1,12 @@
 from fractions import Fraction
 
+import pytest
+
 from rdsymm.equality import EQUAL, DIFFERENT, SAMPLES, decide_equivalence
-from rdsymm import equality, expr
-from rdsymm.expr import (ZERO, children, cos_, exp_, jet, ker, ln_, powe, rat,
-                         sin_, sym)
+from rdsymm import expr
+from rdsymm.expr import (ZERO, cos_, exp_, expand, is_zero, jet, ker, ln_,
+                         powe, rat, sin_, sym)
+from rdsymm.parser import parse, to_text
 
 u, v, t = jet("u"), jet("v"), sym("t")
 
@@ -113,20 +116,32 @@ def test_integer_powers_of_negative_transcendental_values():
     assert d.verdict == DIFFERENT and d.counterexample
 
 
-def test_symbolic_power_bases_visit_each_node_once(monkeypatch):
-    # e_{k+1} = sin(e_k) + cos(e_k) over x1^nu: 2^k paths through
-    # 3k + 3 distinct nodes
-    depth = 12
-    x1, nu = sym("x1"), sym("nu")
-    e = powe(x1, nu)
-    for _ in range(depth):
-        e = sin_(e) + cos_(e)
-    calls = []
+# equal where both sides are defined with t, x1 and u_x1 > 0, but t, x_i
+# and the higher jets may be negative: no exact layer may call them equal,
+# and a power of a square, |b|^k, differs from b^k at a negative point
+UNSOUND_FOR_NEGATIVE_BASES = [
+    ("(u_x1^2)^(1/2)", "u_x1", DIFFERENT), ("(t^2)^(1/2)", "t", DIFFERENT),
+    ("(x1^2)^(1/2)", "x1", DIFFERENT), ("(t^2)^(3/2)", "t^3", DIFFERENT),
+    ("ln(u_x1^2)", "2*ln(u_x1)", None), ("ln(t*x1)", "ln(t) + ln(x1)", None),
+    ("(t*x1)^(1/2)", "t^(1/2)*x1^(1/2)", None)]
 
-    def counting_children(n):
-        calls.append(n)
-        return children(n)
 
-    monkeypatch.setattr(expr, "children", counting_children)
-    assert equality._symbolic_power_bases(e) == {x1}
-    assert len(calls) == len(set(calls)) == 3 * depth + 3
+@pytest.mark.parametrize("a, b, verdict", UNSOUND_FOR_NEGATIVE_BASES)
+def test_rewrites_that_need_a_positive_base_are_not_made(a, b, verdict):
+    ea, eb = parse(a), parse(b)
+    assert to_text(ea) == a and to_text(expand(ea)) == a
+    assert not is_zero(expand(ea - eb))
+    d = decide_equivalence(ea, eb)
+    assert d.path == "numeric"
+    if verdict is not None:
+        assert d.verdict == verdict and min(d.counterexample.values()) < 0
+
+
+def test_rewrites_that_hold_on_the_domain_are_kept():
+    # u and v are positive; ln(b^3) = 3*ln(b) wherever either side is defined
+    for a, b in [("ln(x1^3)", "3*ln(x1)"), ("ln(x1^(-1))", "-ln(x1)"),
+                 ("ln(u*v)", "ln(u) + ln(v)"), ("(u^2)^(1/2)", "u"),
+                 ("(4*u*t)^(1/2)", "2*t^(1/2)*u^(1/2)"),
+                 ("(u*t^2)^(1/2)", "u^(1/2)*(t^2)^(1/2)"),
+                 ("(t^(1/2))^2", "t")]:
+        assert parse(a) is parse(b)

@@ -12,9 +12,9 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import rdsymm
 from rdsymm import expr
-from rdsymm.expr import (Add, DomainError, Jet, Ker, KernelRule, Mul, ONE,
-                         Rat, RuleSet, Sym, ZERO, add, apply_rules, atoms,
-                         children, cos_, differentiate, exp_, expand,
+from rdsymm.expr import (Add, DomainError, ExprError, Jet, Ker, KernelRule,
+                         Mul, ONE, Rat, RuleSet, Sym, ZERO, add, apply_rules,
+                         atoms, children, cos_, differentiate, exp_, expand,
                          free_symbols, is_int, is_zero, jet, jets_in, ker, ln_,
                          mul, powe, rat, rebuild, sin_, substitute, sym)
 from rdsymm.numeric import DPS, eval_at, magnitude
@@ -394,6 +394,27 @@ def test_expand_walks_a_shared_subtree_once(monkeypatch):
     assert out == add(*[mul(sym(f"c{i}"), shared, shared)
                         for i in range(20)] +
                       [mul(sym(f"c{i}"), shared, t) for i in range(20)])
+
+
+def _expanded_or_error(e):
+    try:
+        return expand(e)
+    except ExprError as exc:
+        return type(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_exprs(), max_size=4), _exprs())
+def test_a_shared_expansion_is_the_one_a_fresh_call_gives(warm, e):
+    # a table warmed with other expressions and with e's own subtrees gives
+    # e the very node (or the error) that a call outside any block gives
+    want = _expanded_or_error(e)
+    with expr.shared_expansions():
+        for w in [*warm, *children(e)]:
+            _expanded_or_error(w)
+        assert _expanded_or_error(e) is want
+        assert _expanded_or_error(e) is want
+    assert _expanded_or_error(e) is want
 
 
 _POSITIVE_POINT = {u: Fraction(3, 2), v: Fraction(2, 3), t: Fraction(5, 4),

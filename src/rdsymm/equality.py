@@ -11,8 +11,8 @@ Layered decision, cheapest first:
    confidence recorded.
 
 Points and opaque-kernel values come from ``numeric.Sampler``: atoms are
-drawn as +-(1..6)/(1..3), positive for u and v only (the declared domain:
-a point where a negative base meets a fractional power is drawn again), and
+drawn as +-(1..6)/(1..3) on the domain ``expr.is_positive`` declares (a
+point where a negative base meets a fractional power is drawn again), and
 opaque kernels are sampled as unconstrained smooth functions (every
 distinct (kernel, derivative, argument-values) triple gets an independent
 random value, consistently within one point).  Domain errors trigger
@@ -30,9 +30,9 @@ from typing import Optional
 
 import mpmath
 
-from .expr import (Add, DomainError, Expr, ExprError, Jet, ZERO, add, expand,
+from .expr import (Add, DomainError, Expr, ExprError, ZERO, add, expand,
                    free_symbols, is_zero, mul, rat)
-from .numeric import DPS, Sampler, UnboundSymbol, eval_at, random_fraction
+from .numeric import DPS, Sampler, UnboundSymbol, eval_at
 
 EQUAL = "equal"
 DIFFERENT = "different"
@@ -41,6 +41,8 @@ UNDECIDED = "undecided"
 MISMATCH_TOL = 1e-20
 SAMPLES = 32          # sample points of the numeric layer
 MAX_RESAMPLE = 8      # draws per point before it is given up
+# the paths whose "equal" rests on no sampling
+EXACT_PATHS = ("normalize", "expand")
 
 
 @dataclass
@@ -57,6 +59,11 @@ class EqDecision:
     def __bool__(self):
         return self.verdict == EQUAL
 
+    @property
+    def exact(self) -> bool:
+        """Decided equal by an exact path, without sampling."""
+        return self.verdict == EQUAL and self.path in EXACT_PATHS
+
 
 def decide_equivalence(e1: Expr, e2: Expr, seed: int = 0) -> EqDecision:
     """Decide e1 == e2."""
@@ -72,16 +79,12 @@ def decide_equivalence(e1: Expr, e2: Expr, seed: int = 0) -> EqDecision:
         return EqDecision(EQUAL, "expand")
     target = expanded if expanded is not None else diff
 
-    # u and v live on the positive verification domain
     fs = sorted(free_symbols(target), key=Expr.key)
-    positive = {a for a in fs if isinstance(a, Jet) and a.order == 0}
-
     sampler = Sampler(random.Random(seed))
     done = 0
     for i in range(SAMPLES):
         for _ in range(MAX_RESAMPLE):
-            point = sampler.point(
-                fs, lambda rng, a: random_fraction(rng, a in positive))
+            point = sampler.point(fs)
             try:
                 val, scale = _eval_with_scale(target, point, sampler)
             except DomainError:

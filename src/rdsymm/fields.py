@@ -234,8 +234,9 @@ class CauchyRiemannError(ValueError):
     pass
 
 
-def _weight_bracket(a: Expr):
-    """(phi_u, phi_v) of (1/a)(u du + v dv) - (1/a^2) u dv."""
+def weight_bracket(a: Expr):
+    """(phi_u, phi_v) of the Galilei weight (1/a)(u du + v dv) - (1/a^2) u dv,
+    its one spelling."""
     u, v = jet("u"), jet("v")
     inv_a = powe(a, MINUS_ONE)
     inv_a2 = powe(a, rat(-2))
@@ -274,7 +275,7 @@ def named_operator(name: str, m: int, *, a: Optional[Expr] = None,
     if name == "K":
         if a is None or is_zero(a):
             raise ValueError("K requires a != 0")
-        wu, wv = _weight_bracket(a)
+        wu, wv = weight_bracket(a)
         half_x2 = mul(rat(-1, 2), x_squared(m))
         tm = mul(rat(-m), T)
         return generator(
@@ -295,7 +296,7 @@ def named_operator(name: str, m: int, *, a: Optional[Expr] = None,
     if name == "G":
         if a is None or is_zero(a):
             raise ValueError("G requires a != 0")
-        wu, wv = _weight_bracket(a)
+        wu, wv = weight_bracket(a)
         xi = [ZERO] * m
         xi[index - 1] = T
         half_x = mul(rat(-1, 2), xs[index - 1])
@@ -305,7 +306,7 @@ def named_operator(name: str, m: int, *, a: Optional[Expr] = None,
             raise ValueError("Ghat requires a != 0")
         if gamma is None:
             raise ValueError("Ghat requires gamma")
-        wu, wv = _weight_bracket(a)
+        wu, wv = weight_bracket(a)
         pref = exp_(mul(gamma, T))
         xi = [ZERO] * m
         xi[index - 1] = pref

@@ -47,7 +47,8 @@ from mpmath.libmp import (dps_to_prec, from_float, from_rational, mpf_add,
                           mpf_pow_int, mpf_sign, mpf_sin, round_nearest,
                           to_str)
 
-from .expr import Add, DomainError, Expr, Jet, Ker, Mul, ONE, Rat, Sym
+from .expr import (Add, DomainError, Expr, Jet, Ker, Mul, ONE, Rat, Sym,
+                   is_positive)
 
 DPS = 60
 _PREC = dps_to_prec(DPS)
@@ -82,13 +83,15 @@ def random_fraction(rng, positive: bool = False, nums=(1, 6),
 class Sampler:
     """The source of random values for one run of sample points.
 
-    ``point`` draws each atom's value through the caller's
-    ``draw(rng, atom)``.  The sampler is also the ``kernel_values`` callable
-    of ``eval_at``: every distinct (kernel, derivative, argument-values)
-    triple gets one ``random_fraction``, kept in ``kernels`` for the
-    current point.  ``values`` is the point's value table (see the module
-    docstring): ``eval_at`` uses it for the dict that ``point`` returned,
-    to which the caller may add atoms but must not rebind one."""
+    ``point`` draws each atom's value with ``random_fraction``, positive
+    exactly where ``expr.is_positive`` holds: the sampled domain is the
+    one the exact layers declare.  The sampler is also the
+    ``kernel_values`` callable of ``eval_at``: every distinct (kernel,
+    derivative, argument-values) triple gets one ``random_fraction``, kept
+    in ``kernels`` for the current point.  ``values`` is the point's value
+    table (see the module docstring): ``eval_at`` uses it for the dict
+    that ``point`` returned, to which the caller may add atoms but must not
+    rebind one."""
 
     def __init__(self, rng):
         self.rng = rng
@@ -96,10 +99,11 @@ class Sampler:
         self.binding = None
         self.values = {}
 
-    def point(self, atoms, draw) -> dict:
+    def point(self, atoms, nums=(1, 6), dens=(1, 3)) -> dict:
         self.kernels = {}
         self.values = {}
-        self.binding = {a: draw(self.rng, a) for a in atoms}
+        self.binding = {a: random_fraction(self.rng, is_positive(a), nums,
+                                           dens) for a in atoms}
         return self.binding
 
     def __call__(self, name, dvec, arg_values):

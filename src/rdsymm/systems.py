@@ -36,7 +36,7 @@ from .expr import (EMPTY_RULES, Expr, ExprError, Jet, KernelRule,
                    MINUS_ONE, ONE, RuleSet, T, U, V, ZERO, add, as_expr,
                    differentiate, expand, is_zero, jet, jets_in, ker, mul,
                    powe, rat, substitute, free_symbols, Rat)
-from .fields import Generator
+from .fields import Generator, ProlongedGenerator, generator, weight_bracket
 from .jets import (JetOrderError, coords, is_coordinate, laplacian,
                    total_derivatives, x_squared)
 
@@ -227,11 +227,13 @@ def is_symmetry(system: RDSystem, x: Generator, seed: int = 0) -> SymmetryReport
 # classifying-equation residuals (triangular, a != 0): main symmetries
 
 
-def _vertical(f: Expr, phi_u: Expr, phi_v: Expr, rules: RuleSet) -> Expr:
-    """(phi_u d_u + phi_v d_v) f."""
-    return add(mul(phi_u, differentiate(f, U, rules)),
-               mul(phi_v, differentiate(f, V, rules)))
-
+def _classifying(system: RDSystem, lhs: Tuple[Expr, Expr], phi_u: Expr,
+                 phi_v: Expr) -> Tuple[Expr, Expr]:
+    """lhs^a - X f^a for both equations, X = phi_u d_u + phi_v d_v."""
+    x = ProlongedGenerator(generator(system.m, phi_u=phi_u, phi_v=phi_v),
+                           system.rules)
+    return tuple(add(lhs_a, mul(MINUS_ONE, x.apply_to(f)))
+                 for lhs_a, f in zip(lhs, (system.f1, system.f2)))
 
 @dataclass
 class FullSymmetryData:
@@ -256,9 +258,10 @@ def classifying_residual_full(system: RDSystem,
         raise ValueError("full classifying equations require triangular a != 0")
     rules = system.rules
     a = system.a
-    inv_a = powe(a, MINUS_ONE)
-    inv_a2 = powe(a, rat(-2))
+    wu, wv = weight_bracket(a)
     f1, f2 = system.f1, system.f2
+    # the weight's linear part on (f1, f2)
+    lin_u, lin_v = (substitute(w, {U: f1, V: f2}) for w in (wu, wv))
     m = system.m
     xs = coords(m)
     sigma = tuple(data.sigma) or (ZERO,) * m
@@ -272,29 +275,27 @@ def classifying_residual_full(system: RDSystem,
     C1t = differentiate(data.C1, T, rules)
     C2t = differentiate(data.C2, T, rules)
     lam_t = mul(data.lam, rat(m + 4), T)
-    # weight on the Euler operator u du + v dv
-    euler_w = add(data.C1, mul(data.lam, rat(m), T), mul(S, inv_a))
-    phi_u = add(data.B1, mul(euler_w, U))
-    phi_v = add(data.B2, mul(euler_w, V), mul(data.C2, U),
-                mul(MINUS_ONE, S, inv_a2, U))
+    # weight on the Euler operator u du + v dv, and S times the Galilei
+    # weight
+    euler_w = add(data.C1, mul(data.lam, rat(m), T))
+    phi_u = add(data.B1, mul(euler_w, U), mul(S, wu))
+    phi_v = add(data.B2, mul(euler_w, V), mul(data.C2, U), mul(S, wv))
 
     # the omega sector also carries the time derivative of its weight,
-    # gamma*S_omega times the boost weight bracket, on the left-hand sides
-    lhs1 = add(mul(add(lam_t, data.mu, mul(inv_a, S), data.C1), f1),
-               mul(data.gamma, S_omega, inv_a, U),
+    # gamma*S_omega times the Galilei weight, on the left-hand sides
+    S_omega_t = mul(data.gamma, S_omega)
+    lhs1 = add(mul(add(lam_t, data.mu, data.C1), f1),
+               mul(S, lin_u), mul(S_omega_t, wu),
                mul(C1t, U), differentiate(data.B1, T, rules),
                mul(MINUS_ONE, a, laplacian(data.B1, m, rules)))
     lhs2 = add(mul(add(lam_t, data.mu, data.C1), f2),
                mul(data.C2, f1),
-               mul(S, add(mul(inv_a, f2), mul(MINUS_ONE, inv_a2, f1))),
-               mul(data.gamma, S_omega,
-                   add(mul(inv_a, V), mul(MINUS_ONE, inv_a2, U))),
+               mul(S, lin_v), mul(S_omega_t, wv),
                mul(C1t, V), mul(C2t, U),
                differentiate(data.B2, T, rules),
                mul(MINUS_ONE, a, laplacian(data.B2, m, rules)),
                mul(MINUS_ONE, laplacian(data.B1, m, rules)))
-    return (add(lhs1, mul(MINUS_ONE, _vertical(f1, phi_u, phi_v, rules))),
-            add(lhs2, mul(MINUS_ONE, _vertical(f2, phi_u, phi_v, rules))))
+    return _classifying(system, (lhs1, lhs2), phi_u, phi_v)
 
 
 def classifying_residual_main(system: RDSystem, C1: Expr, C2: Expr,
@@ -325,8 +326,7 @@ def classifying_residual_drift(system: RDSystem, F: Expr, B1: Expr, B2: Expr,
     lhs2 = add(mul(add(mul(rat(4), mu), F), f2), mul(Ft, V),
                differentiate(B2, T, rules),
                mul(MINUS_ONE, laplacian(B1, system.m, rules)))
-    return (add(lhs1, mul(MINUS_ONE, _vertical(f1, phi_u, phi_v, rules))),
-            add(lhs2, mul(MINUS_ONE, _vertical(f2, phi_u, phi_v, rules))))
+    return _classifying(system, (lhs1, lhs2), phi_u, phi_v)
 
 
 def classifying_residual_a0(system: RDSystem, alpha: Expr, N: Expr, M: Expr,
@@ -362,8 +362,7 @@ def classifying_residual_a0(system: RDSystem, alpha: Expr, N: Expr, M: Expr,
                differentiate(B2, T, rules),
                mul(MINUS_ONE, laplacian(B1, m, rules)),
                mul(rat(2 - m), laplacian(div, m, rules), U))
-    return (add(lhs1, mul(MINUS_ONE, _vertical(f1, phi_u, phi_v, rules))),
-            add(lhs2, mul(MINUS_ONE, _vertical(f2, phi_u, phi_v, rules))))
+    return _classifying(system, (lhs1, lhs2), phi_u, phi_v)
 
 
 # ---------------------------------------------------------------------------
@@ -371,24 +370,21 @@ def classifying_residual_a0(system: RDSystem, alpha: Expr, N: Expr, M: Expr,
 
 
 def galilei_residuals(system: RDSystem) -> Tuple[Expr, Expr]:
-    """a f1 = (a(u du + v dv) - u dv) f1 ; a f2 - f1 = (...) f2."""
-    a = system.a
-    phi_u, phi_v = mul(a, U), add(mul(a, V), mul(MINUS_ONE, U))
-    out = []
-    for k, f in enumerate((system.f1, system.f2)):
-        applied = _vertical(f, phi_u, phi_v, system.rules)
-        lhs = mul(a, f) if k == 0 else add(mul(a, system.f2),
-                                           mul(MINUS_ONE, system.f1))
-        out.append(add(lhs, mul(MINUS_ONE, applied)))
-    return tuple(out)
+    """a f1 = (a(u du + v dv) - u dv) f1 ; a f2 - f1 = (...) f2: a^2 times
+    the equations of the Galilei weight W, w^a(f1, f2) = W f^a with w^a
+    the weight's linear part."""
+    w = weight_bracket(system.a)
+    lin = [substitute(c, {U: system.f1, V: system.f2}) for c in w]
+    a2 = mul(system.a, system.a)
+    return tuple(mul(a2, r) for r in _classifying(system, lin, *w))
 
 
 def conformal_residuals(system: RDSystem) -> Tuple[Expr, Expr]:
     """(m+4) f^a = m (u du + v dv) f^a."""
-    m = system.m
-    return tuple(add(mul(rat(m + 4), f),
-                     mul(rat(-m), _vertical(f, U, V, system.rules)))
-                 for f in (system.f1, system.f2))
+    m = rat(system.m)
+    return _classifying(system, (mul(m + 4, system.f1),
+                                 mul(m + 4, system.f2)),
+                        mul(m, U), mul(m, V))
 
 
 def exp_galilei_gamma(system: RDSystem) -> Optional[Expr]:

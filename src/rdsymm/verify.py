@@ -28,10 +28,13 @@ from .expr import (Add, DomainError, Expr, Jet, KernelRule, RuleSet, Sym, ZERO,
                    add, apply_rules, is_zero, jet, jets_in, mul, rat,
                    shared_expansions, substitute, sym, free_symbols)
 from .fields import Generator
-from .numeric import Sampler, eval_at, magnitude, random_fraction
+from .numeric import Sampler, eval_at, magnitude
 from .parser import to_text
 from .systems import (RDSystem, drift, is_symmetry, prolonged_equations,
                       tjet_replacements, triangular)
+
+# the largest residual magnitude the numeric cross-check accepts
+RESIDUAL_TOL = 1e-20
 
 _SAMPLE_POOL = [Fraction(n, d) for n in (1, 2, 3, 5, -1, -2, -3, 4)
                 for d in (1, 2, 3)]
@@ -103,7 +106,8 @@ def _sample_params(row: CorpusRow, tpl: RowTemplate, rng: random.Random):
 def symbolic_branches(row: CorpusRow, m: int) -> List[Dict]:
     """Bindings realizing the row's product-type zero constraints (one per
     choice of vanishing factor) and its +-1-valued parameters, read from
-    the row compiled at m."""
+    the row compiled at m.  A zero constraint that no single vanishing
+    parameter satisfies raises ``UnsatisfiableConstraints``."""
     branches = [dict()]
     for name, flags in sorted(row.params.items()):
         if flags.get("pm1"):
@@ -119,7 +123,11 @@ def symbolic_branches(row: CorpusRow, m: int) -> List[Dict]:
                 nb[sym(f)] = ZERO
                 if is_zero(substitute(expr, nb)):
                     new.append(nb)
-        branches = new or branches
+        if not new:
+            raise UnsatisfiableConstraints(
+                f"{row.key}: no vanishing parameter makes "
+                f"{to_text(expr)} zero")
+        branches = new
     # one branch per distinct binding, in order of first appearance
     distinct = {}
     for b in branches:
@@ -221,6 +229,14 @@ def minimal_failing_monomial(sampled: Expr) -> str:
     return to_text(term)
 
 
+def _unsatisfied(m: int, mode: str, seed: int,
+                 exc: UnsatisfiableConstraints) -> dict:
+    """The one undecided entry of a plan whose constraints have no
+    solution."""
+    return {"m": m, "mode": mode, "seed": seed, "verdict": "undecided",
+            "note": str(exc)}
+
+
 def verify_row(row: CorpusRow, seeds: Sequence[int] = (0, 1, 2),
                m_values: Optional[Sequence[int]] = None,
                modes: Sequence[str] = ("symbolic", "witness")) -> VerificationRun:
@@ -239,16 +255,19 @@ def verify_row(row: CorpusRow, seeds: Sequence[int] = (0, 1, 2),
         for m in m_list:
             plans = []
             if "symbolic" in modes:
-                plans += [("symbolic", seeds[0], br)
-                          for br in symbolic_branches(row, m)]
+                try:
+                    plans += [("symbolic", seeds[0], br)
+                              for br in symbolic_branches(row, m)]
+                except UnsatisfiableConstraints as exc:
+                    results.append(_unsatisfied(m, "symbolic", seeds[0], exc))
+                    any_undecided = True
             if "witness" in modes:
                 plans += [("witness", s, None) for s in seeds]
             for mode, seed, br in plans:
                 try:
                     inst = instantiate_row(row, seed, m, mode, branch=br)
                 except UnsatisfiableConstraints as exc:
-                    results.append({"m": m, "mode": mode, "seed": seed,
-                                    "verdict": "undecided", "note": str(exc)})
+                    results.append(_unsatisfied(m, mode, seed, exc))
                     any_undecided = True
                     continue
                 for ci in inst.claims:
@@ -336,9 +355,10 @@ def negative_control(row: CorpusRow, m: int, seed: int = 0) -> bool:
 
 
 def numeric_residual_check(system: RDSystem, x: Generator, points: int = 20,
-                           seed: int = 0, tol: float = 1e-20) -> Tuple[bool, float]:
+                           seed: int = 0) -> Tuple[bool, float]:
     """Evaluate the pre-reduction residuals at random points, substituting
-    the t-jets numerically through the system; returns (ok, worst)."""
+    the t-jets numerically through the system; returns (ok, worst), ok when
+    worst is at most ``RESIDUAL_TOL``."""
     raws = prolonged_equations(system, x)
     # t-jets of lower order first: the replacements of jets with nt >= 2
     # mention them, so they must be valued before those are evaluated
@@ -361,8 +381,7 @@ def numeric_residual_check(system: RDSystem, x: Generator, points: int = 20,
     for _ in range(points):
         for try_ in range(16):
             span = (2, 5) if try_ < 8 else (5, 8)
-            full = sampler.point(free, lambda rng, s: random_fraction(
-                rng, isinstance(s, Jet) and s.order == 0, span, span))
+            full = sampler.point(free, span, span)
             try:
                 ok_scale = True
                 for j, repl in tjet_exprs.items():
@@ -383,4 +402,4 @@ def numeric_residual_check(system: RDSystem, x: Generator, points: int = 20,
             break
         else:
             return False, worst
-    return worst <= tol, worst
+    return worst <= RESIDUAL_TOL, worst

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from dataclasses import replace
+
 import pytest
 
 import rdsymm
@@ -18,7 +20,8 @@ from rdsymm.parser import parse, to_text
 from rdsymm.systems import classifying_residual_main, is_symmetry, triangular
 from rdsymm.verify import (apply_correction, instantiate_row,
                            negative_control, numeric_residual_check,
-                           run_suite, symbolic_branches, verify_row)
+                           run_suite, symbolic_branches, verify_row,
+                           UnsatisfiableConstraints)
 
 u, v = jet("u"), jet("v")
 
@@ -74,6 +77,19 @@ def test_table6_blocked():
     for row in load_table(6):
         assert row.status == "blocked"
         assert verify_row(row).status == "blocked"
+
+
+def test_a_zero_constraint_no_vanishing_parameter_meets_is_refused():
+    # mu - nu = 0 holds neither at mu = 0 nor at nu = 0
+    row = replace(next(r for r in load_table(5) if r.item == "1"),
+                  zero=["mu - nu"])
+    with pytest.raises(UnsatisfiableConstraints, match="mu - nu"):
+        symbolic_branches(row, 1)
+    run = verify_row(row, m_values=[1], modes=("symbolic",))
+    assert run.status == "undecided"
+    (entry,) = run.results
+    assert entry["verdict"] == "undecided" and entry["mode"] == "symbolic"
+    assert "mu - nu" in entry["note"]
 
 
 def test_determinism_byte_identical_reports():
@@ -344,5 +360,5 @@ def test_corrected_t8_8_holds_exactly(m):
     rep = is_symmetry(ci.system, ci.generator)
     if not rep.holds:
         pytest.fail(f"the corrected claim reads {rep.verdict}")
-    assert all(d.path in ("normalize", "expand") for d in rep.decisions), \
+    assert all(d.exact for d in rep.decisions), \
         rep.decision_path

@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from rdsymm.equality import EQUAL, DIFFERENT, SAMPLES, decide_equivalence
+from rdsymm.equality import (EQUAL, DIFFERENT, EXACT_PATHS, SAMPLES,
+                             EqDecision, decide_equivalence)
 from rdsymm import expr
 from rdsymm.expr import (ZERO, cos_, exp_, expand, is_zero, jet, ker, ln_,
                          powe, rat, sin_, sym)
@@ -44,7 +45,7 @@ def test_expansion_oracle_example():
     rhs = brute([(Fraction(2), 1, 1), (Fraction(-1), 3, 0)])   # 2uv - u^3
     assert lhs == rhs
     d = decide_equivalence((2 * v - u * u) * u, 2 * u * v - powe(u, rat(3)))
-    assert d.verdict == EQUAL and d.path in ("normalize", "expand")
+    assert d.exact
 
 
 def test_trig_identity_via_expand():
@@ -145,3 +146,18 @@ def test_rewrites_that_hold_on_the_domain_are_kept():
                  ("(u*t^2)^(1/2)", "u^(1/2)*(t^2)^(1/2)"),
                  ("(t^(1/2))^2", "t")]:
         assert parse(a) is parse(b)
+
+
+def test_only_the_exact_paths_are_exact():
+    decided = {d.path: d for d in (
+        decide_equivalence(u * u, powe(u, rat(2))),
+        decide_equivalence(cos_(t) ** rat(2), 1 - sin_(t) ** rat(2)),
+        # equal only over the common denominator u - v: by sampling
+        decide_equivalence(parse("(u^2 - v^2)/(u - v)"), u + v))}
+    assert sorted(decided) == sorted(EXACT_PATHS + ("numeric",))
+    assert all(decided[p].exact for p in EXACT_PATHS)
+    assert decided["numeric"].verdict == EQUAL
+    assert not decided["numeric"].exact
+    assert not decide_equivalence(u * u, u * v).exact
+    for path in (*EXACT_PATHS, "numeric"):
+        assert not EqDecision(DIFFERENT, path).exact

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from rdsymm.expr import (Add, DomainError, ExprError, Jet, Ker, Mul, ONE, Rat,
-                         Sym, cos_, differentiate, exp_, jet, ker, ln_, powe,
-                         rat, sin_, sym)
+                         Sym, cos_, differentiate, exp_, is_positive, jet, ker,
+                         ln_, powe, rat, sin_, sym)
 from rdsymm.numeric import (DPS, _EXACT_POWER_BITS, Sampler, UnboundSymbol,
                             eval_at, magnitude, random_fraction, to_float)
 from rdsymm.corpus import load_rows
@@ -116,6 +116,27 @@ def test_integral_powers_are_exact_only_while_the_result_stays_small():
         Fraction(43, 9) ** 5000
 
 
+# u, v, t, x_i, parameters and jets of order 1 and 2
+SAMPLED_ATOMS = [u, v, t, sym("x1"), sym("x2"), sym("mu"), jet("u", 1),
+                 jet("v", 0, (1,)), jet("u", 2), jet("v", 1, (2,)),
+                 jet("u", 0, (1, 2))]
+
+
+@pytest.mark.parametrize("span", [{}, {"nums": (2, 5), "dens": (2, 5)}])
+def test_the_sampler_draws_the_declared_domain(span):
+    negative = set()
+    for seed in range(64):
+        point = Sampler(random.Random(seed)).point(SAMPLED_ATOMS, **span)
+        rng = random.Random(seed)
+        assert list(point.items()) == [
+            (a, random_fraction(rng, is_positive(a), **span))
+            for a in SAMPLED_ATOMS]
+        assert all(point[a] > 0 for a in SAMPLED_ATOMS if is_positive(a))
+        negative |= {a for a, val in point.items() if val < 0}
+    assert negative == {a for a in SAMPLED_ATOMS if not is_positive(a)}
+    assert {u, v} == set(SAMPLED_ATOMS) - negative
+
+
 class _CountingSampler(Sampler):
     def __init__(self, rng):
         super().__init__(rng)
@@ -135,7 +156,7 @@ def test_eval_at_evaluates_each_distinct_node_once():
             f = ker("F", e)
             e = sin_(f) + cos_(f)
         sampler = _CountingSampler(random.Random(0))
-        point = sampler.point([t], lambda rng, a: Fraction(1, 2))
+        point = sampler.point([t])
         want = eval_at(e, point, kernel_values=sampler)
         assert sampler.calls == depth
         # another expression at the same point reads the point's table

@@ -3,7 +3,7 @@ from collections import Counter
 import pytest
 
 from rdsymm.corpus import load_rows
-from rdsymm.equality import decide_equivalence
+from rdsymm.equality import EXACT_PATHS, decide_equivalence
 from rdsymm.expr import (MINUS_ONE, T, U, V, ZERO, add, exp_, jet, ker, mul,
                          powe, rat, substitute, sym)
 from rdsymm.fields import Generator, generator, named_operator
@@ -20,7 +20,6 @@ from rdsymm.verify import instantiate_row, symbolic_branches
 
 u, v, t = jet("u"), jet("v"), sym("t")
 x1 = sym("x1")
-EXACT_PATHS = ("normalize", "expand")
 a, lam, mu, nu, sig, om = (sym("a"), sym("lam"), sym("mu"), sym("nu"),
                            sym("sig"), sym("om"))
 
@@ -211,7 +210,7 @@ def test_transported_symmetry_holds_exactly(L):
     rep = is_symmetry(apply_equiv(S, L), pushforward(X1, L))
     if not rep.holds:
         pytest.fail(f"transported symmetry reads {rep.verdict}")
-    assert all(d.path in EXACT_PATHS for d in rep.decisions), \
+    assert all(d.exact for d in rep.decisions), \
         rep.decision_path
 
 
@@ -287,6 +286,6 @@ def test_claimed_aets_carry_claimed_symmetries():
                     tally["skipped"] += 1
                     continue
                 rep = is_symmetry(image, pushforward(ci.generator, tr))
-                exact = all(d.path in EXACT_PATHS for d in rep.decisions)
+                exact = all(d.exact for d in rep.decisions)
                 tally[rep.verdict if exact else "inexact"] += 1
     assert tally == {"holds": 44, "inapplicable": 6, "skipped": 4}

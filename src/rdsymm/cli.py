@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 
 from .corpus import TABLES
 from .expr import ExprError, substitute, sym
@@ -208,15 +209,22 @@ def _peek_m(path) -> int:
 
 def cmd_corpus_run(args) -> int:
     modes = ("symbolic", "witness") if args.mode == "both" else (args.mode,)
-    rep = run_suite(tables=args.table or TABLES, items=args.item or None,
-                    m_values=args.m or None, seed=args.seed, modes=modes)
-    if not rep.runs:
-        raise UsageError("no corpus row matches the filters")
-    payload = rep.to_json()
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    if args.json:
-        with open(args.json, "w") as fh:
-            fh.write(text + "\n")
+    # open the report first: a path that cannot be written fails at once,
+    # not after the whole suite has run; appending leaves a report already
+    # there as it is until the new one replaces it
+    try:
+        out = open(args.json, "a") if args.json else nullcontext()
+    except OSError as exc:
+        raise UsageError(f"cannot write {args.json}: {exc}")
+    with out as fh:
+        rep = run_suite(tables=args.table or TABLES, items=args.item or None,
+                        m_values=args.m or None, seed=args.seed, modes=modes)
+        if not rep.runs:
+            raise UsageError("no corpus row matches the filters")
+        payload = rep.to_json()
+        if fh is not None:
+            fh.truncate(0)
+            fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     for run in rep.runs:
         print(f"{run.row_key}: {run.status}"
               + (" (annotated)" if run.annotated and run.status == "fail" else ""))

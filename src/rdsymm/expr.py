@@ -45,17 +45,32 @@ run's work into the next.
 
 Products of sums are *not* distributed here; :func:`expand` does that in
 one pass over the tree, reduces cos powers per monomial through
-cos^2 = 1 - sin^2, and merges the terms once.  Its walk keeps the terms of
-each node and power it meets in a table; inside a
-:func:`shared_expansions` block every ``expand`` call reads and fills the
-block's one table, which ``verify.verify_row`` opens for a corpus row, whose
-claim checks share most subtrees of their residuals.  This is exact: the
-terms are a pure function of a hash-consed node, the table holds its keys
-alive so a key always names the same expression, no caller mutates a term
-list it gets, and a node whose expansion raises is never stored.  The
-table is dropped with its block, so no run inherits another's work.  ``sin``/``cos`` pull the
+cos^2 = 1 - sin^2, and merges the terms once.  ``sin``/``cos`` pull the
 sign out of their argument, choosing between a and -a by a fixed rule, so
 sin(-a) = -sin(a) and cos(-a) = cos(a) share one argument.
+
+``verify.verify_row`` checks a corpus row inside one
+:func:`shared_derivations` block, since the row's claim checks (each m,
+symbolic branch and witness seed) derive the same objects again and
+again.  The block's one table keeps:
+
+* the terms of each node and power an ``expand`` walk meets (outside a
+  block each call keeps a table of its own);
+* through :func:`shared`, each top-level ``differentiate(e, s, rules)``,
+  each ``Generator.prolonged(rules)`` under (X's coefficients, rules) and
+  each t-jet replacement of ``systems.tjet_replacements`` under (right-hand
+  side, jet, m, rules).
+
+Instantiating a row builds a new ``RuleSet`` each time, so a rule set
+compares and hashes by content: the name, slot, order, params and
+template of each rule, in order.  The table is exact: each entry is a
+pure function of its key, which names hash-consed nodes and rule content
+only; the table holds its keys alive, so a key always names the same
+expressions; no caller mutates what it gets (a ``ProlongedGenerator``
+only fills in more phi^J, each a function of the same key); and a build
+that raises stores nothing.  The table is dropped with its block, so no
+row or run inherits another's work, and with no block open nothing is
+kept.
 
 Structural walks reach subexpressions only through :func:`children` and put
 nodes back together only through :func:`rebuild`, which always goes through
@@ -808,10 +823,26 @@ class KernelRule:
 
 
 class RuleSet:
+    """Kernel rules grouped by kernel name, in the order given.  Two sets
+    are equal, and hash alike, when they hold the same rules in the same
+    order: the content is the tuple of each rule's (name, slot, order,
+    params, template), whose nodes are hash-consed, so comparing two sets
+    built separately for one row is cheap."""
+
     def __init__(self, rules: Iterable[KernelRule] = ()):
         self._by_name = {}
         for r in rules:
             self._by_name.setdefault(r.name, []).append(r)
+        self._content = tuple((r.name, r.slot, r.order, r.params, r.template)
+                              for r in self)
+        self._hash = hash(self._content)
+
+    def __eq__(self, other):
+        return self is other or (isinstance(other, RuleSet)
+                                 and self._content == other._content)
+
+    def __hash__(self):
+        return self._hash
 
     def __bool__(self):
         return bool(self._by_name)
@@ -889,25 +920,33 @@ def _ker_slot_derivative(e: Ker, slot: int, rules: RuleSet) -> Expr:
     return reduce_kernel(e.name, e.args, dvec, rules)
 
 
-def differentiate(e: Expr, s: Expr, rules: RuleSet = EMPTY_RULES,
-                  _memo=None) -> Expr:
-    """Exact partial derivative of e with respect to the atom s."""
+def differentiate(e: Expr, s: Expr, rules: RuleSet = EMPTY_RULES) -> Expr:
+    """Exact partial derivative of e with respect to the atom s; inside a
+    :func:`shared_derivations` block it is kept in the block's table."""
     if not isinstance(s, (Sym, Jet)):
         raise ExprError(f"can only differentiate by a symbol, got {s!r}")
     if e is s:
         return ONE
     if s not in free_symbols(e):
         return ZERO
-    if _memo is None:
-        _memo = {}
-    hit = _memo.get(e)
+    return shared((e, s, rules), _derivative, e, s, rules, {})
+
+
+def _derivative(e: Expr, s: Expr, rules: RuleSet, memo: dict) -> Expr:
+    """de/ds; ``memo`` maps each node already differentiated in one
+    ``differentiate`` call to its derivative."""
+    if e is s:
+        return ONE
+    if s not in free_symbols(e):
+        return ZERO
+    hit = memo.get(e)
     if hit is not None:
         return hit
 
     if isinstance(e, Ker):
         parts = []
         for i, a in enumerate(e.args):
-            da = differentiate(a, s, rules, _memo)
+            da = _derivative(a, s, rules, memo)
             if is_zero(da):
                 continue
             parts.append(mul(_ker_slot_derivative(e, i, rules), da))
@@ -917,8 +956,8 @@ def differentiate(e: Expr, s: Expr, rules: RuleSet = EMPTY_RULES,
         parts = []
         for i, (b, x) in enumerate(e.pairs):
             # d(b^x) = x*b^(x-1)*db + ln(b)*b^x*dx
-            df = differentiate(b, s, rules, _memo)
-            dx = differentiate(x, s, rules, _memo)
+            df = _derivative(b, s, rules, memo)
+            dx = _derivative(x, s, rules, memo)
             if x is not ONE and not is_zero(df):
                 df = mul(x, powe(b, add(x, MINUS_ONE)), df)
             if not is_zero(dx):
@@ -928,10 +967,10 @@ def differentiate(e: Expr, s: Expr, rules: RuleSet = EMPTY_RULES,
                                  *factors[:i], *factors[i + 1:]))
         out = add(*parts) if parts else ZERO
     elif isinstance(e, Add):
-        out = add(*[differentiate(t, s, rules, _memo) for t in e.terms])
+        out = add(*[_derivative(t, s, rules, memo) for t in e.terms])
     else:
         raise ExprError(f"unknown node {e!r}")
-    _memo[e] = out
+    memo[e] = out
     return out
 
 
@@ -1051,15 +1090,16 @@ def _cos_reduced(t: Expr, memo: dict) -> list:
     return [t]
 
 
-# the expansion table of the open shared_expansions() block, else None
+# the table of the open shared_derivations() block, else None
 _SHARED = None
 
 
 @contextmanager
-def shared_expansions():
-    """A block whose ``expand`` calls share one table of the terms of each
-    node and power met, dropped when the block ends; every result is the
-    one a call outside any block gives (see the module docstring)."""
+def shared_derivations():
+    """A block whose derivations share one table, dropped when the block
+    ends: the terms ``expand`` meets and whatever :func:`shared` builds.
+    Every result is the one a call outside any block gives (see the module
+    docstring)."""
     global _SHARED
     outer, _SHARED = _SHARED, {}
     try:
@@ -1068,12 +1108,27 @@ def shared_expansions():
         _SHARED = outer
 
 
+def shared(key, build, *args):
+    """build(*args), kept in the open :func:`shared_derivations` block's
+    table under (build, key), where ``key`` names everything the result
+    depends on; with no block open it is just built.  A build that raises
+    stores nothing."""
+    table = _SHARED
+    if table is None:
+        return build(*args)
+    key = (build, key)
+    out = table.get(key)
+    if out is None:
+        out = table[key] = build(*args)
+    return out
+
+
 def expand(e: Expr) -> Expr:
     """Fully distribute products over sums and reduce cos powers to <= 1.
 
     One pass collects the distributed terms of e unmerged, each term has
     its cos powers reduced through cos^2 = 1 - sin^2, and a single ``add``
-    merges the lot.  Inside a :func:`shared_expansions` block the walk reads
+    merges the lot.  Inside a :func:`shared_derivations` block the walk reads
     and fills the block's table, else a table of its own.  Raises ExprError
     when a product would exceed ``_EXPAND_TERM_CAP`` terms."""
     memo = _SHARED if _SHARED is not None else {}

@@ -18,10 +18,14 @@ jet itself is checked against m and ``MAX_ORDER``, so a shift or a
 rotation, whose coefficients are mostly constant, prolongs without
 building a total derivative of 0.
 
-pr X depends only on X and the kernel rules, so a generator keeps one
-prolongation (``Generator.prolonged``): the one for the last rule set it
-was prolonged under.  Checking one generator against many systems with the
-same rules derives each phi^a_J once.
+pr X depends only on X's coefficients and the kernel rules, so a
+generator keeps one prolongation (``Generator.prolonged``): the one for the
+last rule set it was prolonged under, rule sets being compared by content.
+Checking one generator against many systems with the same rules derives
+each phi^a_J once.  Inside an ``expr.shared_derivations`` block, which
+``verify.verify_row`` opens for a corpus row, the prolongation is also kept
+in the block's table under (coefficients, rules), so the equal generators
+that each instantiation of the row builds afresh share one.
 
 The named operators below are the dilation/Galilei/conformal family for the
 triangular systems.  The boost and conformal weights carry the coefficients
@@ -38,7 +42,7 @@ from typing import Dict, Optional, Sequence, Tuple
 from .equality import decide_equivalence
 from .expr import (EMPTY_RULES, Expr, Jet, MINUS_ONE, ONE, RuleSet, T, ZERO,
                    add, as_expr, differentiate, exp_, free_symbols, is_zero,
-                   jet, jets_in, mul, powe, rat)
+                   jet, jets_in, mul, powe, rat, shared)
 from .jets import (MAX_ORDER, Direction, JetOrderError, coords,
                    total_derivative, x_squared)
 
@@ -59,11 +63,14 @@ class Generator:
 
     def prolonged(self, rules: RuleSet = EMPTY_RULES) -> "ProlongedGenerator":
         """pr X under ``rules``, kept on the generator: the same object is
-        returned while the rule set is the same object, and a new one
-        replaces it when another rule set comes."""
+        returned while the rule set is equal, and another replaces it when
+        an unequal rule set comes.  Inside a ``shared_derivations`` block
+        it is also kept in the block's table under X's coefficients and the
+        rules, so equal generators share it."""
         pr = self._pr
-        if pr is None or pr.rules is not rules:
-            pr = ProlongedGenerator(self, rules)
+        if pr is None or pr.rules != rules:
+            pr = shared((self.coeffs(), rules), ProlongedGenerator, self,
+                        rules)
             object.__setattr__(self, "_pr", pr)
         return pr
 
@@ -141,7 +148,8 @@ class ProlongedGenerator:
     when first needed.  Every phi^J is kept, keyed by its hash-consed
     ``Jet`` node.  ``Generator.prolonged`` keeps one ProlongedGenerator on
     its generator, for the last rule set used, so the phi^J of one
-    generator are shared by every system with those rules; one built
+    generator are shared by every system with equal rules, and inside a
+    ``shared_derivations`` block by every equal generator; one built
     directly lives as long as its caller holds it."""
 
     def __init__(self, x: Generator, rules: RuleSet = EMPTY_RULES):

@@ -113,12 +113,25 @@ class Sampler:
         return self.kernels[key]
 
 
+# each rational's raw mpf, keyed by (numerator, denominator): the sample
+# points and the nodes' numbers repeat a few thousand rationals many times
+# over; cleared whenever it holds _INEXACT_CAP entries
+_INEXACT = {}
+_INEXACT_CAP = 4096
+
+
 def _inexact(x):
     """x as a raw mpf: an exact value is converted at ``_PREC`` bits with
     ``from_rational``'s default rounding (down), as mpmath's ``convert``
-    does it for the equal Fraction."""
+    does it for the equal Fraction, once per value (see ``_INEXACT``)."""
     if type(x) is not tuple:
-        return from_rational(x.numerator, x.denominator, _PREC)
+        key = (x.numerator, x.denominator)
+        out = _INEXACT.get(key)
+        if out is None:
+            if len(_INEXACT) >= _INEXACT_CAP:
+                _INEXACT.clear()
+            out = _INEXACT[key] = from_rational(*key, _PREC)
+        return out
     return x
 
 

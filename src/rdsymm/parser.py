@@ -5,6 +5,8 @@ Grammar (UTF-8 text): identifiers ``[a-zA-Z_][a-zA-Z0-9_]*``; binary
 minus; ``name(arg, ...)`` applies a kernel; ``exp``, ``ln``, ``sin``,
 ``cos`` are reserved.  Jet coordinates are written ``u_t``, ``u_x1``,
 ``u_x1x2``, ``v_tt``...; ``u`` and ``v`` alone are the order-zero jets.
+Any other identifier that starts with ``u_`` or ``v_`` (``u_xx``, ``v_y``)
+is a ``ParseError``, never a parameter.
 
 Derived opaque kernels print as ``name__d1_0(args)`` (one count per
 argument slot); the parser folds that suffix back into the derivative
@@ -60,7 +62,10 @@ def _tokenize(text: str):
     return out
 
 
-def _ident_to_expr(name: str) -> Expr:
+def _ident_to_expr(name: str, offset: int) -> Expr:
+    """The jet or parameter an identifier names; a name that starts like a
+    jet (``u_``, ``v_``) but is not one, such as ``u_xx``, is refused
+    rather than read as a parameter."""
     if name == "u":
         return jet("u")
     if name == "v":
@@ -76,6 +81,9 @@ def _ident_to_expr(name: str) -> Expr:
             else:
                 xs.append(int(part.group(1)))
         return jet(dep, nt, tuple(xs))
+    if name.startswith(("u_", "v_")):
+        raise ParseError(f"malformed jet name {name!r}: write u_t, u_x1, "
+                         "u_tx1x2, ...", offset)
     return sym(name)
 
 
@@ -177,7 +185,7 @@ class _Parser:
                     if len(dvec) != len(args):
                         raise ParseError("derivative suffix arity mismatch", off)
                 return ker(name, *args, dvec=dvec)
-            return _ident_to_expr(val)
+            return _ident_to_expr(val, off)
         raise ParseError(f"unexpected token {val!r}" if kind != "end"
                          else "unexpected end of input", off,
                          {"number", "identifier", "(", "-"})

@@ -17,7 +17,10 @@ The right-hand sides depend on the system alone, so a system keeps them,
 as a generator keeps its prolongation: ``RDSystem.rhs`` builds the pair
 once and every later check of the same system (against P0, P_a, J_ab, ...)
 reuses it.  ``dataclasses.replace`` builds a new system, which builds its
-own.
+own.  A t-jet's replacement depends only on its right-hand side, m and the
+rules, so inside an ``expr.shared_derivations`` block (one corpus row) it is
+built once for all the row's systems with an equal right-hand side, and
+outside one it is built on each call.
 
 The classifying-equation residuals are transcribed from the classification's
 closed displays, with two corrections that the cross-validation suite pins
@@ -35,7 +38,7 @@ from .equality import EQUAL, DIFFERENT, EqDecision, decide_equivalence
 from .expr import (EMPTY_RULES, Expr, ExprError, Jet, KernelRule,
                    MINUS_ONE, ONE, RuleSet, T, U, V, ZERO, add, as_expr,
                    differentiate, expand, is_zero, jet, jets_in, ker, mul,
-                   powe, rat, substitute, free_symbols, Rat)
+                   powe, rat, shared, substitute, free_symbols, Rat)
 from .fields import Generator, ProlongedGenerator, generator, weight_bracket
 from .jets import (JetOrderError, coords, is_coordinate, laplacian,
                    total_derivatives, x_squared)
@@ -147,11 +150,15 @@ def tjet_replacements(system: RDSystem, tjets: Iterable[Jet]
     """Each t-jet written through the system on the solution manifold: the
     right-hand side of its equation, then D_x for each spatial index, then
     D_t (nt - 1) times.  Replacements of jets with nt >= 2 still carry
-    t-jets of lower order."""
+    t-jets of lower order.  Inside a ``shared_derivations`` block each is
+    kept in the block's table under its right-hand side, jet, m and rules,
+    so systems with equal right-hand sides share it."""
     rhs = system.rhs()
-    return {j: total_derivatives(rhs[0] if j.dep == "u" else rhs[1],
-                                 j.nt - 1, j.xs, system.m, system.rules)
-            for j in tjets}
+    m, rules = system.m, system.rules
+    return {j: shared((side, j, m, rules), total_derivatives, side,
+                      j.nt - 1, j.xs, m, rules)
+            for j in tjets
+            for side in (rhs[0] if j.dep == "u" else rhs[1],)}
 
 
 def prolonged_equations(system: RDSystem, x: Generator) -> Tuple[Expr, Expr]:

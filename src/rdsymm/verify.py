@@ -26,7 +26,7 @@ from .corpus import (TABLES, CorpusRow, RowTemplate, build_rules, load_rows,
                      witness_menu)
 from .expr import (Add, DomainError, Expr, Jet, KernelRule, RuleSet, Sym, ZERO,
                    add, apply_rules, is_zero, jet, jets_in, mul, rat,
-                   shared_expansions, substitute, sym, free_symbols)
+                   shared_derivations, substitute, sym, free_symbols)
 from .fields import Generator
 from .numeric import Sampler, eval_at, magnitude
 from .parser import to_text
@@ -249,9 +249,9 @@ def verify_row(row: CorpusRow, seeds: Sequence[int] = (0, 1, 2),
     results = []
     any_fail = False
     any_undecided = False
-    # the row's checks share most subtrees of their residuals: expand
-    # each once per row
-    with shared_expansions():
+    # the row's checks share most of their derivations: prolong, replace
+    # each t-jet, differentiate and expand each once per row
+    with shared_derivations():
         for m in m_list:
             plans = []
             if "symbolic" in modes:

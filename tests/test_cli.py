@@ -183,6 +183,7 @@ def test_parse_error_exit_2(tmp_path, sysfile):
 
 def test_corpus_run_filtered(tmp_path, capsys):
     out_json = str(tmp_path / "report.json")
+    Path(out_json).write_text("an older, longer report\n" * 1000)
     code = main(["corpus", "run", "--table", "3", "--seed", "1",
                  "--json", out_json])
     assert code == 0
@@ -293,6 +294,8 @@ _GEN = {"eta": "1", "xi": ["0"], "pi": ["0", "0"]}
     ("equiv", _TRIANGULAR, {"kind": "linear", "params": {"lam": None}}),
     ("equiv", _TRIANGULAR, {"kind": "vshift", "phi": True}),
     ("equiv", _TRIANGULAR, {"kind": "vshift_full", "phihat": None}),
+    ("verify", _TRIANGULAR, {**_GEN, "pi": ["u_xxxxx", "0"]}),
+    ("verify", {**_TRIANGULAR, "f2": "v_y"}, _GEN),
 ], ids=["m0", "division_by_zero", "aet_without_index", "aet_index_42",
         "aet_index_fractional", "aet_index_boolean",
         "array_system", "array_generator", "constraints", "nested_3000",
@@ -308,7 +311,8 @@ _GEN = {"eta": "1", "xi": ["0"], "pi": ["0", "0"]}
         "drift_p_zero", "equiv_drift_p_zero",
         "param_value_null", "eta_null", "xi_boolean", "pi2_null",
         "commutator_xi_null", "linear_param_null", "vshift_phi_boolean",
-        "vshift_full_phihat_null"])
+        "vshift_full_phihat_null", "malformed_jet_in_pi1",
+        "malformed_jet_in_f2"])
 def test_input_faults_exit_2_with_one_line(tmp_path, capsys, command, system,
                                            other):
     first = _write(tmp_path, "first.json", system)
@@ -345,3 +349,27 @@ def test_corpus_run_selecting_no_row_exits_2(capsys, argv):
     assert captured.out == ""
     assert "error: " in captured.err.splitlines()[-1]
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("where", ["missing_dir", "a_directory"])
+def test_corpus_run_to_an_unwritable_report_exits_2_before_running(
+        tmp_path, capsys, monkeypatch, where):
+    path = tmp_path / "no" / "out.json" if where == "missing_dir" else tmp_path
+
+    def never(*args, **kw):
+        raise AssertionError("the suite ran")
+
+    monkeypatch.setattr(rdsymm.cli, "run_suite", never)
+    assert main(["corpus", "run", "--table", "3", "--json", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write ")
+    assert captured.err.count("\n") == 1
+
+
+def test_corpus_run_selecting_no_row_keeps_the_last_report(tmp_path):
+    report = tmp_path / "report.json"
+    report.write_text('{"counts": {}}\n')
+    assert main(["corpus", "run", "--item", "nosuch",
+                 "--json", str(report)]) == 2
+    assert report.read_text() == '{"counts": {}}\n'

@@ -15,7 +15,8 @@ from rdsymm import expr
 from rdsymm.corpus import TABLES, load_rows, load_table
 from rdsymm.equality import decide_equivalence
 from rdsymm.expr import ZERO, exp_, jet, ker, powe, rat, sym
-from rdsymm.fields import generator
+from rdsymm.fields import ProlongedGenerator, generator
+from rdsymm.jets import total_derivatives
 from rdsymm.parser import parse, to_text
 from rdsymm.systems import classifying_residual_main, is_symmetry, triangular
 from rdsymm.verify import (apply_correction, instantiate_row,
@@ -238,6 +239,24 @@ def test_a_row_shares_one_expansion_table_and_drops_it(monkeypatch):
     with pytest.raises(RuntimeError):
         verify_row(row, m_values=row.m_list[:1])
     assert expr._SHARED is None
+
+
+def test_a_row_table_keeps_each_kind_of_derivation(monkeypatch):
+    row = next(r for r in load_rows() if r.key == "T4.3")
+    tables = []
+
+    def recording(*args, **kw):
+        tables.append(expr._SHARED)
+        return is_symmetry(*args, **kw)
+
+    monkeypatch.setattr(rdsymm.verify, "is_symmetry", recording)
+    verify_row(row, m_values=row.m_list[:1])
+    assert expr._SHARED is None
+    builds = {key[0] for key in tables[0] if type(key) is tuple
+              and callable(key[0])}
+    assert builds == {expr._derivative, ProlongedGenerator, total_derivatives}
+    # the expansion walk's entries: the terms of nodes and of powers
+    assert any(isinstance(key, expr.Expr) for key in tables[0])
 
 
 def test_decision_sequence_is_pinned(monkeypatch):

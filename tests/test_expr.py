@@ -109,16 +109,16 @@ def test_differentiate_skips_subtrees_without_the_atom(monkeypatch):
     e = t * tower + u
     free_symbols(e)
     calls = []
-    real = expr.differentiate
+    real = expr._derivative
 
     def counting(n, s, *rest):
         calls.append(n)
         return real(n, s, *rest)
 
-    monkeypatch.setattr(expr, "differentiate", counting)
+    monkeypatch.setattr(expr, "_derivative", counting)
     reads = _count_children(monkeypatch)
     assert is_zero(expr.differentiate(tower, u))
-    assert calls == [tower] and reads == []
+    assert calls == [] and reads == []
     calls.clear()
     assert expr.differentiate(e, u) is rat(1)
     assert sorted(calls, key=id) == sorted([e, *e.terms], key=id)
@@ -409,12 +409,69 @@ def test_a_shared_expansion_is_the_one_a_fresh_call_gives(warm, e):
     # a table warmed with other expressions and with e's own subtrees gives
     # e the very node (or the error) that a call outside any block gives
     want = _expanded_or_error(e)
-    with expr.shared_expansions():
+    with expr.shared_derivations():
         for w in [*warm, *children(e)]:
             _expanded_or_error(w)
         assert _expanded_or_error(e) is want
         assert _expanded_or_error(e) is want
     assert _expanded_or_error(e) is want
+
+
+def _rule_sets(kind):
+    """A rule set for F, built afresh on every call."""
+    s = sym("s")
+    if kind == "relation":
+        return RuleSet([KernelRule("F", 0, 1, [s], ker("F", s))])  # F' = F
+    if kind == "definition":
+        return RuleSet([KernelRule("F", 0, 0, [s], s ** 3)])  # F(s) = s^3
+    return RuleSet()
+
+
+def _derived_or_error(e, s, rules):
+    try:
+        return differentiate(e, s, rules)
+    except ExprError as exc:
+        return type(exc)
+
+
+_kinds = st.sampled_from(["none", "relation", "definition"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_exprs(), _atoms, _kinds), max_size=4), _exprs(),
+       _exprs(2), _atoms, _kinds)
+@example([], powe(rat(0), u - 1), rat(1), u, "none")
+def test_a_shared_derivative_is_the_one_a_fresh_call_gives(warm, e, arg, s,
+                                                            kind):
+    # a table warmed with other derivatives, with de/ds under every rule
+    # set (its own built apart) and with the derivatives of e's subtrees
+    # gives de/ds the very node (or the error) that a call outside any
+    # block gives
+    e = add(e, mul(arg, ker("F", arg)))
+    want = _derived_or_error(e, s, _rule_sets(kind))
+    with expr.shared_derivations():
+        for other in ("none", "relation", "definition"):
+            _derived_or_error(e, s, _rule_sets(other))
+        for w, ws, wk in [*warm, *((c, s, kind) for c in children(e))]:
+            _derived_or_error(w, ws, _rule_sets(wk))
+        for _ in range(2):
+            assert _derived_or_error(e, s, _rule_sets(kind)) is want
+    assert _derived_or_error(e, s, _rule_sets(kind)) is want
+
+
+def test_rule_sets_compare_by_content():
+    s = sym("s")
+    first, second = (KernelRule("F", 0, 1, [s], ker("F", s)),
+                     KernelRule("G", 0, 0, [s], s ** 2))
+    one = RuleSet([first, second])
+    twin = RuleSet([KernelRule("F", 0, 1, [sym("s")], ker("F", s)),
+                    KernelRule("G", 0, 0, [s], mul(s, s))])
+    assert one == twin and hash(one) == hash(twin) and one is not twin
+    assert RuleSet() == expr.EMPTY_RULES
+    assert hash(RuleSet()) == hash(expr.EMPTY_RULES)
+    assert RuleSet([second, first]) != one
+    assert RuleSet([first, KernelRule("G", 0, 0, [s], s ** 3)]) != one
+    assert RuleSet([first]) != one and one != (first, second)
 
 
 _POSITIVE_POINT = {u: Fraction(3, 2), v: Fraction(2, 3), t: Fraction(5, 4),

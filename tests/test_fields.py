@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 from rdsymm.equality import decide_equivalence
 from rdsymm import fields
 from rdsymm.expr import (EMPTY_RULES, Jet, RuleSet, add, differentiate, exp_,
-                         is_zero, jet, jets_in, ker, mul, rat, sym)
+                         is_zero, jet, jets_in, ker, mul, rat,
+                         shared_derivations, sym)
 from rdsymm.jets import MAX_ORDER, JetOrderError, coords, total_derivative
 from rdsymm.fields import (CauchyRiemannError, Generator, ProlongedGenerator,
                            commutator, generator, h_field, named_operator,
@@ -158,6 +159,50 @@ def _polynomial_generators(draw):
 @given(_polynomial_generators())
 def test_phi_is_the_full_recursion_for_random_polynomial_generators(g):
     _assert_phi_is_reference(g)
+
+
+def _phis_or_errors(pr, m):
+    out = []
+    for j in [*(j for j in _jets_up_to_max_order(m) if j.order <= 2),
+              jet("u", 0, (m + 1,))]:
+        try:
+            out.append(pr.phi(j))
+        except JetOrderError as exc:
+            out.append(type(exc))
+    return out
+
+
+def _heat_rules(m):
+    """The heat kernel's relations at m, built afresh on every call."""
+    return RuleSet([heat_kernel_rule("psi", [t, *coords(m)], a, sym("nu"))])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_polynomial_generators(), max_size=3),
+       _polynomial_generators(), st.booleans())
+def test_a_shared_prolongation_is_the_one_a_fresh_call_gives(warm, g, psi):
+    # a table warmed with other generators, with g under other rules, with
+    # g's coefficients but another pi2, and with an equal generator under
+    # an equal rule set built apart gives every phi^J the very node (or the
+    # error) that a prolongation outside any block gives
+    if psi:
+        g = g.map(lambda c: mul(c, ker("psi", t, *coords(g.m))))
+    want = _phis_or_errors(Generator(g.eta, g.xi, g.pi1, g.pi2).prolonged(
+        _heat_rules(g.m)), g.m)
+    with shared_derivations():
+        for w, rules in [*((w, _heat_rules(w.m)) for w in warm),
+                         (g, EMPTY_RULES),
+                         (Generator(g.eta, g.xi, g.pi1, add(g.pi2, v)),
+                          _heat_rules(g.m))]:
+            _phis_or_errors(w.prolonged(rules), w.m)
+        twin = Generator(g.eta, g.xi, g.pi1, g.pi2)
+        pr = twin.prolonged(_heat_rules(g.m))
+        _phis_or_errors(pr, g.m)
+        fresh = Generator(g.eta, g.xi, g.pi1, g.pi2)
+        assert fresh.prolonged(_heat_rules(g.m)) is pr
+        assert all(a is b for a, b in zip(_phis_or_errors(pr, g.m), want))
+    assert fresh.prolonged(_heat_rules(g.m)) is pr
+    assert Generator(g.eta, g.xi, g.pi1, g.pi2).prolonged() is not pr
 
 
 def test_jets_are_checked_whatever_the_coefficients():

@@ -62,6 +62,19 @@ def test_errors_carry_offset():
         parse("u v")
 
 
+@pytest.mark.parametrize("name", ["u_xx", "v_y", "u_xxxxx", "u_1", "v_",
+                                  "u_tx", "v_x1y"])
+def test_a_malformed_jet_name_is_not_a_parameter(name):
+    with pytest.raises(ParseError) as err:
+        parse(f"2*{name} + 1")
+    assert err.value.offset == 2 and repr(name) in str(err.value)
+
+
+def test_names_that_only_resemble_jets_are_parameters():
+    for name in ("u1", "v2", "uu_x", "mu_x", "U_x", "_u_x"):
+        assert parse(name) == sym(name)
+
+
 _texts = st.sampled_from([
     "u^2 - 1", "lam*u^(nu+1)*exp(mu*v/u)", "u_t - a*u_x1x1",
     "sin(t)*u + cos(t)*v", "F1(u/v) + F2(u/v)*u^mu",

@@ -2,14 +2,15 @@ from collections import defaultdict
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rdsymm import fields
 from rdsymm.equality import decide_equivalence
 from rdsymm.expr import (ZERO, add, exp_, expand, is_zero, jet, jets_in, ker,
-                         ln_, mul, powe, rat, sym, Add, Jet, RuleSet,
-                         _term_parts, _from_parts)
+                         ln_, mul, powe, rat, shared_derivations, sym, Add,
+                         Jet, RuleSet, _term_parts, _from_parts)
 from rdsymm.fields import Generator, generator, named_operator
-from rdsymm.jets import coords, total_derivative
+from rdsymm.jets import JetOrderError, coords, total_derivative
 from rdsymm.parser import parse, to_text
 from rdsymm.systems import (FullSymmetryData, RDSystem,
                             classifying_residual_a0,
@@ -18,7 +19,7 @@ from rdsymm.systems import (FullSymmetryData, RDSystem,
                             classifying_residual_main, drift, drift_normalize,
                             extension_check, heat_kernel_rule, is_symmetry,
                             prolonged_equations, symmetry_residual,
-                            triangular)
+                            tjet_replacements, triangular)
 from rdsymm.verify import minimal_failing_monomial
 
 u, v, t = jet("u"), jet("v"), sym("t")
@@ -151,6 +152,52 @@ def test_one_generator_against_systems_with_other_rules():
         got.setdefault(S.rules, r)
         assert got[S.rules] == r
     assert got[A.rules] != got[B.rules]
+
+
+def _rhs_polynomials(m):
+    atoms = [u, v, t, *coords(m), jet("u", 0, (1,)), jet("v", 0, (m,)),
+             jet("u", 0, (1, m)), ker("psi", t, *coords(m))]
+    monomials = st.builds(
+        lambda c, fs: mul(rat(c), *fs), st.integers(-3, 3),
+        st.lists(st.sampled_from(atoms), max_size=3))
+    return st.lists(monomials, max_size=3).map(lambda ts: add(*ts))
+
+
+@st.composite
+def _systems(draw):
+    """A system whose heat-kernel rules are built afresh on every draw."""
+    m = draw(st.integers(1, 2))
+    p = _rhs_polynomials(m)
+    rules = RuleSet([heat_kernel_rule("psi", [t, *coords(m)], a, nu)])
+    family = triangular if draw(st.booleans()) else drift
+    return family(m, draw(st.sampled_from([a, rat(2)])), draw(p), draw(p),
+                  rules)
+
+
+def _replacements_or_errors(system):
+    out = []
+    for j in (Jet(dep, nt, xs) for dep in "uv" for nt in (1, 2, 4)
+              for xs in ((), (1,), (1, system.m))):
+        try:
+            out.append(tjet_replacements(system, [j])[j])
+        except JetOrderError as exc:
+            out.append(type(exc))
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_systems(), max_size=2), _systems())
+def test_a_shared_tjet_replacement_is_the_one_a_fresh_call_gives(warm,
+                                                                 system):
+    # a table warmed with other systems and with an equal system built
+    # apart gives each t-jet the very replacement (or the error) that a
+    # call outside any block gives
+    want = _replacements_or_errors(system)
+    with shared_derivations():
+        for w in [*warm, replace(system, rules=RuleSet(system.rules))]:
+            _replacements_or_errors(w)
+        got = _replacements_or_errors(system)
+    assert all(x is y for x, y in zip(got, want))
 
 
 def test_a_second_system_with_the_same_rules_prolongs_nothing(monkeypatch):

@@ -1,14 +1,25 @@
 """Deciding whether two expressions are equivalent.
 
-Layered decision, cheapest first:
+``equal`` has one meaning: proved exactly.  Layered decision, cheapest
+first:
 
 1. the normalized difference is literally 0 (normalization happens at
    construction, so this is just a zero test);
 2. full expansion of the difference (distribution + cos-power reduction)
    cancels to 0 -- sound both ways for polynomials over independent atoms;
-3. randomized evaluation at rational points: any clear mismatch is a sound
-   "different"; agreement at every point is "equal" with the sampling
-   confidence recorded.
+   failing that, so does the expanded difference with its denominators
+   cleared: each power b^x of a sum or nonzero rational b, x not an
+   integer, is written b^n * w (n the floor of x's rational part, w a fresh
+   symbol per (b, x - n)), and each term is multiplied by b^k for every sum
+   b held somewhere to the power -k.  Sound, since b^x = b^n * b^(x-n)
+   wherever b^x is defined and b != 0, an independent w can only lose
+   completeness, each such b is nonzero wherever the difference is
+   defined, and a polynomial that is 0 in independent atoms is 0 at every
+   point;
+3. randomized evaluation at rational points only finds counterexamples:
+   any clear mismatch is a sound "different"; agreement at every point is
+   "undecided", since it is evidence and not a proof (Schwartz 1980,
+   Zippel 1979).
 
 Points and opaque-kernel values come from ``numeric.Sampler``: atoms are
 drawn as +-(1..6)/(1..3) on the domain ``expr.is_positive`` declares (a
@@ -16,13 +27,13 @@ point where a negative base meets a fractional power is drawn again), and
 opaque kernels are sampled as unconstrained smooth functions (every
 distinct (kernel, derivative, argument-values) triple gets an independent
 random value, consistently within one point).  Domain errors trigger
-resampling; if every attempt at every point fails the verdict is
-"undecided".  The cancellation guard compares in mpmath, so terms beyond
+resampling.  The cancellation guard compares in mpmath, so terms beyond
 float range are decided like any others.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,8 +41,9 @@ from typing import Optional
 
 import mpmath
 
-from .expr import (Add, DomainError, Expr, ExprError, ZERO, add, expand,
-                   free_symbols, is_zero, mul, rat)
+from .expr import (Add, DomainError, Expr, ExprError, Rat, ZERO, add, addends,
+                   expand, free_symbols, is_int, is_zero, mul, powe, rat,
+                   sym, term_parts)
 from .numeric import DPS, Sampler, UnboundSymbol, eval_at
 
 EQUAL = "equal"
@@ -41,8 +53,6 @@ UNDECIDED = "undecided"
 MISMATCH_TOL = 1e-20
 SAMPLES = 32          # sample points of the numeric layer
 MAX_RESAMPLE = 8      # draws per point before it is given up
-# the paths whose "equal" rests on no sampling
-EXACT_PATHS = ("normalize", "expand")
 
 
 @dataclass
@@ -59,11 +69,6 @@ class EqDecision:
     def __bool__(self):
         return self.verdict == EQUAL
 
-    @property
-    def exact(self) -> bool:
-        """Decided equal by an exact path, without sampling."""
-        return self.verdict == EQUAL and self.path in EXACT_PATHS
-
 
 def decide_equivalence(e1: Expr, e2: Expr, seed: int = 0) -> EqDecision:
     """Decide e1 == e2."""
@@ -77,6 +82,8 @@ def decide_equivalence(e1: Expr, e2: Expr, seed: int = 0) -> EqDecision:
         expanded = None
     if expanded is not None and is_zero(expanded):
         return EqDecision(EQUAL, "expand")
+    if expanded is not None and _cleared_is_zero(expanded):
+        return EqDecision(EQUAL, "expand", note="after clearing denominators")
     target = expanded if expanded is not None else diff
 
     fs = sorted(free_symbols(target), key=Expr.key)
@@ -106,20 +113,51 @@ def decide_equivalence(e1: Expr, e2: Expr, seed: int = 0) -> EqDecision:
                     sampled=target)
             done += 1
             break
-    if done == 0:
-        return EqDecision(UNDECIDED, "numeric",
-                          note=f"all {SAMPLES} points hit domain errors",
-                          sampled=target)
-    return EqDecision(EQUAL, "numeric", samples=done,
-                      note=f"agreed at {done} random points", sampled=target)
+    note = (f"agreed at {done} points" if done
+            else f"all {SAMPLES} points hit domain errors")
+    return EqDecision(UNDECIDED, "numeric", samples=done, note=note,
+                      sampled=target)
+
+
+def _cleared_is_zero(e: Expr) -> bool:
+    """The second half of layer 2: e, an expanded difference, with its
+    fractional powers of sums and rationals rebased onto fresh symbols and
+    its sum denominators multiplied through, expands to 0.  False when
+    there is nothing to rebase or clear, or a step raises."""
+    fresh = {}   # (b, x - n) -> its symbol, in u_ where no parse reaches
+    depth = {}   # sum base b -> the largest k of a b^-k
+    terms = []
+    try:
+        for t in addends(e):
+            coeff, pairs = term_parts(t)
+            factors = [rat(coeff)]
+            for b, x in pairs or ():
+                if not is_int(x) and (isinstance(b, Add) or
+                                      isinstance(b, Rat) and b is not ZERO):
+                    n = rat(math.floor(sum(s.value for s in addends(x)
+                                           if isinstance(s, Rat))))
+                    key = (b, add(x, -n))
+                    if key not in fresh:
+                        fresh[key] = sym(f"u_{len(fresh)}")
+                    factors.append(fresh[key])
+                    x = n
+                if isinstance(b, Add) and is_int(x) and x.value < 0:
+                    depth[b] = max(depth.get(b, 0), -x.value)
+                factors.append(powe(b, x))
+            terms.append(factors)
+        if not fresh and not depth:
+            return False
+        clear = [powe(b, rat(k)) for b, k in depth.items()]
+        return is_zero(expand(add(*[mul(*f, *clear) for f in terms])))
+    except ExprError:
+        return False
 
 
 def _eval_with_scale(target: Expr, point, sampler):
     """Evaluate; also report the largest term magnitude, as an mpf: its
     exponent range is unbounded, so terms beyond float range still
     compare."""
-    terms = target.terms if isinstance(target, Add) else (target,)
-    vals = [eval_at(t, point, kernel_values=sampler) for t in terms]
+    vals = [eval_at(t, point, kernel_values=sampler) for t in addends(target)]
     with mpmath.workdps(DPS):
         return sum(vals), max(abs(mpmath.mpmathify(v)) for v in vals)
 

@@ -406,7 +406,7 @@ def is_positive(e: Expr) -> bool:
 # constructors
 
 
-def _term_parts(t: Expr):
+def term_parts(t: Expr):
     """Split an Add term into (rational coefficient, monomial pairs key)."""
     if isinstance(t, Rat):
         return t.value, None
@@ -449,7 +449,7 @@ def add(*terms) -> Expr:
         for s in (t.terms if isinstance(t, Add) else (t,)):
             if s is ZERO:
                 continue
-            coeff, pairs = _term_parts(s)
+            coeff, pairs = term_parts(s)
             if pairs in acc:
                 acc[pairs] += coeff
             else:
@@ -480,7 +480,7 @@ def _make_mul(coeff: Number, pairs) -> Expr:
 
 
 def _scale_term(coeff: Number, t: Expr) -> Expr:
-    c, pairs = _term_parts(t)
+    c, pairs = term_parts(t)
     return _from_parts(coeff * c, pairs)
 
 
@@ -627,9 +627,9 @@ def _sign_flip(e: Expr):
             return True, _make_mul(-e.coeff, e.pairs)
         return False, e
     if isinstance(e, Add):
-        if _term_parts(e.terms[0])[0] < 0:
+        if term_parts(e.terms[0])[0] < 0:
             neg = mul(MINUS_ONE, e)
-            if _term_parts(neg.terms[0])[0] >= 0 or neg.key() < e.key():
+            if term_parts(neg.terms[0])[0] >= 0 or neg.key() < e.key():
                 return True, neg
         return False, e
     return False, e
@@ -658,9 +658,8 @@ def ker(name: str, *args, dvec: Sequence[int] = None) -> Expr:
             if is_zero(a):
                 return ONE
             # pull rational multiples of ln out of the exponent
-            terms = a.terms if isinstance(a, Add) else (a,)
             lnparts, rest = [], []
-            for t in terms:
+            for t in addends(a):
                 m = _ln_split(t)
                 if m is not None:
                     lnparts.append(m)
@@ -1009,8 +1008,9 @@ def _substituted(n: Expr, binding: Mapping[Expr, Expr], done: dict) -> Expr:
 _EXPAND_TERM_CAP = 200_000
 
 
-def _addends(e: Expr) -> list:
-    return list(e.terms) if isinstance(e, Add) else [e]
+def addends(e: Expr) -> tuple:
+    """The terms of e: those of a sum, else e alone."""
+    return e.terms if isinstance(e, Add) else (e,)
 
 
 def _distribute(aterms, bterms) -> list:
@@ -1043,7 +1043,7 @@ def _power_terms(b: Expr, x: Expr, memo: dict) -> list:
     else:
         p = powe(eb, ex)
         if p is eb or lone_power(p) == (eb, ex):
-            out = _addends(p)
+            out = addends(p)
         else:
             out = _expand_terms(p, memo)
     memo[(b, x)] = out
@@ -1063,7 +1063,7 @@ def _expand_terms(e: Expr, memo: dict) -> list:
     elif isinstance(e, Mul):
         out = [rat(e.coeff)]
         for b, x in e.pairs:
-            out = _distribute(out, _addends(_merged(_power_terms(b, x, memo))))
+            out = _distribute(out, addends(_merged(_power_terms(b, x, memo))))
     else:
         r = rebuild(e, [_expanded(c, memo) for c in children(e)])
         # a kernel constructor may rewrite (exp pulls out ln parts, ln
@@ -1077,7 +1077,7 @@ def _expand_terms(e: Expr, memo: dict) -> list:
 def _cos_reduced(t: Expr, memo: dict) -> list:
     """The expanded terms of the monomial t with each cos(a)^k (k >= 2)
     rewritten as (1 - sin(a)^2)^(k//2) * cos(a)^(k%2)."""
-    coeff, pairs = _term_parts(t)
+    coeff, pairs = term_parts(t)
     for j, (b, x) in enumerate(pairs or ()):
         if isinstance(b, Ker) and b.name == "cos" and is_int(x) and x.value >= 2:
             k = x.value

@@ -218,16 +218,19 @@ class SymmetryReport:
 
 def is_symmetry(system: RDSystem, x: Generator, seed: int = 0) -> SymmetryReport:
     r1, r2 = symmetry_residual(system, x)
-    d1 = decide_equivalence(r1, ZERO, seed=seed)
-    d2 = decide_equivalence(r2, ZERO, seed=seed + 1)
-    verdicts = {d1.verdict, d2.verdict}
-    if verdicts == {EQUAL}:
-        verdict = "holds"
-    elif DIFFERENT in verdicts:
-        verdict = "fails"
-    else:
-        verdict = "undecided"
-    return SymmetryReport((r1, r2), (d1, d2), verdict)
+    ds = (decide_equivalence(r1, ZERO, seed=seed),
+          decide_equivalence(r2, ZERO, seed=seed + 1))
+    verdict = {True: "holds", False: "fails", None: "undecided"}[_vanish(ds)]
+    return SymmetryReport((r1, r2), ds, verdict)
+
+
+def _vanish(decisions: Iterable[EqDecision]) -> Optional[bool]:
+    """True when every residual is decided 0, False when one is decided
+    nonzero, None (undecided) otherwise."""
+    verdicts = {d.verdict for d in decisions}
+    if DIFFERENT in verdicts:
+        return False
+    return True if verdicts == {EQUAL} else None
 
 
 # ---------------------------------------------------------------------------
@@ -394,9 +397,10 @@ def conformal_residuals(system: RDSystem) -> Tuple[Expr, Expr]:
                         mul(m, U), mul(m, V))
 
 
-def exp_galilei_gamma(system: RDSystem) -> Optional[Expr]:
-    """The rate gamma for which a(f1 + gamma u) = (a(u du+v dv) - u dv) f1
-    and a(f2 + gamma v) - gamma u = (...) f2 both hold, if one exists."""
+def exp_galilei_gamma(system: RDSystem) -> Tuple[Optional[bool], Optional[Expr]]:
+    """Whether a rate gamma exists for which a(f1 + gamma u) = (a(u du+v
+    dv) - u dv) f1 and a(f2 + gamma v) - gamma u = (...) f2 both hold
+    (None: undecided), and the rate when it does."""
     a = system.a
     g1, g2 = galilei_residuals(system)
     try:
@@ -404,25 +408,25 @@ def exp_galilei_gamma(system: RDSystem) -> Optional[Expr]:
     except ExprError:
         pass
     # first equation demands  a*gamma*u = -g1, so gamma = -g1/(a u)
-    cand = mul(MINUS_ONE, g1, powe(mul(a, U), MINUS_ONE))
+    gamma = mul(MINUS_ONE, g1, powe(mul(a, U), MINUS_ONE))
     if any(isinstance(s, Jet) or is_coordinate(s)
-           for s in free_symbols(cand)):
-        return None
-    gamma = cand
+           for s in free_symbols(gamma)):
+        return False, None
     # residual of  a(f2 + gamma v) - gamma u - f1 = Op f2,  written via g2
     # (the -f1 coupling is required for consistency with direct prolongation
     # of Ghat; see the worked-example tests)
     r2 = add(g2, mul(a, gamma, V), mul(MINUS_ONE, gamma, U))
-    if decide_equivalence(r2, ZERO):
-        return gamma
-    return None
+    admitted = _vanish([decide_equivalence(r2, ZERO)])
+    return admitted, (gamma if admitted else None)
 
 
 @dataclass
 class ExtensionReport:
-    galilei: bool
-    exp_galilei: bool
-    conformal: bool
+    """Which extended operators the nonlinearities admit; None where the
+    decision is undecided."""
+    galilei: Optional[bool]
+    exp_galilei: Optional[bool]
+    conformal: Optional[bool]
     gamma: Optional[Expr] = None
 
 
@@ -430,15 +434,13 @@ def extension_check(system: RDSystem) -> ExtensionReport:
     """Which extended operators (G, Ghat, K) the nonlinearities admit."""
     if system.family != "triangular" or is_zero(system.a):
         raise ValueError("extension tests apply to triangular a != 0")
-    g1, g2 = galilei_residuals(system)
-    gal = bool(decide_equivalence(g1, ZERO)) and bool(decide_equivalence(g2, ZERO))
-    conf = False
-    if gal:
-        c1, c2 = conformal_residuals(system)
-        conf = bool(decide_equivalence(c1, ZERO)) and bool(decide_equivalence(c2, ZERO))
-    gamma = exp_galilei_gamma(system)
-    expg = gamma is not None
-    return ExtensionReport(gal, expg, conf, gamma if expg else None)
+    gal = _vanish(decide_equivalence(r, ZERO)
+                  for r in galilei_residuals(system))
+    # K is tested only once G is admitted
+    conf = _vanish(decide_equivalence(r, ZERO)
+                   for r in conformal_residuals(system)) if gal else gal
+    expg, gamma = exp_galilei_gamma(system)
+    return ExtensionReport(gal, expg, conf, gamma)
 
 
 # ---------------------------------------------------------------------------

@@ -54,6 +54,20 @@ def test_verify_undecided_exits_1(tmp_path, capsys):
     assert out["decision_path"] == "numeric+normalize"
 
 
+def test_verify_a_residual_zero_only_by_sampling_is_undecided(tmp_path,
+                                                              capsys):
+    # f1 is 0, but no exact layer knows sin(2u) = 2 sin(u) cos(u)
+    system = _write(tmp_path, "system.json", {
+        "m": 1, "family": {"kind": "triangular", "a": "1"},
+        "f1": "sin(2*u) - 2*sin(u)*cos(u)", "f2": "0",
+    })
+    gen = _write(tmp_path, "gen.json", {"pi": ["1", "0"]})
+    code = main(["verify", system, gen])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 1 and out["verdict"] == "undecided"
+    assert out["decision_path"] == "numeric+normalize"
+
+
 def test_canon(tmp_path, capsys):
     """The whole output, witness text included, for a g3 and a g4 orbit."""
     cases = [

@@ -8,7 +8,7 @@ from rdsymm import fields
 from rdsymm.equality import decide_equivalence
 from rdsymm.expr import (ZERO, add, exp_, expand, is_zero, jet, jets_in, ker,
                          ln_, mul, powe, rat, shared_derivations, sym, Add,
-                         Jet, RuleSet, _term_parts, _from_parts)
+                         Jet, RuleSet, term_parts, _from_parts)
 from rdsymm.fields import Generator, generator, named_operator
 from rdsymm.jets import JetOrderError, coords, total_derivative
 from rdsymm.parser import parse, to_text
@@ -413,7 +413,7 @@ def _jet_coeffs(e):
     groups = defaultdict(list)
     terms = e.terms if isinstance(e, Add) else [e]
     for term in terms:
-        coeff, pairs = _term_parts(term)
+        coeff, pairs = term_parts(term)
         jetpart, rest = [], []
         if pairs:
             for b, x in pairs:

@@ -25,7 +25,7 @@ from .nmatrix import (AlgebraPresentation, CanonicalForm, FundamentalPair,
                       pair_residuals, realize, realized_basis,
                       wronskian_at_zero)
 from .transforms import (InapplicableTransform, LinearEquiv, PointMap, VShift,
-                         VShiftFull, aet, apply_equiv, check_eqv3_admissible,
+                         aet, apply_equiv, check_eqv3_admissible,
                          preserves_class, pushforward)
 
 __version__ = "0.1.0"

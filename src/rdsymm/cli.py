@@ -17,8 +17,11 @@ Generator files: {"eta": "...", "xi": ["...", ...], "pi": ["...", "..."]}.
 Matrix files: 3x3 array of expression strings in the N pattern.
 Transform files: {"kind": "linear" | "aet" | "vshift" | "vshift_full",
 "params": {...}}; AET 2 and AET 3 build x^2 over the system's m, so their
-params give no m.  Every expression field is a JSON string or a JSON
-integer; null, a boolean or any other JSON value exits 2.
+params give no m.  A v-shift v -> v + Phi gives Phi as "phi" ("vshift") or
+as "phihat" ("vshift_full"); both build the same shift, which must satisfy
+the admissibility system when Phi holds t or an x_i.  Every expression
+field is a JSON string or a JSON integer; null, a boolean or any other JSON
+value exits 2.
 """
 
 from __future__ import annotations
@@ -34,8 +37,8 @@ from .fields import Generator, commutator
 from .nmatrix import CaseSplitNeeded, NMatrix, as_nmatrix, canonical_form
 from .parser import ParseError, parse, to_text
 from .systems import RDSystem, drift, is_symmetry, triangular
-from .transforms import (InapplicableTransform, LinearEquiv, VShift,
-                         VShiftFull, aet, apply_equiv)
+from .transforms import (InapplicableTransform, LinearEquiv, VShift, aet,
+                         apply_equiv)
 from .verify import run_suite
 
 
@@ -155,7 +158,7 @@ def load_transform(path, m: int):
         if kind == "vshift":
             return VShift(_parse_expr(data["phi"], "phi"))
         if kind == "vshift_full":
-            return VShiftFull(_parse_expr(data["phihat"], "phihat"))
+            return VShift(_parse_expr(data["phihat"], "phihat"))
     except KeyError as exc:
         raise UsageError(f"transform file missing field {exc}")
     except (AttributeError, TypeError, ValueError) as exc:

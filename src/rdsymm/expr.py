@@ -752,23 +752,6 @@ def rebuild(e: Expr, kids: Sequence[Expr]) -> Expr:
     return Ker(e.name, tuple(kids), e.dvec)
 
 
-def atoms(e: Expr, kinds) -> set:
-    """Every node of one of ``kinds`` occurring anywhere in e.  Each distinct
-    node is visited once, however many terms share it."""
-    out = set()
-    seen = {e}
-    stack = [e]
-    while stack:
-        s = stack.pop()
-        if isinstance(s, kinds):
-            out.add(s)
-        for c in children(s):
-            if c not in seen:
-                seen.add(c)
-                stack.append(c)
-    return out
-
-
 def free_symbols(e: Expr) -> frozenset:
     """The ``Sym`` and ``Jet`` atoms of e: cached on each composite node,
     built from its children's sets, reusing a child's set when it covers
@@ -795,7 +778,7 @@ def jets_in(e: Expr) -> set:
 
 
 # ---------------------------------------------------------------------------
-# kernel rewrite rules
+# kernel rewrite rules and substitution
 
 
 class KernelRule:
@@ -864,16 +847,33 @@ def apply_rules(e: Expr, rules: RuleSet) -> Expr:
     as it is; a definition (order 0) replaces every occurrence."""
     if not rules:
         return e
-    return _rewritten(e, rules, {})
+    return _mapped(e, {}, rules, {})
 
 
-def _rewritten(n: Expr, rules: RuleSet, done: dict) -> Expr:
-    """n with its kernels rewritten; ``done`` maps each node already
-    rewritten in one ``apply_rules`` call to its image."""
+def substitute(e: Expr, binding: Mapping[Expr, Expr]) -> Expr:
+    """Simultaneous capture-free substitution of ``Sym``/``Jet`` atoms by
+    expressions, followed by normalization; binding an atom not present is
+    a no-op.  Kernels are rewritten by :func:`apply_rules`."""
+    if not binding or isinstance(e, Rat):
+        return e  # a rational holds no atom
+    return _mapped(e, binding, EMPTY_RULES, {})
+
+
+def _mapped(n: Expr, binding: Mapping[Expr, Expr], rules: RuleSet,
+            done: dict) -> Expr:
+    """n with each bound atom replaced and each kernel that has a rule
+    rewritten, arguments first; ``done`` maps each node already mapped in
+    one call to its image.  Without rules, a subtree free of the bound
+    atoms is its own image: rebuilding a normal node gives it back."""
+    if isinstance(n, (Sym, Jet)):
+        return binding.get(n, n)
+    if rules is EMPTY_RULES and free_symbols(n).isdisjoint(binding):
+        return n
     out = done.get(n)
     if out is None:
-        kids = [_rewritten(c, rules, done) for c in children(n)]
-        if isinstance(n, Ker) and rules.for_name(n.name):
+        kids = [_mapped(c, binding, rules, done) for c in children(n)]
+        if (isinstance(n, Ker) and rules is not EMPTY_RULES
+                and rules.for_name(n.name)):
             out = reduce_kernel(n.name, tuple(kids), n.dvec, rules)
         else:
             out = rebuild(n, kids)
@@ -970,34 +970,6 @@ def _derivative(e: Expr, s: Expr, rules: RuleSet, memo: dict) -> Expr:
     else:
         raise ExprError(f"unknown node {e!r}")
     memo[e] = out
-    return out
-
-
-# ---------------------------------------------------------------------------
-# substitution
-
-
-def substitute(e: Expr, binding: Mapping[Expr, Expr]) -> Expr:
-    """Simultaneous capture-free substitution of ``Sym``/``Jet`` atoms by
-    expressions, followed by normalization; binding an atom not present is
-    a no-op.  Kernels are rewritten by :func:`apply_rules`."""
-    if not binding or isinstance(e, Rat):
-        return e  # a rational holds no atom
-    return _substituted(e, binding, {})
-
-
-def _substituted(n: Expr, binding: Mapping[Expr, Expr], done: dict) -> Expr:
-    """n under ``binding``; ``done`` maps each node already substituted in
-    one ``substitute`` call to its image, so a shared subtree is walked
-    once."""
-    if isinstance(n, (Sym, Jet)):
-        return binding.get(n, n)
-    if free_symbols(n).isdisjoint(binding):
-        return n  # already normal: rebuilding it would give n back
-    out = done.get(n)
-    if out is None:
-        out = done[n] = rebuild(n, [_substituted(c, binding, done)
-                                    for c in children(n)])
     return out
 
 

@@ -40,8 +40,8 @@ from .expr import (EMPTY_RULES, Expr, ExprError, Jet, KernelRule,
                    differentiate, expand, is_zero, jet, jets_in, ker, mul,
                    powe, rat, shared, substitute, free_symbols, Rat)
 from .fields import Generator, ProlongedGenerator, generator, weight_bracket
-from .jets import (JetOrderError, coords, is_coordinate, laplacian,
-                   total_derivatives, x_squared)
+from .jets import (coords, is_coordinate, laplacian, total_derivatives,
+                   x_squared)
 
 
 @dataclass(frozen=True)
@@ -142,9 +142,6 @@ def drift_normalize(p_vec: Sequence) -> DriftNormalization:
 # symmetry residuals
 
 
-_MAX_REDUCE_PASSES = 8
-
-
 def tjet_replacements(system: RDSystem, tjets: Iterable[Jet]
                       ) -> Dict[Jet, Expr]:
     """Each t-jet written through the system on the solution manifold: the
@@ -173,13 +170,16 @@ def prolonged_equations(system: RDSystem, x: Generator) -> Tuple[Expr, Expr]:
 
 
 def evolution_reduce(e: Expr, system: RDSystem) -> Expr:
-    """Eliminate every jet carrying t-derivatives using the system."""
-    for _ in range(_MAX_REDUCE_PASSES):
+    """Eliminate every jet carrying t-derivatives using the system.  The
+    loop ends: f1 and f2 hold no t-jet (``RDSystem.__post_init__`` refuses
+    one), so the replacement of a jet with nt = k holds t-jets of order at
+    most k - 1; each pass lowers the highest t-order in e, and
+    ``MAX_ORDER`` bounds the orders that total derivatives reach."""
+    while True:
         tjets = [j for j in jets_in(e) if j.nt >= 1]
         if not tjets:
             return e
         e = substitute(e, tjet_replacements(system, tjets))
-    raise JetOrderError("evolution substitution did not terminate")
 
 
 def symmetry_residual(system: RDSystem, x: Generator) -> Tuple[Expr, Expr]:

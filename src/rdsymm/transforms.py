@@ -3,9 +3,9 @@
 ``LinearEquiv`` is the general linear family (u, v scaled together with a
 shear and shifts, time and space rescaled); the numbered additional
 equivalence transformations (AETs, ``aet(k)``) are time-dependent
-``PointMap``s; the a=0 family additionally admits v-shifts by functions of
-u (``VShift``) and, under an admissibility PDE system, of (u, t, x)
-(``VShiftFull``).
+``PointMap``s; the a=0 family additionally admits the v-shifts v -> v + Phi
+(``VShift``): by any function of u, and by one of (u, t, x) under an
+admissibility PDE system.
 
 ``LinearEquiv.matrix()`` is the same group element as the U that
 ``nmatrix`` conjugates its matrices by.
@@ -94,25 +94,17 @@ class LinearEquiv:
 
 @dataclass(frozen=True)
 class VShift:
-    """v -> v + Phi(u); valid for a = 0 only."""
-    phi: Expr  # expression in u
+    """v -> v + Phi(u, t, x); a = 0 only.  A Phi with t or an x_i in it
+    must also satisfy the admissibility system (``check_eqv3_admissible``)."""
+    phi: Expr
 
     def point_map(self) -> PointMap:
         return PointMap(w=self.phi)
 
 
-@dataclass(frozen=True)
-class VShiftFull:
-    """v -> v + Phihat(u, t, x); a = 0 only, subject to admissibility."""
-    phihat: Expr
-
-    def point_map(self) -> PointMap:
-        return PointMap(w=self.phihat)
-
-
 def aet(index: int, **params) -> PointMap:
     """The numbered additional equivalence transformations (1-10); item 11
-    is VShiftFull and is built separately."""
+    is a ``VShift`` whose Phi holds t or x and is built separately."""
     p = {k: as_expr(v) for k, v in params.items()}
     t = T
 
@@ -206,7 +198,7 @@ def _decoded(transform) -> Tuple[PointMap, Expr]:
     or one with a literal-zero K1, lam, cu or cv."""
     if isinstance(transform, PointMap):
         pm = transform
-    elif isinstance(transform, (LinearEquiv, VShift, VShiftFull)):
+    elif isinstance(transform, (LinearEquiv, VShift)):
         pm = transform.point_map()
     else:
         raise InapplicableTransform(f"unknown transform {transform!r}")
@@ -222,11 +214,11 @@ def apply_equiv(system: RDSystem, transform) -> RDSystem:
     when the preconditions or the point-form requirement are violated.  The
     scaling lam multiplies f1 and f2 by lam^2, and a drift's p by lam."""
     pm, lam = _decoded(transform)
-    if isinstance(transform, (VShift, VShiftFull)):
+    if isinstance(transform, VShift):
         if not (system.family == "triangular" and is_zero(system.a)):
             raise InapplicableTransform("v-shifts require the a = 0 family")
-        if isinstance(transform, VShiftFull):
-            ok, residuals = check_eqv3_admissible(system, transform.phihat)
+        if any(is_coordinate(s) for s in free_symbols(transform.phi)):
+            ok, residuals = check_eqv3_admissible(system, transform.phi)
             if not ok:
                 raise InapplicableTransform(
                     "shift violates the admissibility system; residuals: "
@@ -280,10 +272,10 @@ def check_eqv3_admissible(system: RDSystem, phihat: Expr):
 
 def pushforward(x: Generator, transform) -> Generator:
     """X in the new variables of a ``LinearEquiv``, a ``PointMap`` (every
-    ``aet(k)``), a ``VShift`` or a ``VShiftFull``: each new coefficient is
-    pr X applied to one new coordinate (t' = lam^-2 t, x' = lam^-1 x, u'
-    and v' from the point map; lam is 1 but for ``LinearEquiv``), written
-    in the new ones through ``PointMap.inverse_binding`` and the scaling."""
+    ``aet(k)``) or a ``VShift``: each new coefficient is pr X applied to
+    one new coordinate (t' = lam^-2 t, x' = lam^-1 x, u' and v' from the
+    point map; lam is 1 but for ``LinearEquiv``), written in the new ones
+    through ``PointMap.inverse_binding`` and the scaling."""
     pm, lam = _decoded(transform)
     inv_lam, xs = powe(lam, MINUS_ONE), coords(x.m)
     old_uv = pm.inverse_binding(U, V)

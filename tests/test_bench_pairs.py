@@ -74,3 +74,19 @@ def test_bound_and_claim():
     section = bench_pairs.summarize(CONFIG, pairs)
     assert section["workloads"]["w"]["rate"]["change_wins"] == "9/10"
     assert bench_pairs.claim_result(section, "w.rate").startswith("met: ")
+
+
+def test_source_lines_counts_the_package_and_its_corpus(tmp_path):
+    files = {"src/rdsymm/a.py": "x = 1\ny = 2\n",
+             "src/rdsymm/corpus/b.py": "z = 3\n",
+             "src/rdsymm/corpus/data/t.json": "{}\n",
+             "src/rdsymm/notes.txt": "not code\n",
+             "tests/test_a.py": "assert True\n"}
+    for name, text in files.items():
+        path = tmp_path / "change" / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    (tmp_path / "parent" / "src" / "rdsymm").mkdir(parents=True)
+    (tmp_path / "parent" / "src" / "rdsymm" / "a.py").write_text("x = 1\n")
+    assert bench_pairs.source_lines(str(tmp_path / "change")) == 3
+    assert bench_pairs.source_lines(str(tmp_path / "parent")) == 1

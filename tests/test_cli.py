@@ -235,6 +235,31 @@ def test_equiv_apply_inapplicable(tmp_path, sysfile, capsys):
     assert "error" in json.loads(capsys.readouterr().out)
 
 
+def test_equiv_apply_both_vshift_kinds_build_one_shift(tmp_path, capsys):
+    a0 = {"m": 1, "family": {"kind": "triangular", "a": "0"}}
+    system = _write(tmp_path, "system.json", {**a0, "f1": "v", "f2": "u*v"})
+    outputs = []
+    for payload in ({"kind": "vshift", "phi": "u^2"},
+                    {"kind": "vshift_full", "phihat": "u^2"}):
+        tr = _write(tmp_path, "tr.json", payload)
+        assert main(["equiv", "apply", system, tr]) == 0
+        outputs.append(json.loads(capsys.readouterr().out))
+    assert outputs[0] == outputs[1]
+    assert (outputs[0]["f1"], outputs[0]["f2"]) == ("v - u^2",
+                                                    "-3*u^3 + 3*u*v")
+
+    # a shift in t is applied only when it solves the admissibility system
+    system = _write(tmp_path, "system.json",
+                    {**a0, "f1": "F1(u)", "f2": "F2(u)"})
+    tr = _write(tmp_path, "tr.json", {"kind": "vshift_full", "phihat": "t"})
+    assert main(["equiv", "apply", system, tr]) == 0
+    assert json.loads(capsys.readouterr().out)["f2"] == "1 + F2(u)"
+    tr = _write(tmp_path, "tr.json", {"kind": "vshift_full", "phihat": "t^2"})
+    assert main(["equiv", "apply", system, tr]) == 1
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error.startswith("shift violates the admissibility system")
+
+
 def test_equiv_apply_scales_the_drift_magnitude(tmp_path, capsys):
     system = _write(tmp_path, "system.json", {
         "m": 1, "family": {"kind": "drift", "p": "1"}, "f1": "0", "f2": "0"})

@@ -4,11 +4,11 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rdsymm import fields
+from rdsymm import fields, systems
 from rdsymm.equality import decide_equivalence
 from rdsymm.expr import (ZERO, add, exp_, expand, is_zero, jet, jets_in, ker,
-                         ln_, mul, powe, rat, shared_derivations, sym, Add,
-                         Jet, RuleSet, term_parts, _from_parts)
+                         ln_, mul, powe, rat, shared_derivations, substitute,
+                         sym, Add, Jet, RuleSet, term_parts, _from_parts)
 from rdsymm.fields import Generator, generator, named_operator
 from rdsymm.jets import JetOrderError, coords, total_derivative
 from rdsymm.parser import parse, to_text
@@ -17,7 +17,8 @@ from rdsymm.systems import (FullSymmetryData, RDSystem,
                             classifying_residual_drift,
                             classifying_residual_full,
                             classifying_residual_main, drift, drift_normalize,
-                            extension_check, heat_kernel_rule, is_symmetry,
+                            evolution_reduce, extension_check,
+                            heat_kernel_rule, is_symmetry,
                             prolonged_equations, symmetry_residual,
                             tjet_replacements, triangular)
 from rdsymm.verify import minimal_failing_monomial
@@ -228,6 +229,24 @@ def test_a_right_hand_side_with_a_t_jet_is_rejected(f1, f2):
                   lambda: RDSystem(1, "triangular", f2, f1)):
         with pytest.raises(ValueError, match="t-derivative"):
             build()
+
+
+@pytest.mark.parametrize("tjet, passes", [
+    (jet("u", 2), 2), (jet("u", 1, (1,)), 1)], ids=["u_tt", "u_tx1"])
+def test_evolution_reduce_takes_one_pass_per_t_order(monkeypatch, tjet,
+                                                     passes):
+    # a replacement of a jet with nt = k holds t-jets of order k - 1 at most
+    S = triangular(1, a, u * u * v, u * v * v + exp_(u))
+    calls = []
+
+    def counting(e, binding):
+        calls.append(e)
+        return substitute(e, binding)
+
+    monkeypatch.setattr(systems, "substitute", counting)
+    out = evolution_reduce(tjet * v + u, S)
+    assert not any(j.nt for j in jets_in(out))
+    assert len(calls) == passes
 
 
 # -- drift normalization -----------------------------------------------------

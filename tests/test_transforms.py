@@ -13,7 +13,7 @@ from rdsymm.nmatrix import (conjugate, g1, g2, g2_tilde, g3, g4, g5, g6,
 from rdsymm.parser import parse
 from rdsymm.systems import drift, is_symmetry, triangular
 from rdsymm.transforms import (InapplicableTransform, LinearEquiv, PointMap,
-                               VShift, VShiftFull, aet, apply_equiv,
+                               VShift, aet, apply_equiv,
                                check_eqv3_admissible, preserves_class,
                                pushforward)
 from rdsymm.verify import instantiate_row, symbolic_branches
@@ -96,8 +96,8 @@ def test_eqv3_admissibility_examples():
 
 def test_eqv3_gates_vshift_full():
     S = triangular(1, 0, ker("F1", u), ker("F2", u))
-    assert preserves_class(S, VShiftFull(t))
-    assert not preserves_class(S, VShiftFull(t * t))
+    assert preserves_class(S, VShift(t))
+    assert not preserves_class(S, VShift(t * t))
 
 
 def test_aet_rows_on_cited_systems():

@@ -17,11 +17,14 @@ pair (a tie counts for neither side), whether the difference of the
 medians exceeds the parent's interquartile range, and whether the change
 stays within the metric's bound in ``BENCHMARK.json``.  ``--trace`` adds one
 ``--trace 1`` run per side at the first seed, with every per-layer metric.
+``source_lines`` gives each side's line count of ``src/rdsymm/*.py`` and
+``src/rdsymm/corpus/*.py``.
 """
 
 from __future__ import annotations
 
 import argparse
+import glob
 import io
 import json
 import os
@@ -162,6 +165,17 @@ def trace_section(config: dict, dirs: Dict[str, str], seed: int,
             "metrics": metrics}
 
 
+def source_lines(checkout: str) -> int:
+    """The lines of ``src/rdsymm/*.py`` and ``src/rdsymm/corpus/*.py`` in
+    ``checkout``."""
+    total = 0
+    for pattern in ("src/rdsymm/*.py", "src/rdsymm/corpus/*.py"):
+        for path in glob.glob(os.path.join(checkout, pattern)):
+            with open(path, "rb") as fh:
+                total += fh.read().count(b"\n")
+    return total
+
+
 def unpack(commit: str, into: str) -> None:
     archive = subprocess.run(["git", "archive", commit], cwd=ROOT,
                              stdout=subprocess.PIPE, check=True).stdout
@@ -201,6 +215,8 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="bench_pairs-") as tmp:
         unpack(commit, tmp)
         dirs = {"parent": os.path.join(tmp, "parent"), "change": ROOT}
+        bench["source_lines"] = {side: source_lines(dirs[side])
+                                 for side in SIDES}
         for seed, pairs in runs:
             bench[f"seed_{seed}"] = summarize(
                 config, run_pairs(dirs, seed, pairs, args.seconds))

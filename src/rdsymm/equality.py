@@ -44,7 +44,7 @@ import mpmath
 from .expr import (Add, DomainError, Expr, ExprError, Rat, ZERO, add, addends,
                    expand, free_symbols, is_int, is_zero, mul, powe, rat,
                    sym, term_parts)
-from .numeric import DPS, Sampler, UnboundSymbol, eval_at
+from .numeric import DPS, Program, Sampler, UnboundSymbol
 
 EQUAL = "equal"
 DIFFERENT = "different"
@@ -87,13 +87,14 @@ def decide_equivalence(e1: Expr, e2: Expr, seed: int = 0) -> EqDecision:
     target = expanded if expanded is not None else diff
 
     fs = sorted(free_symbols(target), key=Expr.key)
+    program = Program(addends(target))
     sampler = Sampler(random.Random(seed))
     done = 0
     for i in range(SAMPLES):
         for _ in range(MAX_RESAMPLE):
             point = sampler.point(fs)
             try:
-                val, scale = _eval_with_scale(target, point, sampler)
+                val, scale = _eval_with_scale(program, point, sampler)
             except DomainError:
                 continue
             except UnboundSymbol:
@@ -153,11 +154,11 @@ def _cleared_is_zero(e: Expr) -> bool:
         return False
 
 
-def _eval_with_scale(target: Expr, point, sampler):
-    """Evaluate; also report the largest term magnitude, as an mpf: its
-    exponent range is unbounded, so terms beyond float range still
-    compare."""
-    vals = [eval_at(t, point, kernel_values=sampler) for t in addends(target)]
+def _eval_with_scale(program: Program, point, sampler):
+    """Evaluate the target's terms, the roots of ``program``; also report
+    the largest term magnitude, as an mpf: its exponent range is unbounded,
+    so terms beyond float range still compare."""
+    vals = list(program.run(point, sampler))
     with mpmath.workdps(DPS):
         return sum(vals), max(abs(mpmath.mpmathify(v)) for v in vals)
 

@@ -1,13 +1,13 @@
 """Numeric evaluation and random sampling, shared by both numeric layers
 (the randomized equality decision and the residual cross-check).
 
-``eval_at`` works with two kinds of value.  A value is exact, an ``int``
+Evaluation works with two kinds of value.  A value is exact, an ``int``
 or a ``Fraction`` (a node's own numbers are ints when integral), as long
 as the expression only involves rational operations.  Anything
 transcendental (exp, ln, sin, cos, non-integer powers, integral powers too
 large to keep exact) makes it inexact: a raw ``mpmath.libmp`` number, a
 tuple, at ``_PREC`` bits, ``DPS`` decimal digits, comfortably below the
-1e-30 error-bound contract.  Only the final result is wrapped: in an
+1e-30 error-bound contract.  Only a root's value is wrapped: in an
 ``mpf``, or in a ``Fraction`` when it is exact.
 
 There are two rounding rules, the ones mpmath's own operators apply at
@@ -22,22 +22,22 @@ starting zero of every sum.  Any other sequence gives different last bits,
 and the worst residuals that the numeric cross-check pins to the last
 digit (``worst!r``) move.
 
-``Sampler`` draws the sample points and the opaque-kernel values at them,
-and keeps one value table per point: every ``eval_at`` at that point reads
-and fills it, so a node shared by several expressions, or reached along
-several paths of one tree, is evaluated once per point.  Nodes are
-hash-consed, so the table is keyed by the nodes themselves.  This is exact:
-a node's value depends only on the values of the atoms under it and on the
-point's kernel table; within one point atoms are only ever added (the
-residual check binds t-jets as it goes and never rebinds one), so a stored
-value stays right; a node whose evaluation raises is never stored; and
-first visits happen in the same depth-first order as a walk without the
-table, so the kernel values are drawn in the same order and every value
-comes out the same.  A one-shot ``eval_at`` gets a table of its own.
+``Program`` compiles a list of root expressions once into a flat list of
+slots and operations, and runs it at each sample point: a node shared by
+several roots, or reached along several paths, has one slot (nodes are
+hash-consed) and is evaluated once per point.  This is exact: operations
+come in the order in which a depth-first walk finishes its nodes (a
+product's pairs in order, each base before its exponent; a sum's terms and
+a kernel's arguments in order), each calls the helper the walk would call
+with the same operands in the same order, so every value rounds the same,
+kernel values are drawn in the same order and the first operation to raise
+is the one the walk reaches first; and the slots are filled afresh at every
+point.  An ``eval_at`` is a program of one root, run once.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -73,38 +73,42 @@ def random_fraction(rng, positive: bool = False, nums=(1, 6),
     ``nums`` and ``dens``; the sign is drawn last, and only if not
     ``positive``.  The defaults keep exponentials of sampled combinations
     well inside ``DPS`` digits."""
-    num = rng.randint(*nums)
-    den = rng.randint(*dens)
+    num, den = _randint(rng, *nums), _randint(rng, *dens)
     if not positive and rng.random() < 0.5:
         num = -num
-    return Fraction(num, den)
+    return _fraction(num, den)
+
+
+def _randint(rng, lo, hi):
+    """``rng.randint(lo, hi)``: the same ``getrandbits`` rejection draws."""
+    width = hi - lo + 1
+    while (r := rng.getrandbits(width.bit_length())) >= width:
+        pass
+    return lo + r
 
 
 class Sampler:
     """The source of random values for one run of sample points.
 
     ``point`` draws each atom's value with ``random_fraction``, positive
-    exactly where ``expr.is_positive`` holds: the sampled domain is the
-    one the exact layers declare.  The sampler is also the
-    ``kernel_values`` callable of ``eval_at``: every distinct (kernel,
-    derivative, argument-values) triple gets one ``random_fraction``, kept
-    in ``kernels`` for the current point.  ``values`` is the point's value
-    table (see the module docstring): ``eval_at`` uses it for the dict
-    that ``point`` returned, to which the caller may add atoms but must not
-    rebind one."""
+    exactly where ``expr.is_positive`` holds (decided once per atom): the
+    sampled domain is the one the exact layers declare.  The sampler is
+    also the ``kernel_values`` callable of ``Program.run``: every distinct
+    (kernel, derivative, argument-values) triple gets one
+    ``random_fraction``, kept in ``kernels`` for the current point."""
 
     def __init__(self, rng):
         self.rng = rng
         self.kernels = {}
-        self.binding = None
-        self.values = {}
+        self.positive = {}
 
     def point(self, atoms, nums=(1, 6), dens=(1, 3)) -> dict:
         self.kernels = {}
-        self.values = {}
-        self.binding = {a: random_fraction(self.rng, is_positive(a), nums,
-                                           dens) for a in atoms}
-        return self.binding
+        positive = self.positive
+        positive.update((a, is_positive(a)) for a in atoms
+                        if a not in positive)
+        return {a: random_fraction(self.rng, positive[a], nums, dens)
+                for a in atoms}
 
     def __call__(self, name, dvec, arg_values):
         key = (name, dvec, arg_values)
@@ -113,11 +117,12 @@ class Sampler:
         return self.kernels[key]
 
 
-# each rational's raw mpf, keyed by (numerator, denominator): the sample
-# points and the nodes' numbers repeat a few thousand rationals many times
-# over; cleared whenever it holds _INEXACT_CAP entries
+# the sample points and the nodes' numbers repeat a few thousand rationals
+# many times over: each drawn Fraction and each rational's raw mpf, keyed by
+# (numerator, denominator), is made once while at most _INEXACT_CAP are kept
 _INEXACT = {}
 _INEXACT_CAP = 4096
+_fraction = functools.lru_cache(maxsize=_INEXACT_CAP)(Fraction)
 
 
 def _inexact(x):
@@ -214,8 +219,100 @@ def _kernel(n, args, kernel_values):
     return _number(kernel_values(n.name, n.dvec, key_args))
 
 
+class Program:
+    """The straight-line program of a list of root expressions (see the
+    module docstring).  Each distinct node has a slot in ``init``, filled
+    at compile time for a rational, when a point starts for an atom
+    (``atoms``: slot, atom, root and operations before its first visit),
+    and else by an operation of the first root to reach it (``blocks``:
+    each root's operations and slot).  ``defines[k]``, where given, is an
+    atom that the roots after root k read as root k's value."""
+
+    def __init__(self, roots, defines=()):
+        self.init, self.atoms, self.blocks, self.index = [], [], [], {}
+        for k, root in enumerate(roots):
+            ops = []
+            self.blocks.append((ops, self._compile(root, ops, k)))
+            if k < len(defines):
+                self.index[defines[k]] = self.blocks[k][1]
+
+    def _compile(self, n, ops, k):
+        slot = self.index.get(n)
+        if slot is not None:
+            return slot
+        cls = type(n)
+        if cls is Mul:
+            factors = []
+            for b, x in n.pairs:
+                f = self._compile(b, ops, k)
+                if x is not ONE:    # b^1 is b: an mpf has DPS digits already
+                    f = self._emit(ops, _power, n,
+                                   (f, self._compile(x, ops, k)))
+                factors.append(f)
+            slot = self._emit(ops, Mul, n, factors)
+        elif cls is Add or cls is Ker:
+            slot = self._emit(ops, cls, n, [self._compile(a, ops, k) for a in
+                                            (n.terms if cls is Add else n.args)])
+        elif cls is Jet or cls is Sym or cls is Rat:
+            slot = len(self.init)
+            self.init.append(n.value if cls is Rat else None)
+            if cls is not Rat:
+                self.atoms.append((slot, n, k, len(ops)))
+        else:
+            raise TypeError(f"cannot evaluate {n!r}")
+        self.index[n] = slot
+        return slot
+
+    def _emit(self, ops, kind, node, operands):
+        ops.append((kind, len(self.init), node, operands))
+        self.init.append(None)
+        return len(self.init) - 1
+
+    def run(self, point, kernel_values=None):
+        """Yield each root's value at ``point`` in turn (see ``eval_at``);
+        an atom missing from ``point`` raises UnboundSymbol where the walk
+        would first reach it."""
+        slots = self.init[:]
+        blocks = self.blocks
+        for slot, atom, k, before in self.atoms:
+            val = point.get(atom)
+            if val is None:
+                blocks = blocks[:k] + [(blocks[k][0][:before], atom)]
+                break
+            slots[slot] = _number(val)
+        for ops, root in blocks:
+            for kind, slot, node, operands in ops:
+                if kind is Mul:
+                    val = node.coeff
+                    for s in operands:
+                        f = slots[s]
+                        # a rational times 1 is that rational; an mpf
+                        # operand still goes through mpf_mul, which re-rounds
+                        # it to DPS digits.  The factor goes first: an int
+                        # times a Fraction takes the slower reflected operator
+                        if type(f) is not tuple and type(val) is not tuple:
+                            val = f if val == 1 else val if f == 1 else f * val
+                        else:
+                            val = _mul(val, f)
+                elif kind is Add:
+                    val = _ZERO
+                    for s in operands:
+                        val = _add(val, slots[s])
+                elif kind is _power:
+                    val = _power(slots[operands[0]], slots[operands[1]], node)
+                else:
+                    val = _kernel(node, [slots[s] for s in operands],
+                                  kernel_values)
+                slots[slot] = val
+            if type(root) is not int:
+                raise UnboundSymbol(root)
+            val = slots[root]
+            yield (mpmath.mp.make_mpf(val) if type(val) is tuple
+                   else val if type(val) is Fraction else Fraction(val))
+
+
 def eval_at(e: Expr, point, kernel_values=None):
-    """Evaluate at a binding of atoms to numbers.
+    """Evaluate at a binding of atoms to numbers, as a one-shot program.
 
     ``point`` maps Sym/Jet atoms to finite values: an ``int``, a
     ``Fraction`` or an ``mpf``.  A ``float`` is taken exactly, as
@@ -226,63 +323,11 @@ def eval_at(e: Expr, point, kernel_values=None):
     value types.  ``arg_values`` holds the arguments' Fractions when all of
     them are exact, otherwise every argument as a 40-digit string.
 
-    Every node is evaluated once: its value goes into a table keyed by node,
-    the sampler's table of the current point when ``kernel_values`` is the
-    ``Sampler`` that drew ``point``, otherwise a table of this call.
-
     Returns a Fraction when the computation stayed rational, otherwise an
     ``mpf`` computed at ``DPS`` digits.  Domain violations raise
     DomainError naming the offending subexpression.
     """
-    shared = (isinstance(kernel_values, Sampler)
-              and point is kernel_values.binding)
-    values = kernel_values.values if shared else {}
-    val = _value(e, point, kernel_values, values)
-    if type(val) is tuple:
-        return mpmath.mp.make_mpf(val)
-    return val if type(val) is Fraction else Fraction(val)
-
-
-def _value(n: Expr, point, kernel_values, values: dict):
-    """The value of n for ``eval_at``: exact or a raw mpf, read from or
-    stored in ``values``."""
-    val = values.get(n)
-    if val is not None:
-        return val
-    cls = type(n)
-    if cls is Mul:
-        val = n.coeff
-        for b, x in n.pairs:
-            # b^1 is b itself: every mpf already carries DPS digits
-            f = _value(b, point, kernel_values, values)
-            if x is not ONE:
-                f = _power(f, _value(x, point, kernel_values, values), n)
-            # a rational times 1 is that rational; an mpf operand still
-            # goes through mpf_mul, which re-rounds it to DPS digits.  The
-            # factor goes first: an int coefficient times a Fraction would
-            # take the Fraction's slower reflected operator
-            if type(f) is not tuple and type(val) is not tuple:
-                val = f if val == 1 else val if f == 1 else f * val
-            else:
-                val = _mul(val, f)
-    elif cls is Add:
-        val = _ZERO
-        for t in n.terms:
-            val = _add(val, _value(t, point, kernel_values, values))
-    elif cls is Jet or cls is Sym:
-        val = point.get(n)
-        if val is None:
-            raise UnboundSymbol(n)
-        val = _number(val)
-    elif cls is Rat:
-        val = n.value
-    elif cls is Ker:
-        val = _kernel(n, [_value(a, point, kernel_values, values)
-                          for a in n.args], kernel_values)
-    else:
-        raise TypeError(f"cannot evaluate {n!r}")
-    values[n] = val
-    return val
+    return next(Program([e]).run(point, kernel_values))
 
 
 def to_float(x) -> float:

@@ -28,7 +28,7 @@ from .expr import (Add, DomainError, Expr, Jet, KernelRule, RuleSet, Sym, ZERO,
                    add, apply_rules, is_zero, jet, jets_in, mul, rat,
                    shared_derivations, substitute, sym, free_symbols)
 from .fields import Generator
-from .numeric import Sampler, eval_at, magnitude
+from .numeric import Program, Sampler, magnitude
 from .parser import to_text
 from .systems import (RDSystem, drift, is_symmetry, prolonged_equations,
                       tjet_replacements, triangular)
@@ -359,18 +359,19 @@ def numeric_residual_check(system: RDSystem, x: Generator, points: int = 20,
     """Evaluate the pre-reduction residuals at random points, substituting
     the t-jets numerically through the system; returns (ok, worst), ok when
     worst is at most ``RESIDUAL_TOL``."""
+    if points < 1:
+        raise ValueError("a residual check needs at least one point")
     raws = prolonged_equations(system, x)
     # t-jets of lower order first: the replacements of jets with nt >= 2
-    # mention them, so they must be valued before those are evaluated
+    # mention them, and read them from the replacements run before them
     tjets = sorted({j for raw in raws for j in jets_in(raw) if j.nt >= 1},
                    key=lambda j: (j.nt, len(j.xs), (j.dep, j.nt, j.xs)))
     tjet_exprs = tjet_replacements(system, tjets)
     worst = 0.0
-    free = set()
-    for e in (*raws, *tjet_exprs.values()):
-        free |= {s for s in free_symbols(e)
-                 if not (isinstance(s, Jet) and s.nt >= 1)}
-    free = sorted(free, key=Expr.key)
+    free = sorted({s for e in (*raws, *tjet_exprs.values())
+                   for s in free_symbols(e)
+                   if not (isinstance(s, Jet) and s.nt >= 1)}, key=Expr.key)
+    program = Program([*tjet_exprs.values(), *raws], defines=list(tjet_exprs))
 
     # coordinates near 1 keep nested exponentials well inside working
     # precision (the witnesses may compose exp with power arguments); points
@@ -381,21 +382,13 @@ def numeric_residual_check(system: RDSystem, x: Generator, points: int = 20,
     for _ in range(points):
         for try_ in range(16):
             span = (2, 5) if try_ < 8 else (5, 8)
-            full = sampler.point(free, span, span)
+            run = program.run(sampler.point(free, span, span), sampler)
             try:
-                ok_scale = True
-                for j, repl in tjet_exprs.items():
-                    val = eval_at(repl, full, kernel_values=sampler)
-                    if magnitude(val) > SCALE_CAP:
-                        ok_scale = False
-                        break
-                    full[j] = val
-                if not ok_scale:
+                if any(magnitude(next(run)) > SCALE_CAP for _ in tjet_exprs):
                     continue
-                vals = [eval_at(raw, full, kernel_values=sampler) for raw in raws]
+                mags = [magnitude(v) for v in run]
             except DomainError:
                 continue
-            mags = [magnitude(v) for v in vals]
             if any(math.isinf(x) or math.isnan(x) for x in mags):
                 continue
             worst = max(worst, *mags)

@@ -9,8 +9,9 @@ from hypothesis import example, given, settings, strategies as st
 from rdsymm.expr import (Add, DomainError, ExprError, Jet, Ker, Mul, ONE, Rat,
                          Sym, cos_, differentiate, exp_, is_positive, jet, ker,
                          ln_, powe, rat, sin_, sym)
-from rdsymm.numeric import (DPS, _EXACT_POWER_BITS, Sampler, UnboundSymbol,
-                            eval_at, magnitude, random_fraction, to_float)
+from rdsymm.numeric import (DPS, _EXACT_POWER_BITS, Program, Sampler,
+                            UnboundSymbol, eval_at, magnitude, random_fraction,
+                            to_float)
 from rdsymm.corpus import load_rows
 from rdsymm.verify import instantiate_row, numeric_residual_check, verify_row
 
@@ -49,6 +50,14 @@ def test_the_core_leaves_no_cyclic_garbage():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_a_residual_check_of_no_points_is_refused():
+    ci = instantiate_row({r.key: r for r in load_rows()}["T9.1"], 0, 2,
+                         "witness").claims[0]
+    for points in (0, -1):
+        with pytest.raises(ValueError):
+            numeric_residual_check(ci.system, ci.generator, points=points)
 
 
 def test_spec_examples():
@@ -122,6 +131,25 @@ SAMPLED_ATOMS = [u, v, t, sym("x1"), sym("x2"), sym("mu"), jet("u", 1),
                  jet("u", 0, (1, 2))]
 
 
+# the spans of numeric_residual_check, then the default span
+SPANS = [{"nums": (2, 5), "dens": (2, 5)}, {"nums": (5, 8), "dens": (5, 8)},
+         {}]
+
+
+@pytest.mark.parametrize("span", SPANS)
+def test_random_fraction_draws_randints_stream(span):
+    nums, dens = span.get("nums", (1, 6)), span.get("dens", (1, 3))
+    for seed in range(256):
+        rng, ref = random.Random(seed), random.Random(seed)
+        for positive in (False, True, False):
+            num, den = ref.randint(*nums), ref.randint(*dens)
+            if not positive and ref.random() < 0.5:
+                num = -num
+            assert random_fraction(rng, positive, **span) == \
+                Fraction(num, den)
+        assert rng.getstate() == ref.getstate()
+
+
 @pytest.mark.parametrize("span", [{}, {"nums": (2, 5), "dens": (2, 5)}])
 def test_the_sampler_draws_the_declared_domain(span):
     negative = set()
@@ -156,18 +184,34 @@ def test_eval_at_evaluates_each_distinct_node_once():
             f = ker("F", e)
             e = sin_(f) + cos_(f)
         sampler = _CountingSampler(random.Random(0))
-        point = sampler.point([t])
-        want = eval_at(e, point, kernel_values=sampler)
-        assert sampler.calls == depth
-        # another expression at the same point reads the point's table
-        twice = eval_at(2 * e, point, kernel_values=sampler)
-        with mpmath.workdps(DPS):
-            assert twice == 2 * want
-        assert sampler.calls == depth
-        # a one-shot evaluation fills a table of its own
+        program = Program([e, 2 * e])
+        for _ in range(2):
+            # the second root reads the first one's slots; a second point
+            # starts afresh
+            point = sampler.point([t])
+            before = sampler.calls
+            want, twice = program.run(point, sampler)
+            assert sampler.calls - before == depth
+            with mpmath.workdps(DPS):
+                assert twice == 2 * want
+        # a one-shot evaluation is a program of its own
         calls = []
         eval_at(e, dict(point), lambda *key: calls.append(key) or 1)
         assert len(calls) == depth
+
+
+def test_a_program_stops_where_the_walk_meets_an_unbound_atom():
+    # the walk reaches F(u) before v: one kernel value is drawn first
+    calls = []
+    program = Program([ker("F", u), ker("F", u) * v + 1])
+    run = program.run({u: 1}, lambda *key: calls.append(key) or 2)
+    assert next(run) == 2
+    with pytest.raises(UnboundSymbol) as got:
+        next(run)
+    assert got.value.atom == v and len(calls) == 1
+    # an atom that a root defines is read by the roots after it
+    program = Program([u + 1, 3 * v], defines=[v])
+    assert list(program.run({u: 1})) == [2, 6]
 
 
 def test_eval_at_input_contract():
@@ -336,3 +380,21 @@ def test_eval_at_rounds_as_the_operators_do(e, big, point):
     assert type(got) is type(want)
     # an mpf compares by its raw (sign, mantissa, exponent, bits): every bit
     assert getattr(got, "_mpf_", got) == getattr(want, "_mpf_", want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_exprs, st.lists(st.fixed_dictionaries(
+    {u: _values, v: _values, t: _values}), min_size=3, max_size=3))
+def test_a_program_carries_nothing_from_one_point_to_the_next(e, points):
+    program = Program([e])
+    for point in points:
+        try:
+            want = _reference_eval(e, point, _kernel_table)
+        except Exception as exc:
+            with pytest.raises(Exception) as got:
+                next(program.run(point, _kernel_table))
+            assert type(got.value) is type(exc)
+            continue
+        got = next(program.run(point, _kernel_table))
+        assert type(got) is type(want)
+        assert getattr(got, "_mpf_", got) == getattr(want, "_mpf_", want)

@@ -1,26 +1,34 @@
 """Numeric evaluation and random sampling, shared by both numeric layers
 (the randomized equality decision and the residual cross-check).
 
-Evaluation works with two kinds of value.  A value is exact, an ``int``
-or a ``Fraction`` (a node's own numbers are ints when integral), as long
-as the expression only involves rational operations.  Anything
+Evaluation works with two kinds of value.  A value is exact as long as
+the expression only involves rational operations.  Inside a program an
+exact value is a plain ``int`` when it is integral, and otherwise a reduced
+(numerator, denominator) pair of the private tuple subclass ``_Q``; small
+helpers add, multiply and raise them to integer powers with ``math.gcd``,
+with the results ``Fraction`` arithmetic would give.  Anything
 transcendental (exp, ln, sin, cos, non-integer powers, integral powers too
-large to keep exact) makes it inexact: a raw ``mpmath.libmp`` number, a
-tuple, at ``_PREC`` bits, ``DPS`` decimal digits, comfortably below the
-1e-30 error-bound contract.  Only a root's value is wrapped: in an
+large to keep exact) makes a value inexact: a raw ``mpmath.libmp`` number,
+a plain tuple, at ``_PREC`` bits, ``DPS`` decimal digits, comfortably below
+the 1e-30 error-bound contract.  ``Fraction`` appears only at the
+boundary: the values of a point and of an opaque kernel come in as
+``Fraction`` (or ``int``, ``float`` or ``mpf``), a kernel's exact
+arguments go out as ``Fraction``, and a root's value is wrapped in an
 ``mpf``, or in a ``Fraction`` when it is exact.
 
 There are two rounding rules, the ones mpmath's own operators apply at
 ``DPS`` digits.  A rational that meets an inexact value is first converted
 to ``_PREC`` bits rounding down (``from_rational`` at its default
-rounding, as mpmath's ``convert`` does it for the equal ``Fraction``, so an
-``int`` rounds as that ``Fraction`` would); each operation on inexact
-values then rounds its result to nearest.  The arithmetic calls libmp
-directly, and it must keep the sequence of roundings that the operators
-made: the same conversions, the operands in the same order and the same
-starting zero of every sum.  Any other sequence gives different last bits,
-and the worst residuals that the numeric cross-check pins to the last
-digit (``worst!r``) move.
+rounding, as mpmath's ``convert`` does it for the equal ``Fraction``);
+each operation on inexact values then rounds its result to nearest.  The
+arithmetic calls libmp directly, and it must keep the sequence of roundings
+that the operators made: the same conversions and the operands in the same
+order.  The operators' sum starts from an exact zero.  A program's sum
+starts from its first term when that term is exact, which gives the same
+value; an inexact first term is still added to the zero, which re-rounds
+it to ``DPS`` digits.  Any other sequence gives different last bits, and the
+worst residuals that the numeric cross-check pins to the last digit
+(``worst!r``) move.
 
 ``Program`` compiles a list of root expressions once into a flat list of
 slots and operations, and runs it at each sample point: a node shared by
@@ -52,7 +60,6 @@ from .expr import (Add, DomainError, Expr, Jet, Ker, Mul, ONE, Rat, Sym,
 
 DPS = 60
 _PREC = dps_to_prec(DPS)
-_ZERO = Fraction(0)     # the start of every sum (see the module docstring)
 
 # an integral power of a rational is computed exactly only while the result
 # stays below this many bits; beyond it the libmp power takes over: its
@@ -125,12 +132,35 @@ _INEXACT_CAP = 4096
 _fraction = functools.lru_cache(maxsize=_INEXACT_CAP)(Fraction)
 
 
+class _Q(tuple):
+    """An exact value that is not integral inside a program: the reduced
+    pair (numerator, denominator), denominator > 1.  It hashes and compares
+    as the plain pair, and ``type(x) is tuple`` still means a raw mpf."""
+    __slots__ = ()
+
+
+def _ratio(n, d):
+    """The exact value n/d of a reduced pair with d > 0."""
+    return n if d == 1 else _Q((n, d))
+
+
+def _exact(x):
+    """An int or a Fraction in the program's exact form."""
+    return _ratio(x.numerator, x.denominator)
+
+
+def _fraction_of(x):
+    """An exact value of the program as a Fraction."""
+    return Fraction(x) if type(x) is int else Fraction(*x)
+
+
 def _inexact(x):
     """x as a raw mpf: an exact value is converted at ``_PREC`` bits with
     ``from_rational``'s default rounding (down), as mpmath's ``convert``
-    does it for the equal Fraction, once per value (see ``_INEXACT``)."""
+    does it for the equal Fraction, once per value (see ``_INEXACT``; a
+    pair is its own key)."""
     if type(x) is not tuple:
-        key = (x.numerator, x.denominator)
+        key = (x, 1) if type(x) is int else x
         out = _INEXACT.get(key)
         if out is None:
             if len(_INEXACT) >= _INEXACT_CAP:
@@ -140,10 +170,57 @@ def _inexact(x):
     return x
 
 
+def _qadd(a, b):
+    """The sum of two exact values, reduced as ``Fraction`` reduces it."""
+    if type(a) is int:
+        if type(b) is int:
+            return a + b
+        a, b = b, a
+    p, q = a
+    if type(b) is int:
+        return _Q((p + b * q, q))
+    r, s = b
+    g = math.gcd(q, s)
+    if g == 1:
+        return _Q((p * s + r * q, q * s))
+    q //= g
+    n = p * (s // g) + r * q
+    g = math.gcd(n, g)
+    return _ratio(n // g, q * (s // g))
+
+
+def _qmul(a, b):
+    """The product of two exact values."""
+    if type(a) is int:
+        if type(b) is int:
+            return a * b
+        a, b = b, a
+    p, q = a
+    if type(b) is int:
+        g = math.gcd(b, q)
+        return _ratio(p * (b // g), q // g)
+    r, s = b
+    g, h = math.gcd(p, s), math.gcd(r, q)
+    return _ratio((p // g) * (r // h), (q // h) * (s // g))
+
+
+def _qpow(b, n):
+    """The exact value b to the integer n, b nonzero when n <= 0."""
+    if type(b) is int:
+        if n >= 0:
+            return b ** n
+        p, q = 1, b ** -n
+    elif n >= 0:
+        return _Q((b[0] ** n, b[1] ** n)) if n else 1
+    else:
+        q, p = b[0] ** -n, b[1] ** -n
+    return _ratio(-p, -q) if q < 0 else _ratio(p, q)
+
+
 def _add(a, b):
     if type(a) is not tuple:
         if type(b) is not tuple:
-            return a + b
+            return _qadd(a, b)
         # Python hands a Fraction + mpf to the mpf's reflected operator,
         # which puts the mpf first
         a, b = b, a
@@ -153,22 +230,24 @@ def _add(a, b):
 def _mul(a, b):
     if type(a) is not tuple:
         if type(b) is not tuple:
-            return a * b
+            return _qmul(a, b)
         a, b = b, a
     return mpf_mul(a, _inexact(b), _PREC, round_nearest)
 
 
 def _sign(x) -> int:
-    if type(x) is not tuple:
-        return (x > 0) - (x < 0)
-    return mpf_sign(x)
+    if type(x) is tuple:
+        return mpf_sign(x)
+    if type(x) is not int:
+        x = x[0]
+    return (x > 0) - (x < 0)
 
 
 def _number(x):
-    """An atom's or a kernel's value as an exact int or Fraction, or a raw
+    """An atom's or a kernel's value in the program's form: exact, or a raw
     mpf."""
     if isinstance(x, (int, Fraction)):
-        return x
+        return _exact(x)
     if isinstance(x, float):
         return from_float(x)    # exact, as mpmath.mpmathify converts it
     return x._mpf_
@@ -177,17 +256,15 @@ def _number(x):
 def _power(b, x, node):
     """b ** x; exact for an integral exponent of a rational base while the
     exact result stays below ``_EXACT_POWER_BITS``."""
-    if type(x) is not tuple and x.denominator == 1:
-        n = x.numerator
-        if n <= 0 and _sign(b) == 0:
+    if type(x) is int:
+        if x <= 0 and _sign(b) == 0:
             raise DomainError("0 to a non-positive power")
-        if type(b) is not tuple and abs(n) * max(
-                b.numerator.bit_length(),
-                b.denominator.bit_length()) <= _EXACT_POWER_BITS:
-            if n < 0 and type(b) is int:
-                b = Fraction(b)     # an int to a negative power is a float
-            return b ** n
-        return mpf_pow_int(_inexact(b), n, _PREC, round_nearest)
+        if type(b) is not tuple and abs(x) * (
+                max(b.bit_length(), 1) if type(b) is int
+                else max(b[0].bit_length(), b[1].bit_length())
+        ) <= _EXACT_POWER_BITS:
+            return _qpow(b, x)
+        return mpf_pow_int(_inexact(b), x, _PREC, round_nearest)
     if _sign(b) < 0:
         raise DomainError(f"fractional power of negative value in {node}")
     if _sign(b) == 0:
@@ -212,8 +289,7 @@ def _kernel(n, args, kernel_values):
     if kernel_values is None:
         raise UnboundSymbol(n)
     if all(type(a) is not tuple for a in args):
-        key_args = tuple([a if type(a) is Fraction else Fraction(a)
-                          for a in args])
+        key_args = tuple([_fraction_of(a) for a in args])
     else:
         key_args = tuple(to_str(_inexact(a), 40) for a in args)
     return _number(kernel_values(n.name, n.dvec, key_args))
@@ -225,8 +301,11 @@ class Program:
     at compile time for a rational, when a point starts for an atom
     (``atoms``: slot, atom, root and operations before its first visit),
     and else by an operation of the first root to reach it (``blocks``:
-    each root's operations and slot).  ``defines[k]``, where given, is an
-    atom that the roots after root k read as root k's value."""
+    each root's operations and slot).  An operation is (kind, slot, data,
+    operand slots), where data is a product's exact coefficient, the slot of
+    a sum's first term (the operands are the others), or the node of a
+    power or a kernel.  ``defines[k]``, where given, is an atom that the
+    roots after root k read as root k's value."""
 
     def __init__(self, roots, defines=()):
         self.init, self.atoms, self.blocks, self.index = [], [], [], {}
@@ -249,13 +328,16 @@ class Program:
                     f = self._emit(ops, _power, n,
                                    (f, self._compile(x, ops, k)))
                 factors.append(f)
-            slot = self._emit(ops, Mul, n, factors)
-        elif cls is Add or cls is Ker:
-            slot = self._emit(ops, cls, n, [self._compile(a, ops, k) for a in
-                                            (n.terms if cls is Add else n.args)])
+            slot = self._emit(ops, Mul, _exact(n.coeff), factors)
+        elif cls is Add:
+            first, *rest = [self._compile(a, ops, k) for a in n.terms]
+            slot = self._emit(ops, Add, first, rest)
+        elif cls is Ker:
+            slot = self._emit(ops, Ker, n,
+                              [self._compile(a, ops, k) for a in n.args])
         elif cls is Jet or cls is Sym or cls is Rat:
             slot = len(self.init)
-            self.init.append(n.value if cls is Rat else None)
+            self.init.append(_exact(n.value) if cls is Rat else None)
             if cls is not Rat:
                 self.atoms.append((slot, n, k, len(ops)))
         else:
@@ -263,8 +345,8 @@ class Program:
         self.index[n] = slot
         return slot
 
-    def _emit(self, ops, kind, node, operands):
-        ops.append((kind, len(self.init), node, operands))
+    def _emit(self, ops, kind, data, operands):
+        ops.append((kind, len(self.init), data, operands))
         self.init.append(None)
         return len(self.init) - 1
 
@@ -281,34 +363,36 @@ class Program:
                 break
             slots[slot] = _number(val)
         for ops, root in blocks:
-            for kind, slot, node, operands in ops:
+            for kind, slot, data, operands in ops:
                 if kind is Mul:
-                    val = node.coeff
+                    val = data
                     for s in operands:
                         f = slots[s]
                         # a rational times 1 is that rational; an mpf
                         # operand still goes through mpf_mul, which re-rounds
-                        # it to DPS digits.  The factor goes first: an int
-                        # times a Fraction takes the slower reflected operator
+                        # it to DPS digits
                         if type(f) is not tuple and type(val) is not tuple:
-                            val = f if val == 1 else val if f == 1 else f * val
+                            val = f if val == 1 else val if f == 1 else \
+                                _qmul(f, val)
                         else:
                             val = _mul(val, f)
                 elif kind is Add:
-                    val = _ZERO
+                    val = slots[data]
+                    if type(val) is tuple:
+                        val = _add(0, val)  # the starting zero re-rounds it
                     for s in operands:
                         val = _add(val, slots[s])
                 elif kind is _power:
-                    val = _power(slots[operands[0]], slots[operands[1]], node)
+                    val = _power(slots[operands[0]], slots[operands[1]], data)
                 else:
-                    val = _kernel(node, [slots[s] for s in operands],
+                    val = _kernel(data, [slots[s] for s in operands],
                                   kernel_values)
                 slots[slot] = val
             if type(root) is not int:
                 raise UnboundSymbol(root)
             val = slots[root]
             yield (mpmath.mp.make_mpf(val) if type(val) is tuple
-                   else val if type(val) is Fraction else Fraction(val))
+                   else _fraction_of(val))
 
 
 def eval_at(e: Expr, point, kernel_values=None):

@@ -9,9 +9,11 @@ from hypothesis import example, given, settings, strategies as st
 from rdsymm.expr import (Add, DomainError, ExprError, Jet, Ker, Mul, ONE, Rat,
                          Sym, cos_, differentiate, exp_, is_positive, jet, ker,
                          ln_, powe, rat, sin_, sym)
+from rdsymm.equality import DIFFERENT, decide_equivalence
 from rdsymm.numeric import (DPS, _EXACT_POWER_BITS, Program, Sampler,
-                            UnboundSymbol, eval_at, magnitude, random_fraction,
-                            to_float)
+                            UnboundSymbol, _add, _exact, _fraction_of, _mul,
+                            _power, _qadd, _qmul, _sign, eval_at, magnitude,
+                            random_fraction, to_float)
 from rdsymm.corpus import load_rows
 from rdsymm.verify import instantiate_row, numeric_residual_check, verify_row
 
@@ -398,3 +400,74 @@ def test_a_program_carries_nothing_from_one_point_to_the_next(e, points):
         got = next(program.run(point, _kernel_table))
         assert type(got) is type(want)
         assert getattr(got, "_mpf_", got) == getattr(want, "_mpf_", want)
+
+
+# the program's exact form: ints, and reduced pairs of the private type
+_exact_values = st.one_of(
+    st.integers(-50, 50),
+    st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6),
+              st.integers(1, 10 ** 4))).map(_exact)
+# the largest exponent of 3 or 1/3 (2 bits) that _power keeps exact
+_EDGE = _EXACT_POWER_BITS // 2
+
+
+def _same(got, want):
+    """got, an exact value of a program, is the Fraction want in the
+    program's form: an int when integral, else the reduced pair."""
+    return type(got) is type(_exact(want)) and got == _exact(want)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_exact_values, _exact_values, st.integers(-8, 8))
+@example(0, _exact(Fraction(1, 2)), 0)
+@example(0, 0, -1)
+@example(0, 0, _EXACT_POWER_BITS)
+@example(0, 0, _EXACT_POWER_BITS + 1)
+@example(3, 0, _EDGE)
+@example(3, 0, _EDGE + 1)
+@example(_exact(Fraction(-1, 3)), 0, -_EDGE)
+@example(_exact(Fraction(-1, 3)), 0, -_EDGE - 1)
+def test_the_exact_helpers_are_fraction_arithmetic(a, b, n):
+    fa, fb = _fraction_of(a), _fraction_of(b)
+    assert _same(_qadd(a, b), fa + fb) and _same(_add(a, b), fa + fb)
+    assert _same(_qmul(a, b), fa * fb) and _same(_mul(a, b), fa * fb)
+    assert _sign(a) == (fa > 0) - (fa < 0)
+    if fa == 0 and n <= 0:
+        with pytest.raises(DomainError):
+            _power(a, n, None)
+        return
+    got = _power(a, n, None)
+    bits = max(fa.numerator.bit_length(), fa.denominator.bit_length())
+    if abs(n) * bits <= _EXACT_POWER_BITS:
+        assert _same(got, fa ** n)
+    else:
+        assert type(got) is tuple       # a raw mpf, from libmp's power
+        with mpmath.workdps(DPS):
+            assert got == mpmath.power(fa, n)._mpf_
+
+
+def _boundary(x):
+    return type(x) is Fraction or type(x) is mpmath.mpf
+
+
+def test_no_internal_value_leaves_the_module():
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    f = ker("F", u, v)
+    roots = [u * v, u + v, 2 * u, powe(u, rat(-2)), rat(3), f * 6,
+             exp_(u) + v, powe(f, rat(2)) - u]
+    for point in ({u: 2, v: 3}, {u: half, v: 4}, {u: third, v: Fraction(6)}):
+        sampler = Sampler(random.Random(0))
+        vals = list(Program(roots).run(point, sampler))
+        assert len(vals) == len(roots) and all(map(_boundary, vals))
+        assert all(_boundary(eval_at(e, point, sampler)) for e in roots)
+        # the kernel's arguments were exact: its key holds Fractions
+        assert sampler.kernels and all(
+            type(a) is Fraction for _, _, args in sampler.kernels
+            for a in args)
+    point = Sampler(random.Random(0)).point(SAMPLED_ATOMS)
+    assert all(type(val) is Fraction for val in point.values())
+    for seed in range(8):
+        d = decide_equivalence(u * u + f, u * v + f, seed=seed)
+        assert d.verdict == DIFFERENT and d.counterexample
+        assert all(type(val) is Fraction
+                   for val in d.counterexample.values())

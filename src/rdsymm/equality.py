@@ -42,9 +42,8 @@ from typing import Optional
 import mpmath
 
 from .expr import (Add, DomainError, Expr, ExprError, Rat, ZERO, add, addends,
-                   expand, free_symbols, is_int, is_zero, mul, powe, rat,
-                   sym, term_parts)
-from .numeric import DPS, Program, Sampler, UnboundSymbol
+                   expand, is_int, is_zero, mul, powe, rat, sym, term_parts)
+from .numeric import DPS, Program, Sampler
 
 EQUAL = "equal"
 DIFFERENT = "different"
@@ -86,20 +85,16 @@ def decide_equivalence(e1: Expr, e2: Expr, seed: int = 0) -> EqDecision:
         return EqDecision(EQUAL, "expand", note="after clearing denominators")
     target = expanded if expanded is not None else diff
 
-    fs = sorted(free_symbols(target), key=Expr.key)
     program = Program(addends(target))
     sampler = Sampler(random.Random(seed))
     done = 0
     for i in range(SAMPLES):
         for _ in range(MAX_RESAMPLE):
-            point = sampler.point(fs)
+            point = sampler.point(program.atoms)
             try:
                 val, scale = _eval_with_scale(program, point, sampler)
             except DomainError:
                 continue
-            except UnboundSymbol:
-                return EqDecision(UNDECIDED, "numeric",
-                                  note="unevaluable atom", sampled=target)
             if isinstance(val, Fraction):
                 mismatch = val != 0
             else:

@@ -485,9 +485,7 @@ def fundamental_pair(lam, alp, sig, gam) -> FundamentalPair:
         q2 = q2 if dsign > 0 else mul(MINUS_ONE, q2)     # now |q^2|
         q = powe(q2, half)
         qt = mul(q, T)
-        # 1/q as q/q^2: the normal form does not fold 11*11^(-1/2) into
-        # 11^(1/2), so a bare 1/q leaves residuals that do not expand to 0
-        inv_q = mul(q, powe(q2, MINUS_ONE))
+        inv_q = powe(q, MINUS_ONE)
         if dsign > 0:
             e_plus, e_minus = exp_(qt), exp_(mul(MINUS_ONE, qt))
             c = mul(half, add(e_plus, e_minus))

@@ -30,9 +30,11 @@ it to ``DPS`` digits.  Any other sequence gives different last bits, and the
 worst residuals that the numeric cross-check pins to the last digit
 (``worst!r``) move.
 
-``Program`` compiles a list of root expressions once into a flat list of
-slots and operations, and runs it at each sample point: a node shared by
-several roots, or reached along several paths, has one slot (nodes are
+``Program`` compiles a schedule of defined atoms and a list of root
+expressions once into a flat list of slots and operations, names the atoms
+a point must bind (``atoms``), and runs it at each sample point, binding
+every atom before any operation runs: a node shared by several
+expressions, or reached along several paths, has one slot (nodes are
 hash-consed) and is evaluated once per point.  This is exact: operations
 come in the order in which a depth-first walk finishes its nodes (a
 product's pairs in order, each base before its exponent; a sum's terms and
@@ -296,26 +298,32 @@ def _kernel(n, args, kernel_values):
 
 
 class Program:
-    """The straight-line program of a list of root expressions (see the
-    module docstring).  Each distinct node has a slot in ``init``, filled
-    at compile time for a rational, when a point starts for an atom
-    (``atoms``: slot, atom, root and operations before its first visit),
-    and else by an operation of the first root to reach it (``blocks``:
-    each root's operations and slot).  An operation is (kind, slot, data,
-    operand slots), where data is a product's exact coefficient, the slot of
-    a sum's first term (the operands are the others), or the node of a
-    power or a kernel.  ``defines[k]``, where given, is an atom that the
-    roots after root k read as root k's value."""
+    """The straight-line program of ``defines``, a mapping of atoms to
+    expressions compiled first and in order, and of ``roots`` (see the
+    module docstring).  A later expression reads a defined atom as its
+    define's value; defining an atom read free before raises ValueError.
+    ``atoms``, sorted by ``Expr.key``, are the atoms read and not defined.
+    Each distinct node has a slot in ``init``, filled at compile time for a
+    rational, from the point for an atom (``loads``: slot, atom), and else
+    by an operation of the first expression to reach it (``blocks``: each
+    define's, then each root's operations and slot).  An operation is
+    (kind, slot, data, operand slots), where data is a product's exact
+    coefficient, the slot of a sum's first term (the operands are the
+    others), or the node of a power or a kernel."""
 
-    def __init__(self, roots, defines=()):
-        self.init, self.atoms, self.blocks, self.index = [], [], [], {}
-        for k, root in enumerate(roots):
+    def __init__(self, roots, defines=None):
+        self.init, self.loads, self.blocks, self.index = [], [], [], {}
+        # a root is a block that defines no atom
+        for atom, e in [*(defines or {}).items(), *((None, r) for r in roots)]:
             ops = []
-            self.blocks.append((ops, self._compile(root, ops, k)))
-            if k < len(defines):
-                self.index[defines[k]] = self.blocks[k][1]
+            self.blocks.append((ops, self._compile(e, ops)))
+            if atom in self.index:
+                raise ValueError(f"{atom} is defined after it is read")
+            if atom is not None:
+                self.index[atom] = self.blocks[-1][1]
+        self.atoms = sorted([atom for _, atom in self.loads], key=Expr.key)
 
-    def _compile(self, n, ops, k):
+    def _compile(self, n, ops):
         slot = self.index.get(n)
         if slot is not None:
             return slot
@@ -323,23 +331,23 @@ class Program:
         if cls is Mul:
             factors = []
             for b, x in n.pairs:
-                f = self._compile(b, ops, k)
+                f = self._compile(b, ops)
                 if x is not ONE:    # b^1 is b: an mpf has DPS digits already
                     f = self._emit(ops, _power, n,
-                                   (f, self._compile(x, ops, k)))
+                                   (f, self._compile(x, ops)))
                 factors.append(f)
             slot = self._emit(ops, Mul, _exact(n.coeff), factors)
         elif cls is Add:
-            first, *rest = [self._compile(a, ops, k) for a in n.terms]
+            first, *rest = [self._compile(a, ops) for a in n.terms]
             slot = self._emit(ops, Add, first, rest)
         elif cls is Ker:
             slot = self._emit(ops, Ker, n,
-                              [self._compile(a, ops, k) for a in n.args])
+                              [self._compile(a, ops) for a in n.args])
         elif cls is Jet or cls is Sym or cls is Rat:
             slot = len(self.init)
             self.init.append(_exact(n.value) if cls is Rat else None)
             if cls is not Rat:
-                self.atoms.append((slot, n, k, len(ops)))
+                self.loads.append((slot, n))
         else:
             raise TypeError(f"cannot evaluate {n!r}")
         self.index[n] = slot
@@ -351,18 +359,16 @@ class Program:
         return len(self.init) - 1
 
     def run(self, point, kernel_values=None):
-        """Yield each root's value at ``point`` in turn (see ``eval_at``);
-        an atom missing from ``point`` raises UnboundSymbol where the walk
-        would first reach it."""
+        """Yield each define's and then each root's value at ``point`` in
+        turn (see ``eval_at``); the first atom, in load order, missing from
+        ``point`` raises UnboundSymbol before any operation runs."""
         slots = self.init[:]
-        blocks = self.blocks
-        for slot, atom, k, before in self.atoms:
+        for slot, atom in self.loads:
             val = point.get(atom)
             if val is None:
-                blocks = blocks[:k] + [(blocks[k][0][:before], atom)]
-                break
+                raise UnboundSymbol(atom)
             slots[slot] = _number(val)
-        for ops, root in blocks:
+        for ops, out in self.blocks:
             for kind, slot, data, operands in ops:
                 if kind is Mul:
                     val = data
@@ -388,9 +394,7 @@ class Program:
                     val = _kernel(data, [slots[s] for s in operands],
                                   kernel_values)
                 slots[slot] = val
-            if type(root) is not int:
-                raise UnboundSymbol(root)
-            val = slots[root]
+            val = slots[out]
             yield (mpmath.mp.make_mpf(val) if type(val) is tuple
                    else _fraction_of(val))
 

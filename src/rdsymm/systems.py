@@ -144,18 +144,26 @@ def drift_normalize(p_vec: Sequence) -> DriftNormalization:
 
 def tjet_replacements(system: RDSystem, tjets: Iterable[Jet]
                       ) -> Dict[Jet, Expr]:
-    """Each t-jet written through the system on the solution manifold: the
-    right-hand side of its equation, then D_x for each spatial index, then
-    D_t (nt - 1) times.  Replacements of jets with nt >= 2 still carry
-    t-jets of lower order.  Inside a ``shared_derivations`` block each is
-    kept in the block's table under its right-hand side, jet, m and rules,
-    so systems with equal right-hand sides share it."""
+    """The closed t-jet schedule: ``tjets`` and each t-jet a replacement
+    mentions, written through the system on the solution manifold (the
+    right-hand side of its equation, D_x for each spatial index, then D_t
+    nt - 1 times), lowest order first by (nt, len(xs), dep, xs): f1 and f2
+    hold no t-jet, so a replacement mentions only t-jets before it.  Inside
+    a ``shared_derivations`` block each is kept in the block's table under
+    its right-hand side, jet, m and rules, so systems with equal right-hand
+    sides share it."""
     rhs = system.rhs()
     m, rules = system.m, system.rules
-    return {j: shared((side, j, m, rules), total_derivatives, side,
-                      j.nt - 1, j.xs, m, rules)
-            for j in tjets
-            for side in (rhs[0] if j.dep == "u" else rhs[1],)}
+    out, todo = {}, set(tjets)
+    while todo:
+        j = todo.pop()
+        side = rhs[0] if j.dep == "u" else rhs[1]
+        r = out[j] = shared((side, j, m, rules), total_derivatives, side,
+                            j.nt - 1, j.xs, m, rules)
+        if j.nt >= 2:   # with nt = 1 it is D_xs of a right-hand side
+            todo |= {k for k in jets_in(r) if k.nt} - out.keys()
+    return {j: out[j] for j in
+            sorted(out, key=lambda j: (j.nt, len(j.xs), j.dep, j.xs))}
 
 
 def prolonged_equations(system: RDSystem, x: Generator) -> Tuple[Expr, Expr]:
@@ -170,11 +178,10 @@ def prolonged_equations(system: RDSystem, x: Generator) -> Tuple[Expr, Expr]:
 
 
 def evolution_reduce(e: Expr, system: RDSystem) -> Expr:
-    """Eliminate every jet carrying t-derivatives using the system.  The
-    loop ends: f1 and f2 hold no t-jet (``RDSystem.__post_init__`` refuses
-    one), so the replacement of a jet with nt = k holds t-jets of order at
-    most k - 1; each pass lowers the highest t-order in e, and
-    ``MAX_ORDER`` bounds the orders that total derivatives reach."""
+    """Eliminate every jet carrying t-derivatives using the system, one
+    pass per t-order: each pass lowers the highest t-order in e (see
+    ``tjet_replacements``), and ``MAX_ORDER`` bounds the orders that total
+    derivatives reach."""
     while True:
         tjets = [j for j in jets_in(e) if j.nt >= 1]
         if not tjets:

@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .corpus import (TABLES, CorpusRow, RowTemplate, build_rules, load_rows,
                      witness_menu)
-from .expr import (Add, DomainError, Expr, Jet, KernelRule, RuleSet, Sym, ZERO,
+from .expr import (Add, DomainError, Expr, KernelRule, RuleSet, Sym, ZERO,
                    add, apply_rules, is_zero, jet, jets_in, mul, rat,
                    shared_derivations, substitute, sym, free_symbols)
 from .fields import Generator
@@ -362,16 +362,10 @@ def numeric_residual_check(system: RDSystem, x: Generator, points: int = 20,
     if points < 1:
         raise ValueError("a residual check needs at least one point")
     raws = prolonged_equations(system, x)
-    # t-jets of lower order first: the replacements of jets with nt >= 2
-    # mention them, and read them from the replacements run before them
-    tjets = sorted({j for raw in raws for j in jets_in(raw) if j.nt >= 1},
-                   key=lambda j: (j.nt, len(j.xs), (j.dep, j.nt, j.xs)))
-    tjet_exprs = tjet_replacements(system, tjets)
+    tjet_exprs = tjet_replacements(
+        system, {j for raw in raws for j in jets_in(raw) if j.nt >= 1})
+    program = Program(raws, tjet_exprs)
     worst = 0.0
-    free = sorted({s for e in (*raws, *tjet_exprs.values())
-                   for s in free_symbols(e)
-                   if not (isinstance(s, Jet) and s.nt >= 1)}, key=Expr.key)
-    program = Program([*tjet_exprs.values(), *raws], defines=list(tjet_exprs))
 
     # coordinates near 1 keep nested exponentials well inside working
     # precision (the witnesses may compose exp with power arguments); points
@@ -382,7 +376,8 @@ def numeric_residual_check(system: RDSystem, x: Generator, points: int = 20,
     for _ in range(points):
         for try_ in range(16):
             span = (2, 5) if try_ < 8 else (5, 8)
-            run = program.run(sampler.point(free, span, span), sampler)
+            run = program.run(sampler.point(program.atoms, span, span),
+                              sampler)
             try:
                 if any(magnitude(next(run)) > SCALE_CAP for _ in tjet_exprs):
                     continue

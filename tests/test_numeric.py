@@ -6,15 +6,18 @@ import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from rdsymm.expr import (Add, DomainError, ExprError, Jet, Ker, Mul, ONE, Rat,
-                         Sym, cos_, differentiate, exp_, is_positive, jet, ker,
-                         ln_, powe, rat, sin_, sym)
+from rdsymm.expr import (Add, DomainError, Expr, ExprError, Jet, Ker, Mul, ONE,
+                         Rat, Sym, ZERO, cos_, differentiate, exp_,
+                         free_symbols, is_positive, jet, ker, ln_, powe, rat,
+                         sin_, sym)
 from rdsymm.equality import DIFFERENT, decide_equivalence
 from rdsymm.numeric import (DPS, _EXACT_POWER_BITS, Program, Sampler,
                             UnboundSymbol, _add, _exact, _fraction_of, _mul,
                             _power, _qadd, _qmul, _sign, eval_at, magnitude,
                             random_fraction, to_float)
 from rdsymm.corpus import load_rows
+from rdsymm.fields import Generator
+from rdsymm.systems import is_symmetry, triangular
 from rdsymm.verify import instantiate_row, numeric_residual_check, verify_row
 
 u, v = jet("u"), jet("v")
@@ -60,6 +63,57 @@ def test_a_residual_check_of_no_points_is_refused():
     for points in (0, -1):
         with pytest.raises(ValueError):
             numeric_residual_check(ci.system, ci.generator, points=points)
+
+
+def test_both_numeric_layers_draw_exactly_the_program_atoms(monkeypatch):
+    drawn, ran = [], []
+    point, run = Sampler.point, Program.run
+
+    def recording_point(self, atoms, *span):
+        drawn.append(list(atoms))
+        return point(self, atoms, *span)
+
+    def recording_run(self, at, *kernel_values):
+        ran.append((self.atoms, list(at)))
+        return run(self, at, *kernel_values)
+
+    monkeypatch.setattr(Sampler, "point", recording_point)
+    monkeypatch.setattr(Program, "run", recording_run)
+    rows = {r.key: r for r in load_rows()}
+    ci = instantiate_row(rows["T9.1"], 0, 2, "witness").claims[0]
+    for check in (lambda: verify_row(rows["T4.3"], m_values=(1,)),
+                  lambda: numeric_residual_check(ci.system, ci.generator,
+                                                 points=5)):
+        drawn.clear()
+        ran.clear()
+        check()
+        assert ran and [atoms for atoms, _ in ran] == drawn
+        assert all(atoms == at for atoms, at in ran)
+
+
+# u_t = u_xx + uv, v_t = u_xx + v_xx + u; X = -u_t d_u: the replacement of
+# u_tt mentions v_t, which no raw residual of X carries
+_CROSSCHECKED = triangular(1, 1, u * v, u)
+
+
+@pytest.mark.parametrize("pi2, want",
+                         [(ZERO, "fails"), (jet("v", 1), "holds")],
+                         ids=["u_t_alone", "time_translation"])
+def test_a_residual_check_agrees_on_a_t_jet_in_a_coefficient(monkeypatch,
+                                                             pi2, want):
+    point = Sampler.point
+
+    def no_t_jet(self, atoms, *span):
+        # every t-jet is replaced through the system, never drawn
+        assert not any(isinstance(a, Jet) and a.nt for a in atoms)
+        return point(self, atoms, *span)
+
+    monkeypatch.setattr(Sampler, "point", no_t_jet)
+    x = Generator(ZERO, (ZERO,), jet("u", 1), pi2)
+    ok, worst = numeric_residual_check(_CROSSCHECKED, x)
+    assert is_symmetry(_CROSSCHECKED, x).verdict == want
+    assert ok == (want == "holds")
+    assert (worst == 0) == ok
 
 
 def test_spec_examples():
@@ -202,17 +256,20 @@ def test_eval_at_evaluates_each_distinct_node_once():
         assert len(calls) == depth
 
 
-def test_a_program_stops_where_the_walk_meets_an_unbound_atom():
-    # the walk reaches F(u) before v: one kernel value is drawn first
+def test_a_program_binds_every_atom_before_it_runs():
+    # the walk reaches F(u) before v, yet the missing v is refused before
+    # any kernel value is drawn
     calls = []
     program = Program([ker("F", u), ker("F", u) * v + 1])
+    assert program.atoms == [u, v]
     run = program.run({u: 1}, lambda *key: calls.append(key) or 2)
-    assert next(run) == 2
     with pytest.raises(UnboundSymbol) as got:
         next(run)
-    assert got.value.atom == v and len(calls) == 1
-    # an atom that a root defines is read by the roots after it
-    program = Program([u + 1, 3 * v], defines=[v])
+    assert got.value.atom == v and calls == []
+    # an atom that a define supplies is read by the expressions after it:
+    # a point binds only the rest, and the define's value comes first
+    program = Program([3 * v], {v: u + 1})
+    assert program.atoms == [u]
     assert list(program.run({u: 1})) == [2, 6]
 
 
@@ -400,6 +457,32 @@ def test_a_program_carries_nothing_from_one_point_to_the_next(e, points):
         got = next(program.run(point, _kernel_table))
         assert type(got) is type(want)
         assert getattr(got, "_mpf_", got) == getattr(want, "_mpf_", want)
+
+
+_U_T, _U_TT = jet("u", 1), jet("u", 2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_exprs, max_size=3),
+       st.lists(st.tuples(st.sampled_from([u, v, t, _U_T, sym("w")]),
+                          _exprs), max_size=3).map(dict))
+# a schedule in order, out of order, and a define that reads its own atom
+@example([_U_TT], {_U_T: u * v, _U_TT: _U_T * u})
+@example([_U_TT], {_U_TT: _U_T * u, _U_T: u * v})
+@example([], {u: u + 1})
+def test_a_program_names_the_atoms_a_point_must_bind(roots, defines):
+    read = set()
+    for atom, e in defines.items():
+        # the expressions up to this define read the atom free: no define
+        # before them supplies it
+        read |= free_symbols(e)
+        if atom in read:
+            with pytest.raises(ValueError):
+                Program(roots, defines)
+            return
+    read = read.union(*map(free_symbols, roots))
+    assert Program(roots, defines).atoms == sorted(read - set(defines),
+                                                   key=Expr.key)
 
 
 # the program's exact form: ints, and reduced pairs of the private type

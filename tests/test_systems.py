@@ -1,3 +1,4 @@
+import random
 from collections import defaultdict
 from dataclasses import replace
 
@@ -218,6 +219,23 @@ def test_a_second_system_with_the_same_rules_prolongs_nothing(monkeypatch):
     r = symmetry_residual(second, J)
     assert calls == []
     assert r == symmetry_residual(second, _fresh(J))
+
+
+def test_tjet_replacements_is_a_closed_schedule_lowest_order_first():
+    # D_t(u_xx + uv) mentions u_txx, u_t and v_t: all three are scheduled
+    # before u_tt, and v_tx1, asked for, between them
+    S = triangular(1, 1, u * v, u)
+    want = [jet("u", 1), jet("v", 1), jet("v", 1, (1,)), jet("u", 1, (1, 1)),
+            jet("u", 2)]
+    for seed in range(4):
+        tjets = [jet("u", 2), jet("v", 1, (1,)), jet("u", 1)]
+        random.Random(seed).shuffle(tjets)
+        schedule = tjet_replacements(S, tjets)
+        assert list(schedule) == want
+        before = set()
+        for j, r in schedule.items():
+            assert {k for k in jets_in(r) if k.nt} <= before
+            before.add(j)
 
 
 @pytest.mark.parametrize("f1, f2", [

@@ -7,8 +7,10 @@
                       [--json out.json] [--mode symbolic|witness|both]
     rdsymm equiv apply <system.json> <transform.json>
 
-Exit codes: 0 all pass; 1 verification failures (``verify`` also exits 1
-on an undecided claim); 2 usage or parse errors.
+Exit codes: 0 all pass; 1 verification failures, or an identity a check
+needs that no exact layer proves and no sample point refutes (``verify``
+reports an undecided claim; ``canon`` and ``equiv apply`` print one
+``undecided:`` line); 2 usage or parse errors.
 
 System files: {"m": 2, "family": {"kind": "triangular", "a": "1"} |
 {"kind": "drift", "p": "1"}, "f1": "...", "f2": "...",
@@ -32,6 +34,7 @@ import sys
 from contextlib import nullcontext
 
 from .corpus import TABLES
+from .equality import Undecided
 from .expr import ExprError, substitute, sym
 from .fields import Generator, commutator
 from .nmatrix import CaseSplitNeeded, NMatrix, as_nmatrix, canonical_form
@@ -304,6 +307,9 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
+    except Undecided as exc:
+        print(f"undecided: {exc}")
+        return 1
     except (UsageError, ParseError, ExprError) as exc:
         # an ExprError past loading is a domain fault of the input, such as
         # differentiating 0^(u-1) (which needs ln 0)

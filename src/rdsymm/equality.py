@@ -37,7 +37,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Iterable, Optional
 
 import mpmath
 
@@ -66,7 +66,28 @@ class EqDecision:
     sampled: Optional[Expr] = None
 
     def __bool__(self):
+        # no implicit reading may turn undecided into a refusal
+        if self.verdict == UNDECIDED:
+            raise TypeError("an undecided decision has no truth value; "
+                            "read its verdict")
         return self.verdict == EQUAL
+
+
+class Undecided(Exception):
+    """A check that needs an identity decided met one that no exact layer
+    proves and no sample point refutes."""
+
+
+def vanish(decisions: Iterable[EqDecision]) -> Optional[bool]:
+    """True when every decision is equal, False as soon as one is
+    different, None (undecided) otherwise."""
+    out = True
+    for d in decisions:
+        if d.verdict == DIFFERENT:
+            return False
+        if d.verdict == UNDECIDED:
+            out = None
+    return out
 
 
 def decide_equivalence(e1: Expr, e2: Expr, seed: int = 0) -> EqDecision:

@@ -43,6 +43,15 @@ share one bound and are cleared together whenever they hold
 unbounded they would hold every intermediate of a whole run and carry one
 run's work into the next.
 
+The commonest calls take a short way that gives the node the general path
+gives.  ``mul`` of a rational c and one node f returns c*d for a rational
+d, 0 for c = 0, the product of coefficient c times f's over f's pairs for a
+product f, and otherwise what ``_make_mul`` makes of c and the pair (f, 1),
+so a rational times a sum still distributes; the result is kept in the
+computed table like any other.  ``add`` of one term returns it, since a
+normal node is its own sum, and ``rat`` of an ``int`` returns the live
+rational from the unique table before it builds one.
+
 Products of sums are *not* distributed here; :func:`expand` does that in
 one pass over the tree, reduces cos powers per monomial through
 cos^2 = 1 - sin^2, and merges the terms once.  ``sin``/``cos`` pull the
@@ -70,7 +79,11 @@ expressions; no caller mutates what it gets (a ``ProlongedGenerator``
 only fills in more phi^J, each a function of the same key); and a build
 that raises stores nothing.  The table is dropped with its block, so no
 row or run inherits another's work, and with no block open nothing is
-kept.
+kept.  The outermost block also pauses the cyclic garbage collector and
+restores its earlier state when the block ends, by an exception too: the
+table keeps what the block builds alive until then, and the core makes no
+reference cycles (below), so a collection inside the block would only walk
+the heap and free nothing.
 
 Structural walks reach subexpressions only through :func:`children` and put
 nodes back together only through :func:`rebuild`, which always goes through
@@ -110,6 +123,7 @@ only when every base is positive, or for one base to an odd power
 
 from __future__ import annotations
 
+import gc
 import weakref
 from contextlib import contextmanager
 from fractions import Fraction
@@ -339,6 +353,11 @@ BUILTIN_KERNELS = ("exp", "ln", "sin", "cos")
 
 
 def rat(num, den=None) -> Rat:
+    if den is None and type(num) is int:
+        ref = _NODES.get((0, num, 1))    # the live node, if any
+        node = None if ref is None else ref()
+        if node is not None:
+            return node
     exact = den is None and type(num) in (int, Fraction)
     return Rat(num if exact else Fraction(num, den))
 
@@ -440,6 +459,8 @@ def _keep(table: dict, operands: tuple, out: Expr) -> Expr:
 
 
 def add(*terms) -> Expr:
+    if len(terms) == 1:
+        return terms[0]    # a normal node is its own sum
     out = _ADDED.get(terms)
     if out is not None:
         return out
@@ -488,6 +509,22 @@ def mul(*factors) -> Expr:
     out = _MULTIPLIED.get(factors)
     if out is not None:
         return out
+    if len(factors) == 2:
+        r, f = factors
+        if isinstance(f, Rat):
+            r, f = f, r
+        if isinstance(r, Rat):
+            # a rational times one node: what the general path below gives
+            c = r.value
+            if c == 0:
+                return ZERO
+            if isinstance(f, Rat):
+                out = rat(c * f.value)
+            elif isinstance(f, Mul):
+                out = _make_mul(c * f.coeff, f.pairs)
+            else:
+                out = _make_mul(c, ((f, ONE),))
+            return _keep(_MULTIPLIED, factors, out)
     coeff = 1
     bases = {}  # base -> its exponents
     exp_args = []  # the arguments of the exp factors
@@ -520,7 +557,7 @@ def mul(*factors) -> Expr:
             pending.append(e)
     out_pairs = []
     for b, xs in bases.items():
-        x = xs[0] if len(xs) == 1 else add(*xs)
+        x = add(*xs)
         if x is ZERO:
             continue
         # a rational or a product to the 1st is no factor of a normal product
@@ -991,12 +1028,8 @@ def _distribute(aterms, bterms) -> list:
     return [mul(x, y) for x in aterms for y in bterms]
 
 
-def _merged(terms: list) -> Expr:
-    return terms[0] if len(terms) == 1 else add(*terms)
-
-
 def _expanded(e: Expr, memo: dict) -> Expr:
-    return _merged(_expand_terms(e, memo))
+    return add(*_expand_terms(e, memo))
 
 
 def _power_terms(b: Expr, x: Expr, memo: dict) -> list:
@@ -1035,7 +1068,7 @@ def _expand_terms(e: Expr, memo: dict) -> list:
     elif isinstance(e, Mul):
         out = [rat(e.coeff)]
         for b, x in e.pairs:
-            out = _distribute(out, addends(_merged(_power_terms(b, x, memo))))
+            out = _distribute(out, addends(add(*_power_terms(b, x, memo))))
     else:
         r = rebuild(e, [_expanded(c, memo) for c in children(e)])
         # a kernel constructor may rewrite (exp pulls out ln parts, ln
@@ -1074,10 +1107,17 @@ def shared_derivations():
     docstring)."""
     global _SHARED
     outer, _SHARED = _SHARED, {}
+    # the outermost block pauses the cyclic collector (see the module
+    # docstring) and leaves it as it found it
+    paused = outer is None and gc.isenabled()
+    if paused:
+        gc.disable()
     try:
         yield
     finally:
         _SHARED = outer
+        if paused:
+            gc.enable()
 
 
 def shared(key, build, *args):

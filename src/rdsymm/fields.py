@@ -39,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Tuple
 
-from .equality import decide_equivalence
+from .equality import Undecided, decide_equivalence, vanish
 from .expr import (EMPTY_RULES, Expr, Jet, MINUS_ONE, ONE, RuleSet, T, ZERO,
                    add, as_expr, differentiate, exp_, free_symbols, is_zero,
                    jet, jets_in, mul, powe, rat, shared)
@@ -355,7 +355,10 @@ def h_field(m: int, H: Optional[Sequence[Expr]] = None,
         cr1 = add(differentiate(H[0], xs[0]),
                   mul(MINUS_ONE, differentiate(H[1], xs[1])))
         cr2 = add(differentiate(H[0], xs[1]), differentiate(H[1], xs[0]))
-        if not (decide_equivalence(cr1, ZERO) and decide_equivalence(cr2, ZERO)):
+        ok = vanish(decide_equivalence(cr, ZERO) for cr in (cr1, cr2))
+        if ok is None:
+            raise Undecided("could not decide the Cauchy-Riemann conditions")
+        if not ok:
             raise CauchyRiemannError(
                 "H pair violates the Cauchy-Riemann conditions")
     div = add(*[differentiate(H[i], xs[i]) for i in range(m)])

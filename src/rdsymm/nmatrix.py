@@ -31,7 +31,8 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
-from .equality import EQUAL, decide_equivalence
+from .equality import (DIFFERENT, EQUAL, UNDECIDED, Undecided,
+                       decide_equivalence, vanish)
 from .expr import (Expr, MINUS_ONE, ONE, Rat, T, ZERO, add, as_expr,
                    differentiate, exp_, expand, free_symbols, is_zero, jet,
                    ker, mul, powe, rat, substitute, sym)
@@ -82,13 +83,21 @@ def mat_commutator(a: Matrix, b: Matrix) -> Matrix:
 
 
 def as_nmatrix(m: Matrix) -> NMatrix:
-    """Check the (8.5) pattern and read off the four entries."""
-    zeros = [(0, 0), (0, 1), (0, 2), (1, 2)]
-    for i, j in zeros:
-        if not decide_equivalence(m[i][j], ZERO):
-            raise ValueError(f"matrix breaks the N pattern at {(i, j)}")
-    if not decide_equivalence(m[1][1], m[2][2]):
-        raise ValueError("matrix breaks the N pattern on the diagonal")
+    """Check the (8.5) pattern and read off the four entries.  An entry
+    decided different breaks it (``ValueError``); else one that is
+    undecided raises ``Undecided``."""
+    checks = [(f"at {(i, j)}", m[i][j], ZERO)
+              for i, j in [(0, 0), (0, 1), (0, 2), (1, 2)]]
+    checks.append(("on the diagonal", m[1][1], m[2][2]))
+    undecided = None
+    for where, a, b in checks:
+        verdict = decide_equivalence(a, b).verdict
+        if verdict == DIFFERENT:
+            raise ValueError(f"matrix breaks the N pattern {where}")
+        if verdict == UNDECIDED and undecided is None:
+            undecided = where
+    if undecided is not None:
+        raise Undecided(f"could not decide the N pattern {undecided}")
     return NMatrix(m[1][0], m[2][0], m[1][1], m[2][1])
 
 
@@ -279,10 +288,12 @@ def algebra_catalog(name: str) -> AlgebraPresentation:
                                note)
 
 
-def closure_check(basis: Sequence, brackets: dict) -> bool:
+def closure_check(basis: Sequence, brackets: dict) -> Optional[bool]:
     """Every pairwise bracket of an NMatrix basis (matrix commutator) or a
     Generator basis (field commutator) equals its stated rational
-    combination, and unlisted pairs commute, each entry decided equal."""
+    combination, and unlisted pairs commute: True when each entry is
+    decided equal, False as soon as one is decided different, None
+    (undecided) otherwise."""
     if isinstance(basis[0], NMatrix):
         def entries(mat):
             return [e for row in mat for e in row]
@@ -296,20 +307,22 @@ def closure_check(basis: Sequence, brackets: dict) -> bool:
 
         def bracket(x, y):
             return commutator(x, y).coeffs()
-    n = len(basis)
-    for i in range(n):
-        for j in range(i + 1, n):
-            want = brackets.get((i + 1, j + 1))
-            if want is None:
-                rev = brackets.get((j + 1, i + 1))
-                want = {k: -c for k, c in rev.items()} if rev else {}
-            expect = [add(*[mul(rat(c), coeffs[k - 1][r])
-                             for k, c in want.items()])
-                      for r in range(len(coeffs[0]))]
-            for got, exp in zip(bracket(basis[i], basis[j]), expect):
-                if not decide_equivalence(got, exp):
-                    return False
-    return True
+
+    def decisions():
+        n = len(basis)
+        for i in range(n):
+            for j in range(i + 1, n):
+                want = brackets.get((i + 1, j + 1))
+                if want is None:
+                    rev = brackets.get((j + 1, i + 1))
+                    want = {k: -c for k, c in rev.items()} if rev else {}
+                expect = [add(*[mul(rat(c), coeffs[k - 1][r])
+                                 for k, c in want.items()])
+                          for r in range(len(coeffs[0]))]
+                for got, exp in zip(bracket(basis[i], basis[j]), expect):
+                    yield decide_equivalence(got, exp)
+
+    return vanish(decisions())
 
 
 # realized one- and two-dimensional families --------------------------------
@@ -503,7 +516,7 @@ def fundamental_pair(lam, alp, sig, gam) -> FundamentalPair:
 def _disc_sign(disc: Expr) -> int:
     if isinstance(disc, Rat):
         return (disc.value > 0) - (disc.value < 0)
-    if decide_equivalence(disc, ZERO):
+    if decide_equivalence(disc, ZERO).verdict == EQUAL:
         return 0
     raise CaseSplitNeeded([disc])
 

@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .equality import EQUAL, DIFFERENT, EqDecision, decide_equivalence
+from .equality import DIFFERENT, EqDecision, decide_equivalence, vanish
 from .expr import (EMPTY_RULES, Expr, ExprError, Jet, KernelRule,
                    MINUS_ONE, ONE, RuleSet, T, U, V, ZERO, add, as_expr,
                    differentiate, expand, is_zero, jet, jets_in, ker, mul,
@@ -227,17 +227,8 @@ def is_symmetry(system: RDSystem, x: Generator, seed: int = 0) -> SymmetryReport
     r1, r2 = symmetry_residual(system, x)
     ds = (decide_equivalence(r1, ZERO, seed=seed),
           decide_equivalence(r2, ZERO, seed=seed + 1))
-    verdict = {True: "holds", False: "fails", None: "undecided"}[_vanish(ds)]
+    verdict = {True: "holds", False: "fails", None: "undecided"}[vanish(ds)]
     return SymmetryReport((r1, r2), ds, verdict)
-
-
-def _vanish(decisions: Iterable[EqDecision]) -> Optional[bool]:
-    """True when every residual is decided 0, False when one is decided
-    nonzero, None (undecided) otherwise."""
-    verdicts = {d.verdict for d in decisions}
-    if DIFFERENT in verdicts:
-        return False
-    return True if verdicts == {EQUAL} else None
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +414,7 @@ def exp_galilei_gamma(system: RDSystem) -> Tuple[Optional[bool], Optional[Expr]]
     # (the -f1 coupling is required for consistency with direct prolongation
     # of Ghat; see the worked-example tests)
     r2 = add(g2, mul(a, gamma, V), mul(MINUS_ONE, gamma, U))
-    admitted = _vanish([decide_equivalence(r2, ZERO)])
+    admitted = vanish([decide_equivalence(r2, ZERO)])
     return admitted, (gamma if admitted else None)
 
 
@@ -441,11 +432,11 @@ def extension_check(system: RDSystem) -> ExtensionReport:
     """Which extended operators (G, Ghat, K) the nonlinearities admit."""
     if system.family != "triangular" or is_zero(system.a):
         raise ValueError("extension tests apply to triangular a != 0")
-    gal = _vanish(decide_equivalence(r, ZERO)
-                  for r in galilei_residuals(system))
+    gal = vanish(decide_equivalence(r, ZERO)
+                 for r in galilei_residuals(system))
     # K is tested only once G is admitted
-    conf = _vanish(decide_equivalence(r, ZERO)
-                   for r in conformal_residuals(system)) if gal else gal
+    conf = vanish(decide_equivalence(r, ZERO)
+                  for r in conformal_residuals(system)) if gal else gal
     expg, gamma = exp_galilei_gamma(system)
     return ExtensionReport(gal, expg, conf, gamma)
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, Tuple
 
-from .equality import decide_equivalence
+from .equality import Undecided, decide_equivalence, vanish
 from .expr import (Expr, MINUS_ONE, ONE, T, U, V, ZERO, add, as_expr,
                    differentiate, exp_, expand, is_zero, jets_in, mul, powe,
                    rat, substitute, free_symbols)
@@ -211,7 +211,8 @@ def _decoded(transform) -> Tuple[PointMap, Expr]:
 
 def apply_equiv(system: RDSystem, transform) -> RDSystem:
     """Transformed system of the same family; raises InapplicableTransform
-    when the preconditions or the point-form requirement are violated.  The
+    when the preconditions or the point-form requirement are violated, and
+    ``Undecided`` when a v-shift's admissibility system is undecided.  The
     scaling lam multiplies f1 and f2 by lam^2, and a drift's p by lam."""
     pm, lam = _decoded(transform)
     if isinstance(transform, VShift):
@@ -219,6 +220,10 @@ def apply_equiv(system: RDSystem, transform) -> RDSystem:
             raise InapplicableTransform("v-shifts require the a = 0 family")
         if any(is_coordinate(s) for s in free_symbols(transform.phi)):
             ok, residuals = check_eqv3_admissible(system, transform.phi)
+            if ok is None:
+                raise Undecided("could not decide the admissibility system; "
+                                "residuals: "
+                                + "; ".join(str(r) for r in residuals))
             if not ok:
                 raise InapplicableTransform(
                     "shift violates the admissibility system; residuals: "
@@ -245,7 +250,9 @@ def check_eqv3_admissible(system: RDSystem, phihat: Expr):
         f2_v Phihat_xn - Phihat_txn  - f1 Phihat_uxn  = 0   (each n)
 
     plus the structural preconditions: f1 free of v and f2 at most linear
-    in v.  Returns (admissible, residuals); precondition violations raise.
+    in v.  Returns (admissible, residuals), admissible being None when no
+    residual is decided nonzero but one is undecided; precondition
+    violations raise.
     """
     if not (system.family == "triangular" and is_zero(system.a)):
         raise InapplicableTransform("admissibility applies to a = 0 only")
@@ -266,7 +273,7 @@ def check_eqv3_admissible(system: RDSystem, phihat: Expr):
                              mul(MINUS_ONE, differentiate(pt, xi, rules)),
                              mul(MINUS_ONE, system.f1,
                                  differentiate(px, U, rules))))
-    ok = all(bool(decide_equivalence(r, ZERO)) for r in residuals)
+    ok = vanish(decide_equivalence(r, ZERO) for r in residuals)
     return ok, residuals
 
 

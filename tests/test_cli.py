@@ -98,6 +98,16 @@ def test_canon_input_faults_exit_2_with_one_line(tmp_path, capsys, matrix):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+def test_canon_of_an_undecided_entry_exits_1_with_one_line(tmp_path, capsys):
+    matrix = [["0", "0", "0"], ["1", "0", "sin(2*t) - 2*sin(t)*cos(t)"],
+              ["0", "0", "0"]]
+    assert main(["canon", _write(tmp_path, "m.json", matrix)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.startswith("undecided: could not decide")
+    assert captured.out.count("\n") == 1
+
+
 def test_commutator(tmp_path, capsys):
     x = _write(tmp_path, "x.json", {"eta": "t", "xi": ["x1/2"],
                                     "pi": ["0", "0"]})
@@ -258,6 +268,21 @@ def test_equiv_apply_both_vshift_kinds_build_one_shift(tmp_path, capsys):
     assert main(["equiv", "apply", system, tr]) == 1
     error = json.loads(capsys.readouterr().out)["error"]
     assert error.startswith("shift violates the admissibility system")
+
+
+def test_equiv_apply_an_undecided_admissibility_exits_1_with_one_line(
+        tmp_path, capsys):
+    # a residual zero only by sin(2*x1) = 2*sin(x1)*cos(x1) is no refusal
+    a0 = {"m": 1, "family": {"kind": "triangular", "a": "0"}}
+    system = _write(tmp_path, "system.json",
+                    {**a0, "f1": "F1(u)", "f2": "v + F2(u)"})
+    tr = _write(tmp_path, "tr.json", {
+        "kind": "vshift_full", "phihat": "sin(2*x1) - 2*sin(x1)*cos(x1)"})
+    assert main(["equiv", "apply", system, tr]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.startswith("undecided: could not decide the "
+                                   "admissibility system")
+    assert captured.out.count("\n") == 1 and captured.err == ""
 
 
 def test_equiv_apply_scales_the_drift_magnitude(tmp_path, capsys):

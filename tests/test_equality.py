@@ -2,16 +2,17 @@ from fractions import Fraction
 
 import pytest
 
-from rdsymm.equality import (EQUAL, DIFFERENT, SAMPLES, UNDECIDED,
+from rdsymm.equality import (EQUAL, DIFFERENT, SAMPLES, UNDECIDED, Undecided,
                              decide_equivalence)
 from rdsymm import expr
 from rdsymm.expr import (ZERO, cos_, exp_, expand, is_zero, jet, ker, ln_,
                          powe, rat, sin_, sym)
-from rdsymm.fields import generator
-from rdsymm.nmatrix import (CaseSplitNeeded, canonical_form, closure_check,
-                            fundamental_pair, g1, nmatrix)
+from rdsymm.fields import generator, h_field
+from rdsymm.nmatrix import (CaseSplitNeeded, as_nmatrix, canonical_form,
+                            closure_check, fundamental_pair, g1, nmatrix)
 from rdsymm.parser import parse, to_text
 from rdsymm.systems import extension_check, is_symmetry, triangular
+from rdsymm.transforms import VShift, apply_equiv, check_eqv3_admissible
 
 u, v, t = jet("u"), jet("v"), sym("t")
 
@@ -167,7 +168,9 @@ def test_equal_is_decided_by_an_exact_layer_only():
     assert d.note == "after clearing denominators"
     # equal wherever both sides are defined, and no exact layer may say so
     d = decide_equivalence(*LN_PAIR)
-    assert (d.verdict, d.path) == (UNDECIDED, "numeric") and not d
+    assert (d.verdict, d.path) == (UNDECIDED, "numeric")
+    with pytest.raises(TypeError):
+        bool(d)
     assert d.samples > 0 and d.note == f"agreed at {d.samples} points"
 
 
@@ -205,4 +208,47 @@ def test_a_sampled_agreement_asks_for_a_case_split():
 def test_a_sampled_agreement_is_no_extension_and_no_closure():
     ext = extension_check(triangular(1, sym("a"), LN_GAP, ZERO))
     assert ext.galilei is None and ext.conformal is None
-    assert closure_check([g1(), nmatrix(nu1=LN_GAP)], {}) is False
+    assert closure_check([g1(), nmatrix(nu1=LN_GAP)], {}) is None
+
+
+# 0 by the double-angle identity, which no exact layer knows: undecided
+SIN_GAP = parse("sin(2*x1) - 2*sin(x1)*cos(x1)")
+
+
+def test_an_undecided_decision_has_no_truth_value():
+    d = decide_equivalence(SIN_GAP, ZERO)
+    assert d.verdict == UNDECIDED
+    with pytest.raises(TypeError):
+        bool(d)
+    # nmatrix._disc_sign reads the verdict and still asks for a case split
+    with pytest.raises(CaseSplitNeeded):
+        fundamental_pair(ZERO, rat(1), SIN_GAP, ZERO)
+
+
+def test_an_undecided_cauchy_riemann_pair_is_no_violation():
+    x1, x2 = sym("x1"), sym("x2")
+    with pytest.raises(Undecided, match="could not decide"):
+        h_field(2, [x1, x2 + SIN_GAP])
+
+
+def test_an_undecided_entry_does_not_break_the_n_pattern():
+    with pytest.raises(Undecided, match=r"could not decide .* at \(1, 2\)"):
+        as_nmatrix(((ZERO, ZERO, ZERO), (ZERO, ZERO, SIN_GAP),
+                    (ZERO, ZERO, ZERO)))
+    # an entry decided nonzero still breaks it, wherever the undecided one is
+    with pytest.raises(ValueError, match=r"breaks the N pattern at \(1, 2\)"):
+        as_nmatrix(((SIN_GAP, ZERO, ZERO), (ZERO, ZERO, t),
+                    (ZERO, ZERO, ZERO)))
+
+
+def test_an_undecided_bracket_is_no_failed_closure():
+    assert closure_check([g1(), nmatrix(nu1=SIN_GAP)], {}) is None
+    assert closure_check([g1(), nmatrix(nu1=SIN_GAP + t)], {}) is False
+
+
+def test_an_undecided_admissibility_residual_is_no_refusal():
+    S = triangular(1, 0, ker("F1", u), v + ker("F2", u))
+    ok, residuals = check_eqv3_admissible(S, SIN_GAP)
+    assert ok is None and len(residuals) == 2
+    with pytest.raises(Undecided, match="admissibility system"):
+        apply_equiv(S, VShift(SIN_GAP))

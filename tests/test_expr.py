@@ -1,4 +1,5 @@
 import copy
+import gc
 import os
 import pickle
 import subprocess
@@ -195,6 +196,28 @@ def test_clearing_the_computed_table_changes_no_result(a, b):
         for name, table in kept.items():
             setattr(expr, name, table)
     assert all(g is w for g, w in zip(got, want))
+
+
+_rationals = st.one_of(st.sampled_from([0, 1, -1, Fraction(-2, 3)]),
+                       st.integers(min_value=-6, max_value=6),
+                       st.fractions(min_value=-4, max_value=4,
+                                    max_denominator=6))
+
+
+@settings(max_examples=500, deadline=None)
+@given(_exprs(), _rationals)
+@example(u + 2 * t, Fraction(3, 2))     # a sum: the rational distributes
+@example(powe(u, rat(-2)), -1)          # a lone power
+@example(exp_(t), 2)                    # an exp kernel
+def test_the_fast_paths_give_what_the_general_path_gives(a, value):
+    # a rational times one node, a one-term sum and an int's live rational
+    # skip the general path; three factors, a second term or a denominator
+    # take it
+    c = rat(value)
+    assert mul(c, a) is mul(c, a, ONE)
+    assert mul(a, c) is mul(a, c, ONE)
+    assert add(a) is add(a, ZERO)
+    assert c is rat(value, 1)
 
 
 def test_a_dropped_import_is_freed():
@@ -414,6 +437,25 @@ def test_a_shared_expansion_is_the_one_a_fresh_call_gives(warm, e):
         assert _expanded_or_error(e) is want
         assert _expanded_or_error(e) is want
     assert _expanded_or_error(e) is want
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_a_derivation_block_pauses_the_collector_and_restores_it(enabled):
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        with expr.shared_derivations():
+            assert not gc.isenabled()
+            with expr.shared_derivations():
+                assert not gc.isenabled()
+            assert not gc.isenabled()    # an inner block leaves it paused
+        assert gc.isenabled() is enabled
+        with pytest.raises(ZeroDivisionError):
+            with expr.shared_derivations():
+                1 / 0
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 def _rule_sets(kind):

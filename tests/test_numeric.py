@@ -43,13 +43,16 @@ def test_an_exact_result_over_integers_is_a_fraction():
 def test_the_core_leaves_no_cyclic_garbage():
     """Building, evaluating and dropping expressions frees everything by
     reference counting: no walker leaves a reference cycle behind for the
-    cyclic collector.  T4.3 fails at m = 1, so its run reaches the failure
-    report and the numeric layer."""
+    cyclic collector, which is why a derivation block may pause it.  Every
+    non-blocked row runs in both modes at seed 0, as ``run_suite`` runs it;
+    the failing rows reach the failure report and the numeric layer."""
     rows = {r.key: r for r in load_rows()}
     gc.collect()
     gc.disable()
     try:
-        assert verify_row(rows["T4.3"], m_values=(1,)).status == "fail"
+        statuses = {verify_row(r, seeds=(0, 1, 2)).status
+                    for r in rows.values() if r.status != "blocked"}
+        assert "fail" in statuses
         ci = instantiate_row(rows["T9.1"], 0, 2, "witness").claims[0]
         numeric_residual_check(ci.system, ci.generator, points=5)
         assert gc.collect() == 0

@@ -2,12 +2,16 @@
 
 Nodes are immutable and hash-consed: every node is built through one weak
 unique table keyed by its kind, its payload and its child nodes, so equal
-structure means the same object.  ``==``, hashing and dict lookups are
-identity, ``is_zero(e)`` is ``e is ZERO``, and dicts are keyed by the nodes
-themselves.  ``Expr.key()`` is a nested tuple computed once per live node;
-it gives the structural order only (sorting terms and factors, the sign
-rule of sin/cos), so term order never depends on object ids.  A node
-leaves the table when nothing else holds it.
+structure means the same object.  Each node class's constructor looks its
+key up in the table itself and returns the node there if it is alive; only
+a miss checks the payload (the digits of a number, a jet's dependent, the
+length of a kernel's dvec), sets the new node's slots and enters it.  A
+live node passed those checks when it was built.  ``==``, hashing and dict
+lookups are identity, ``is_zero(e)`` is ``e is ZERO``, and dicts are keyed
+by the nodes themselves.  ``Expr.key()`` is a nested tuple computed once
+per live node; it gives the structural order only (sorting terms and
+factors, the sign rule of sin/cos), so term order never depends on object
+ids.  A node leaves the table when nothing else holds it.
 
 The module-level constructors (``rat``, ``add``, ``mul``, ``powe``,
 ``ker``, ...) are the only way composite nodes get built and they normalize
@@ -51,6 +55,22 @@ so a rational times a sum still distributes; the result is kept in the
 computed table like any other.  ``add`` of one term returns it, since a
 normal node is its own sum, and ``rat`` of an ``int`` returns the live
 rational from the unique table before it builds one.
+
+Where the general path would take a normal node apart only to build the
+same node again, the node itself is handed back:
+
+* ``add`` keeps each term that met no like term as it is: a normal term
+  is what ``_from_parts`` makes of its own coefficient and pairs, since
+  the terms of a sum are never sums and a rational times a sum to the 1st
+  is never a normal product; only a merged monomial is built again;
+* ``mul`` keeps a product's one ``exp`` factor, since a normal exp node's
+  argument holds no ln part for ``ker`` to pull out; two or more are
+  merged through ``ker("exp", ...)``.  A base's one exponent is taken as
+  it is;
+* a walk of ``apply_rules`` or ``substitute`` returns a node whose
+  children all map to themselves, unless it is a kernel with a rule, since
+  ``rebuild(e, children(e)) is e`` (below): a walk that changes nothing
+  builds nothing.
 
 Products of sums are *not* distributed here; :func:`expand` does that in
 one pass over the tree, reduces cos powers per monomial through
@@ -104,7 +124,9 @@ would only rebuild each node from its unchanged children, and since every
 node is in normal form, ``rebuild(e, children(e)) is e``.  An atom does not
 store its own one-element set, since the set would hold the atom and the
 atom the set: that cycle would keep dead atoms in the unique table until
-the cyclic garbage collector runs.
+the cyclic garbage collector runs.  So the derivative of an atom other
+than ``s`` is 0 without the set, and a node's set skips its rational
+children.
 
 The declared domain is the one the numeric layer samples: u and v are
 positive; parameters, t, the x_i and the higher jets are real and may be
@@ -127,6 +149,7 @@ import gc
 import weakref
 from contextlib import contextmanager
 from fractions import Fraction
+from operator import is_
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 
@@ -157,17 +180,8 @@ def _forget(ref, nodes=_NODES):
         del nodes[ref.key]
 
 
-def _intern(cls, ident, *fields):
-    """The node of class ``cls`` identified by ``ident``, built with
-    ``fields`` (in ``cls.__slots__`` order) unless it is alive already."""
-    ref = _NODES.get(ident)
-    if ref is not None:
-        node = ref()
-        if node is not None:
-            return node
-    node = object.__new__(cls)
-    for name, value in zip(cls.__slots__, fields):
-        setattr(node, name, value)
+def _enter(node, ident):
+    """Put the new ``node`` into the unique table under ``ident``."""
     ref = _NODES[ident] = _Ref(node, _forget)
     ref.key = ident
     return node
@@ -256,8 +270,16 @@ class Rat(Expr):
 
     def __new__(cls, value: Number):
         n, d = value.numerator, value.denominator
+        ident = (0, n, d)
+        ref = _NODES.get(ident)
+        if ref is not None:
+            node = ref()
+            if node is not None:
+                return node
         _printable(n, d)
-        return _intern(cls, (0, n, d), n if d == 1 else value)
+        node = object.__new__(cls)
+        node.value = n if d == 1 else value
+        return _enter(node, ident)
 
     def _make_key(self):
         return (0, self.value.numerator, self.value.denominator)
@@ -267,7 +289,15 @@ class Sym(Expr):
     __slots__ = ("name",)
 
     def __new__(cls, name: str):
-        return _intern(cls, (1, name), name)
+        ident = (1, name)
+        ref = _NODES.get(ident)
+        if ref is not None:
+            node = ref()
+            if node is not None:
+                return node
+        node = object.__new__(cls)
+        node.name = name
+        return _enter(node, ident)
 
     def _make_key(self):
         return (1, self.name)
@@ -279,10 +309,18 @@ class Jet(Expr):
     __slots__ = ("dep", "nt", "xs")
 
     def __new__(cls, dep: str, nt: int = 0, xs: Sequence[int] = ()):
+        xs = tuple(sorted(xs))
+        ident = (2, dep, nt, xs)
+        ref = _NODES.get(ident)
+        if ref is not None:
+            node = ref()
+            if node is not None:
+                return node
         if dep not in ("u", "v"):
             raise ExprError(f"unknown dependent {dep!r}")
-        xs = tuple(sorted(xs))
-        return _intern(cls, (2, dep, nt, xs), dep, nt, xs)
+        node = object.__new__(cls)
+        node.dep, node.nt, node.xs = dep, nt, xs
+        return _enter(node, ident)
 
     @property
     def order(self) -> int:
@@ -309,9 +347,17 @@ class Ker(Expr):
     def __new__(cls, name: str, args: Sequence[Expr], dvec: Sequence[int] = None):
         args = tuple(args)
         dvec = tuple(dvec) if dvec is not None else (0,) * len(args)
+        ident = (3, name, args, dvec)
+        ref = _NODES.get(ident)
+        if ref is not None:
+            node = ref()
+            if node is not None:
+                return node
         if len(dvec) != len(args):
             raise ExprError("dvec length mismatch")
-        return _intern(cls, (3, name, args, dvec), name, args, dvec)
+        node = object.__new__(cls)
+        node.name, node.args, node.dvec = name, args, dvec
+        return _enter(node, ident)
 
     def _make_key(self):
         return (3, self.name, self.dvec, tuple(a.key() for a in self.args))
@@ -326,8 +372,16 @@ class Mul(Expr):
     def __new__(cls, coeff: Number, pairs):
         pairs = tuple(pairs)
         n, d = coeff.numerator, coeff.denominator
+        ident = (5, n, d, pairs)
+        ref = _NODES.get(ident)
+        if ref is not None:
+            node = ref()
+            if node is not None:
+                return node
         _printable(n, d)
-        return _intern(cls, (5, n, d, pairs), n if d == 1 else coeff, pairs)
+        node = object.__new__(cls)
+        node.coeff, node.pairs = n if d == 1 else coeff, pairs
+        return _enter(node, ident)
 
     def _make_key(self):
         lone = lone_power(self)
@@ -343,7 +397,15 @@ class Add(Expr):
 
     def __new__(cls, terms):
         terms = tuple(terms)
-        return _intern(cls, (6, terms), terms)
+        ident = (6, terms)
+        ref = _NODES.get(ident)
+        if ref is not None:
+            node = ref()
+            if node is not None:
+                return node
+        node = object.__new__(cls)
+        node.terms = terms
+        return _enter(node, ident)
 
     def _make_key(self):
         return (6, tuple(t.key() for t in self.terms))
@@ -465,6 +527,7 @@ def add(*terms) -> Expr:
     if out is not None:
         return out
     acc = {}  # monomial pairs (None for the rational term) -> coefficient
+    lone = {}  # monomial pairs -> the one term that gave them, if just one
     for t in terms:
         # the terms of a sum are never sums, so one level flattens it
         for s in (t.terms if isinstance(t, Add) else (t,)):
@@ -473,10 +536,13 @@ def add(*terms) -> Expr:
             coeff, pairs = term_parts(s)
             if pairs in acc:
                 acc[pairs] += coeff
+                lone[pairs] = None
             else:
                 acc[pairs] = coeff
-    parts = [_from_parts(coeff, pairs) for pairs, coeff in acc.items()
-             if coeff != 0]
+                lone[pairs] = s
+    # a term that met no like term is its own _from_parts
+    parts = [lone[pairs] or _from_parts(coeff, pairs)
+             for pairs, coeff in acc.items() if coeff != 0]
     if len(parts) > 1:
         parts.sort(key=Expr.key)
         out = Add(parts)
@@ -527,7 +593,7 @@ def mul(*factors) -> Expr:
             return _keep(_MULTIPLIED, factors, out)
     coeff = 1
     bases = {}  # base -> its exponents
-    exp_args = []  # the arguments of the exp factors
+    exps = []  # the exp factors
     for f in factors:
         if isinstance(f, Rat):
             coeff *= f.value
@@ -540,7 +606,7 @@ def mul(*factors) -> Expr:
             pairs = ((f, ONE),)
         for b, x in pairs:
             if isinstance(b, Ker) and b.name == "exp":
-                exp_args.append(b.args[0])  # powe leaves exp(a) to the 1st
+                exps.append(b)  # powe leaves exp(a) to the 1st
             elif b in bases:
                 bases[b].append(x)
             else:
@@ -548,16 +614,19 @@ def mul(*factors) -> Expr:
     if coeff == 0:
         return ZERO
     pending = []  # what powe rewrote, multiplied in afresh
-    if exp_args:
+    if len(exps) == 1:
+        # a normal exp node's argument holds no ln part to pull out
+        bases[exps[0]] = [ONE]
+    elif exps:
         # ln extraction may turn the merged exponential into a product
-        e = ker("exp", add(*exp_args))
+        e = ker("exp", add(*[b.args[0] for b in exps]))
         if isinstance(e, Ker) and e.name == "exp":
             bases[e] = [ONE]
         else:
             pending.append(e)
     out_pairs = []
     for b, xs in bases.items():
-        x = add(*xs)
+        x = xs[0] if len(xs) == 1 else add(*xs)
         if x is ZERO:
             continue
         # a rational or a product to the 1st is no factor of a normal product
@@ -791,10 +860,10 @@ def rebuild(e: Expr, kids: Sequence[Expr]) -> Expr:
 
 def free_symbols(e: Expr) -> frozenset:
     """The ``Sym`` and ``Jet`` atoms of e: cached on each composite node,
-    built from its children's sets, reusing a child's set when it covers
-    the others.  An atom's own set is made afresh (see the module
-    docstring).  Unordered: sort by ``key()`` before anything depends on
-    the order."""
+    built from the sets of its children but the rationals, reusing a
+    child's set when it covers the others.  An atom's own set is made
+    afresh (see the module docstring).  Unordered: sort by ``key()``
+    before anything depends on the order."""
     if isinstance(e, (Sym, Jet)):
         return frozenset((e,))
     try:
@@ -803,6 +872,8 @@ def free_symbols(e: Expr) -> frozenset:
         pass
     out = frozenset()
     for c in children(e):
+        if isinstance(c, Rat):
+            continue
         s = free_symbols(c)
         if not s <= out:
             out = s if out <= s else out | s
@@ -901,19 +972,26 @@ def _mapped(n: Expr, binding: Mapping[Expr, Expr], rules: RuleSet,
     """n with each bound atom replaced and each kernel that has a rule
     rewritten, arguments first; ``done`` maps each node already mapped in
     one call to its image.  Without rules, a subtree free of the bound
-    atoms is its own image: rebuilding a normal node gives it back."""
+    atoms is its own image, and so is any node whose children are their
+    own images, unless it is a kernel with a rule: rebuilding a normal
+    node from its own children gives it back."""
     if isinstance(n, (Sym, Jet)):
         return binding.get(n, n)
     if rules is EMPTY_RULES and free_symbols(n).isdisjoint(binding):
         return n
     out = done.get(n)
     if out is None:
-        kids = [_mapped(c, binding, rules, done) for c in children(n)]
+        kids = children(n)
+        # a rational is its own image
+        images = [c if isinstance(c, Rat) else _mapped(c, binding, rules, done)
+                  for c in kids]
         if (isinstance(n, Ker) and rules is not EMPTY_RULES
                 and rules.for_name(n.name)):
-            out = reduce_kernel(n.name, tuple(kids), n.dvec, rules)
+            out = reduce_kernel(n.name, tuple(images), n.dvec, rules)
+        elif all(map(is_, images, kids)):
+            out = n    # rebuild(n, children(n)) is n
         else:
-            out = rebuild(n, kids)
+            out = rebuild(n, images)
         done[n] = out
     return out
 
@@ -973,7 +1051,7 @@ def _derivative(e: Expr, s: Expr, rules: RuleSet, memo: dict) -> Expr:
     ``differentiate`` call to its derivative."""
     if e is s:
         return ONE
-    if s not in free_symbols(e):
+    if isinstance(e, (Rat, Sym, Jet)) or s not in free_symbols(e):
         return ZERO
     hit = memo.get(e)
     if hit is not None:

@@ -44,7 +44,7 @@ from .expr import (EMPTY_RULES, Expr, Jet, MINUS_ONE, ONE, RuleSet, T, ZERO,
                    add, as_expr, differentiate, exp_, free_symbols, is_zero,
                    jet, jets_in, mul, powe, rat, shared)
 from .jets import (MAX_ORDER, Direction, JetOrderError, coords,
-                   total_derivative, x_squared)
+                   stray_coordinates, total_derivative, x_squared)
 
 
 @dataclass(frozen=True)
@@ -133,9 +133,11 @@ class ProlongedGenerator:
     ``MAX_ORDER``, seeded with -pi1 and -pi2 at order zero; it keeps X's
     coefficients, not X.  ``apply_to`` is the one action of a vector field.
 
-    A jet is checked before anything is built: an order beyond
-    ``MAX_ORDER`` or a spatial index outside 1..m raises ``JetOrderError``
-    whatever the coefficients are.  Each phi^J is then one ``add`` over the
+    A coefficient of X that holds a coordinate x_i with i outside 1..m
+    raises ``JetOrderError`` when the prolongation is built.  A jet is
+    checked before anything is built: an order beyond ``MAX_ORDER`` or a
+    spatial index outside 1..m raises ``JetOrderError`` whatever the
+    coefficients are.  Each phi^J is then one ``add`` over the
     nonzero terms of the recursion only: D_i phi^J is taken only when
     phi^J holds x_i (or t) or a jet, and so is D_i c for c among eta and
     xi_1..xi_m; any other total derivative is 0 and is never built.  The
@@ -153,6 +155,14 @@ class ProlongedGenerator:
     directly lives as long as its caller holds it."""
 
     def __init__(self, x: Generator, rules: RuleSet = EMPTY_RULES):
+        names = ("eta", *(f"xi{i}" for i in range(1, x.m + 1)), "pi1",
+                 "pi2")
+        for name, c in zip(names, x.coeffs()):
+            stray = stray_coordinates(c, x.m)
+            if stray:
+                raise JetOrderError(
+                    f"{name} of X holds the coordinate {', '.join(stray)} "
+                    f"outside dimension m={x.m}")
         self.m = x.m
         self.eta_xi = (x.eta, *x.xi)
         self.rules = rules

@@ -2,11 +2,12 @@
 
 The independent coordinates are t and x1..xm: ``coords`` is the one place
 that spells x1..xm and ``is_coordinate`` the one test for a coordinate
-symbol.  ``coords(m)`` returns one tuple per m, built on first use, kept
-in a module-level table and shared by every caller.  A jet symbol
-``u_txi...`` stands for the corresponding partial derivative of u(t, x);
-order-zero jets are u and v themselves.  Spatial indices commute, so their
-multi-index is kept sorted.  Total derivatives stop at jet order
+symbol; ``stray_coordinates`` names those a dimension-m system or
+generator cannot hold.  ``coords(m)`` returns one tuple per m, built on
+first use, kept in a module-level table and shared by every caller.  A
+jet symbol ``u_txi...`` stands for the corresponding partial derivative of
+u(t, x); order-zero jets are u and v themselves.  Spatial indices commute,
+so their multi-index is kept sorted.  Total derivatives stop at jet order
 ``MAX_ORDER``.
 """
 
@@ -15,7 +16,7 @@ from __future__ import annotations
 from typing import Dict, Sequence, Tuple, Union
 
 from .expr import (EMPTY_RULES, Expr, ExprError, RuleSet, Sym, T, add,
-                   differentiate, is_zero, jets_in, mul, sym)
+                   differentiate, free_symbols, is_zero, jets_in, mul, sym)
 
 MAX_ORDER = 4
 
@@ -39,6 +40,14 @@ def is_coordinate(s: Expr) -> bool:
     """True for the symbols t and x<digits>."""
     return isinstance(s, Sym) and (
         s.name == "t" or s.name[:1] == "x" and s.name[1:].isdigit())
+
+
+def stray_coordinates(e: Expr, m: int) -> list:
+    """The coordinate symbols of e that are neither t nor one of x1..xm,
+    by name: a dimension-m system or generator cannot hold them."""
+    xs = coords(m)
+    return sorted(s.name for s in free_symbols(e)
+                  if is_coordinate(s) and s is not T and s not in xs)
 
 
 Direction = Union[str, int]  # "t" or a 1-based spatial index

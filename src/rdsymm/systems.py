@@ -6,7 +6,8 @@ Families:
 * drift       u_t - p*v_{x_m} = f1,  v_t - Lap(u) = f2             (p != 0)
 
 f1 and f2 hold no t-jet: each system is solved for u_t and v_t, and one
-whose right-hand side holds a t-jet is refused when it is built.
+whose right-hand side holds a t-jet is refused when it is built, as is
+one whose f1, f2, a or p holds a coordinate x_i with i outside 1..m.
 
 ``symmetry_residual`` applies the second prolongation of a generator to both
 equations and eliminates every t-jet through the system (evolution
@@ -40,8 +41,8 @@ from .expr import (EMPTY_RULES, Expr, ExprError, Jet, KernelRule,
                    differentiate, expand, is_zero, jet, jets_in, ker, mul,
                    powe, rat, shared, substitute, free_symbols, Rat)
 from .fields import Generator, ProlongedGenerator, generator, weight_bracket
-from .jets import (coords, is_coordinate, laplacian, total_derivatives,
-                   x_squared)
+from .jets import (coords, is_coordinate, laplacian, stray_coordinates,
+                   total_derivatives, x_squared)
 
 
 @dataclass(frozen=True)
@@ -70,6 +71,15 @@ class RDSystem:
                 raise ValueError(f"{name} holds the t-derivative "
                                  f"{', '.join(tjets)}: the system must be "
                                  "solved for u_t and v_t")
+        # a coordinate beyond m would be read as a constant: x2 at m = 1 is
+        # refused as u_x2 is
+        for name, f in (("f1", self.f1), ("f2", self.f2), ("a", self.a),
+                        ("p", self.p)):
+            stray = stray_coordinates(f, self.m)
+            if stray:
+                raise ValueError(f"{name} holds the coordinate "
+                                 f"{', '.join(stray)} outside dimension "
+                                 f"m={self.m}")
 
     def linear(self) -> Tuple[Expr, Expr]:
         """The diffusion or drift part of each right-hand side."""

@@ -360,6 +360,8 @@ _GEN = {"eta": "1", "xi": ["0"], "pi": ["0", "0"]}
     ("equiv", _TRIANGULAR, {"kind": "vshift_full", "phihat": None}),
     ("verify", _TRIANGULAR, {**_GEN, "pi": ["u_xxxxx", "0"]}),
     ("verify", {**_TRIANGULAR, "f2": "v_y"}, _GEN),
+    ("verify", {**_TRIANGULAR, "f1": "x2*u"}, _GEN),
+    ("verify", _TRIANGULAR, {**_GEN, "eta": "x2"}),
 ], ids=["m0", "division_by_zero", "aet_without_index", "aet_index_42",
         "aet_index_fractional", "aet_index_boolean",
         "array_system", "array_generator", "constraints", "nested_3000",
@@ -376,7 +378,8 @@ _GEN = {"eta": "1", "xi": ["0"], "pi": ["0", "0"]}
         "param_value_null", "eta_null", "xi_boolean", "pi2_null",
         "commutator_xi_null", "linear_param_null", "vshift_phi_boolean",
         "vshift_full_phihat_null", "malformed_jet_in_pi1",
-        "malformed_jet_in_f2"])
+        "malformed_jet_in_f2", "coordinate_beyond_m_in_f1",
+        "coordinate_beyond_m_in_eta"])
 def test_input_faults_exit_2_with_one_line(tmp_path, capsys, command, system,
                                            other):
     first = _write(tmp_path, "first.json", system)

@@ -13,11 +13,12 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import rdsymm
 from rdsymm import expr
-from rdsymm.expr import (Add, DomainError, ExprError, Jet, Ker, KernelRule,
-                         Mul, ONE, Rat, RuleSet, Sym, ZERO, add, apply_rules,
-                         children, cos_, differentiate, exp_, expand,
-                         free_symbols, is_int, is_zero, jet, jets_in, ker, ln_,
-                         mul, powe, rat, rebuild, sin_, substitute, sym)
+from rdsymm.expr import (Add, DomainError, Expr, ExprError, Jet, Ker,
+                         KernelRule, Mul, ONE, Rat, RuleSet, Sym, ZERO, add,
+                         apply_rules, children, cos_, differentiate, exp_,
+                         expand, free_symbols, is_int, is_zero, jet, jets_in,
+                         ker, ln_, mul, powe, rat, rebuild, sin_, substitute,
+                         sym)
 from rdsymm.numeric import DPS, eval_at, magnitude
 from rdsymm.parser import parse, to_text
 from rdsymm.systems import w_kernel_rules
@@ -30,6 +31,14 @@ nu, mu, lam = sym("nu"), sym("mu"), sym("lam")
 # random expression strategy over a small symbol pool
 _atoms = st.sampled_from([u, v, t, x1, nu, mu])
 _consts = st.integers(min_value=-4, max_value=4).map(rat)
+_powers = st.one_of(st.integers(min_value=-2, max_value=3),
+                    st.sampled_from([Fraction(1, 2), Fraction(-1, 2),
+                                     Fraction(3, 2)]))
+
+
+def _ln_or_self(e):
+    # ln of a non-positive constant raises
+    return e if isinstance(e, Rat) and e.value <= 0 else ln_(e)
 
 
 def _exprs(depth=3):
@@ -41,12 +50,14 @@ def _exprs(depth=3):
         base,
         st.tuples(sub, sub).map(lambda p: add(*p)),
         st.tuples(sub, sub).map(lambda p: mul(*p)),
-        st.tuples(sub, st.integers(min_value=-2, max_value=3)).map(
+        st.tuples(sub, _powers).map(
             lambda p: powe(p[0], rat(p[1])) if not is_zero(p[0]) or p[1] > 0
             else p[0]),
         sub.map(exp_),
+        sub.map(_ln_or_self),
         sub.map(sin_),
         sub.map(cos_),
+        sub.map(lambda a: ker("F", a, dvec=(1,))),
     )
 
 
@@ -60,7 +71,9 @@ def _all_nodes(e):
 @settings(max_examples=500, deadline=None)
 @given(_exprs())
 def test_children_rebuild_roundtrip(e):
-    assert rebuild(e, children(e)) == e
+    # the premise of every walk that hands back a node it did not change
+    for n in _all_nodes(e):
+        assert rebuild(n, children(n)) is n
 
 
 def _tower(x, depth):
@@ -523,10 +536,14 @@ _POSITIVE_POINT = {u: Fraction(3, 2), v: Fraction(2, 3), t: Fraction(5, 4),
 @given(_exprs())
 @example(cos_(x1) * sin_(v * (nu - 4)))
 def test_expand_keeps_value_and_is_idempotent(e):
+    def opaque(name, dvec, args):
+        # one value per kernel: expand may round an argument's value
+        return Fraction(3, 7) + sum(dvec)
+
     try:
-        want = eval_at(e, _POSITIVE_POINT)
+        want = eval_at(e, _POSITIVE_POINT, opaque)
         out = expand(e)
-        terms = [eval_at(s, _POSITIVE_POINT)
+        terms = [eval_at(s, _POSITIVE_POINT, opaque)
                  for s in (out.terms if isinstance(out, Add) else (out,))]
         scale = max(1.0, *(magnitude(s) for s in terms))
     except (DomainError, OverflowError):
@@ -631,3 +648,161 @@ def test_apply_rules_reduces_a_shared_kernel_once(monkeypatch):
     dF, F = ker("F", x1, dvec=(1,)), ker("F", x1)
     assert apply_rules(t * dF + x1 * dF, rules) is t * F + x1 * F
     assert calls == [("F", (x1,), (1,), rules)]
+
+
+def _reference_terms(*terms):
+    """The terms of ``add(*terms)`` as first written: every monomial is
+    rebuilt from its summed coefficient, a term that met no like term
+    too."""
+    acc = {}
+    for t in terms:
+        for s in expr.addends(t):
+            if s is not ZERO:
+                coeff, pairs = expr.term_parts(s)
+                acc[pairs] = acc.get(pairs, 0) + coeff
+    return sorted((expr._from_parts(c, p) for p, c in acc.items() if c),
+                  key=Expr.key)
+
+
+def _reference_mul(*factors):
+    """``mul``'s general path as first written: the arguments of the exp
+    factors go through ker("exp", add(...)) again, a lone one too, and
+    each base's exponents through ``add``."""
+    coeff, bases, exp_args = 1, {}, []
+    for f in factors:
+        if isinstance(f, Rat):
+            coeff *= f.value
+            continue
+        if isinstance(f, Mul):
+            coeff *= f.coeff
+        for b, x in f.pairs if isinstance(f, Mul) else ((f, ONE),):
+            if isinstance(b, Ker) and b.name == "exp":
+                exp_args.append(b.args[0])
+            else:
+                bases.setdefault(b, []).append(x)
+    if coeff == 0:
+        return ZERO
+    pending = []
+    if exp_args:
+        e = ker("exp", add(*exp_args))
+        if isinstance(e, Ker) and e.name == "exp":
+            bases[e] = [ONE]
+        else:
+            pending.append(e)
+    pairs = []
+    for b, xs in bases.items():
+        x = add(*xs)
+        if x is ZERO:
+            continue
+        if x is not ONE or isinstance(b, (Rat, Mul)):
+            p = powe(b, x)
+            if expr.lone_power(p) != (b, x):
+                pending.append(p)
+                continue
+        pairs.append((b, x))
+    out = expr._make_mul(coeff, sorted(pairs, key=lambda bx: bx[0].key()))
+    return mul(out, *pending) if pending else out
+
+
+def _reference_mapped(n, binding, rules, done):
+    """``expr._mapped`` as first written: every node it reaches is rebuilt,
+    from children it left as they were too."""
+    if isinstance(n, (Sym, Jet)):
+        return binding.get(n, n)
+    if rules is expr.EMPTY_RULES and free_symbols(n).isdisjoint(binding):
+        return n
+    out = done.get(n)
+    if out is None:
+        kids = [_reference_mapped(c, binding, rules, done)
+                for c in children(n)]
+        if isinstance(n, Ker) and rules.for_name(n.name):
+            out = expr.reduce_kernel(n.name, tuple(kids), n.dvec, rules)
+        else:
+            out = rebuild(n, kids)
+        done[n] = out
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_exprs(2), min_size=2, max_size=4), _rationals)
+def test_a_sum_hands_back_each_term_that_met_no_like_term(terms, value):
+    # the first addend again, times c, is a like term of it
+    like = mul(rat(value), expr.addends(terms[0])[0])
+    for ts in (terms, [*terms, like], [like, *terms]):
+        got, want = add(*ts), _reference_terms(*ts)
+        # a sum's terms are its own: equal terms mean the same node
+        assert list(expr.addends(got)) == want if want else got is ZERO
+
+
+@settings(max_examples=300, deadline=None)
+@given(_exprs(2), _exprs(2), _exprs(2), _powers)
+def test_a_product_hands_back_its_lone_exp_factor(a, b, c, power):
+    assume(not is_zero(a) or power > 0)
+    for fs in ([a, exp_(b)], [exp_(b), powe(a, rat(power))],
+               [a, exp_(b), mul(c, exp_(c))], [exp_(b), exp_(b)],
+               [exp_(ln_(u) + b), c]):
+        try:
+            want = _reference_mul(*fs)
+        except DomainError:
+            with pytest.raises(DomainError):
+                mul(*fs)
+            continue
+        assert mul(*fs) is want
+
+
+_s = sym("s")
+_WALK_RULES = [expr.EMPTY_RULES,
+               RuleSet([KernelRule("F", 0, 1, [_s], ker("F", _s))]),
+               RuleSet([KernelRule("F", 0, 0, [_s], _s ** 3)]),
+               RuleSet([KernelRule("G", 0, 0, [_s], _s ** 3)])]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_exprs(), _exprs(2), st.sampled_from(_WALK_RULES))
+def test_a_walk_hands_back_the_subtrees_it_did_not_change(e, image, rules):
+    # rules for a kernel of e (F), for none (G) or none at all
+    for binding in ({}, {u: image}, {sym("absent"): image}):
+        try:
+            want = _reference_mapped(e, binding, rules, {})
+        except DomainError:
+            with pytest.raises(DomainError):
+                expr._mapped(e, binding, rules, {})
+            continue
+        assert expr._mapped(e, binding, rules, {}) is want
+
+
+def test_a_walk_that_changes_nothing_rebuilds_nothing(monkeypatch):
+    s = sym("s")
+    rules = RuleSet([KernelRule("G", 0, 0, [s], s ** 3)])    # G(s) = s^3
+    e = add(ker("F", u + t, dvec=(1,)) * exp_(x1 * v), sin_(t) ** rat(1, 2),
+            ln_(u + 2), powe(nu, mu))
+    rebuilt = []
+
+    def counting(n, kids):
+        rebuilt.append(n)
+        return rebuild(n, kids)
+
+    monkeypatch.setattr(expr, "rebuild", counting)
+    assert apply_rules(e, rules) is e
+    assert substitute(e, {u: u}) is e
+    assert rebuilt == []
+
+
+def test_a_sum_of_distinct_monomials_builds_no_term(monkeypatch):
+    terms = [u, 2 * v, t * x1, powe(u, rat(1, 2)), exp_(t), rat(3),
+             -nu * u * v, ker("F", u, dvec=(2,))]
+    calls = []
+    real = expr._from_parts
+
+    def counting(coeff, pairs):
+        calls.append(pairs)
+        return real(coeff, pairs)
+
+    monkeypatch.setattr(expr, "_ADDED", {})    # no result kept from before
+    monkeypatch.setattr(expr, "_from_parts", counting)
+    out = add(*terms)
+    assert calls == []
+    assert sorted(out.terms, key=id) == sorted(terms, key=id)
+    assert add(*terms[:4], add(*terms[4:])) is out and calls == []
+    add(u, 2 * u)       # a merged monomial is built from its coefficient
+    assert calls == [((u, ONE),)]

@@ -284,6 +284,21 @@ def test_a_jet_beyond_m_raises_on_every_call():
             prolonged_equations(system, g)
 
 
+@pytest.mark.parametrize("coeff", range(4))
+def test_a_coordinate_outside_the_dimension_in_x_raises(coeff):
+    # x2 in a coefficient of a generator at m = 1 is no coordinate of it
+    cs = [rat(0)] * 4
+    cs[coeff] = sym("x2") * u
+    g = Generator(cs[0], (cs[1],), cs[2], cs[3])
+    for _ in range(2):
+        with pytest.raises(JetOrderError, match="coordinate x2 outside"):
+            ProlongedGenerator(g)
+        with pytest.raises(JetOrderError, match="coordinate x2 outside"):
+            prolonged_equations(triangular(1, a, u, v), g)
+    cs[coeff] = x1 * u
+    assert ProlongedGenerator(Generator(cs[0], (cs[1],), cs[2], cs[3])).m == 1
+
+
 def test_scaling_prolongation_coefficient():
     # derived by hand: for D = t dt + x/2 dx, phi^u_x = -1/2 u_x
     d = named_operator("D", 1)

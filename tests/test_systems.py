@@ -249,6 +249,20 @@ def test_a_right_hand_side_with_a_t_jet_is_rejected(f1, f2):
             build()
 
 
+@pytest.mark.parametrize("field", ["f1", "f2", "a", "p"])
+def test_a_coordinate_outside_the_dimension_is_rejected(field):
+    # x2 at m = 1 is refused as u_x2 is, not read as a constant
+    def build(m, x):
+        parts = {"f1": u, "f2": v, "a": a, "p": rat(1), field: x * u}
+        return RDSystem(m, "drift" if field == "p" else "triangular",
+                        parts["f1"], parts["f2"], a=parts["a"], p=parts["p"])
+
+    for m, name in ((1, "x2"), (2, "x3"), (2, "x0")):
+        with pytest.raises(ValueError, match=f"coordinate {name} outside"):
+            build(m, sym(name))
+    assert build(2, sym("x2")).m == 2
+
+
 @pytest.mark.parametrize("tjet, passes", [
     (jet("u", 2), 2), (jet("u", 1, (1,)), 1)], ids=["u_tt", "u_tx1"])
 def test_evolution_reduce_takes_one_pass_per_t_order(monkeypatch, tjet,

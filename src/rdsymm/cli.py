@@ -105,8 +105,11 @@ def load_system(path) -> RDSystem:
     raise UsageError(f"unknown system kind {kind!r}")
 
 
-def load_generator(path, m: int) -> Generator:
+def load_generator(path, m=None) -> Generator:
+    """The generator in ``path``; with no m, m is its xi array's length."""
     data = _load_json(path)
+    if m is None:
+        m = len(_array(data, "xi", []))
     eta = _parse_expr(data.get("eta", "0"), "eta")
     xi = [_parse_expr(s, "xi") for s in _array(data, "xi", ["0"] * m)]
     if len(xi) != m:
@@ -200,17 +203,12 @@ def cmd_canon(args) -> int:
 
 
 def cmd_commutator(args) -> int:
-    gx = load_generator(args.x, m=_peek_m(args.x))
-    gy = load_generator(args.y, m=_peek_m(args.y))
+    gx, gy = load_generator(args.x), load_generator(args.y)
     if gx.m != gy.m:
         raise UsageError("generators have different dimensions")
     print(json.dumps(dump_generator(commutator(gx, gy)),
                      indent=2, sort_keys=True))
     return 0
-
-
-def _peek_m(path) -> int:
-    return len(_array(_load_json(path), "xi", []))
 
 
 def cmd_corpus_run(args) -> int:

@@ -13,10 +13,11 @@ through the characteristic recursion
 from phi^a at order zero, -pi^a.  Its ``apply_to`` is the one action of a
 vector field: X on a function of (t, x, u, v) is the order-zero case, and
 ``commutator`` and ``transforms.pushforward`` are built on it.  Each
-phi^a_J is built from the nonzero terms of the recursion only, after the
-jet itself is checked against m and ``MAX_ORDER``, so a shift or a
-rotation, whose coefficients are mostly constant, prolongs without
-building a total derivative of 0.
+phi^a_J is one sum, built after the jet itself is checked against m and
+``MAX_ORDER``.  The recursion takes no total derivative of a rational
+phi^a_J, eta or xi_k; ``jets.total_derivative`` decides every other zero.
+So a shift, whose coefficients are constants, prolongs without taking a
+total derivative at all.
 
 pr X depends only on X's coefficients and the kernel rules, so a
 generator keeps one prolongation (``Generator.prolonged``): the one for the
@@ -40,9 +41,9 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Tuple
 
 from .equality import Undecided, decide_equivalence, vanish
-from .expr import (EMPTY_RULES, Expr, Jet, MINUS_ONE, ONE, RuleSet, T, ZERO,
-                   add, as_expr, differentiate, exp_, free_symbols, is_zero,
-                   jet, jets_in, mul, powe, rat, shared)
+from .expr import (EMPTY_RULES, Expr, Jet, MINUS_ONE, ONE, Rat, RuleSet, T,
+                   ZERO, add, as_expr, differentiate, exp_, is_zero, jet,
+                   jets_in, mul, powe, rat, shared)
 from .jets import (MAX_ORDER, Direction, JetOrderError, coords,
                    stray_coordinates, total_derivative, x_squared)
 
@@ -120,14 +121,6 @@ def generator(m: int, eta=ZERO, xi=None, phi_u=ZERO, phi_v=ZERO) -> Generator:
     return Generator(eta, xi, mul(MINUS_ONE, phi_u), mul(MINUS_ONE, phi_v))
 
 
-def _moves(e: Expr, axis: Expr) -> bool:
-    """False when the total derivative along the coordinate ``axis`` is 0
-    without building it: e holds neither ``axis`` nor a jet, so each
-    partial derivative in it is by an absent atom."""
-    atoms = free_symbols(e)
-    return axis in atoms or any(type(s) is Jet for s in atoms)
-
-
 class ProlongedGenerator:
     """pr X: m, (eta, xi_1..xi_m) and the phi-coefficient of every jet up to
     ``MAX_ORDER``, seeded with -pi1 and -pi2 at order zero; it keeps X's
@@ -137,12 +130,14 @@ class ProlongedGenerator:
     raises ``JetOrderError`` when the prolongation is built.  A jet is
     checked before anything is built: an order beyond ``MAX_ORDER`` or a
     spatial index outside 1..m raises ``JetOrderError`` whatever the
-    coefficients are.  Each phi^J is then one ``add`` over the
-    nonzero terms of the recursion only: D_i phi^J is taken only when
-    phi^J holds x_i (or t) or a jet, and so is D_i c for c among eta and
-    xi_1..xi_m; any other total derivative is 0 and is never built.  The
-    shifts and rotations the classification states most often have
-    mostly constant coefficients, so most terms vanish this way.
+    coefficients are.  Each phi^J is then one ``add`` over the terms of
+    the recursion: D_i phi^J is taken unless phi^J is rational (0
+    included), and D_i c for c among eta and xi_1..xi_m unless c is
+    rational.  ``jets.total_derivative`` is the one judge of any other
+    zero: for an e that holds neither x_i (or t) nor a jet it returns 0
+    at once and builds nothing.  The shifts the classification states
+    most often have rational coefficients only, so they prolong without
+    a single total derivative.
 
     What depends on X alone is derived once per prolongation, not once per
     ``apply_to``: the nonzero horizontal pairs (t, eta) and (x_i, xi_i)
@@ -171,22 +166,20 @@ class ProlongedGenerator:
             if not is_zero(c))
         self._phi: Dict[Jet, Expr] = {jet(dep): x.phi(dep)
                                       for dep in ("u", "v")}
-        self._directions: Dict[Direction, Tuple[Expr, list]] = {}
+        self._directions: Dict[Direction, list] = {}
 
-    def _direction(self, direction: Direction) -> Tuple[Expr, list]:
-        """The direction's coordinate and the nonzero pairs
-        (D_direction c, toward) for c = eta (toward t) and c = xi_k (toward
-        x_k), built once per direction."""
+    def _direction(self, direction: Direction) -> list:
+        """The nonzero pairs (D_direction c, toward) for c = eta (toward t)
+        and c = xi_k (toward x_k), built once per direction."""
         hit = self._directions.get(direction)
         if hit is None:
             m = self.m
-            axis = T if direction == "t" else coords(m)[direction - 1]
-            hit = self._directions[direction] = (axis, [
+            hit = self._directions[direction] = [
                 (d, toward) for c, toward in zip(
                     self.eta_xi, ("t", *range(1, m + 1)))
-                if _moves(c, axis)
+                if not isinstance(c, Rat)
                 for d in (total_derivative(c, direction, m, self.rules),)
-                if not is_zero(d)])
+                if not is_zero(d)]
         return hit
 
     def phi(self, j: Jet) -> Expr:
@@ -206,10 +199,9 @@ class ProlongedGenerator:
             direction = "t"
             parent = Jet(j.dep, j.nt - 1, ())
         prev = self.phi(parent)
-        axis, dcoefs = self._direction(direction)
         terms = [mul(MINUS_ONE, d, parent.bump(toward))
-                 for d, toward in dcoefs]
-        if _moves(prev, axis):
+                 for d, toward in self._direction(direction)]
+        if not isinstance(prev, Rat):
             terms.append(total_derivative(prev, direction, self.m, self.rules))
         out = self._phi[j] = add(*terms)
         return out

@@ -62,9 +62,6 @@ class NMatrix:
         return NMatrix(mul(c, self.nu1), mul(c, self.nu2),
                        mul(c, self.mu1), mul(c, self.mu2))
 
-    def is_zero(self) -> bool:
-        return all(is_zero(e) for e in (self.nu1, self.nu2, self.mu1, self.mu2))
-
 
 def nmatrix(nu1=0, nu2=0, mu1=0, mu2=0) -> NMatrix:
     return NMatrix(as_expr(nu1), as_expr(nu2), as_expr(mu1), as_expr(mu2))
@@ -237,7 +234,6 @@ def realized_basis(g: NMatrix, m: int = 1) -> Generator:
 @dataclass
 class AlgebraPresentation:
     name: str
-    basis_names: Tuple[str, ...]
     basis: Tuple[NMatrix, ...]
     # nonzero commutators: (i, j) -> {k: coefficient}, 1-based indices
     brackets: dict
@@ -284,8 +280,7 @@ def algebra_catalog(name: str) -> AlgebraPresentation:
     if name == "A3,4":
         note = ("basis order fixed by verifying the stated constants "
                 "against the matrix brackets")
-    return AlgebraPresentation(name, tuple(names), tuple(basis), dict(brackets),
-                               note)
+    return AlgebraPresentation(name, tuple(basis), dict(brackets), note)
 
 
 def closure_check(basis: Sequence, brackets: dict) -> Optional[bool]:

@@ -232,9 +232,7 @@ def _prec(e: Expr) -> int:
     if isinstance(e, Mul):
         return _UNARY if (e.coeff == -1 and len(e.pairs) == 1
                           and is_one(e.pairs[0][1])) else _MUL
-    if isinstance(e, Add):
-        return _ADD
-    return _ATOM
+    return _ADD
 
 
 def _wrap(e: Expr, ctx: int) -> str:

@@ -405,12 +405,12 @@ def conformal_residuals(system: RDSystem) -> Tuple[Expr, Expr]:
                         mul(m, U), mul(m, V))
 
 
-def exp_galilei_gamma(system: RDSystem) -> Tuple[Optional[bool], Optional[Expr]]:
+def exp_galilei_gamma(a: Expr, g1: Expr, g2: Expr
+                      ) -> Tuple[Optional[bool], Optional[Expr]]:
     """Whether a rate gamma exists for which a(f1 + gamma u) = (a(u du+v
     dv) - u dv) f1 and a(f2 + gamma v) - gamma u = (...) f2 both hold
-    (None: undecided), and the rate when it does."""
-    a = system.a
-    g1, g2 = galilei_residuals(system)
+    (None: undecided), and the rate when it does; g1, g2 are the system's
+    ``galilei_residuals`` and a its diffusion constant."""
     try:
         g1 = expand(g1)
     except ExprError:
@@ -442,12 +442,12 @@ def extension_check(system: RDSystem) -> ExtensionReport:
     """Which extended operators (G, Ghat, K) the nonlinearities admit."""
     if system.family != "triangular" or is_zero(system.a):
         raise ValueError("extension tests apply to triangular a != 0")
-    gal = vanish(decide_equivalence(r, ZERO)
-                 for r in galilei_residuals(system))
+    gres = galilei_residuals(system)
+    gal = vanish(decide_equivalence(r, ZERO) for r in gres)
     # K is tested only once G is admitted
     conf = vanish(decide_equivalence(r, ZERO)
                   for r in conformal_residuals(system)) if gal else gal
-    expg, gamma = exp_galilei_gamma(system)
+    expg, gamma = exp_galilei_gamma(system.a, *gres)
     return ExtensionReport(gal, expg, conf, gamma)
 
 

@@ -69,6 +69,19 @@ def _bind_derived(tpl: RowTemplate, binding: Dict) -> Dict:
     return binding
 
 
+def _zeroable(row: CorpusRow, expr: Expr) -> List[Sym]:
+    """The parameters of ``expr`` a zero constraint may set to 0: declared
+    in ``row.params`` and not flagged ``nonzero``, in name order."""
+    return [s for s in sorted(free_symbols(expr), key=Expr.key)
+            if isinstance(s, Sym) and s.name in row.params
+            and not row.params[s.name].get("nonzero")]
+
+
+def _breaks_nonzero(tpl: RowTemplate, binding: Dict) -> bool:
+    """True when a ``nonzero`` constraint of the row is 0 under binding."""
+    return any(is_zero(substitute(c, binding)) for c in tpl.nonzero)
+
+
 def _sample_params(row: CorpusRow, tpl: RowTemplate, rng: random.Random):
     """Draw parameter values satisfying the row constraints."""
     names = sorted(row.params)
@@ -89,16 +102,14 @@ def _sample_params(row: CorpusRow, tpl: RowTemplate, rng: random.Random):
             if is_zero(substitute(c, binding)):
                 continue
             # force one participating parameter to zero and retry the check
-            syms = [s for s in sorted(free_symbols(c), key=Expr.key)
-                    if isinstance(s, Sym) and s.name in row.params
-                    and not row.params[s.name].get("nonzero")]
+            syms = _zeroable(row, c)
             if syms:
                 binding[rng.choice(syms)] = ZERO
                 _bind_derived(tpl, binding)
             if not is_zero(substitute(c, binding)):
                 break
         else:
-            if not any(is_zero(substitute(c, binding)) for c in tpl.nonzero):
+            if not _breaks_nonzero(tpl, binding):
                 return binding
     raise UnsatisfiableConstraints(f"{row.key}: no sample found")
 
@@ -106,21 +117,22 @@ def _sample_params(row: CorpusRow, tpl: RowTemplate, rng: random.Random):
 def symbolic_branches(row: CorpusRow, m: int) -> List[Dict]:
     """Bindings realizing the row's product-type zero constraints (one per
     choice of vanishing factor) and its +-1-valued parameters, read from
-    the row compiled at m.  A zero constraint that no single vanishing
-    parameter satisfies raises ``UnsatisfiableConstraints``."""
+    the row compiled at m; no parameter flagged ``nonzero`` vanishes, and
+    no ``nonzero`` constraint is 0.  A zero constraint that no single
+    vanishing parameter satisfies, or no branch left, raises
+    ``UnsatisfiableConstraints``."""
+    tpl = row.template(m)
     branches = [dict()]
     for name, flags in sorted(row.params.items()):
         if flags.get("pm1"):
             branches = [{**b, sym(name): val} for b in branches
                         for val in (rat(1), rat(-1))]
-    for expr in row.template(m).zero:
-        factors = sorted({s.name for s in free_symbols(expr)
-                          if isinstance(s, Sym) and s.name in row.params})
+    for expr in tpl.zero:
+        factors = _zeroable(row, expr)
         new = []
         for b in branches:
             for f in factors:
-                nb = dict(b)
-                nb[sym(f)] = ZERO
+                nb = {**b, f: ZERO}
                 if is_zero(substitute(expr, nb)):
                     new.append(nb)
         if not new:
@@ -131,8 +143,12 @@ def symbolic_branches(row: CorpusRow, m: int) -> List[Dict]:
     # one branch per distinct binding, in order of first appearance
     distinct = {}
     for b in branches:
-        distinct.setdefault(tuple(sorted((k.name, str(v))
-                                         for k, v in b.items())), b)
+        if not _breaks_nonzero(tpl, _bind_derived(tpl, dict(b))):
+            distinct.setdefault(tuple(sorted((k.name, str(v))
+                                             for k, v in b.items())), b)
+    if not distinct:
+        raise UnsatisfiableConstraints(
+            f"{row.key}: every branch makes a nonzero constraint zero")
     return list(distinct.values())
 
 

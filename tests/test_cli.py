@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import rdsymm
+from rdsymm import cli
 from rdsymm.cli import main
 
 
@@ -108,14 +109,24 @@ def test_canon_of_an_undecided_entry_exits_1_with_one_line(tmp_path, capsys):
     assert captured.out.count("\n") == 1
 
 
-def test_commutator(tmp_path, capsys):
+def test_commutator(tmp_path, capsys, monkeypatch):
     x = _write(tmp_path, "x.json", {"eta": "t", "xi": ["x1/2"],
                                     "pi": ["0", "0"]})
     y = _write(tmp_path, "y.json", {"eta": "1", "xi": ["0"],
                                     "pi": ["0", "0"]})
+    reads = []
+    load_json = cli._load_json
+
+    def counting(path, *args):
+        reads.append(path)
+        return load_json(path, *args)
+
+    monkeypatch.setattr(cli, "_load_json", counting)
     code = main(["commutator", x, y])
     out = json.loads(capsys.readouterr().out)
     assert code == 0 and out["eta"] == "-1"
+    # each generator file is read once
+    assert reads == [x, y]
 
 
 def test_verify_fails_on_sign_ambiguous_trig_argument(tmp_path, capsys):
@@ -211,7 +222,8 @@ def test_corpus_run_filtered(tmp_path, capsys):
     code = main(["corpus", "run", "--table", "3", "--seed", "1",
                  "--json", out_json])
     assert code == 0
-    report = json.loads(open(out_json).read())
+    with open(out_json) as fh:
+        report = json.load(fh)
     assert report["counts"]["pass"] >= 3
     text = capsys.readouterr().out
     assert "T3.3*: pass" in text

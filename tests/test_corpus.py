@@ -93,6 +93,42 @@ def test_a_zero_constraint_no_vanishing_parameter_meets_is_refused():
     assert "mu - nu" in entry["note"]
 
 
+def _t5_1(**changes):
+    return replace(next(r for r in load_table(5) if r.item == "1"), **changes)
+
+
+def _branches(row, m=1):
+    return [{k.name: str(v) for k, v in b.items()}
+            for b in symbolic_branches(row, m)]
+
+
+def test_a_zero_constraint_sets_no_nonzero_flagged_parameter_to_zero():
+    row = _t5_1(params={"lam": {}, "mu": {"nonzero": True}, "nu": {}},
+                zero=["mu*nu"])
+    assert _branches(row) == [{"nu": "0"}]
+    with pytest.raises(UnsatisfiableConstraints, match="mu"):
+        symbolic_branches(replace(row, zero=["mu"]), 1)
+
+
+def test_a_branch_that_zeroes_a_nonzero_constraint_is_dropped():
+    row = _t5_1(zero=["mu*nu"], nonzero=["nu"])
+    assert _branches(row) == [{"mu": "0"}]
+    # the same for a +-1 parameter: lam = -1 makes lam + 1 zero
+    row = _t5_1(params={"lam": {"pm1": True}, "mu": {}, "nu": {}},
+                nonzero=["lam + 1"])
+    assert _branches(row) == [{"lam": "1"}]
+
+
+def test_no_branch_left_by_the_nonzero_constraints_is_refused():
+    row = _t5_1(zero=["mu*nu"], nonzero=["mu", "nu"])
+    with pytest.raises(UnsatisfiableConstraints, match="nonzero"):
+        symbolic_branches(row, 1)
+    run = verify_row(row, m_values=[1], modes=("symbolic",))
+    assert run.status == "undecided"
+    (entry,) = run.results
+    assert entry["verdict"] == "undecided" and entry["mode"] == "symbolic"
+
+
 def test_determinism_byte_identical_reports():
     r1 = run_suite(tables=[3], seed=7)
     r2 = run_suite(tables=[3], seed=7)

@@ -4,9 +4,10 @@ A ``Generator`` is the first-order operator
 
     X = eta*d_t + xi_i*d_{x_i} - pi1*d_u - pi2*d_v
 
-(note the minus signs on the pi's).  ``ProlongedGenerator`` is pr X: it
-keeps X's coefficients, not X, and extends them to jet coordinates
-through the characteristic recursion
+(note the minus signs on the pi's: ``generator`` builds X from phi^a =
+-pi^a, and only ``cli``, reading a file's pi's, builds one by its class).
+``ProlongedGenerator`` is pr X: it keeps X's coefficients, not X, and
+extends them to jet coordinates through the characteristic recursion
 
     phi^a_{J,i} = D_i phi^a_J - (D_i eta) u^a_{J,t} - sum_k (D_i xi^k) u^a_{J,k}
 
@@ -20,13 +21,15 @@ So a shift, whose coefficients are constants, prolongs without taking a
 total derivative at all.
 
 pr X depends only on X's coefficients and the kernel rules, so a
-generator keeps one prolongation (``Generator.prolonged``): the one for the
-last rule set it was prolonged under, rule sets being compared by content.
-Checking one generator against many systems with the same rules derives
-each phi^a_J once.  Inside an ``expr.shared_derivations`` block, which
-``verify.verify_row`` opens for a corpus row, the prolongation is also kept
-in the block's table under (coefficients, rules), so the equal generators
-that each instantiation of the row builds afresh share one.
+generator keeps one prolongation (``Generator.prolonged``, the one builder
+of pr X for claim checks, commutators, pushforwards and classifying
+residuals): the one for the last rule set it was prolonged under, rule
+sets being compared by content.  Checking one generator against many
+systems with the same rules derives each phi^a_J once.  Inside an
+``expr.shared_derivations`` block, which ``verify.verify_row`` opens for
+a corpus row, the prolongation is also kept in the block's table under
+(coefficients, rules), so the equal generators that each instantiation
+of the row builds afresh share one.
 
 The named operators below are the dilation/Galilei/conformal family for the
 triangular systems.  The boost and conformal weights carry the coefficients
@@ -146,8 +149,7 @@ class ProlongedGenerator:
     ``Jet`` node.  ``Generator.prolonged`` keeps one ProlongedGenerator on
     its generator, for the last rule set used, so the phi^J of one
     generator are shared by every system with equal rules, and inside a
-    ``shared_derivations`` block by every equal generator; one built
-    directly lives as long as its caller holds it."""
+    ``shared_derivations`` block by every equal generator."""
 
     def __init__(self, x: Generator, rules: RuleSet = EMPTY_RULES):
         names = ("eta", *(f"xi{i}" for i in range(1, x.m + 1)), "pi1",
@@ -227,11 +229,11 @@ class ProlongedGenerator:
 
 def commutator(x: Generator, y: Generator,
                rules: RuleSet = EMPTY_RULES) -> Generator:
-    """[X, Y]; coefficients pr X(Y-coeff) - pr Y(X-coeff) by fresh
-    prolongations, so a jet in a coefficient brings its phi^J terms."""
+    """[X, Y]; coefficients pr X(Y-coeff) - pr Y(X-coeff), so a jet in a
+    coefficient brings its phi^J terms."""
     if x.m != y.m:
         raise ValueError("generators over different dimensions")
-    prx, pry = ProlongedGenerator(x, rules), ProlongedGenerator(y, rules)
+    prx, pry = x.prolonged(rules), y.prolonged(rules)
     return x.map(lambda cx, cy: add(prx.apply_to(cy),
                                     mul(MINUS_ONE, pry.apply_to(cx))), y)
 

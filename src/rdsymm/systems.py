@@ -7,7 +7,8 @@ Families:
 
 f1 and f2 hold no t-jet: each system is solved for u_t and v_t, and one
 whose right-hand side holds a t-jet is refused when it is built, as is
-one whose f1, f2, a or p holds a coordinate x_i with i outside 1..m.
+one whose f1, f2, a or p holds a coordinate x_i with i outside 1..m, or
+one of another family.
 
 ``symmetry_residual`` applies the second prolongation of a generator to both
 equations and eliminates every t-jet through the system (evolution
@@ -27,7 +28,8 @@ The classifying-equation residuals are transcribed from the classification's
 closed displays, with two corrections that the cross-validation suite pins
 down against direct prolongation: the second equation carries the
 ``+ C2*f1`` coupling term, and the diffusion terms on the shifts read
-``- a*Lap(B2) - Lap(B1)``.
+``- a*Lap(B2) - Lap(B1)``.  Each applies its vertical field through
+``Generator.prolonged``, as a claim check does.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from .expr import (EMPTY_RULES, Expr, ExprError, Jet, KernelRule,
                    MINUS_ONE, ONE, RuleSet, T, U, V, ZERO, add, as_expr,
                    differentiate, expand, is_zero, jet, jets_in, ker, mul,
                    powe, rat, shared, substitute, free_symbols, Rat)
-from .fields import Generator, ProlongedGenerator, generator, weight_bracket
+from .fields import Generator, generator, weight_bracket
 from .jets import (coords, is_coordinate, laplacian, stray_coordinates,
                    total_derivatives, x_squared)
 
@@ -59,6 +61,8 @@ class RDSystem:
         default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.family not in ("triangular", "drift"):
+            raise ValueError(f"unknown family {self.family!r}")
         # with p = 0 the drift system is the triangular one with a = 0
         if self.family == "drift" and is_zero(self.p):
             raise ValueError("a drift system needs p != 0; with p = 0 it is "
@@ -87,9 +91,7 @@ class RDSystem:
                         for d in "uv")
         if self.family == "triangular":
             return mul(self.a, lap_u), add(lap_u, mul(self.a, lap_v))
-        if self.family == "drift":
-            return mul(self.p, jet("v", 0, (self.m,))), lap_u
-        raise ValueError(f"unknown family {self.family!r}")
+        return mul(self.p, jet("v", 0, (self.m,))), lap_u
 
     def rhs(self) -> Tuple[Expr, Expr]:
         """(linear part + f1, linear part + f2), built on the first call
@@ -128,9 +130,9 @@ def drift_normalize(p_vec: Sequence) -> DriftNormalization:
     p = [as_expr(c) for c in p_vec]
     m = len(p)
     norm2 = add(*[mul(c, c) for c in p])
+    ident = tuple(tuple(ONE if i == j else ZERO for j in range(m))
+                  for i in range(m))
     if is_zero(norm2):
-        ident = tuple(tuple(ONE if i == j else ZERO for j in range(m))
-                      for i in range(m))
         return DriftNormalization(ident, ZERO, True)
     norm = powe(norm2, rat(1, 2))
     # Householder reflection with w = p - |p| e_m  (identity if w = 0)
@@ -138,12 +140,10 @@ def drift_normalize(p_vec: Sequence) -> DriftNormalization:
     w[m - 1] = add(w[m - 1], mul(MINUS_ONE, norm))
     ww = add(*[mul(c, c) for c in w])
     if is_zero(ww):
-        rot = tuple(tuple(ONE if i == j else ZERO for j in range(m))
-                    for i in range(m))
+        rot = ident
     else:
         inv = powe(ww, MINUS_ONE)
-        rot = tuple(tuple(add((ONE if i == j else ZERO),
-                              mul(rat(-2), w[i], w[j], inv))
+        rot = tuple(tuple(add(ident[i][j], mul(rat(-2), w[i], w[j], inv))
                           for j in range(m)) for i in range(m))
     return DriftNormalization(rot, norm, False)
 
@@ -248,8 +248,7 @@ def is_symmetry(system: RDSystem, x: Generator, seed: int = 0) -> SymmetryReport
 def _classifying(system: RDSystem, lhs: Tuple[Expr, Expr], phi_u: Expr,
                  phi_v: Expr) -> Tuple[Expr, Expr]:
     """lhs^a - X f^a for both equations, X = phi_u d_u + phi_v d_v."""
-    x = ProlongedGenerator(generator(system.m, phi_u=phi_u, phi_v=phi_v),
-                           system.rules)
+    x = generator(system.m, phi_u=phi_u, phi_v=phi_v).prolonged(system.rules)
     return tuple(add(lhs_a, mul(MINUS_ONE, x.apply_to(f)))
                  for lhs_a, f in zip(lhs, (system.f1, system.f2)))
 
@@ -302,17 +301,18 @@ def classifying_residual_full(system: RDSystem,
     # the omega sector also carries the time derivative of its weight,
     # gamma*S_omega times the Galilei weight, on the left-hand sides
     S_omega_t = mul(data.gamma, S_omega)
+    lap_B1 = laplacian(data.B1, m, rules)
     lhs1 = add(mul(add(lam_t, data.mu, data.C1), f1),
                mul(S, lin_u), mul(S_omega_t, wu),
                mul(C1t, U), differentiate(data.B1, T, rules),
-               mul(MINUS_ONE, a, laplacian(data.B1, m, rules)))
+               mul(MINUS_ONE, a, lap_B1))
     lhs2 = add(mul(add(lam_t, data.mu, data.C1), f2),
                mul(data.C2, f1),
                mul(S, lin_v), mul(S_omega_t, wv),
                mul(C1t, V), mul(C2t, U),
                differentiate(data.B2, T, rules),
                mul(MINUS_ONE, a, laplacian(data.B2, m, rules)),
-               mul(MINUS_ONE, laplacian(data.B1, m, rules)))
+               mul(MINUS_ONE, lap_B1))
     return _classifying(system, (lhs1, lhs2), phi_u, phi_v)
 
 

@@ -27,7 +27,7 @@ from .equality import Undecided, decide_equivalence, vanish
 from .expr import (Expr, MINUS_ONE, ONE, T, U, V, ZERO, add, as_expr,
                    differentiate, exp_, expand, is_zero, jets_in, mul, powe,
                    rat, substitute, free_symbols)
-from .fields import Generator, ProlongedGenerator
+from .fields import Generator, generator
 from .jets import coords, is_coordinate, total_derivatives, x_squared
 from .systems import RDSystem, evolution_reduce
 
@@ -287,13 +287,12 @@ def pushforward(x: Generator, transform) -> Generator:
     inv_lam, xs = powe(lam, MINUS_ONE), coords(x.m)
     old_uv = pm.inverse_binding(U, V)
     old_tx = {T: mul(lam, lam, T), **{c: mul(lam, c) for c in xs}}
-    pr = ProlongedGenerator(x)
+    pr = x.prolonged()
 
     def applied(new_coordinate):
         return substitute(substitute(pr.apply_to(new_coordinate), old_uv),
                           old_tx)
 
-    return Generator(applied(mul(inv_lam, inv_lam, T)),
-                     tuple(applied(mul(inv_lam, c)) for c in xs),
-                     mul(MINUS_ONE, applied(pm.u_new())),
-                     mul(MINUS_ONE, applied(pm.v_new())))
+    return generator(x.m, eta=applied(mul(inv_lam, inv_lam, T)),
+                     xi=[applied(mul(inv_lam, c)) for c in xs],
+                     phi_u=applied(pm.u_new()), phi_v=applied(pm.v_new()))

@@ -49,11 +49,6 @@ class ClaimInstance:
 
 @dataclass
 class RowInstance:
-    row: CorpusRow
-    m: int
-    mode: str                      # symbolic | witness
-    seed: int
-    binding: Dict
     system: RDSystem
     claims: List[ClaimInstance]
 
@@ -62,9 +57,10 @@ class UnsatisfiableConstraints(Exception):
     pass
 
 
-def _bind_derived(tpl: RowTemplate, binding: Dict) -> Dict:
-    """Bind the row's derived parameters, in order, from ``binding``."""
-    for name, value in tpl.derive:
+def _bind(pairs: Sequence[Tuple[Expr, Expr]], binding: Dict) -> Dict:
+    """Bind each (name, value) pair in order, each value read under
+    ``binding`` and the pairs before it; returns ``binding``."""
+    for name, value in pairs:
         binding[name] = substitute(value, binding)
     return binding
 
@@ -97,7 +93,7 @@ def _sample_params(row: CorpusRow, tpl: RowTemplate, rng: random.Random):
             else:
                 pool = _SAMPLE_POOL + ([Fraction(0)] if not flags.get("nonzero") else [])
                 binding[sym(name)] = rat(rng.choice(pool))
-        _bind_derived(tpl, binding)
+        _bind(tpl.derive, binding)
         for c in tpl.zero:
             if is_zero(substitute(c, binding)):
                 continue
@@ -105,7 +101,7 @@ def _sample_params(row: CorpusRow, tpl: RowTemplate, rng: random.Random):
             syms = _zeroable(row, c)
             if syms:
                 binding[rng.choice(syms)] = ZERO
-                _bind_derived(tpl, binding)
+                _bind(tpl.derive, binding)
             if not is_zero(substitute(c, binding)):
                 break
         else:
@@ -143,7 +139,7 @@ def symbolic_branches(row: CorpusRow, m: int) -> List[Dict]:
     # one branch per distinct binding, in order of first appearance
     distinct = {}
     for b in branches:
-        if not _breaks_nonzero(tpl, _bind_derived(tpl, dict(b))):
+        if not _breaks_nonzero(tpl, _bind(tpl.derive, dict(b))):
             distinct.setdefault(tuple(sorted((k.name, str(v))
                                              for k, v in b.items())), b)
     if not distinct:
@@ -184,7 +180,7 @@ def instantiate_row(row: CorpusRow, seed: int, m: int,
                          + sum(map(ord, row.item))) % (2 ** 31))
     tpl = row.template(m)
     if mode == "symbolic":
-        binding = _bind_derived(tpl, dict(branch or {}))
+        binding = _bind(tpl.derive, dict(branch or {}))
     else:
         binding = _sample_params(row, tpl, rng)
     binding[sym("a")] = _a_value(row, rng, mode)
@@ -209,9 +205,7 @@ def instantiate_row(row: CorpusRow, seed: int, m: int,
     system, defs = make_system(binding, [])
     claims = []
     for ct in tpl.claims:
-        cb = dict(binding)
-        for name, value in ct.conditions:
-            cb[name] = substitute(value, cb)
+        cb = _bind(ct.conditions, dict(binding))
         if cb == binding and not ct.kernel_sets:
             csystem, cdefs = system, defs
         else:
@@ -220,7 +214,7 @@ def instantiate_row(row: CorpusRow, seed: int, m: int,
             gen = gen.map(lambda c: apply_rules(apply_rules(
                 substitute(c, cb), csystem.rules), cdefs))
             claims.append(ClaimInstance(label, gen, csystem))
-    return RowInstance(row, m, mode, seed, binding, system, claims)
+    return RowInstance(system, claims)
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,12 @@
 tests), no package module imports another module's private name, only
 ``jets`` spells the coordinate symbols x1..xm, only ``parser``,
 ``corpus`` and ``cli`` parse text, only ``expr`` turns a number into an
-expression by hand, ``apply_to`` is defined once, in ``fields``, no
-nested function calls itself, ``expr`` defines the only expression
-node classes, only ``expr`` builds a node by its class, and every private
-dataclass field is left out of the value.
+expression by hand, ``apply_to`` is defined once, in ``fields``, only
+``Generator.prolonged`` builds a prolongation, only ``fields`` and
+``cli`` build a generator by its class, no nested function calls
+itself, ``expr`` defines the only expression node classes, only
+``expr`` builds a node by its class, and every private dataclass field
+is left out of the value.
 
 The package's ``__init__`` is exempt from the first scan, since its
 imports are re-exports."""
@@ -132,6 +134,48 @@ def test_a_vector_field_acts_only_in_fields():
              and node.name == "apply_to"]
     assert len(found) == 1 and found[0].startswith("src/rdsymm/fields.py:"), \
         f"apply_to must be defined once, in fields: {found}"
+
+
+def _calls(node, where=""):
+    """(dotted name of the enclosing class or function, call) for each
+    call below node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                              ast.ClassDef)):
+            yield from _calls(child, f"{where}.{child.name}".lstrip("."))
+            continue
+        if isinstance(child, ast.Call):
+            yield where, child
+        yield from _calls(child, where)
+
+
+def _name(node):
+    return getattr(node, "id", getattr(node, "attr", None))
+
+
+def test_only_generator_prolonged_builds_a_prolongation():
+    """``Generator.prolonged`` is the one builder of pr X: a claim check,
+    a commutator, a pushforward and a classifying residual all get the
+    prolongation the generator keeps, shared inside a
+    ``shared_derivations`` block.  A build is a call of
+    ``ProlongedGenerator`` or a call handed it as a builder."""
+    found = [(path.relative_to(ROOT).as_posix(), where)
+             for path in PACKAGE
+             for where, call in _calls(ast.parse(path.read_text()))
+             if "ProlongedGenerator" in map(_name, (call.func, *call.args))]
+    assert found == [("src/rdsymm/fields.py", "Generator.prolonged")], found
+
+
+def test_only_fields_and_cli_build_a_generator_by_its_class():
+    """Elsewhere X is built by ``fields.generator`` from its d_u and d_v
+    coefficients, so only ``fields`` applies the sign convention
+    pi^a = -phi^a; ``cli`` reads the file format's pi arrays as they
+    are."""
+    found = [f"{path.relative_to(ROOT).as_posix()}:{call.lineno}"
+             for path in PACKAGE if path.name not in ("fields.py", "cli.py")
+             for _, call in _calls(ast.parse(path.read_text()))
+             if _name(call.func) == "Generator"]
+    assert not found, f"generators built by their class: {found}"
 
 
 def test_the_expression_nodes_are_the_six_in_expr():

@@ -263,6 +263,14 @@ def test_a_coordinate_outside_the_dimension_is_rejected(field):
     assert build(2, sym("x2")).m == 2
 
 
+def test_an_unknown_family_is_refused_when_the_system_is_built():
+    with pytest.raises(ValueError, match="unknown family 'diagonal'"):
+        RDSystem(1, "diagonal", u, v)
+    S = RDSystem(1, "drift", u, v)
+    with pytest.raises(ValueError, match="unknown family 'diagonal'"):
+        replace(S, family="diagonal")
+
+
 @pytest.mark.parametrize("tjet, passes", [
     (jet("u", 2), 2), (jet("u", 1, (1,)), 1)], ids=["u_tt", "u_tx1"])
 def test_evolution_reduce_takes_one_pass_per_t_order(monkeypatch, tjet,

@@ -27,9 +27,14 @@ per-direction claim), {xm} (the last spatial variable), {m} and
 {div(H1,H2)}; declared kernel names appearing bare are rewritten to full
 applications of their argument signature.
 
-A row is compiled once per dimension m (``CorpusRow.template``): every text
-is parsed there, with the parameters left unbound, and instantiating the
-row is substitution of the compiled templates.
+A row is compiled once per dimension m (``CorpusRow.template``), with the
+parameters left unbound, and instantiating the row is substitution of the
+compiled templates.  The rows of one load share one text table
+(``CorpusRow.texts``, copied by ``dataclasses.replace``): every text a
+compile parses, after template expansion, is parsed once per load and
+looked up there after.  This is exact, since ``parse`` is a pure function
+of its text and nodes are hash-consed; a text that fails to parse stores
+nothing.  The table is dropped with the load's rows.
 """
 
 from __future__ import annotations
@@ -70,6 +75,9 @@ class CorpusRow:
     flags: List[str]
     annotation: Optional[dict]
     notes: str
+    # the parsed texts of the load the row came from (see the docstring)
+    texts: Dict[str, Expr] = field(
+        default_factory=dict, repr=False, compare=False)
     templates: Dict[int, RowTemplate] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
@@ -88,7 +96,10 @@ def _data_text(name: str) -> str:
     return resources.files(__package__).joinpath("data", name).read_text()
 
 
-def load_table(n: int) -> List[CorpusRow]:
+def load_table(n: int, texts: Optional[Dict[str, Expr]] = None
+               ) -> List[CorpusRow]:
+    """The rows of table n, sharing ``texts`` (a new table by default)."""
+    texts = {} if texts is None else texts
     raw = json.loads(_data_text(f"table{n}.json"))
     return [CorpusRow(
         table=n,
@@ -108,11 +119,14 @@ def load_table(n: int) -> List[CorpusRow]:
         flags=list(entry.get("flags", [])),
         annotation=entry.get("annotation"),
         notes=entry.get("notes", ""),
+        texts=texts,
     ) for entry in raw["rows"]]
 
 
 def load_rows(tables: Sequence[int] = TABLES) -> List[CorpusRow]:
-    return [row for n in tables for row in load_table(n)]
+    """The rows of the given tables, sharing one text table."""
+    texts = {}
+    return [row for n in tables for row in load_table(n, texts)]
 
 
 # ---------------------------------------------------------------------------
@@ -141,8 +155,16 @@ def _space(m: int) -> List[str]:
     return [f"x{i}" for i in range(1, m + 1)]
 
 
-def _parsed(args: List[str]) -> List[Expr]:
-    return [parse(a) for a in args]
+def _parse_once(texts: Dict[str, Expr], s: str) -> Expr:
+    """parse(s), kept in a load's text table."""
+    e = texts.get(s)
+    if e is None:
+        e = texts[s] = parse(s)
+    return e
+
+
+def _parsed(args: List[str], texts: Dict[str, Expr]) -> List[Expr]:
+    return [_parse_once(texts, a) for a in args]
 
 
 @dataclass(frozen=True)
@@ -153,7 +175,7 @@ class KernelType:
     (definitions: rules of order 0), and the declaration key holding its
     rate or eigenvalue."""
     signature: Optional[Callable[[int], List[str]]]
-    params: Callable[[List[str]], List[Expr]] = _parsed
+    params: Callable[[List[str], Dict[str, Expr]], List[Expr]] = _parsed
     rules: Optional[Callable] = None     # (ki, m, a, f1, f2, binding) -> rules
     witnesses: Optional[Callable] = None  # (ki, m, a, binding, rng) -> rules
     spec_key: Optional[str] = None
@@ -278,7 +300,8 @@ KERNEL_TYPES: Dict[str, KernelType] = {
     # F(args as declared): no relation; witnesses in fresh parameters _s<i>
     "opaque": KernelType(
         signature=None, witnesses=_opaque_witness,
-        params=lambda args: [sym(f"_s{i+1}") for i in range(len(args))]),
+        params=lambda args, texts: [sym(f"_s{i+1}")
+                                    for i in range(len(args))]),
     # psi(t, x1..xm): psi_t = a*Lap(psi) + rate*psi
     "heat": KernelType(lambda m: ["t"] + _space(m), rules=_heat_rules,
                        witnesses=_heat_witness, spec_key="rate"),
@@ -288,7 +311,7 @@ KERNEL_TYPES: Dict[str, KernelType] = {
     # Psi(x1..x_{m-1}, xm + t), written in x1..x_{m-1}, _s
     "laplace_shift": KernelType(
         lambda m: _space(m - 1) + [f"x{m}+t"],
-        params=lambda args: _parsed(args[:-1]) + [sym("_s")],
+        params=lambda args, texts: _parsed(args[:-1], texts) + [sym("_s")],
         rules=_laplace_rules, witnesses=_laplace_shift_witness,
         spec_key="eigen"),
     # phi(x1..x_{m-1}): no relation
@@ -305,7 +328,7 @@ KERNEL_TYPES: Dict[str, KernelType] = {
 }
 
 
-def _kernel_info(decl: dict, m: int) -> KernelInfo:
+def _kernel_info(decl: dict, m: int, texts: Dict[str, Expr]) -> KernelInfo:
     ktype = decl.get("type", "opaque")
     kind = KERNEL_TYPES.get(ktype)
     if kind is None:
@@ -316,9 +339,10 @@ def _kernel_info(decl: dict, m: int) -> KernelInfo:
         args = _OPAQUE_SIGNATURES[decl["args"]](m)
     else:
         args = [expand_template(a, m) for a in decl["args"]]
-    spec = parse(str(decl[kind.spec_key])) if kind.spec_key else None
+    spec = (_parse_once(texts, str(decl[kind.spec_key])) if kind.spec_key
+            else None)
     return KernelInfo(decl["name"], decl, kind, ",".join(args),
-                      kind.params(args), spec)
+                      kind.params(args, texts), spec)
 
 
 def kernel_infos(row: CorpusRow, m: int) -> List[KernelInfo]:
@@ -326,17 +350,18 @@ def kernel_infos(row: CorpusRow, m: int) -> List[KernelInfo]:
     after the kernel that declares it."""
     out = []
     for decl in row.kernels:
-        out.append(_kernel_info(decl, m))
+        out.append(_kernel_info(decl, m, row.texts))
         if "partner" in decl:
             out.append(_kernel_info({"name": decl["partner"],
-                                     "type": "cr_partner"}, m))
+                                     "type": "cr_partner"}, m, row.texts))
     return out
 
 
 def parse_in_row(s: str, m: int, infos: List[KernelInfo],
+                 texts: Dict[str, Expr],
                  direction: Optional[int] = None) -> Expr:
     kargs = {ki.name: ki.call_args for ki in infos}
-    return parse(expand_template(s, m, direction, kargs))
+    return _parse_once(texts, expand_template(s, m, direction, kargs))
 
 
 # ---------------------------------------------------------------------------
@@ -382,21 +407,21 @@ def _xi_from_spec(spec, m: int, read, direction) -> List[Expr]:
     raise ValueError(f"bad xi spec {spec!r}")
 
 
-def build_generator(spec, m: int, infos,
+def build_generator(spec, m: int, infos, texts: Dict[str, Expr],
                     direction: Optional[int] = None) -> Generator:
     """Interpret a generator spec at dimension m, its parameters unbound
     (the macros K, G and Ghat take the symbol a)."""
 
     def read(text: str) -> Expr:
-        return parse_in_row(text, m, infos, direction)
+        return parse_in_row(text, m, infos, texts, direction)
 
     if "sum" in spec:
         g = zero_generator(m)
         for part in spec["sum"]:
-            g = g + build_generator(part, m, infos, direction)
+            g = g + build_generator(part, m, infos, texts, direction)
         return g
     if "scale" in spec:
-        return build_generator(spec["of"], m, infos, direction).scale(
+        return build_generator(spec["of"], m, infos, texts, direction).scale(
             read(spec["scale"]))
     if "macro" in spec:
         name = spec["macro"]
@@ -434,13 +459,13 @@ class RowTemplate:
 
 
 def compile_row(row: CorpusRow, m: int) -> RowTemplate:
-    """Parse each text of the row once at dimension m (once per direction
-    for a per-direction claim's generator)."""
+    """Read each text of the row at dimension m (once per direction for a
+    per-direction claim's generator) through the load's text table."""
     infos = kernel_infos(row, m)
     params_of = {ki.name: ki.params for ki in infos}
 
     def read(s: str) -> Expr:
-        return parse_in_row(s, m, infos)
+        return parse_in_row(s, m, infos, row.texts)
 
     claims = []
     for idx, claim in enumerate(row.claims):
@@ -455,7 +480,8 @@ def compile_row(row: CorpusRow, m: int) -> RowTemplate:
             [KernelRule(k, 0, 0, params_of[k], read(s))
              for k, s in when.get("set_kernel", {}).items()],
             [(label if d is None else f"{label}[x{d}]",
-              build_generator(claim["gen"], m, infos, d)) for d in dirs]))
+              build_generator(claim["gen"], m, infos, row.texts, d))
+             for d in dirs]))
     return RowTemplate(infos, read(row.f1), read(row.f2),
                        [read(c) for c in row.zero],
                        [read(c) for c in row.nonzero],

@@ -99,11 +99,16 @@ expressions; no caller mutates what it gets (a ``ProlongedGenerator``
 only fills in more phi^J, each a function of the same key); and a build
 that raises stores nothing.  The table is dropped with its block, so no
 row or run inherits another's work, and with no block open nothing is
-kept.  The outermost block also pauses the cyclic garbage collector and
-restores its earlier state when the block ends, by an exception too: the
-table keeps what the block builds alive until then, and the core makes no
-reference cycles (below), so a collection inside the block would only walk
-the heap and free nothing.
+kept.
+
+The block runs inside :func:`collector_paused`, and ``verify.run_suite``
+enters that once around a whole suite: the outermost entry pauses the
+cyclic garbage collector and restores its earlier state when it ends, by
+an exception too, and a nested entry does nothing.  The core makes no
+reference cycles (below), and a block's table keeps what the block builds
+alive until the block ends, so a collection inside the pause would only
+walk the heap and free nothing; between a suite's rows reference counting
+frees each row's table and everything only it held.
 
 Structural walks reach subexpressions only through :func:`children` and put
 nodes back together only through :func:`rebuild`, which always goes through
@@ -125,8 +130,9 @@ node is in normal form, ``rebuild(e, children(e)) is e``.  An atom does not
 store its own one-element set, since the set would hold the atom and the
 atom the set: that cycle would keep dead atoms in the unique table until
 the cyclic garbage collector runs.  So the derivative of an atom other
-than ``s`` is 0 without the set, and a node's set skips its rational
-children.
+than ``s`` is 0 without the set, and a node's set is built from the sets
+of its composite children and from its atom children themselves, skipping
+the rational ones.
 
 The declared domain is the one the numeric layer samples: u and v are
 positive; parameters, t, the x_i and the higher jets are real and may be
@@ -860,10 +866,10 @@ def rebuild(e: Expr, kids: Sequence[Expr]) -> Expr:
 
 def free_symbols(e: Expr) -> frozenset:
     """The ``Sym`` and ``Jet`` atoms of e: cached on each composite node,
-    built from the sets of its children but the rationals, reusing a
-    child's set when it covers the others.  An atom's own set is made
-    afresh (see the module docstring).  Unordered: sort by ``key()``
-    before anything depends on the order."""
+    built from the sets of its composite children and its atom children
+    themselves (no rationals), reusing a child's set when it covers the
+    rest.  An atom's own set is made afresh (see the module docstring).
+    Unordered: sort by ``key()`` before anything depends on the order."""
     if isinstance(e, (Sym, Jet)):
         return frozenset((e,))
     try:
@@ -871,12 +877,18 @@ def free_symbols(e: Expr) -> frozenset:
     except AttributeError:
         pass
     out = frozenset()
+    atoms = []
     for c in children(e):
         if isinstance(c, Rat):
+            continue
+        if isinstance(c, (Sym, Jet)):
+            atoms.append(c)
             continue
         s = free_symbols(c)
         if not s <= out:
             out = s if out <= s else out | s
+    if atoms and not out.issuperset(atoms):
+        out = out.union(atoms)
     e._atoms = out
     return out
 
@@ -1178,24 +1190,34 @@ _SHARED = None
 
 
 @contextmanager
-def shared_derivations():
-    """A block whose derivations share one table, dropped when the block
-    ends: the terms ``expand`` meets and whatever :func:`shared` builds.
-    Every result is the one a call outside any block gives (see the module
-    docstring)."""
-    global _SHARED
-    outer, _SHARED = _SHARED, {}
-    # the outermost block pauses the cyclic collector (see the module
-    # docstring) and leaves it as it found it
-    paused = outer is None and gc.isenabled()
+def collector_paused():
+    """A block run with the cyclic garbage collector paused (see the module
+    docstring).  The outermost block disables it and restores the state it
+    found when the block ends, by an exception too; inside it the collector
+    is already off, so a nested block does nothing."""
+    paused = gc.isenabled()
     if paused:
         gc.disable()
     try:
         yield
     finally:
-        _SHARED = outer
         if paused:
             gc.enable()
+
+
+@contextmanager
+def shared_derivations():
+    """A block whose derivations share one table, dropped when the block
+    ends: the terms ``expand`` meets and whatever :func:`shared` builds.
+    Every result is the one a call outside any block gives (see the module
+    docstring).  The block runs inside :func:`collector_paused`."""
+    global _SHARED
+    with collector_paused():
+        outer, _SHARED = _SHARED, {}
+        try:
+            yield
+        finally:
+            _SHARED = outer
 
 
 def shared(key, build, *args):

@@ -25,8 +25,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .corpus import (TABLES, CorpusRow, RowTemplate, build_rules, load_rows,
                      witness_menu)
 from .expr import (Add, DomainError, Expr, KernelRule, RuleSet, Sym, ZERO,
-                   add, apply_rules, is_zero, jet, jets_in, mul, rat,
-                   shared_derivations, substitute, sym, free_symbols)
+                   add, apply_rules, collector_paused, is_zero, jet, jets_in,
+                   mul, rat, shared_derivations, substitute, sym,
+                   free_symbols)
 from .fields import Generator
 from .numeric import Program, Sampler, magnitude
 from .parser import to_text
@@ -250,7 +251,11 @@ def _unsatisfied(m: int, mode: str, seed: int,
 def verify_row(row: CorpusRow, seeds: Sequence[int] = (0, 1, 2),
                m_values: Optional[Sequence[int]] = None,
                modes: Sequence[str] = ("symbolic", "witness")) -> VerificationRun:
-    m_list = [m for m in (m_values or row.m_list) if m in row.m_list]
+    if not seeds:
+        raise ValueError("verify_row needs at least one seed")
+    # each requested m once, in the order given
+    m_list = [m for m in dict.fromkeys(m_values or row.m_list)
+              if m in row.m_list]
     if not m_list:
         raise ValueError(f"no requested m is applicable for {row.key}")
     if row.status == "blocked":
@@ -318,6 +323,10 @@ class SuiteReport:
         return 1 if self.unannotated_failures else 0
 
 
+# one collector pause for the whole suite, loading and the gaps between
+# rows included (see the expr module docstring); each row still opens its
+# own derivation table
+@collector_paused()
 def run_suite(tables: Sequence[int] = TABLES,
               items: Optional[Sequence[str]] = None,
               m_values: Optional[Sequence[int]] = None,

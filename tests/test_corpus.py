@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -411,3 +412,118 @@ def test_corrected_t8_8_holds_exactly(m):
     # its residuals cancel only over the common denominator mu - 1
     rep = is_symmetry(ci.system, ci.generator)
     assert rep.holds, (rep.verdict, rep.decision_path)
+
+
+def test_a_row_run_with_no_seed_is_refused():
+    row = next(r for r in load_rows() if r.key == "T2.2")
+    with pytest.raises(ValueError):
+        verify_row(row, seeds=())
+
+
+def test_a_repeated_m_is_checked_once():
+    row = next(r for r in load_rows() if r.key == "T2.2")
+    once = verify_row(row, m_values=[1])
+    assert len(once.results) == 4
+    assert verify_row(row, m_values=[1, 1]).results == once.results
+    # in the order given
+    both = verify_row(row, m_values=[2, 1, 2]).results
+    assert [e["m"] for e in both] == sorted((e["m"] for e in both),
+                                            reverse=True)
+
+
+def test_one_load_parses_each_text_once(monkeypatch):
+    """The rows of one load share one text table, so compiling every row
+    at every m parses each distinct text once, into the nodes a fresh
+    table per row gives."""
+    parsed = []
+
+    def counting(text):
+        parsed.append(text)
+        return parse(text)
+
+    monkeypatch.setattr(rdsymm.corpus, "parse", counting)
+    rows = load_rows()
+    assert all(r.texts is rows[0].texts for r in rows)
+    fixed = apply_correction(next(r for r in rows if r.key == "T8.8"))
+    assert fixed.texts is rows[0].texts
+    templates = [(r, m, r.template(m)) for r in rows for m in r.m_list]
+    assert parsed and len(parsed) == len(set(parsed))
+    assert len(parsed) == len(rows[0].texts)
+
+    def nodes(t):
+        out = [t.f1, t.f2, *t.zero, *t.nonzero]
+        out += [e for pair in t.derive for e in pair]
+        out += [c for claim in t.claims for e in claim.conditions for c in e]
+        out += [k.template for claim in t.claims for k in claim.kernel_sets]
+        out += [c for claim in t.claims for _, g in claim.generators
+                for c in g.coeffs()]
+        return out
+
+    for row, m, t in templates:
+        fresh = rdsymm.corpus.compile_row(replace(row, texts={}), m)
+        got, want = nodes(t), nodes(fresh)
+        assert len(got) == len(want)
+        assert all(a is b for a, b in zip(got, want)), (row.key, m)
+
+
+def test_a_suite_pauses_the_collector_once(monkeypatch):
+    """``run_suite`` pauses the cyclic collector around its whole body
+    (between rows too), each row opens its own derivation table, and the
+    collector is back in its earlier state afterwards, also when a check
+    raises."""
+    seen = []
+    check, row_run, load = (rdsymm.verify.is_symmetry,
+                            rdsymm.verify.verify_row,
+                            rdsymm.verify.load_rows)
+
+    def loading(*args, **kw):
+        seen.append(("load", gc.isenabled(), expr._SHARED))
+        return load(*args, **kw)
+
+    def running(*args, **kw):
+        seen.append(("row", gc.isenabled(), expr._SHARED))
+        return row_run(*args, **kw)
+
+    def checking(*args, **kw):
+        seen.append(("check", gc.isenabled(), expr._SHARED))
+        return check(*args, **kw)
+
+    monkeypatch.setattr(rdsymm.verify, "load_rows", loading)
+    monkeypatch.setattr(rdsymm.verify, "verify_row", running)
+    monkeypatch.setattr(rdsymm.verify, "is_symmetry", checking)
+    n_rows = sum(1 in r.m_list for r in load_rows([2, 4]))
+    was = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            seen.clear()
+            run_suite(tables=[2, 4], m_values=(1,))
+            assert gc.isenabled() is enabled
+            kinds = [kind for kind, _, _ in seen]
+            assert kinds[0] == "load" and kinds.count("row") == n_rows
+            assert not any(paused for _, paused, _ in seen)
+            # no table is open between rows; each row's checks read one
+            assert all(table is None for kind, _, table in seen
+                       if kind != "check")
+            row_tables = []
+            for kind, _, table in seen:
+                if kind == "row":
+                    row_tables.append([])
+                elif kind == "check":
+                    row_tables[-1].append(table)
+            firsts = [ts[0] for ts in row_tables if ts]
+            assert len(firsts) > 1
+            assert all(t is ts[0] for ts in row_tables for t in ts)
+            assert all(a is not b for a, b in zip(firsts, firsts[1:]))
+
+        def failing(*args, **kw):
+            raise RuntimeError("a check that raises")
+
+        monkeypatch.setattr(rdsymm.verify, "is_symmetry", failing)
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            with pytest.raises(RuntimeError):
+                run_suite(tables=[2], m_values=(1,))
+            assert gc.isenabled() is enabled and expr._SHARED is None
+    finally:
+        (gc.enable if was else gc.disable)()

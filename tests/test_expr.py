@@ -806,3 +806,21 @@ def test_a_sum_of_distinct_monomials_builds_no_term(monkeypatch):
     assert add(*terms[:4], add(*terms[4:])) is out and calls == []
     add(u, 2 * u)       # a merged monomial is built from its coefficient
     assert calls == [((u, ONE),)]
+
+
+def test_a_node_set_takes_its_atom_children_as_they_are(monkeypatch):
+    """Building a composite node's atom set recurses into its composite
+    children only: an atom child goes into the set itself."""
+    called = []
+    free = expr.free_symbols
+
+    def recording(e):
+        called.append(e)
+        return free(e)
+
+    monkeypatch.setattr(expr, "free_symbols", recording)
+    s, x = sym("_fs_s"), jet("u", 0, (1,))
+    inner = add(mul(s, s), rat(3))
+    e = add(mul(inner, x), s, ker("sin", mul(s, x)))
+    assert free(e) == frozenset((s, x))
+    assert called and not any(isinstance(c, (Sym, Jet)) for c in called)

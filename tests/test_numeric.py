@@ -18,6 +18,7 @@ from rdsymm.numeric import (DPS, _EXACT_POWER_BITS, Program, Sampler,
 from rdsymm.corpus import load_rows
 from rdsymm.fields import Generator
 from rdsymm.systems import is_symmetry, triangular
+from rdsymm import verify
 from rdsymm.verify import instantiate_row, numeric_residual_check, verify_row
 
 u, v = jet("u"), jet("v")
@@ -58,6 +59,36 @@ def test_the_core_leaves_no_cyclic_garbage():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_a_suite_run_leaves_no_cyclic_garbage(monkeypatch):
+    """``run_suite`` pauses the collector for the whole suite, loading and
+    the gaps between rows included, which is sound only if a collection
+    after it frees nothing: no collection starts before the suite's last
+    check ends, and none is needed after it."""
+    events = []
+    check = verify.is_symmetry
+
+    def checking(*args, **kw):
+        out = check(*args, **kw)
+        events.append("check")
+        return out
+
+    def collecting(phase, info):
+        if phase == "start":
+            events.append("collection")
+
+    monkeypatch.setattr(verify, "is_symmetry", checking)
+    gc.collect()
+    gc.callbacks.append(collecting)
+    try:
+        report = verify.run_suite(tables=[2, 3, 9], seed=0)
+    finally:
+        gc.callbacks.remove(collecting)
+    assert report.counts["fail"] and "check" in events
+    last_check = len(events) - events[::-1].index("check")
+    assert "collection" not in events[:last_check]
+    assert gc.collect() == 0
 
 
 def test_a_residual_check_of_no_points_is_refused():

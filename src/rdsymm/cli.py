@@ -42,7 +42,7 @@ from .parser import ParseError, parse, to_text
 from .systems import RDSystem, drift, is_symmetry, triangular
 from .transforms import (InapplicableTransform, LinearEquiv, VShift, aet,
                          apply_equiv)
-from .verify import run_suite
+from .verify import MODES, run_suite
 
 
 class UsageError(Exception):
@@ -212,7 +212,7 @@ def cmd_commutator(args) -> int:
 
 
 def cmd_corpus_run(args) -> int:
-    modes = ("symbolic", "witness") if args.mode == "both" else (args.mode,)
+    modes = MODES if args.mode == "both" else (args.mode,)
     # open the report first: a path that cannot be written fails at once,
     # not after the whole suite has run; appending leaves a report already
     # there as it is until the new one replaces it
@@ -284,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--m", type=int, action="append")
     pr.add_argument("--seed", type=int, default=0)
     pr.add_argument("--json", help="write the machine-readable report here")
-    pr.add_argument("--mode", choices=["symbolic", "witness", "both"],
+    pr.add_argument("--mode", choices=[*MODES, "both"],
                     default="both")
     pr.set_defaults(fn=cmd_corpus_run)
 

@@ -98,7 +98,10 @@ def _data_text(name: str) -> str:
 
 def load_table(n: int, texts: Optional[Dict[str, Expr]] = None
                ) -> List[CorpusRow]:
-    """The rows of table n, sharing ``texts`` (a new table by default)."""
+    """The rows of table n, one of ``TABLES``, sharing ``texts`` (a new
+    table by default)."""
+    if n not in TABLES:
+        raise ValueError(f"no corpus table {n!r}; the tables are {TABLES}")
     texts = {} if texts is None else texts
     raw = json.loads(_data_text(f"table{n}.json"))
     return [CorpusRow(

@@ -85,10 +85,15 @@ again.  The block's one table keeps:
 
 * the terms of each node and power an ``expand`` walk meets (outside a
   block each call keeps a table of its own);
-* through :func:`shared`, each top-level ``differentiate(e, s, rules)``,
-  each ``Generator.prolonged(rules)`` under (X's coefficients, rules) and
-  each t-jet replacement of ``systems.tjet_replacements`` under (right-hand
-  side, jet, m, rules).
+* for each (atom s, rules), the derivative by s of every node that a
+  ``differentiate`` walk meets, in one memo under (``_derivative``, (s,
+  rules)) (outside a block each call keeps a memo of its own), so a
+  subtree shared by the row's total derivatives, ``apply_to``'s partial
+  derivatives, the t-jet replacements and ``reduce_kernel``'s template
+  derivatives is differentiated once;
+* through :func:`shared`, each ``Generator.prolonged(rules)`` under (X's
+  coefficients, rules) and each t-jet replacement of
+  ``systems.tjet_replacements`` under (right-hand side, jet, m, rules).
 
 Instantiating a row builds a new ``RuleSet`` each time, so a rule set
 compares and hashes by content: the name, slot, order, params and
@@ -96,10 +101,12 @@ template of each rule, in order.  The table is exact: each entry is a
 pure function of its key, which names hash-consed nodes and rule content
 only; the table holds its keys alive, so a key always names the same
 expressions; no caller mutates what it gets (a ``ProlongedGenerator``
-only fills in more phi^J, each a function of the same key); and a build
-that raises stores nothing.  The table is dropped with its block, so no
-row or run inherits another's work, and with no block open nothing is
-kept.
+only fills in more phi^J, each a function of the same key, and a
+derivative memo only gains nodes, each entered once its subtree's
+derivative is complete); and a build that raises stores nothing (a
+derivative walk that raises leaves only complete entries).  The table is
+dropped with its block, so no row or run inherits another's work, and
+with no block open nothing is kept.
 
 The block runs inside :func:`collector_paused`, and ``verify.run_suite``
 enters that once around a whole suite: the outermost entry pauses the
@@ -1047,20 +1054,31 @@ def _ker_slot_derivative(e: Ker, slot: int, rules: RuleSet) -> Expr:
 
 
 def differentiate(e: Expr, s: Expr, rules: RuleSet = EMPTY_RULES) -> Expr:
-    """Exact partial derivative of e with respect to the atom s; inside a
-    :func:`shared_derivations` block it is kept in the block's table."""
+    """Exact partial derivative of e with respect to the atom s.  The walk
+    differentiates each node it meets once: outside a block each call keeps
+    a memo of its own, and inside a :func:`shared_derivations` block every
+    call by s under equal rules reads and fills one memo, kept in the
+    block's table under (``_derivative``, (s, rules))."""
     if not isinstance(s, (Sym, Jet)):
         raise ExprError(f"can only differentiate by a symbol, got {s!r}")
     if e is s:
         return ONE
     if s not in free_symbols(e):
         return ZERO
-    return shared((e, s, rules), _derivative, e, s, rules, {})
+    table = _SHARED
+    if table is None:
+        memo = {}
+    else:
+        key = (_derivative, (s, rules))
+        memo = table.get(key)
+        if memo is None:
+            memo = table[key] = {}
+    return _derivative(e, s, rules, memo)
 
 
 def _derivative(e: Expr, s: Expr, rules: RuleSet, memo: dict) -> Expr:
-    """de/ds; ``memo`` maps each node already differentiated in one
-    ``differentiate`` call to its derivative."""
+    """de/ds; ``memo`` maps each node already differentiated by s under
+    ``rules`` to its derivative, entered only once that is complete."""
     if e is s:
         return ONE
     if isinstance(e, (Rat, Sym, Jet)) or s not in free_symbols(e):
@@ -1208,7 +1226,9 @@ def collector_paused():
 @contextmanager
 def shared_derivations():
     """A block whose derivations share one table, dropped when the block
-    ends: the terms ``expand`` meets and whatever :func:`shared` builds.
+    ends: the terms ``expand`` meets, the derivatives ``differentiate``
+    meets (one memo per atom and rule set) and whatever :func:`shared`
+    builds.
     Every result is the one a call outside any block gives (see the module
     docstring).  The block runs inside :func:`collector_paused`."""
     global _SHARED

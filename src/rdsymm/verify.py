@@ -248,13 +248,32 @@ def _unsatisfied(m: int, mode: str, seed: int,
             "note": str(exc)}
 
 
+MODES = ("symbolic", "witness")
+
+
+def _check_request(modes: Sequence[str], **filters) -> None:
+    """Refuse an empty or unknown mode, and an empty filter: ``None``
+    selects everything, an empty request nothing to check."""
+    bad = [m for m in modes if m not in MODES]
+    if not modes or bad:
+        raise ValueError(f"modes must be a nonempty choice of {MODES}, "
+                         f"got {tuple(modes)!r}")
+    for name, value in filters.items():
+        if value is not None and not value:
+            raise ValueError(f"an empty {name} selects nothing; pass None "
+                             f"for all")
+
+
 def verify_row(row: CorpusRow, seeds: Sequence[int] = (0, 1, 2),
                m_values: Optional[Sequence[int]] = None,
-               modes: Sequence[str] = ("symbolic", "witness")) -> VerificationRun:
+               modes: Sequence[str] = MODES) -> VerificationRun:
+    _check_request(modes, m_values=m_values)
     if not seeds:
         raise ValueError("verify_row needs at least one seed")
-    # each requested m once, in the order given
-    m_list = [m for m in dict.fromkeys(m_values or row.m_list)
+    # each requested seed and m once, in the order given
+    seeds = tuple(dict.fromkeys(seeds))
+    m_list = [m for m in dict.fromkeys(row.m_list if m_values is None
+                                       else m_values)
               if m in row.m_list]
     if not m_list:
         raise ValueError(f"no requested m is applicable for {row.key}")
@@ -331,9 +350,10 @@ def run_suite(tables: Sequence[int] = TABLES,
               items: Optional[Sequence[str]] = None,
               m_values: Optional[Sequence[int]] = None,
               seed: int = 0,
-              modes: Sequence[str] = ("symbolic", "witness")) -> SuiteReport:
-    rows = [r for r in load_rows(tables) if (not items or r.item in items)
-            and (not m_values or set(m_values) & set(r.m_list))]
+              modes: Sequence[str] = MODES) -> SuiteReport:
+    _check_request(modes, items=items, m_values=m_values)
+    rows = [r for r in load_rows(tables) if (items is None or r.item in items)
+            and (m_values is None or set(m_values) & set(r.m_list))]
     runs = []
     counts = {"pass": 0, "fail": 0, "blocked": 0, "undecided": 0}
     unannotated = []

@@ -431,6 +431,50 @@ def test_a_repeated_m_is_checked_once():
                                             reverse=True)
 
 
+def test_a_repeated_seed_is_checked_once():
+    row = next(r for r in load_rows() if r.key == "T2.2")
+    once = verify_row(row, seeds=(0,))
+    assert len(once.results) == 6
+    assert verify_row(row, seeds=(0, 0)).results == once.results
+    # in the order given: the first seed also drives the symbolic mode
+    results = verify_row(row, seeds=(2, 0, 2), m_values=[1]).results
+    assert [(e["mode"], e["seed"]) for e in results] == [
+        ("symbolic", 2), ("witness", 2), ("witness", 0)]
+
+
+@pytest.mark.parametrize("modes", [(), ("witnes",), ("symbolic", "x"),
+                                   "symbolic"])
+@pytest.mark.parametrize("key", ["T2.2", "T6.1"])
+def test_an_empty_or_unknown_mode_is_refused(modes, key):
+    # a blocked row (T6.1) is refused too, before it reports blocked
+    row = next(r for r in load_rows() if r.key == key)
+    with pytest.raises(ValueError, match="modes"):
+        verify_row(row, modes=modes)
+    with pytest.raises(ValueError, match="modes"):
+        run_suite(tables=[row.table], modes=modes)
+
+
+@pytest.mark.parametrize("filters", [{"m_values": ()}, {"items": []},
+                                     {"items": ["1"], "m_values": []}])
+def test_an_empty_filter_is_refused(filters):
+    row = next(r for r in load_rows() if r.key == "T6.1")
+    if "items" not in filters:
+        with pytest.raises(ValueError, match="empty m_values"):
+            verify_row(row, **filters)
+    with pytest.raises(ValueError, match="empty"):
+        run_suite(tables=[2], **filters)
+
+
+@pytest.mark.parametrize("n", [1, 11, "2"])
+def test_an_unknown_table_is_refused(n):
+    with pytest.raises(ValueError, match="the tables are"):
+        load_table(n)
+    with pytest.raises(ValueError, match="the tables are"):
+        load_rows([2, n])
+    with pytest.raises(ValueError, match="the tables are"):
+        run_suite(tables=[n])
+
+
 def test_one_load_parses_each_text_once(monkeypatch):
     """The rows of one load share one text table, so compiling every row
     at every m parses each distinct text once, into the nodes a fresh

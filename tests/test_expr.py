@@ -4,6 +4,8 @@ import os
 import pickle
 import subprocess
 import sys
+import weakref
+from contextlib import nullcontext
 from fractions import Fraction
 from pathlib import Path
 
@@ -511,6 +513,84 @@ def test_a_shared_derivative_is_the_one_a_fresh_call_gives(warm, e, arg, s,
         for _ in range(2):
             assert _derived_or_error(e, s, _rule_sets(kind)) is want
     assert _derived_or_error(e, s, _rule_sets(kind)) is want
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_exprs(), _atoms), max_size=3), _exprs(),
+       _exprs(2), _atoms, _kinds)
+@example([(powe(rat(0), u - 1) + t * u, u)], powe(rat(0), u - 1) + t * u,
+         rat(1), u, "none")
+def test_a_warmed_derivative_memo_gives_what_a_fresh_call_gives(warm, e, arg,
+                                                                s, kind):
+    # a block whose memos were warmed by other walks, by s and by other
+    # atoms, over other expressions and over every subtree of e (a walk
+    # that raised included) gives e and each of its subtrees the very node
+    # (or the error) that a call outside any block gives
+    e = add(e, mul(arg, ker("F", arg)))
+    nodes = _all_nodes(e)
+    want = [_derived_or_error(n, s, _rule_sets(kind)) for n in nodes]
+    with expr.shared_derivations():
+        for w, ws in warm:
+            _derived_or_error(w, ws, _rule_sets(kind))
+        for n in reversed(nodes):
+            for a in dict.fromkeys((s, u, x1)):
+                _derived_or_error(n, a, _rule_sets(kind))
+        got = [_derived_or_error(n, s, _rule_sets(kind)) for n in nodes]
+    assert all(g is w for g, w in zip(got, want))
+
+
+def test_a_block_differentiates_a_shared_subtree_once_per_atom(monkeypatch):
+    inner = u * x1 + u     # reached only through F(inner)
+    e1, e2 = t * ker("F", inner) + x1, v * ker("F", inner) + t
+    pairs = [(e, s) for s in (u, x1) for e in (e1, e2)]
+    walks = []
+    real = expr._derivative
+
+    def counting(n, s, *rest):
+        if n is inner:
+            walks.append(s)
+        return real(n, s, *rest)
+
+    monkeypatch.setattr(expr, "_derivative", counting)
+    with expr.shared_derivations():
+        for e, s in pairs:
+            differentiate(e, s)
+    assert walks == [u, x1]
+    # a content-equal rule set shares the memo, another rule set has its own
+    walks.clear()
+    with expr.shared_derivations():
+        for kind in ("relation", "relation", "definition"):
+            differentiate(e1, u, _rule_sets(kind))
+    assert walks == [u, u]
+    # outside a block, and in separate blocks, each call walks it again
+    for block in (nullcontext, expr.shared_derivations):
+        walks.clear()
+        for e, s in pairs:
+            with block():
+                differentiate(e, s)
+        assert walks == [u, u, x1, x1]
+
+
+@pytest.mark.parametrize("ending", ["normally", "by an exception",
+                                    "by a walk that raises"])
+def test_a_block_drops_its_derivative_memos(ending):
+    s = sym("memo_atom")
+    e = ker("G", s)       # held by nothing but the memo once dropped
+    gone = weakref.ref(e)
+    try:
+        with expr.shared_derivations():
+            assert differentiate(e, s) is ker("G", s, dvec=(1,))
+            del e
+            assert gone() is not None
+            assert expr._SHARED[(expr._derivative, (s, expr.EMPTY_RULES))]
+            if ending == "by an exception":
+                raise ZeroDivisionError
+            if ending == "by a walk that raises":
+                differentiate(powe(rat(0), s - 1), s)    # ln(0)
+    except (ZeroDivisionError, DomainError):
+        assert ending != "normally"
+    assert expr._SHARED is None
+    assert gone() is None
 
 
 def test_rule_sets_compare_by_content():

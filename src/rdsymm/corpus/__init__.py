@@ -98,9 +98,9 @@ def _data_text(name: str) -> str:
 
 def load_table(n: int, texts: Optional[Dict[str, Expr]] = None
                ) -> List[CorpusRow]:
-    """The rows of table n, one of ``TABLES``, sharing ``texts`` (a new
-    table by default)."""
-    if n not in TABLES:
+    """The rows of table n, an ``int`` in ``TABLES``, sharing ``texts`` (a
+    new table by default)."""
+    if type(n) is not int or n not in TABLES:
         raise ValueError(f"no corpus table {n!r}; the tables are {TABLES}")
     texts = {} if texts is None else texts
     raw = json.loads(_data_text(f"table{n}.json"))
@@ -248,7 +248,7 @@ def _heat_witness(ki, m, a_expr, binding, rng):
 def _laplace_witness(ki, m, a_expr, binding, rng):
     eig = substitute(ki.spec, binding)
     xs = ki.params
-    if isinstance(eig, Rat) and eig.value == 0:
+    if type(eig) is Rat and eig.value == 0:
         opts = [ONE, xs[0]]
         if m >= 2:
             opts += [mul(xs[0], xs[1]),
@@ -288,9 +288,9 @@ def _cr_witnesses(ki, m, a_expr, binding, rng):
 
 
 def _exact_sqrt(e: Expr) -> Optional[Expr]:
-    if isinstance(e, Rat) and e.value >= 0:
+    if type(e) is Rat and e.value >= 0:
         r = powe(e, rat(1, 2))
-        if isinstance(r, Rat):
+        if type(r) is Rat:
             return r
     return None
 

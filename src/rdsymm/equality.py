@@ -149,16 +149,16 @@ def _cleared_is_zero(e: Expr) -> bool:
             coeff, pairs = term_parts(t)
             factors = [rat(coeff)]
             for b, x in pairs or ():
-                if not is_int(x) and (isinstance(b, Add) or
-                                      isinstance(b, Rat) and b is not ZERO):
+                if not is_int(x) and (type(b) is Add or
+                                      type(b) is Rat and b is not ZERO):
                     n = rat(math.floor(sum(s.value for s in addends(x)
-                                           if isinstance(s, Rat))))
+                                           if type(s) is Rat)))
                     key = (b, add(x, -n))
                     if key not in fresh:
                         fresh[key] = sym(f"u_{len(fresh)}")
                     factors.append(fresh[key])
                     x = n
-                if isinstance(b, Add) and is_int(x) and x.value < 0:
+                if type(b) is Add and is_int(x) and x.value < 0:
                     depth[b] = max(depth.get(b, 0), -x.value)
                 factors.append(powe(b, x))
             terms.append(factors)

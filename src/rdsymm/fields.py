@@ -179,7 +179,7 @@ class ProlongedGenerator:
             hit = self._directions[direction] = [
                 (d, toward) for c, toward in zip(
                     self.eta_xi, ("t", *range(1, m + 1)))
-                if not isinstance(c, Rat)
+                if type(c) is not Rat
                 for d in (total_derivative(c, direction, m, self.rules),)
                 if not is_zero(d)]
         return hit
@@ -203,7 +203,7 @@ class ProlongedGenerator:
         prev = self.phi(parent)
         terms = [mul(MINUS_ONE, d, parent.bump(toward))
                  for d, toward in self._direction(direction)]
-        if not isinstance(prev, Rat):
+        if type(prev) is not Rat:
             terms.append(total_derivative(prev, direction, self.m, self.rules))
         out = self._phi[j] = add(*terms)
         return out

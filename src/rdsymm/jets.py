@@ -38,7 +38,7 @@ def coords(m: int) -> Tuple[Sym, ...]:
 
 def is_coordinate(s: Expr) -> bool:
     """True for the symbols t and x<digits>."""
-    return isinstance(s, Sym) and (
+    return type(s) is Sym and (
         s.name == "t" or s.name[:1] == "x" and s.name[1:].isdigit())
 
 

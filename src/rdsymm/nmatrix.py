@@ -509,7 +509,7 @@ def fundamental_pair(lam, alp, sig, gam) -> FundamentalPair:
 
 
 def _disc_sign(disc: Expr) -> int:
-    if isinstance(disc, Rat):
+    if type(disc) is Rat:
         return (disc.value > 0) - (disc.value < 0)
     if decide_equivalence(disc, ZERO).verdict == EQUAL:
         return 0

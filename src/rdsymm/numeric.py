@@ -248,7 +248,7 @@ def _sign(x) -> int:
 def _number(x):
     """An atom's or a kernel's value in the program's form: exact, or a raw
     mpf."""
-    if isinstance(x, (int, Fraction)):
+    if isinstance(x, int) or type(x) is Fraction:
         return _exact(x)
     if isinstance(x, float):
         return from_float(x)    # exact, as mpmath.mpmathify converts it
@@ -419,7 +419,7 @@ def eval_at(e: Expr, point, kernel_values=None):
 
 
 def to_float(x) -> float:
-    if isinstance(x, Fraction):
+    if type(x) is Fraction:
         return x.numerator / x.denominator
     return float(x)
 

@@ -221,15 +221,15 @@ _ATOM, _POW, _UNARY, _MUL, _ADD = 50, 30, 25, 20, 10
 
 
 def _prec(e: Expr) -> int:
-    if isinstance(e, Rat):
+    if type(e) is Rat:
         if e.value < 0:
             return _UNARY
         return _ATOM if e.value.denominator == 1 else _MUL
-    if isinstance(e, (Sym, Jet, Ker)):
+    if e.variable or type(e) is Ker:
         return _ATOM
     if lone_power(e) is not None:
         return _POW
-    if isinstance(e, Mul):
+    if type(e) is Mul:
         return _UNARY if (e.coeff == -1 and len(e.pairs) == 1
                           and is_one(e.pairs[0][1])) else _MUL
     return _ADD
@@ -241,18 +241,18 @@ def _wrap(e: Expr, ctx: int) -> str:
 
 
 def to_text(e: Expr) -> str:
-    if isinstance(e, Rat):
+    if type(e) is Rat:
         return _frac_text(e.value)
-    if isinstance(e, Sym):
+    if type(e) is Sym:
         return e.name
-    if isinstance(e, Jet):
+    if type(e) is Jet:
         return _jet_name(e)
-    if isinstance(e, Ker):
+    if type(e) is Ker:
         name = e.name
         if any(e.dvec):
             name = f"{name}__d" + "_".join(str(c) for c in e.dvec)
         return f"{name}({', '.join(to_text(a) for a in e.args)})"
-    if isinstance(e, Mul):
+    if type(e) is Mul:
         parts = []
         if e.coeff == -1 and e.pairs:
             sign = "-"
@@ -266,7 +266,7 @@ def to_text(e: Expr) -> str:
             parts.append(_wrap(b, _MUL + 1) if is_one(x)
                          else f"{_wrap(b, _POW + 1)}^{_wrap(x, _POW + 1)}")
         return sign + "*".join(parts)
-    if isinstance(e, Add):
+    if type(e) is Add:
         out = to_text(e.terms[0])
         for t in e.terms[1:]:
             s = to_text(t)

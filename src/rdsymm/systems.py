@@ -329,7 +329,7 @@ def classifying_residual_drift(system: RDSystem, F: Expr, B1: Expr, B2: Expr,
     """Residuals of the drift-family classifying equations (p = 1)."""
     if system.family != "drift":
         raise ValueError("drift classifying equations require the drift family")
-    if not (isinstance(system.p, Rat) and system.p.value == 1):
+    if not (type(system.p) is Rat and system.p.value == 1):
         raise ValueError("normalize the drift to p = 1 first")
     rules = system.rules
     f1, f2 = system.f1, system.f2
@@ -417,7 +417,7 @@ def exp_galilei_gamma(a: Expr, g1: Expr, g2: Expr
         pass
     # first equation demands  a*gamma*u = -g1, so gamma = -g1/(a u)
     gamma = mul(MINUS_ONE, g1, powe(mul(a, U), MINUS_ONE))
-    if any(isinstance(s, Jet) or is_coordinate(s)
+    if any(type(s) is Jet or is_coordinate(s)
            for s in free_symbols(gamma)):
         return False, None
     # residual of  a(f2 + gamma v) - gamma u - f1 = Op f2,  written via g2

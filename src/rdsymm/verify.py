@@ -70,7 +70,7 @@ def _zeroable(row: CorpusRow, expr: Expr) -> List[Sym]:
     """The parameters of ``expr`` a zero constraint may set to 0: declared
     in ``row.params`` and not flagged ``nonzero``, in name order."""
     return [s for s in sorted(free_symbols(expr), key=Expr.key)
-            if isinstance(s, Sym) and s.name in row.params
+            if type(s) is Sym and s.name in row.params
             and not row.params[s.name].get("nonzero")]
 
 
@@ -236,7 +236,7 @@ class VerificationRun:
 def minimal_failing_monomial(sampled: Expr) -> str:
     """The canonical-first monomial of a failing decision's sampled
     expression, which is the residual as the decision expanded it."""
-    term = sampled.terms[0] if isinstance(sampled, Add) else sampled
+    term = sampled.terms[0] if type(sampled) is Add else sampled
     return to_text(term)
 
 
@@ -252,16 +252,16 @@ MODES = ("symbolic", "witness")
 
 
 def _check_request(modes: Sequence[str], **filters) -> None:
-    """Refuse an empty or unknown mode, and an empty filter: ``None``
-    selects everything, an empty request nothing to check."""
+    """Refuse an empty or unknown mode, and an empty filter: a filter left
+    out selects everything, an empty one nothing to check."""
     bad = [m for m in modes if m not in MODES]
     if not modes or bad:
         raise ValueError(f"modes must be a nonempty choice of {MODES}, "
                          f"got {tuple(modes)!r}")
     for name, value in filters.items():
         if value is not None and not value:
-            raise ValueError(f"an empty {name} selects nothing; pass None "
-                             f"for all")
+            raise ValueError(f"an empty {name} selects nothing; leave it "
+                             f"out for all")
 
 
 def verify_row(row: CorpusRow, seeds: Sequence[int] = (0, 1, 2),
@@ -351,7 +351,7 @@ def run_suite(tables: Sequence[int] = TABLES,
               m_values: Optional[Sequence[int]] = None,
               seed: int = 0,
               modes: Sequence[str] = MODES) -> SuiteReport:
-    _check_request(modes, items=items, m_values=m_values)
+    _check_request(modes, tables=tables, items=items, m_values=m_values)
     rows = [r for r in load_rows(tables) if (items is None or r.item in items)
             and (m_values is None or set(m_values) & set(r.m_list))]
     runs = []

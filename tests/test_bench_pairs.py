@@ -90,3 +90,31 @@ def test_source_lines_counts_the_package_and_its_corpus(tmp_path):
     (tmp_path / "parent" / "src" / "rdsymm" / "a.py").write_text("x = 1\n")
     assert bench_pairs.source_lines(str(tmp_path / "change")) == 3
     assert bench_pairs.source_lines(str(tmp_path / "parent")) == 1
+
+
+@pytest.mark.parametrize("claim", ["corpus_suite.verdict_per_s",
+                                   "corpus.verdicts_per_s", "corpus_suite",
+                                   "corpus_suite.expr.mul_us", ""])
+def test_a_bad_claim_is_refused_before_any_run(monkeypatch, claim):
+    def never(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(bench_pairs, "unpack", never)
+    monkeypatch.setattr(bench_pairs, "run_pairs", never)
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(["--parent", "HEAD", "--pr", "x", "--run", "0:1",
+                          "--claim", claim])
+    assert exc.value.code == 2
+
+
+def test_a_claim_of_the_benchmark_passes_the_check(monkeypatch):
+    class Reached(Exception):
+        pass
+
+    def reached(*args, **kwargs):
+        raise Reached
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", reached)
+    with pytest.raises(Reached):
+        bench_pairs.main(["--parent", "HEAD", "--pr", "x", "--run", "0:1",
+                          "--claim", "corpus_suite.verdicts_per_s"])

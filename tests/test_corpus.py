@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 from dataclasses import replace
@@ -471,6 +472,22 @@ def test_an_unknown_table_is_refused(n):
         load_table(n)
     with pytest.raises(ValueError, match="the tables are"):
         load_rows([2, n])
+    with pytest.raises(ValueError, match="the tables are"):
+        run_suite(tables=[n])
+
+
+def test_an_empty_tables_is_refused():
+    with pytest.raises(ValueError, match="empty tables"):
+        run_suite(tables=[])
+    with pytest.raises(ValueError, match="empty tables"):
+        run_suite(tables=(), items=["1"])
+
+
+@pytest.mark.parametrize("n", [2.0, True, Fraction(2)])
+def test_a_table_number_that_is_no_int_is_refused(n):
+    # 2.0 == 2, but only an int names a table
+    with pytest.raises(ValueError, match="the tables are"):
+        load_table(n)
     with pytest.raises(ValueError, match="the tables are"):
         run_suite(tables=[n])
 

@@ -283,6 +283,26 @@ def test_basic_normal_forms():
     assert is_zero((u + v) - u - v)
 
 
+def test_the_kind_flags_name_their_classes():
+    """``leaf`` is true on Rat, Sym and Jet only, ``variable`` on Sym and
+    Jet only; both are class attributes, read off the node's class, with
+    no slot of their own."""
+    kinds = {Rat: rat(2), Sym: sym("a"), Jet: jet("u", 1, (1,)),
+             Ker: exp_(sym("a")), Mul: mul(rat(2), sym("a")),
+             Add: add(sym("a"), rat(1))}
+    assert set(Expr.__subclasses__()) == set(kinds)
+    assert Expr.leaf is False and Expr.variable is False
+    for cls, node in kinds.items():
+        assert type(node) is cls
+        assert node.leaf is (cls in (Rat, Sym, Jet)), cls
+        assert node.variable is (cls in (Sym, Jet)), cls
+        assert node.leaf is (not children(node))
+        for c in cls.__mro__:
+            assert not {"leaf", "variable"} & set(getattr(c, "__slots__", ()))
+    assert {a for a in free_symbols(add(*kinds.values()))} == {
+        n for n in kinds.values() if n.variable}
+
+
 def test_a_power_is_a_one_factor_product():
     sq = powe(u, rat(2))
     assert type(sq) is Mul and sq.coeff == 1 and sq.pairs == ((u, rat(2)),)

@@ -5,9 +5,9 @@ tests), no package module imports another module's private name, only
 expression by hand, ``apply_to`` is defined once, in ``fields``, only
 ``Generator.prolonged`` builds a prolongation, only ``fields`` and
 ``cli`` build a generator by its class, no nested function calls
-itself, ``expr`` defines the only expression node classes, only
-``expr`` builds a node by its class, and every private dataclass field
-is left out of the value.
+itself, ``expr`` defines the only expression node classes, no
+``isinstance`` names one of them, only ``expr`` builds a node by its
+class, and every private dataclass field is left out of the value.
 
 The package's ``__init__`` is exempt from the first scan, since its
 imports are re-exports."""
@@ -199,6 +199,29 @@ def test_the_expression_nodes_are_the_six_in_expr():
     assert {where for where, _ in found} == {
         f"src/rdsymm/expr.py:{name}"
         for name in ("Rat", "Sym", "Jet", "Ker", "Mul", "Add")}, sorted(found)
+
+
+def test_no_isinstance_names_a_node_class():
+    """The six node classes have no subclasses, so a walker reads a node's
+    kind as ``type(x) is C``, or off the class flags ``leaf`` and
+    ``variable``, never through ``isinstance``; ``isinstance(x, Expr)``
+    stays, since ``Expr`` has subclasses."""
+    nodes = {"Rat", "Sym", "Jet", "Ker", "Mul", "Add"}
+    found = []
+    for path in PACKAGE:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(node, ast.Call)
+                    and getattr(node.func, "id", None) == "isinstance"
+                    and len(node.args) == 2):
+                continue
+            kinds = node.args[1]
+            named = {getattr(k, "id", getattr(k, "attr", None))
+                     for k in (kinds.elts if isinstance(kinds, ast.Tuple)
+                               else (kinds,))}
+            if named & nodes:
+                found.append(f"{path.relative_to(ROOT).as_posix()}:"
+                             f"{node.lineno}")
+    assert not found, f"isinstance of a node class: {found}"
 
 
 def test_no_function_nested_in_another_calls_itself():

@@ -18,7 +18,8 @@ medians exceeds the parent's interquartile range, and whether the change
 stays within the metric's bound in ``BENCHMARK.json``.  ``--trace`` adds one
 ``--trace 1`` run per side at the first seed, with every per-layer metric.
 ``source_lines`` gives each side's line count of ``src/rdsymm/*.py`` and
-``src/rdsymm/corpus/*.py``.
+``src/rdsymm/corpus/*.py``.  A ``--claim`` that names no workload and
+end-to-end metric of ``BENCHMARK.json`` is refused before anything runs.
 """
 
 from __future__ import annotations
@@ -197,6 +198,12 @@ def main(argv=None) -> int:
     runs = [tuple(int(n) for n in r.split(":")) for r in args.run]
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         config = json.load(fh)
+    if args.claim is not None:
+        workload, _, name = args.claim.partition(".")
+        if (workload not in {w["name"] for w in config["workloads"]}
+                or name not in {m["name"] for m in config["end_to_end"]}):
+            ap.error(f"--claim {args.claim!r} is no workload.metric of "
+                     "BENCHMARK.json's workloads and end_to_end")
     commit = subprocess.run(["git", "rev-parse", args.parent], cwd=ROOT,
                             stdout=subprocess.PIPE, text=True,
                             check=True).stdout.strip()
